@@ -3,8 +3,8 @@
 Writes ``BENCH_parallel.json`` at the repository root — a small, tracked
 snapshot of what the execution backends cost on a known host, split into
 plan-build (symbolic, paid once) and numeric (per-iteration) time. The
-committed file documents the single-core container this repo grows in;
-regenerate on a multi-core runner to see real process-backend speedup:
+committed file records its host's core count (``host.cpu_count``);
+regenerate on a wider runner to see more process-backend speedup:
 
     PYTHONPATH=src python benchmarks/bench_parallel_baseline.py
 
@@ -101,7 +101,6 @@ def _bench_backend(name, tensor, factor, n_workers, phases):
         "plan_cache_hits_warm": warm.plan_cache_hits,
         "plan_cache_misses_warm": warm.plan_cache_misses,
         "n_chunks": len(cold.ranges),
-        "reduction": cold.reduction,
         "worker_utilization": round(warm.utilization(), 4),
         "critical_path_seconds": round(warm.critical_path_seconds(), 6),
     }
@@ -109,8 +108,8 @@ def _bench_backend(name, tensor, factor, n_workers, phases):
 
 def main() -> None:
     spec = _workload()
-    # At least 2 workers even on a single-core host so chunking, LPT
-    # assignment and the blocked reduction are actually exercised.
+    # At least 2 workers even on a single-core host so sharding and the
+    # owned-shard merge are actually exercised.
     n_workers = int(
         os.environ.get("REPRO_BASELINE_WORKERS", "0")
     ) or max(2, min(4, os.cpu_count() or 1))

@@ -1,20 +1,20 @@
-"""Committed sharded-execution baseline: broadcast vs owned shards.
+"""Committed sharded-execution baseline: owned shards on the process backend.
 
 Writes ``BENCH_sharded.json`` at the repository root — a small, tracked
-snapshot of what owned-shard execution costs relative to the broadcast
-layout on the process backend: wall time per mode, per-worker resident
-tensor bytes (the ``parallel.shard_bytes`` gauge, cross-checked against
-the ``worker_footprint`` closed form), and the reduction tree's
-predicted exchange profile (``plan_sharded_exchange`` /
-``simulate_sharded_time``). Regenerate with:
+snapshot of what owned-shard execution costs on the process backend:
+cold and warm wall time, per-worker resident tensor bytes (the
+``parallel.shard_bytes`` gauge, cross-checked against the
+``worker_footprint`` closed form and set against the whole tensor's
+bytes), and the reduction tree's predicted exchange profile
+(``plan_sharded_exchange`` / ``simulate_sharded_time``). Regenerate with:
 
     PYTHONPATH=src python benchmarks/bench_sharded_baseline.py
 
 Schema v2 (same as ``bench_parallel_baseline.py``): every timing is a
 *phase* — a named sample list with median and MAD — so
 ``tools/bench_regress.py --suite sharded`` can scale its allowed delta
-by observed noise. Phases: ``process.{broadcast,owned}.cold`` /
-``.warm`` plus ``owned.reduce``.
+by observed noise. Phases: ``process.owned.cold`` / ``.warm`` plus
+``owned.reduce``.
 
 Environment knobs: ``REPRO_BENCH_TINY=1`` shrinks the workload to
 CI-smoke size; ``REPRO_BASELINE_WORKERS`` overrides the worker count
@@ -52,7 +52,6 @@ from repro.perfmodel import worker_footprint  # noqa: E402
 from repro.runtime.context import ExecContext  # noqa: E402
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
-SHARDINGS = ("broadcast", "owned")
 WARM_REPEATS = int(os.environ.get("REPRO_BASELINE_REPEATS", "3"))
 
 
@@ -71,11 +70,10 @@ def _phase(samples) -> dict:
     return entry
 
 
-def _bench_sharding(sharding, tensor, factor, n_workers, phases):
-    # Fresh tensor per mode so each pays its own plan build and, for the
-    # owned mode, its own shard shipping; the backend stays alive across
-    # calls (the decomposition-loop pattern, under which worker-side
-    # shard/plan caches can hit).
+def _bench_owned(tensor, factor, n_workers, phases):
+    # Fresh tensor so the run pays its own plan build and shard shipping;
+    # the backend stays alive across calls (the decomposition-loop
+    # pattern, under which worker-side shard/plan caches can hit).
     local = random_sparse_symmetric(
         tensor.order, tensor.dim, tensor.unnz, seed=11
     )
@@ -84,10 +82,7 @@ def _bench_sharding(sharding, tensor, factor, n_workers, phases):
     with make_backend("process", n_workers) as backend:
         cold = ParallelRunReport()
         tick = time.perf_counter()
-        parallel_s3ttmc(
-            local, factor, backend=backend, sharding=sharding,
-            report=cold, ctx=ctx,
-        )
+        parallel_s3ttmc(local, factor, backend=backend, report=cold, ctx=ctx)
         cold_seconds = time.perf_counter() - tick
 
         warm_samples = []
@@ -95,27 +90,22 @@ def _bench_sharding(sharding, tensor, factor, n_workers, phases):
         for _ in range(max(1, WARM_REPEATS)):
             warm = ParallelRunReport()
             tick = time.perf_counter()
-            parallel_s3ttmc(
-                local, factor, backend=backend, sharding=sharding,
-                report=warm, ctx=ctx,
-            )
+            parallel_s3ttmc(local, factor, backend=backend, report=warm, ctx=ctx)
             warm_samples.append(time.perf_counter() - tick)
-    phases[f"process.{sharding}.cold"] = _phase([cold_seconds])
-    phases[f"process.{sharding}.warm"] = _phase(warm_samples)
-    if sharding == "owned":
-        phases["owned.reduce"] = _phase([warm.reduce_seconds])
+    phases["process.owned.cold"] = _phase([cold_seconds])
+    phases["process.owned.warm"] = _phase(warm_samples)
+    phases["owned.reduce"] = _phase([warm.reduce_seconds])
     footprint = worker_footprint(
-        local.dim, local.order, factor.shape[1], local.unnz,
-        n_workers=n_workers, sharding=sharding,
+        local.dim, local.order, factor.shape[1], local.unnz, n_workers=n_workers
     )
     return {
         "shard_bytes_gauge": int(
             collector.metrics.gauge("parallel.shard_bytes").value
         ),
+        "whole_tensor_bytes": int(local.unnz * (local.order * 8 + 8)),
         "worker_footprint_tensor_bytes": int(footprint.tensor),
         "worker_footprint_total_bytes": int(footprint.total),
         "n_chunks": len(warm.ranges),
-        "reduction": warm.reduction,
         "plan_cache_hits_warm": warm.plan_cache_hits,
         "reduce_seconds": round(warm.reduce_seconds, 6),
     }
@@ -124,7 +114,7 @@ def _bench_sharding(sharding, tensor, factor, n_workers, phases):
 def main() -> None:
     spec = _workload()
     # >= 4 workers by default even on small hosts: the acceptance bound
-    # (owned resident bytes <= 0.5x broadcast) needs a real fan-out, and
+    # (resident bytes <= 0.5x the whole tensor) needs a real fan-out, and
     # the pairwise tree needs >= 2 rounds to be exercised.
     n_workers = int(os.environ.get("REPRO_BASELINE_WORKERS", "0")) or 4
     tensor = random_sparse_symmetric(
@@ -133,10 +123,7 @@ def main() -> None:
     factor = random_init(spec["dim"], spec["rank"], np.random.default_rng(0))
 
     phases = {}
-    modes = {
-        sharding: _bench_sharding(sharding, tensor, factor, n_workers, phases)
-        for sharding in SHARDINGS
-    }
+    owned = _bench_owned(tensor, factor, n_workers, phases)
 
     plan = plan_sharded_exchange(tensor, n_workers, spec["rank"])
     exchange = {
@@ -159,15 +146,16 @@ def main() -> None:
         },
         "workload": {**spec, "n_workers": n_workers, "tiny": TINY},
         "phases": phases,
-        "shardings": modes,
+        "owned": owned,
         "exchange_plan": exchange,
         "notes": (
             "Each phase is median/MAD over its samples; warm phases use "
             f"{max(1, WARM_REPEATS)} repeats with chunk plans cached, cold "
-            "phases are single-sample and include plan builds plus, for "
-            "the owned mode, per-shard shm shipping. shard_bytes_gauge is "
-            "the per-worker resident tensor bytes the run reported; the "
-            "acceptance shape is owned <= 0.5x broadcast at >= 4 workers. "
+            "phases are single-sample and include plan builds plus "
+            "per-shard shm shipping. shard_bytes_gauge is the per-worker "
+            "resident tensor bytes the run reported; the acceptance shape "
+            "is shard_bytes_gauge <= 0.5x whole_tensor_bytes at >= 4 "
+            "workers. "
             "On a single-core host the process backend records overheads, "
             "not speedup."
         ),

@@ -15,9 +15,9 @@ roads lead here:
   when the context doesn't own one yet. Keeping the backend on the
   context across iterations is what lets the chunk-plan cache (and, for
   the process backend, the worker processes with their shared-memory
-  operands) amortize symbolic work down to iteration 1 only.
-
-:func:`resolve_backend` remains as the legacy one-shot helper.
+  shards) amortize symbolic work down to iteration 1 only.
+* :func:`sharding_config` pins a parallel run's shard map into its
+  checkpoint configuration.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..parallel.backends import Backend, make_backend
-from ..runtime.context import EXECUTIONS, ExecContext, current_context
+from ..runtime.context import ExecContext, current_context
 
 __all__ = [
     "acquire_backend",
-    "resolve_backend",
     "resolve_run_context",
     "sharding_config",
 ]
@@ -39,7 +38,6 @@ def resolve_run_context(
     ctx: Optional[ExecContext],
     execution: Optional[str],
     n_workers: Optional[int],
-    sharding: Optional[str] = None,
 ) -> Tuple[ExecContext, bool]:
     """The context a decomposition run executes under, plus ownership.
 
@@ -49,8 +47,8 @@ def resolve_run_context(
     the legacy keyword overrides and ``owns_ctx=True`` tells the driver
     to ``close()`` it (and any backend it adopted) when the run ends.
 
-    ``execution`` / ``sharding`` may not be combined with an explicit
-    ``ctx`` — the context already states how to execute.
+    ``execution`` / ``n_workers`` may not contradict an explicit ``ctx``
+    — the context already states how to execute.
     """
     if ctx is not None:
         if execution is not None and execution != ctx.execution:
@@ -63,24 +61,13 @@ def resolve_run_context(
                 "n_workers conflicts with ctx.n_workers; configure the "
                 "ExecContext instead"
             )
-        if sharding is not None and sharding != ctx.sharding:
-            raise ValueError(
-                f"sharding={sharding!r} conflicts with ctx.sharding="
-                f"{ctx.sharding!r}; configure the ExecContext instead"
-            )
         return ctx, False
     base = current_context()
-    if (
-        execution is None
-        and n_workers is None
-        and sharding is None
-        and not base.is_ambient
-    ):
+    if execution is None and n_workers is None and not base.is_ambient:
         return base, False  # run inside the active explicit context
     run_ctx = base.derive(
         execution=execution if execution is not None else base.execution,
         n_workers=n_workers,
-        sharding=sharding,
     )
     return run_ctx, True
 
@@ -108,17 +95,18 @@ def acquire_backend(ctx: ExecContext, kernel: str) -> Optional[Backend]:
 def sharding_config(
     ucoo, rank: int, ctx: ExecContext, backend: Optional[Backend]
 ) -> dict:
-    """Checkpoint-config entries describing the run's tensor distribution.
+    """Checkpoint-config entries describing a parallel run's shard map.
 
-    Empty for serial or broadcast runs (nothing distribution-dependent to
-    pin). For ``sharding="owned"`` parallel runs it records the mode and
-    the shard map — the exact non-zero ranges each worker owns — so a
-    resume can verify the checkpoint was produced under the same shard
-    layout. The ranges come from the same cached
-    :func:`~repro.parallel.sharding.partition_ranges` the executor uses,
-    and are recorded as lists-of-lists for JSON stability.
+    Empty for serial runs (nothing distribution-dependent to pin). For
+    parallel runs it records ``"sharding": "owned"`` and the shard map —
+    the exact non-zero ranges each worker owns — so a resume can verify
+    the checkpoint was produced under the same shard layout. A parallel
+    checkpoint without these entries (written while a broadcast layout
+    existed) is rejected on ``"sharding"``. The ranges come from the same
+    cached :func:`~repro.parallel.sharding.partition_ranges` the executor
+    uses, and are recorded as lists-of-lists for JSON stability.
     """
-    if backend is None or ctx.sharding != "owned":
+    if backend is None:
         return {}
     from ..parallel.sharding import partition_ranges
 
@@ -128,18 +116,3 @@ def sharding_config(
         "sharding": "owned",
         "shard_ranges": [[int(a), int(b)] for a, b in ranges],
     }
-
-
-def resolve_backend(
-    execution: str, n_workers: Optional[int], kernel: str
-) -> Optional[Backend]:
-    """Legacy one-shot helper: backend for ``execution``, or ``None``.
-
-    Unlike :func:`acquire_backend`, the returned backend belongs to the
-    caller (close it yourself). Validation is delegated to
-    :meth:`ExecContext.validate` so error messages stay uniform.
-    """
-    ExecContext(execution=execution, n_workers=n_workers).validate(kernel=kernel)
-    if execution == "serial":
-        return None
-    return make_backend(execution, n_workers)

@@ -88,7 +88,6 @@ def hooi(
     timer: Optional[PhaseTimer] = None,
     execution: Optional[str] = None,
     n_workers: Optional[int] = None,
-    sharding: Optional[str] = None,
     ctx: Optional[ExecContext] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: int = 1,
@@ -125,14 +124,10 @@ def hooi(
         and, for the process backend, the worker processes with their
         shared-memory operands — are reused. Requires
         ``kernel="symprop"``. ``n_workers`` defaults to the core count.
-        May not be combined with ``ctx``.
-    sharding:
-        Tensor distribution for parallel executions: ``"broadcast"``
-        (the default — every worker sees the whole tensor) or
-        ``"owned"`` (each worker owns a disjoint
+        Each worker owns a disjoint
         :class:`~repro.parallel.sharding.TensorShard`; partials merge
         through the hierarchical cross-shard reduction and checkpoints
-        record the shard map). May not be combined with ``ctx``.
+        record the shard map. May not be combined with ``ctx``.
     ctx:
         Optional :class:`~repro.runtime.context.ExecContext` governing
         the whole run: its budget, collector, execution backend, plan
@@ -172,7 +167,7 @@ def hooi(
         raise ValueError(f"unknown kernel {kernel!r}")
     if svd_method not in ("expand", "gram"):
         raise ValueError(f"unknown svd_method {svd_method!r}")
-    run_ctx, owns_ctx = resolve_run_context(ctx, execution, n_workers, sharding)
+    run_ctx, owns_ctx = resolve_run_context(ctx, execution, n_workers)
     backend = acquire_backend(run_ctx, kernel)
     if seed is None:
         seed = run_ctx.seed

@@ -67,7 +67,6 @@ def hoqri(
     timer: Optional[PhaseTimer] = None,
     execution: Optional[str] = None,
     n_workers: Optional[int] = None,
-    sharding: Optional[str] = None,
     ctx: Optional[ExecContext] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: int = 1,
@@ -79,9 +78,8 @@ def hoqri(
     ``"symprop"`` (Algorithm 2) or ``"nary"`` (the original contraction).
     ``execution="thread"|"process"`` routes the S³TTMc pass through the
     parallel backend, reused across all iterations (requires
-    ``kernel="symprop"``); ``sharding="owned"`` gives each worker a
-    disjoint tensor shard instead of the broadcast copy (the checkpoint
-    then records the shard map). ``ctx`` supplies a full
+    ``kernel="symprop"``); each worker owns a disjoint tensor shard and
+    the checkpoint records the shard map. ``ctx`` supplies a full
     :class:`~repro.runtime.context.ExecContext` (budget, collector,
     backend, plan cache, default seed) instead of the legacy keywords.
     ``checkpoint_dir`` / ``checkpoint_every`` / ``resume`` persist and
@@ -99,7 +97,7 @@ def hoqri(
         raise ValueError(f"rank must be in [1, {ucoo.dim}], got {rank}")
     if kernel not in ("symprop", "nary"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    run_ctx, owns_ctx = resolve_run_context(ctx, execution, n_workers, sharding)
+    run_ctx, owns_ctx = resolve_run_context(ctx, execution, n_workers)
     backend = acquire_backend(run_ctx, kernel)
     if seed is None:
         seed = run_ctx.seed

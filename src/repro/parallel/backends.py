@@ -1,25 +1,27 @@
 """Pluggable execution backends for the parallel S³TTMc executor.
 
 Three backends share one contract — evaluate a
-:class:`~repro.parallel.executor.ParallelJob`'s chunks and reduce the
-compact row-block partials into one ``(I, S_{N-1,R})`` output:
+:class:`~repro.parallel.executor.ParallelJob`'s owned shards (one
+disjoint non-zero range per worker, see :mod:`repro.parallel.sharding`)
+into compact row-block partials, and reduce those through the
+deterministic :func:`~repro.parallel.sharding.hierarchical_merge` into
+one ``(I, S_{N-1,R})`` output:
 
 ``serial``
-    In-line loop over chunks on the calling thread. The reference
-    implementation and the single-core fallback of last resort.
+    In-line loop over shards on the calling thread. The bitwise
+    reference the other two are checked against, and the single-core
+    fallback of last resort.
 ``thread``
-    Persistent :class:`~concurrent.futures.ThreadPoolExecutor`. NumPy's
-    heavy vector ops release the GIL, so gathers/segment-sums overlap on
-    multi-core builds. Reduction is either *blocked* (compact per-chunk
-    row blocks staged and merged in slot order — ``~I·S`` memory) or a
-    pairwise *tree* over full-width private partials (``p·I·S`` memory,
-    kept for comparison).
+    Persistent :class:`~concurrent.futures.ThreadPoolExecutor`, one
+    shard per thread. NumPy's heavy vector ops release the GIL, so
+    gathers/segment-sums overlap on multi-core builds.
 ``process``
-    Persistent worker processes fed via ``multiprocessing`` pipes with
-    operands in shared memory (:mod:`repro.parallel.shm`): true
-    multi-core execution in pure NumPy. Workers cache their chunk plans
-    across calls, so only the first kernel call of a decomposition pays
-    symbolic (lattice-build) cost.
+    Persistent worker processes fed via ``multiprocessing`` pipes, each
+    holding only its own shard in shared memory
+    (:mod:`repro.parallel.shm`): true multi-core execution in pure
+    NumPy. Workers cache their chunk plans across calls, so only the
+    first kernel call of a decomposition pays symbolic (lattice-build)
+    cost.
 
 Fault tolerance
 ---------------
@@ -42,8 +44,8 @@ chunk is covered by a heartbeat (sent by the worker, suppressed only if
 the process is truly wedged), silence longer than
 ``policy.chunk_timeout`` gets the worker killed, and dead workers —
 killed, crashed, or OOM-killed by the OS — are detected via pipe EOF,
-respawned (with shared-memory operands re-attached and plan caches
-rewarmed on demand), and their chunk requeued. When a backend exhausts
+respawned (re-ingesting their shard from the parent's canonical copy,
+plan caches rewarmed on demand), and their chunk requeued. When a backend exhausts
 its retry/respawn budget it raises
 :class:`~repro.runtime.faults.BackendUnhealthyError`, which the executor
 turns into a degrade (process → thread → serial) per the policy.
@@ -58,11 +60,12 @@ non-finite partials raise
 :class:`~repro.runtime.health.NumericalHealthError` rather than
 degrading the backend, since a weaker backend cannot fix numerics.
 
-Reductions are deterministic: partials are staged per chunk slot and the
-final reduce adds them in slot order, so reruns — including runs where
-chunks were retried or executed by different workers — produce
-bit-identical output. (OOM splits change a chunk's internal summation
-order; results then agree to rounding.)
+Reductions are deterministic: shard partials are staged per slot and the
+pairwise merge tree depends only on the shard layout, so reruns —
+including runs where chunks were retried or executed by different
+workers — produce bit-identical output on every backend. (OOM splits
+change a chunk's internal summation order; results then agree to
+rounding.)
 
 Everything is observable: ``parallel.retries``, ``parallel.worker_respawns``,
 ``parallel.oom_splits``, ``parallel.corrupt_partials`` counters plus
@@ -416,12 +419,6 @@ class Backend(ABC):
     def _job_ctx(job: ParallelJob) -> ExecContext:
         return resolve_context(job.ctx)
 
-    def _alloc_out(self, job: ParallelJob) -> np.ndarray:
-        # Pre-flight + peak-track the output, engine-style: the bytes are
-        # released on handoff by the caller of execute() via _handoff().
-        self._job_ctx(job).request_bytes(job.dim * job.cols * 8, "Y (parallel)")
-        return np.zeros((job.dim, job.cols), dtype=np.float64)
-
     @staticmethod
     def _handoff(job: ParallelJob) -> None:
         resolve_context(job.ctx).release_bytes(job.dim * job.cols * 8, "Y (parallel)")
@@ -442,7 +439,13 @@ class Backend(ABC):
 
 
 class SerialBackend(Backend):
-    """Loop over chunks on the calling thread (reference backend)."""
+    """Loop over shards on the calling thread (reference backend).
+
+    Every shard partial is computed in slot order, then merged through
+    the deterministic pairwise tree — the bitwise anchor the thread and
+    process backends are checked against. All shard partials are staged
+    until the merge, so reduction memory is ``Σ_c rows_c·S``.
+    """
 
     name = "serial"
 
@@ -458,49 +461,6 @@ class SerialBackend(Backend):
         plans = get_chunk_plans(
             job.tensor, job.ranges, job.memoize, report=report, ctx=ctx
         )
-        if job.sharding == "owned":
-            return self._execute_owned(job, plans, report)
-        out = self._alloc_out(job)
-        # One compact partial lives at a time; account for the largest.
-        partial_bytes = max((cp.n_rows for cp in plans), default=0) * job.cols * 8
-        ctx.request_bytes(partial_bytes, "parallel partials (blocked)")
-        try:
-            for slot, cp in enumerate(plans):
-                with ctx.span(
-                    "parallel.chunk", chunk=slot, nz_start=cp.start, nz_stop=cp.stop
-                ):
-                    tick = time.perf_counter()
-                    partial = _resilient_partial(
-                        job, ctx, policy, injector, self.name, slot, cp, report
-                    )
-                    self._fill_chunk_report(
-                        report, slot, time.perf_counter() - tick, worker=self.name
-                    )
-                tick = time.perf_counter()
-                out[cp.rows] += partial
-                if report is not None:
-                    report.reduce_seconds += time.perf_counter() - tick
-            return out
-        finally:
-            ctx.release_bytes(partial_bytes, "parallel partials (blocked)")
-            self._handoff(job)
-
-    # -- owned: shard partials merged by the hierarchical reduction --------
-    def _execute_owned(
-        self,
-        job: ParallelJob,
-        plans: List[ChunkPlan],
-        report: Optional[ParallelRunReport],
-    ) -> np.ndarray:
-        """Sharded reference path: every shard partial is computed exactly
-        like the matching blocked chunk partial, then merged through the
-        deterministic pairwise tree — the bitwise anchor the thread and
-        process sharded paths are checked against. All shard partials are
-        staged until the merge, so reduction memory is ``Σ_c rows_c·S``
-        (vs one-at-a-time for the broadcast serial loop)."""
-        ctx = self._job_ctx(job)
-        policy = ctx.effective_fallback()
-        injector = ctx.faults
         partial_bytes = sum(cp.n_rows for cp in plans) * job.cols * 8
         ctx.request_bytes(partial_bytes, "parallel partials (sharded)")
         ctx.request_bytes(job.dim * job.cols * 8, "Y (parallel)")
@@ -531,7 +491,12 @@ class SerialBackend(Backend):
 
 
 class ThreadBackend(Backend):
-    """Persistent thread pool with blocked or pairwise-tree reduction."""
+    """Persistent thread pool, one shard per thread.
+
+    Shard partials are computed concurrently and merged by the
+    deterministic pairwise tree on the calling thread — bitwise-identical
+    to the serial backend regardless of which thread finished when.
+    """
 
     name = "thread"
 
@@ -554,30 +519,12 @@ class ThreadBackend(Backend):
     def execute(
         self, job: ParallelJob, report: Optional[ParallelRunReport] = None
     ) -> np.ndarray:
-        plans = get_chunk_plans(
-            job.tensor, job.ranges, job.memoize, report=report,
-            ctx=self._job_ctx(job),
-        )
-        if job.sharding == "owned":
-            return self._execute_owned(job, plans, report)
-        if job.reduction == "tree":
-            return self._execute_tree(job, plans, report)
-        return self._execute_blocked(job, plans, report)
-
-    # -- owned: per-shard partials, hierarchical cross-shard merge ---------
-    def _execute_owned(
-        self,
-        job: ParallelJob,
-        plans: List[ChunkPlan],
-        report: Optional[ParallelRunReport],
-    ) -> np.ndarray:
-        """Shard partials computed concurrently (one thread per shard),
-        merged by the deterministic pairwise tree on the calling thread —
-        bitwise-identical to the serial sharded path regardless of which
-        thread finished when."""
         ctx = self._job_ctx(job)
         policy = ctx.effective_fallback()
         injector = ctx.faults
+        plans = get_chunk_plans(
+            job.tensor, job.ranges, job.memoize, report=report, ctx=ctx
+        )
         partial_bytes = sum(cp.n_rows for cp in plans) * job.cols * 8
         ctx.request_bytes(partial_bytes, "parallel partials (sharded)")
         ctx.request_bytes(job.dim * job.cols * 8, "Y (parallel)")
@@ -586,6 +533,8 @@ class ThreadBackend(Backend):
 
         def run(slot: int) -> None:
             cp = plans[slot]
+            # Enter the job's context on this worker thread so budget and
+            # collector resolve here exactly as on the submitting thread.
             with ctx.scope(), ctx.span(
                 "parallel.chunk",
                 parent_id=parent_span,
@@ -622,134 +571,6 @@ class ThreadBackend(Backend):
         finally:
             ctx.release_bytes(partial_bytes, "parallel partials (sharded)")
             self._handoff(job)
-
-    # -- blocked: compact row-block partials, slot-ordered merge -----------
-    def _execute_blocked(
-        self,
-        job: ParallelJob,
-        plans: List[ChunkPlan],
-        report: Optional[ParallelRunReport],
-    ) -> np.ndarray:
-        ctx = self._job_ctx(job)
-        policy = ctx.effective_fallback()
-        injector = ctx.faults
-        out = self._alloc_out(job)
-        partial_bytes = sum(cp.n_rows for cp in plans) * job.cols * 8
-        ctx.request_bytes(partial_bytes, "parallel partials (blocked)")
-        parent_span = _trace.current_span_id()
-        partials: List[Optional[np.ndarray]] = [None] * len(plans)
-
-        def run(slot: int) -> None:
-            cp = plans[slot]
-            # Enter the job's context on this worker thread so budget and
-            # collector resolve here exactly as on the submitting thread.
-            with ctx.scope(), ctx.span(
-                "parallel.chunk",
-                parent_id=parent_span,
-                chunk=slot,
-                nz_start=cp.start,
-                nz_stop=cp.stop,
-            ) as chunk_span:
-                chunk_span.set_attr("worker", threading.current_thread().name)
-                tick = time.perf_counter()
-                partials[slot] = _resilient_partial(
-                    job, ctx, policy, injector, self.name, slot, cp, report
-                )
-                self._fill_chunk_report(
-                    report,
-                    slot,
-                    time.perf_counter() - tick,
-                    worker=threading.current_thread().name,
-                )
-
-        try:
-            if len(plans) <= 1:
-                for slot in range(len(plans)):
-                    run(slot)
-            else:
-                list(self._ensure_pool().map(run, range(len(plans))))
-            # Merge in slot order on the calling thread: determinism does
-            # not depend on chunk completion order.
-            tick = time.perf_counter()
-            for cp, partial in zip(plans, partials):
-                out[cp.rows] += partial
-            if report is not None:
-                report.reduce_seconds = time.perf_counter() - tick
-            return out
-        finally:
-            ctx.release_bytes(partial_bytes, "parallel partials (blocked)")
-            self._handoff(job)
-
-    # -- tree: full-width private partials, pairwise parallel reduce -------
-    def _execute_tree(
-        self,
-        job: ParallelJob,
-        plans: List[ChunkPlan],
-        report: Optional[ParallelRunReport],
-    ) -> np.ndarray:
-        ctx = self._job_ctx(job)
-        policy = ctx.effective_fallback()
-        injector = ctx.faults
-        n = len(plans)
-        partial_bytes = n * job.dim * job.cols * 8
-        ctx.request_bytes(partial_bytes, "parallel partials (tree)")
-        parent_span = _trace.current_span_id()
-
-        def run(slot: int) -> np.ndarray:
-            cp = plans[slot]
-            with ctx.scope(), ctx.span(
-                "parallel.chunk",
-                parent_id=parent_span,
-                chunk=slot,
-                nz_start=cp.start,
-                nz_stop=cp.stop,
-            ) as chunk_span:
-                chunk_span.set_attr("worker", threading.current_thread().name)
-                tick = time.perf_counter()
-                compact = _resilient_partial(
-                    job, ctx, policy, injector, self.name, slot, cp, report
-                )
-                partial = np.zeros((job.dim, job.cols), dtype=np.float64)
-                partial[cp.rows] = compact
-                self._fill_chunk_report(
-                    report,
-                    slot,
-                    time.perf_counter() - tick,
-                    worker=threading.current_thread().name,
-                )
-            return partial
-
-        def merge(pair) -> np.ndarray:
-            a, b = pair
-            a += b
-            return a
-
-        try:
-            if n == 0:
-                out = self._alloc_out(job)
-                self._handoff(job)
-                return out
-            pool = self._ensure_pool() if n > 1 else None
-            if pool is None:
-                partials = [run(0)]
-            else:
-                partials = list(pool.map(run, range(n)))
-            tick = time.perf_counter()
-            while len(partials) > 1:
-                pairs = list(zip(partials[0::2], partials[1::2]))
-                merged = (
-                    list(pool.map(merge, pairs))
-                    if pool is not None and len(pairs) > 1
-                    else [merge(p) for p in pairs]
-                )
-                if len(partials) % 2:
-                    merged.append(partials[-1])
-                partials = merged
-            if report is not None:
-                report.reduce_seconds = time.perf_counter() - tick
-            return partials[0]
-        finally:
-            ctx.release_bytes(partial_bytes, "parallel partials (tree)")
 
 
 class _WorkerHandle:
@@ -790,22 +611,22 @@ class _ChunkTask:
 
 
 class ProcessBackend(Backend):
-    """Supervised persistent worker processes with shared-memory operands.
+    """Supervised persistent worker processes, each owning one shard.
 
     Workers are spawned lazily on the first :meth:`execute` and live
-    until :meth:`close`; indices/values are written to shared memory once
-    per tensor, the factor buffer is rewritten in place per call, and
-    each worker caches its chunk plans across calls — iteration 2..n of
-    a decomposition pays no symbolic cost on any core.
+    until :meth:`close`; each worker's shard is written to shared memory
+    once per (tensor, partition), the factor buffer is rewritten in place
+    per call, and each worker caches its chunk plans across calls —
+    iteration 2..n of a decomposition pays no symbolic cost on any core.
 
-    Chunks are dispatched **one at a time** and supervised: workers
-    heartbeat while computing, silence past the policy's
+    Chunks are dispatched **one at a time** per owner and supervised:
+    workers heartbeat while computing, silence past the policy's
     ``chunk_timeout`` gets the worker killed, and any worker loss (hang,
-    crash, OS kill) triggers a respawn — operands re-broadcast from the
+    crash, OS kill) triggers a respawn — the shard re-ingested from the
     parent's segments, plan caches rewarmed on demand — and a bounded
     requeue of its chunk. Chunk OOM replies split the chunk instead of
-    failing the run. Partials are staged per slot and reduced in slot
-    order, so recovered runs are bit-identical to clean ones.
+    failing the run. Shard partials merge through the deterministic
+    pairwise tree, so recovered runs are bit-identical to clean ones.
     """
 
     name = "process"
@@ -832,17 +653,14 @@ class ProcessBackend(Backend):
         # repro.parallel.shm.attach_shared_array.
         self._untrack_attach = start_method != "fork"
         self._workers: List[_WorkerHandle] = []
-        self._tensor_token: Optional[tuple] = None
         self._tensor_gen = 0
-        self._tensor_msg: Optional[tuple] = None
         self._owned: Dict[str, object] = {}  # label -> SharedMemory
         self._factor_view: Optional[np.ndarray] = None
         self._factor_spec = None
         self._attached_results: Dict[str, object] = {}  # name -> SharedMemory
-        # Sharded (owned) distribution state: per-worker shard messages
-        # (worker_id -> ("shard", ...)), the parent-side shard records,
-        # and whether the workers currently hold shards or a broadcast.
-        self._sharded = False
+        # Shard state: per-worker shard messages (worker_id ->
+        # ("shard", ...)), the parent-side shard records, and the
+        # (tensor, partition) they were built for.
         self._shard_token: Optional[tuple] = None
         self._shard_msgs: Dict[int, tuple] = {}
         self._shards: List[TensorShard] = []
@@ -889,21 +707,22 @@ class ProcessBackend(Backend):
     def _send_state(self, handle: _WorkerHandle) -> None:
         """Bring a (re)spawned worker up to the current operand state.
 
-        In owned mode this is shard *re-ingest*: the worker receives only
-        its own shard's segments (kept alive parent-side as the canonical
-        slice copies), never the whole tensor.
+        This is shard *re-ingest*: the worker receives only its own
+        shard's segments (kept alive parent-side as the canonical slice
+        copies), never the whole tensor.
         """
-        if self._sharded:
-            msg = self._shard_msgs.get(handle.worker_id)
-            if msg is not None:
-                handle.conn.send(msg)
-        elif self._tensor_msg is not None:
-            handle.conn.send(self._tensor_msg)
+        msg = self._shard_msgs.get(handle.worker_id)
+        if msg is not None:
+            handle.conn.send(msg)
         if self._factor_spec is not None:
             handle.conn.send(("factor", self._factor_spec))
 
-    def _broadcast(self, msg: tuple) -> None:
+    def _send_to_workers(self, msg_for) -> None:
+        """Send each worker ``msg_for(worker_id)`` (skipped when ``None``)."""
         for handle in list(self._workers):
+            msg = msg_for(handle.worker_id)
+            if msg is None:
+                continue
             try:
                 handle.conn.send(msg)
             except (OSError, BrokenPipeError, ValueError):
@@ -947,63 +766,32 @@ class ProcessBackend(Backend):
         for handle in list(self._workers):
             self._retire_worker(handle, kill=True)
         self._workers = []
-        self._tensor_token = None
-        self._tensor_msg = None
         self._factor_view = None
         self._factor_spec = None
         self._drop_shards()
 
     def _drop_shards(self) -> None:
-        """Unlink shard segments and forget the sharded distribution."""
+        """Unlink shard segments and forget the shard layout."""
         for label in [k for k in self._owned if k.startswith("shard")]:
             _shm.close_and_unlink(self._owned.pop(label))
-        self._sharded = False
         self._shard_token = None
         self._shard_msgs = {}
         self._shards = []
 
-    def _ensure_tensor(self, job: ParallelJob) -> None:
-        # tensor_generation (not id()) — generations are never reused, so
-        # a new tensor at a recycled address cannot alias a stale token.
-        token = (tensor_generation(job.tensor), job.indices.shape, job.dim)
-        if token == self._tensor_token and not self._sharded:
-            return
-        self._drop_shards()
-        for label in ("indices", "values"):
-            _shm.close_and_unlink(self._owned.pop(label, None))
-        tok = self._run_token
-        idx_shm, _v, idx_spec = _shm.create_shared_array(job.indices, run_token=tok)
-        val_shm, _v, val_spec = _shm.create_shared_array(job.values, run_token=tok)
-        self._owned["indices"] = idx_shm
-        self._owned["values"] = val_shm
-        self._tensor_token = token
-        self._tensor_gen += 1
-        self._tensor_msg = (
-            "tensor", self._tensor_gen, idx_spec, val_spec, job.dim
-        )
-        self._broadcast(self._tensor_msg)
-
     def _ensure_shards(self, job: ParallelJob) -> List[TensorShard]:
-        """Ship each worker its disjoint shard (owned distribution).
+        """Ship each worker its disjoint shard.
 
         One shard per chunk range, bound to the same-numbered worker.
         The parent keeps every shard's segments alive in ``self._owned``
         — they are the canonical copies a respawned owner re-ingests via
-        :meth:`_send_state`. Switching distributions invalidates the
-        other mode's state so a later broadcast run re-ships cleanly.
+        :meth:`_send_state`. A new tensor or partition re-ships.
         """
+        # tensor_generation (not id()) — generations are never reused, so
+        # a new tensor at a recycled address cannot alias a stale token.
         token = (tensor_generation(job.tensor), tuple(job.ranges), job.dim)
-        if token == self._shard_token and self._sharded:
+        if token == self._shard_token:
             return self._shards
         self._drop_shards()
-        # Broadcast state is stale the moment workers attach shards (the
-        # worker-side segments are rebound); force a re-broadcast if a
-        # later job goes back to broadcast mode.
-        for label in ("indices", "values"):
-            _shm.close_and_unlink(self._owned.pop(label, None))
-        self._tensor_token = None
-        self._tensor_msg = None
-
         shards = shards_for_ranges(job.tensor, job.ranges, job.rank)
         self._tensor_gen += 1
         gen = self._tensor_gen
@@ -1022,21 +810,10 @@ class ProcessBackend(Backend):
             )
         self._shards = shards
         self._shard_token = token
-        self._sharded = True
         # Ship each worker its own shard (workers beyond the shard count
         # stay idle). State is already updated, so a worker found dead
         # here is respawned by _send_state with the correct shard.
-        for handle in list(self._workers):
-            msg = self._shard_msgs.get(handle.worker_id)
-            if msg is None:
-                continue
-            try:
-                handle.conn.send(msg)
-            except (OSError, BrokenPipeError, ValueError):
-                self._retire_worker(handle, kill=True)
-                fresh = self._spawn_one(handle.worker_id)
-                self._workers.append(fresh)
-                self._send_state(fresh)
+        self._send_to_workers(self._shard_msgs.get)
         return shards
 
     def _ensure_factor(self, factor: np.ndarray) -> None:
@@ -1053,7 +830,7 @@ class ProcessBackend(Backend):
         self._owned["factor"] = shm
         self._factor_view = view
         self._factor_spec = spec
-        self._broadcast(("factor", spec))
+        self._send_to_workers(lambda _worker_id: ("factor", spec))
 
     def close(self) -> None:
         for handle in self._workers:
@@ -1085,12 +862,7 @@ class ProcessBackend(Backend):
             _shm.close_and_unlink(self._owned.pop(label))
         self._factor_view = None
         self._factor_spec = None
-        self._tensor_token = None
-        self._tensor_msg = None
-        self._sharded = False
-        self._shard_token = None
-        self._shard_msgs = {}
-        self._shards = []
+        self._drop_shards()
         # Per-run sweep: reclaim anything in this backend's namespace the
         # explicit teardown above missed (crash paths). Never touches a
         # concurrent backend's segments.
@@ -1111,335 +883,7 @@ class ProcessBackend(Backend):
     def execute(
         self, job: ParallelJob, report: Optional[ParallelRunReport] = None
     ) -> np.ndarray:
-        if job.sharding == "owned":
-            return self._execute_sharded(job, report)
-        ctx = self._job_ctx(job)
-        policy = ctx.effective_fallback()
-        injector = ctx.faults
-        self._ensure_workers()
-        self._ensure_tensor(job)
-        self._ensure_factor(job.factor)
-        # Structure-only parent plans: row blocks for the reduce, no
-        # lattices (those live — and are cached — worker-side).
-        plans = get_chunk_plans(
-            job.tensor, job.ranges, job.memoize, with_lattice=False, ctx=ctx
-        )
-        offsets: List[int] = []
-        total_rows = 0
-        for cp in plans:
-            offsets.append(total_rows)
-            total_rows += cp.n_rows
-
-        # The staging buffer holds every slot's partial until the final
-        # slot-ordered reduce — same footprint the worker result buffers
-        # had collectively under the old batch protocol.
-        partial_bytes = total_rows * job.cols * 8
-        ctx.request_bytes(partial_bytes, "parallel partials (shm)")
-        out = self._alloc_out(job)
-        stage = np.zeros((total_rows, job.cols), dtype=np.float64)
-        collector = ctx.effective_collector()
-        # Snapshot the budget *after* the partials/output requests so the
-        # workers' mirrored budgets sit on top of everything the parent
-        # has already committed for this run.
-        budget = ctx.effective_budget()
-        budget_spec = (
-            (budget.limit_bytes, budget.in_use) if budget is not None else None
-        )
-
-        pending: Deque[_ChunkTask] = deque(
-            _ChunkTask(slot, cp.start, cp.stop, cp.rows)
-            for slot, cp in enumerate(plans)
-        )
-        running: Dict[object, _WorkerHandle] = {}  # conn -> handle
-        idle: Deque[_WorkerHandle] = deque(self._workers)
-        slot_outstanding = [1] * len(plans)
-        split_slots: set = set()
-        sub_partials: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
-        task_seq = 0
-        respawns_used = 0
-        stats = {"hits": 0, "misses": 0, "build": 0.0, "reduce": 0.0}
-
-        def release(handle: _WorkerHandle) -> None:
-            running.pop(handle.conn, None)
-            handle.task = None
-            handle.task_id = -1
-            idle.append(handle)
-
-        def retry_task(task: _ChunkTask, reason: str, *, health: bool = False) -> None:
-            task.attempt += 1
-            if task.attempt > policy.max_retries:
-                if health:
-                    raise NumericalHealthError(
-                        f"chunk [{task.start},{task.stop}) stayed non-finite "
-                        f"after {task.attempt} attempts"
-                    )
-                raise BackendUnhealthyError(
-                    self.name,
-                    f"chunk [{task.start},{task.stop}) failed after "
-                    f"{task.attempt} attempts: {reason}",
-                )
-            _note_incident(
-                ctx, report, "parallel.retry", "parallel.retries", "retries",
-                backend=self.name, chunk=task.slot, attempt=task.attempt,
-                reason=reason,
-            )
-            backoff = policy.backoff(task.attempt)
-            if backoff > 0:
-                time.sleep(backoff)
-            pending.append(task)
-
-        def lose_worker(handle: _WorkerHandle, reason: str, *, kill: bool) -> None:
-            nonlocal respawns_used
-            running.pop(handle.conn, None)
-            try:
-                idle.remove(handle)
-            except ValueError:
-                pass
-            task = handle.task
-            self._retire_worker(handle, kill=kill)
-            if respawns_used < policy.max_respawns:
-                respawns_used += 1
-                _note_incident(
-                    ctx, report, "parallel.worker_respawn",
-                    "parallel.worker_respawns", "respawns",
-                    worker=handle.worker_id, reason=reason,
-                )
-                fresh = self._spawn_one(handle.worker_id)
-                self._workers.append(fresh)
-                self._send_state(fresh)
-                idle.append(fresh)
-            elif not self._workers:
-                raise BackendUnhealthyError(
-                    self.name, f"all workers lost ({reason})"
-                )
-            if task is not None:
-                retry_task(task, reason)
-
-        def split_task(task: _ChunkTask, oom: MemoryLimitError) -> None:
-            if task.depth >= policy.max_oom_splits or task.stop - task.start <= 1:
-                raise oom
-            _note_incident(
-                ctx, report, "parallel.oom_split", "parallel.oom_splits",
-                "oom_splits", backend=self.name, chunk=task.slot,
-                nz_start=task.start, nz_stop=task.stop, depth=task.depth,
-                label=oom.label,
-            )
-            split_slots.add(task.slot)
-            halves = _bisect_range(job.indices, task.start, task.stop, job.rank)
-            slot_outstanding[task.slot] += len(halves) - 1
-            for s, e in halves:
-                rows_sub, _map = chunk_row_block(job.indices[s:e], job.dim)
-                pending.append(
-                    _ChunkTask(task.slot, s, e, rows_sub, depth=task.depth + 1)
-                )
-
-        def merge_split_slot(slot: int) -> None:
-            cp = plans[slot]
-            block = stage[offsets[slot] : offsets[slot] + cp.n_rows]
-            # Start-ordered merge keeps the summation order a function of
-            # the split tree alone, not of completion order.
-            for _start, rows_sub, part in sorted(
-                sub_partials.pop(slot, []), key=lambda item: item[0]
-            ):
-                block[np.searchsorted(cp.rows, rows_sub)] += part
-
-        def finish(handle: _WorkerHandle, msg: tuple) -> None:
-            (
-                _kind, _task_id, result_name, n_rows, checksum,
-                build_s, numeric_s, hit, peak,
-            ) = msg
-            task = handle.task
-            buffer = self._attach_result(handle, result_name, n_rows, job.cols)
-            if policy.check_finite and not math.isfinite(checksum):
-                # A NaN/Inf anywhere poisons the producer-side sum, so
-                # the checksum doubles as a free finiteness sentinel.
-                _note_incident(
-                    ctx, report, "health.nonfinite_partial",
-                    "health.nonfinite_partials", "nonfinite_partials",
-                    backend=self.name, chunk=task.slot, worker=handle.worker_id,
-                )
-                release(handle)
-                retry_task(task, "non-finite partial", health=True)
-                return
-            if policy.verify_partials and not _checksums_match(
-                checksum, float(buffer.sum())
-            ):
-                _note_incident(
-                    ctx, report, "parallel.corrupt_partial",
-                    "parallel.corrupt_partials", "corrupt_partials",
-                    backend=self.name, chunk=task.slot, worker=handle.worker_id,
-                )
-                release(handle)
-                retry_task(task, "corrupt partial (checksum mismatch)")
-                return
-            if budget is not None and peak:
-                budget.observe_peak(peak)
-            tick = time.perf_counter()
-            if task.slot in split_slots:
-                sub_partials.setdefault(task.slot, []).append(
-                    (task.start, task.rows, np.array(buffer, copy=True))
-                )
-            else:
-                base = offsets[task.slot]
-                stage[base : base + n_rows] = buffer
-            slot_outstanding[task.slot] -= 1
-            if slot_outstanding[task.slot] == 0 and task.slot in split_slots:
-                merge_split_slot(task.slot)
-            stats["reduce"] += time.perf_counter() - tick
-            stats["hits"] += bool(hit)
-            stats["misses"] += not hit
-            stats["build"] += build_s
-            self._fill_chunk_report(
-                report, task.slot, numeric_s, worker=f"w{handle.worker_id}"
-            )
-            if collector is not None:
-                _trace.event(
-                    "parallel.chunk.done",
-                    collector=collector,
-                    chunk=task.slot,
-                    worker=handle.worker_id,
-                    attempt=task.attempt,
-                    numeric_seconds=numeric_s,
-                    build_seconds=build_s,
-                    plan_cache_hit=bool(hit),
-                )
-            release(handle)
-
-        def dispatch(task: _ChunkTask) -> None:
-            nonlocal task_seq
-            while True:
-                handle = idle.popleft()
-                fault = (
-                    injector.arm(
-                        "chunk", backend=self.name, slot=task.slot,
-                        attempt=task.attempt, worker=handle.worker_id,
-                    )
-                    if injector is not None
-                    else None
-                )
-                task_seq += 1
-                try:
-                    handle.conn.send(
-                        (
-                            "chunk", task_seq, task.start, task.stop,
-                            job.memoize, job.cols, budget_spec,
-                            fault.payload() if fault is not None else None,
-                            policy.heartbeat_interval,
-                            job.kernel, job.chunk_edges,
-                        )
-                    )
-                except (OSError, BrokenPipeError, ValueError):
-                    lose_worker(handle, "worker died while idle", kill=True)
-                    if not idle:
-                        pending.appendleft(task)
-                        return
-                    continue
-                handle.task = task
-                handle.task_id = task_seq
-                handle.last_heard = time.monotonic()
-                running[handle.conn] = handle
-                return
-
-        try:
-            while pending or running:
-                # Raising here escapes into the BaseException handler
-                # below: in-flight workers are killed and the pool reset,
-                # so a cancelled/expired run leaves nothing running.
-                ctx.check_health("process.supervisor")
-                while pending and idle:
-                    dispatch(pending.popleft())
-                if not running:
-                    if pending and not self._workers:
-                        raise BackendUnhealthyError(
-                            self.name, "no workers available"
-                        )
-                    continue
-                timeout = _supervisor_wait_timeout(ctx, policy, running)
-                for conn in _mp_wait(list(running), timeout):
-                    handle = running.get(conn)
-                    if handle is None:
-                        continue  # worker was killed earlier this round
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        lose_worker(handle, "worker died (pipe EOF)", kill=True)
-                        continue
-                    kind = msg[0]
-                    if kind == "beat":
-                        if msg[1] == handle.task_id:
-                            handle.last_heard = time.monotonic()
-                    elif kind == "result":
-                        # Proactive result-segment announcement: recorded
-                        # before the first chunk_done so a worker killed
-                        # mid-chunk cannot leak its segment.
-                        if msg[1] == handle.task_id:
-                            self._note_result_announce(handle, msg[2])
-                            handle.last_heard = time.monotonic()
-                    elif msg[1] != handle.task_id:
-                        continue  # reply for a superseded dispatch
-                    elif kind == "chunk_done":
-                        finish(handle, msg)
-                    elif kind == "chunk_oom":
-                        _k, _tid, label, nbytes, limit, in_use = msg
-                        task = handle.task
-                        release(handle)
-                        split_task(
-                            task, MemoryLimitError(label, nbytes, limit, in_use)
-                        )
-                    elif kind == "chunk_error":
-                        task = handle.task
-                        release(handle)
-                        retry_task(
-                            task,
-                            f"worker error: {str(msg[2]).splitlines()[0]}",
-                        )
-                if policy.chunk_timeout is not None:
-                    now = time.monotonic()
-                    for handle in list(running.values()):
-                        if now - handle.last_heard > policy.chunk_timeout:
-                            lose_worker(
-                                handle,
-                                f"worker hung (silent for "
-                                f"{now - handle.last_heard:.2f}s)",
-                                kill=True,
-                            )
-
-            # Final reduce in slot order — deterministic regardless of
-            # which worker computed what, and of any retries above.
-            tick = time.perf_counter()
-            for slot, cp in enumerate(plans):
-                out[cp.rows] += stage[offsets[slot] : offsets[slot] + cp.n_rows]
-            stats["reduce"] += time.perf_counter() - tick
-
-            if collector is not None:
-                if stats["hits"]:
-                    collector.metrics.counter("parallel.plan_cache.hits").inc(
-                        stats["hits"]
-                    )
-                if stats["misses"]:
-                    collector.metrics.counter(
-                        "parallel.plan_cache.misses"
-                    ).inc(stats["misses"])
-            if report is not None:
-                report.reduce_seconds = stats["reduce"]
-                report.plan_cache_hits += stats["hits"]
-                report.plan_cache_misses += stats["misses"]
-                report.plan_build_seconds += stats["build"]
-            return out
-        except BaseException:
-            # Workers may be mid-chunk, wedged, or have unread replies in
-            # their pipes; reset the pool so this backend (or its
-            # successor after a fallback) starts clean.
-            self._reset_workers()
-            raise
-        finally:
-            ctx.release_bytes(partial_bytes, "parallel partials (shm)")
-            self._handoff(job)
-
-    def _execute_sharded(
-        self, job: ParallelJob, report: Optional[ParallelRunReport] = None
-    ) -> np.ndarray:
-        """Owned distribution: one shard per worker, shard-local chunks.
+        """One shard per worker, shard-local chunks.
 
         Each shard is bound 1:1 to its same-numbered owner worker — tasks
         for shard *k* only ever run on worker *k*, in the worker's local
@@ -1450,8 +894,15 @@ class ProcessBackend(Backend):
         bisect within the shard and stay on the owner. Completed shard
         row-blocks merge through the deterministic hierarchical
         reduction, so recovered runs are bit-identical to clean ones and
-        to the serial/thread sharded paths.
+        to the serial/thread backends.
         """
+        if len(job.ranges) > self.n_workers:
+            # Shard k only ever runs on worker k: a shard without an
+            # owner would wait forever.
+            raise ValueError(
+                f"{len(job.ranges)} shards need as many process workers; "
+                f"this backend has {self.n_workers}"
+            )
         ctx = self._job_ctx(job)
         policy = ctx.effective_fallback()
         injector = ctx.faults

@@ -20,8 +20,8 @@ maps directly onto an mpi4py implementation.
 Sharded-exchange model
 ----------------------
 The original :class:`CommunicationPlan` models a hypothetical block-row
-distribution. Sharded execution (``sharding="owned"``,
-:mod:`repro.parallel.sharding`) actually *runs* a distribution in-process:
+distribution. Parallel execution (:mod:`repro.parallel.sharding`)
+actually *runs* a distribution in-process:
 workers own disjoint shards and partials merge through a deterministic
 pairwise reduction tree whose per-merge volumes are emitted as
 ``parallel.reduce.exchange`` trace events. :func:`plan_sharded_exchange`
@@ -178,7 +178,7 @@ class ShardedExchangePlan:
 
     ``exchanges`` holds one record per pairwise merge in execution order
     (``{"round", "src", "dst", "rows", "bytes"}``) — byte-for-byte what a
-    real ``sharding="owned"`` run emits as ``parallel.reduce.exchange``
+    real parallel run emits as ``parallel.reduce.exchange``
     trace events, because both come from
     :func:`~repro.parallel.sharding.merge_schedule` over the same shard
     row sets. ``shard_rows`` / ``shard_costs`` describe the shards the
@@ -224,7 +224,7 @@ def plan_sharded_exchange(
     *,
     ctx=None,
 ) -> ShardedExchangePlan:
-    """Exchange plan for an owned-sharding run of ``tensor``.
+    """Exchange plan for a parallel (owned-shard) run of ``tensor``.
 
     Builds the exact shards :func:`~repro.parallel.sharding.build_shards`
     would hand the backend (same cached partition), then predicts the

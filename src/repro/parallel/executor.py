@@ -23,14 +23,17 @@ story, Figure 6):
   releases the GIL on the heavy vector ops) and ``"process"``
   (persistent worker processes with shared-memory operands — true
   multi-core execution in pure NumPy).
-* **Blocked partial reduction.** Workers accumulate into *compact
-  row-blocks*: each chunk touches only the output rows whose index
-  values appear in its non-zeros, so its partial is ``(rows_c, S)``
-  instead of a private full ``(I, S)`` copy. Total reduction memory is
-  ``I·S + Σ_c rows_c·S ≈ I·S`` rather than ``p·I·S``, and the final
-  reduce is one indexed add per chunk. All partial buffers are declared
-  against the job context's :class:`~repro.runtime.budget.MemoryBudget`
-  (the ambient one when no explicit context is given).
+* **Owned shards with compact row-blocks.** Each worker owns one
+  chunk's non-zeros (:mod:`repro.parallel.sharding`) and accumulates
+  into a *compact row-block*: a chunk touches only the output rows whose
+  index values appear in its non-zeros, so its partial is
+  ``(rows_c, S)`` instead of a private full ``(I, S)`` copy. Total
+  reduction memory is ``I·S + Σ_c rows_c·S ≈ I·S`` rather than
+  ``p·I·S``, and the partials merge through the deterministic pairwise
+  tree (:func:`~repro.parallel.sharding.hierarchical_merge`). All partial
+  buffers are declared against the job context's
+  :class:`~repro.runtime.budget.MemoryBudget` (the ambient one when no
+  explicit context is given).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class ChunkPlan:
     ``row_map`` maps global row ids to ``0..len(rows)-1`` (``-1``
     elsewhere) and is handed to the engine as ``out_row_map``. ``plan``
     is the chunk's lattice plan; it is ``None`` for structure-only
-    entries (the process backend builds lattices worker-side).
+    entries (``get_chunk_plans(..., with_lattice=False)``).
     """
 
     start: int
@@ -117,8 +120,6 @@ class ParallelRunReport:
     chunk_seconds: List[float] = field(default_factory=list)
     elapsed: float = 0.0
     backend: str = ""
-    reduction: str = ""
-    sharding: str = ""
     shard_reingests: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
@@ -162,7 +163,6 @@ class ParallelJob:
     ranges: Tuple[Tuple[int, int], ...]
     memoize: str
     cols: int
-    reduction: str
     tensor: object  # SparseSymmetricTensor — plan-cache anchor
     #: The run's (snapshotted) ExecContext: budget/collector travel with
     #: the job into worker threads and (as a budget spec) processes.
@@ -173,10 +173,6 @@ class ParallelJob:
     kernel: str = "generic"
     #: Compiled-kernel chunk size (``None`` = tuned default).
     chunk_edges: Optional[int] = None
-    #: Tensor distribution: ``"broadcast"`` (whole tensor to every
-    #: worker) or ``"owned"`` (disjoint per-worker shards merged by the
-    #: hierarchical reduction — see :mod:`repro.parallel.sharding`).
-    sharding: str = "broadcast"
 
     @property
     def order(self) -> int:
@@ -223,9 +219,8 @@ def get_chunk_plans(
     is immutable by convention, so each chunk's lattice is built exactly
     once per cache and reused across all kernel calls and decomposition
     iterations. Pass ``with_lattice=False`` for structure-only entries
-    (row blocks without lattices — the process backend builds lattices
-    worker-side); a later ``with_lattice=True`` call upgrades the cached
-    entry in place.
+    (row blocks without lattices); a later ``with_lattice=True`` call
+    upgrades the cached entry in place.
     """
     ctx = resolve_context(ctx)
     cache = ctx.plans.chunk_plans(tensor)
@@ -293,19 +288,21 @@ def parallel_s3ttmc(
     memoize: str = "global",
     kernel: str = "generic",
     chunk_edges: Optional[int] = None,
-    reduction: Optional[str] = None,
-    sharding: Optional[str] = None,
     report: Optional[ParallelRunReport] = None,
     ctx: Optional[ExecContext] = None,
 ) -> PartiallySymmetricTensor:
-    """S³TTMc over balanced non-zero chunks on a pluggable backend.
+    """S³TTMc over owned, cost-balanced non-zero shards on a pluggable backend.
+
+    Each worker owns one contiguous shard of the non-zero list; shard
+    partials merge through the deterministic hierarchical reduction, so
+    every backend returns bitwise-identical output.
 
     Parameters
     ----------
     tensor, factor:
         As :func:`repro.core.s3ttmc.s3ttmc`.
     n_workers:
-        Worker count (chunk count equals it). Defaults to the context's
+        Worker count (shard count equals it). Defaults to the context's
         ``n_workers``, then the backend's worker count when a live
         backend instance is used, else ``os.cpu_count()``.
     backend:
@@ -324,20 +321,6 @@ def parallel_s3ttmc(
         shipped spec and reuse worker-side table caches).
     chunk_edges:
         Compiled-kernel fused chunk size (``None`` = tuned default).
-    reduction:
-        ``"blocked"`` (compact row-block partials, ``~I·S`` reduction
-        memory) or ``"tree"`` (full-width private partials reduced
-        pairwise — the legacy layout, kept for comparison). ``None``
-        defaults to the context's ``reduction`` (``"blocked"``).
-    sharding:
-        ``"broadcast"`` (every worker sees the whole tensor — the
-        legacy, byte-compatible layout) or ``"owned"`` (each worker
-        owns a disjoint :class:`~repro.parallel.sharding.TensorShard`
-        and partials merge through the hierarchical cross-shard
-        reduction; requires ``reduction="blocked"``). ``None`` defaults
-        to the context's ``sharding`` (``"broadcast"``). Per-worker
-        resident tensor bytes for the chosen mode land in the
-        ``parallel.shard_bytes`` gauge.
     report:
         Optional :class:`ParallelRunReport` to fill.
     ctx:
@@ -356,19 +339,6 @@ def parallel_s3ttmc(
     factor = np.asarray(factor, dtype=np.float64)
     if factor.ndim != 2 or factor.shape[0] != ucoo.dim:
         raise ValueError(f"factor must be ({ucoo.dim}, R), got {factor.shape}")
-    if reduction is None:
-        reduction = ctx.reduction
-    if reduction not in ("blocked", "tree"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    if sharding is None:
-        sharding = getattr(ctx, "sharding", "broadcast")
-    if sharding not in ("broadcast", "owned"):
-        raise ValueError(f"unknown sharding {sharding!r}")
-    if sharding == "owned" and reduction != "blocked":
-        raise ValueError(
-            "sharding='owned' requires reduction='blocked' (shard "
-            "row-blocks are what the hierarchical reduction exchanges)"
-        )
     rank = factor.shape[1]
     cols = sym_storage_size(ucoo.order - 1, rank)
     if n_workers is None:
@@ -405,29 +375,23 @@ def parallel_s3ttmc(
         ranges=ranges,
         memoize=memoize,
         cols=cols,
-        reduction=reduction,
         tensor=ucoo,
         ctx=run_ctx,
         kernel=kernel,
         chunk_edges=chunk_edges,
-        sharding=sharding,
     )
     if report is not None:
         report.n_workers = n_workers
         report.ranges = list(ranges)
         report.backend = backend.name
-        report.reduction = reduction
-        report.sharding = sharding
         report.chunk_seconds = [0.0] * len(ranges)
 
-    # Per-worker resident tensor bytes under the chosen distribution —
-    # the gauge the sharded-memory acceptance criterion reads.
+    # Per-worker resident tensor bytes (the widest shard) — the gauge
+    # the sharded-memory acceptance criterion reads.
     collector = ctx.effective_collector()
     if collector is not None:
         collector.metrics.gauge("parallel.shard_bytes").set(
-            shard_resident_bytes(
-                ucoo.unnz, ucoo.order, ranges, sharding=sharding
-            )
+            shard_resident_bytes(ucoo.unnz, ucoo.order, ranges)
         )
 
     policy = ctx.effective_fallback()
@@ -440,8 +404,6 @@ def parallel_s3ttmc(
                     backend=backend.name,
                     n_workers=n_workers,
                     n_chunks=len(ranges),
-                    reduction=reduction,
-                    sharding=sharding,
                 ):
                     data = backend.execute(job, report)
                 break

@@ -1,19 +1,17 @@
 """Tensor shards and the hierarchical cross-shard reduction.
 
-The structure layer of sharded execution (ROADMAP item 5): instead of
-broadcasting the whole tensor to every worker and sharding only the
-non-zero *ranges*, each worker owns a disjoint :class:`TensorShard` — a
-contiguous slice of the IOU non-zero list plus the private row-block of
-``Y`` its top-level scatter touches (the blocked symmetric layout of
-Schatz et al., applied to the unique-index representation).
+The structure layer of parallel execution: each worker owns a disjoint
+:class:`TensorShard` — a contiguous slice of the IOU non-zero list plus
+the private row-block of ``Y`` its top-level scatter touches (the
+blocked symmetric layout of Schatz et al., applied to the unique-index
+representation) — and never holds the rest of the tensor.
 
 Two pieces live here because everything above needs them agree exactly:
 
 * :func:`build_shards` — the cost-balanced sharder. It reuses the same
   cached :func:`partition_ranges` the chunked executor uses, so a
-  shard's non-zero slice is bit-identical to the matching chunk of a
-  broadcast run and per-shard partials are bitwise-reproducible across
-  backends.
+  shard's non-zero slice is bit-identical to the matching executor chunk
+  and per-shard partials are bitwise-reproducible across backends.
 * :func:`hierarchical_merge` — the deterministic pairwise-tree reduction
   over ``(rows, block)`` shard partials. Adjacent shards merge each
   round (odd tail carries), always left-then-right, so the summation
@@ -39,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import trace as _trace
-from ..runtime.context import ExecContext, resolve_context
+from ..runtime.context import ExecContext, check_sharding, resolve_context
 from .partition import balanced_partition, estimate_nonzero_costs
 
 __all__ = [
@@ -95,7 +93,7 @@ class TensorShard:
     ``indices``/``values`` are zero-copy views of the parent tensor's
     contiguous ``[start, stop)`` slice — the parent keeps the canonical
     copy, which is what makes shard *re-ingest* after a worker loss a
-    re-send of this slice rather than a whole-tensor re-broadcast.
+    re-send of this slice rather than of the whole tensor.
     ``rows``/``row_map`` describe the private compact row-block exactly
     as :func:`chunk_row_block` builds it for a chunk, so a shard partial
     is bitwise-identical to the matching chunk partial.
@@ -173,19 +171,22 @@ def build_shards(
 
 
 def shard_resident_bytes(
-    unnz: int, order: int, ranges: Sequence[Tuple[int, int]], *, sharding: str
+    unnz: int,
+    order: int,
+    ranges: Sequence[Tuple[int, int]],
+    *,
+    sharding: str = "owned",
 ) -> int:
-    """Max per-worker resident tensor bytes under a distribution mode.
+    """Max per-worker resident tensor bytes: the widest shard's.
 
-    ``"broadcast"`` ships all ``unnz`` non-zeros to every worker;
-    ``"owned"`` ships each worker only its widest shard. One non-zero is
-    ``order`` int64 index entries plus one float64 value.
+    One non-zero is ``order`` int64 index entries plus one float64
+    value. ``unnz`` and ``sharding`` stay for existing callers;
+    ``sharding`` must be ``"owned"`` (see
+    :func:`~repro.runtime.context.check_sharding`).
     """
-    per_nz = order * 8 + 8
-    if sharding == "owned":
-        widest = max((stop - start for start, stop in ranges), default=0)
-        return widest * per_nz
-    return int(unnz) * per_nz
+    check_sharding(sharding)
+    widest = max((stop - start for start, stop in ranges), default=0)
+    return widest * (order * 8 + 8)
 
 
 def _pairings(n: int) -> List[List[Tuple[int, int]]]:
@@ -256,12 +257,14 @@ def hierarchical_merge(
     the union row set), an odd tail carries. The summation order depends
     only on the shard layout, so every backend running the same shards
     produces a bitwise-identical result. Cross-shard sums are reordered
-    relative to the slot-ordered broadcast reduce, so sharded-vs-
-    broadcast agreement is allclose, not bitwise.
+    relative to the unchunked kernel, so agreement with it is allclose,
+    not bitwise.
 
     Each merge emits a ``parallel.reduce.exchange`` event (matching
-    :func:`merge_schedule` record-for-record) and transient union blocks
-    are declared against the context budget. ``report`` (a
+    :func:`merge_schedule` record-for-record). Every union block is
+    declared against the context budget and held until a later round
+    merges it away or it is scattered into the output, so the accounted
+    peak covers every block alive at once. ``report`` (a
     ``ParallelRunReport``) gets the merge wall time added to
     ``reduce_seconds``.
     """
@@ -271,38 +274,51 @@ def hierarchical_merge(
     items: List[Tuple[np.ndarray, np.ndarray]] = [
         (np.asarray(rows), block) for rows, block in partials
     ]
-    for rnd, pairs in enumerate(_pairings(len(items))):
-        nxt: List[Tuple[np.ndarray, np.ndarray]] = []
-        for left, right in pairs:
-            rows_l, block_l = items[left]
-            rows_r, block_r = items[right]
-            union = np.union1d(rows_l, rows_r)
-            nbytes = union.shape[0] * int(cols) * 8
-            ctx.request_bytes(nbytes, "shard merge block")
-            try:
+    # Accounted bytes of each surviving item: 0 for the caller's input
+    # partials (accounted by the caller), the union size for merged ones.
+    held = [0] * len(items)
+    live = 0  # requested and not yet released
+    try:
+        for rnd, pairs in enumerate(_pairings(len(items))):
+            nxt: List[Tuple[np.ndarray, np.ndarray]] = []
+            nxt_held: List[int] = []
+            for left, right in pairs:
+                rows_l, block_l = items[left]
+                rows_r, block_r = items[right]
+                union = np.union1d(rows_l, rows_r)
+                nbytes = union.shape[0] * int(cols) * 8
+                ctx.request_bytes(nbytes, "shard merge block")
+                live += nbytes
                 merged = np.zeros((union.shape[0], cols), dtype=np.float64)
                 merged[np.searchsorted(union, rows_l)] = block_l
                 merged[np.searchsorted(union, rows_r)] += block_r
-            finally:
-                ctx.release_bytes(nbytes, "shard merge block")
-            if collector is not None:
-                _trace.event(
-                    "parallel.reduce.exchange",
-                    collector=collector,
-                    round=rnd,
-                    src=right,
-                    dst=left,
-                    rows=int(rows_r.shape[0]),
-                    bytes=int(rows_r.shape[0] * (int(cols) * 8 + 8)),
-                )
-            nxt.append((union, merged))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    out = np.zeros((dim, cols), dtype=np.float64)
-    if items:
-        rows, block = items[0]
-        out[rows] = block
+                freed = held[left] + held[right]  # both merged away
+                if freed:
+                    ctx.release_bytes(freed, "shard merge block")
+                    live -= freed
+                if collector is not None:
+                    _trace.event(
+                        "parallel.reduce.exchange",
+                        collector=collector,
+                        round=rnd,
+                        src=right,
+                        dst=left,
+                        rows=int(rows_r.shape[0]),
+                        bytes=int(rows_r.shape[0] * (int(cols) * 8 + 8)),
+                    )
+                nxt.append((union, merged))
+                nxt_held.append(nbytes)
+            if len(items) % 2:
+                nxt.append(items[-1])
+                nxt_held.append(held[-1])
+            items, held = nxt, nxt_held
+        out = np.zeros((dim, cols), dtype=np.float64)
+        if items:
+            rows, block = items[0]
+            out[rows] = block
+    finally:
+        if live:
+            ctx.release_bytes(live, "shard merge block")
     if report is not None:
         report.reduce_seconds += time.perf_counter() - tick
     return out

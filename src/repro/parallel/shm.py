@@ -3,11 +3,10 @@
 The process backend ships operands to persistent worker processes via
 ``multiprocessing.shared_memory`` instead of pickling them per call:
 
-* **indices / values** — written once per tensor generation, mapped
-  read-only by every worker (broadcast distribution), or shipped as
-  disjoint per-worker *shard* segments holding only each worker's
-  contiguous non-zero slice (owned distribution — chunk ranges then
-  arrive in shard-local coordinates);
+* **indices / values** — shipped as disjoint per-worker *shard*
+  segments holding only each worker's contiguous non-zero slice, written
+  once per (tensor, partition) and mapped read-only by their owner
+  (chunk ranges arrive in shard-local coordinates);
 * **factor** — one buffer rewritten in place each kernel call (it is the
   only operand that changes across HOOI/HOQRI iterations; same name ⇒
   workers keep their mapping);
@@ -564,15 +563,13 @@ def worker_main(
 
     Messages (tuples, first element is the op):
 
-    ``("tensor", gen, idx_spec, val_spec, dim)``
-        Attach a new tensor generation read-only; invalidates nothing —
-        old plans stay keyed under their generation.
     ``("shard", gen, shard_id, idx_spec, val_spec, dim)``
-        Attach this worker's *own* disjoint tensor shard (owned
-        distribution): the segments hold only the worker's contiguous
-        non-zero slice, so subsequent chunk ranges arrive in shard-local
-        coordinates. The parent bumps ``gen`` whenever the shard layout
-        changes, so plan-cache keys never alias across layouts.
+        Attach this worker's *own* disjoint tensor shard read-only: the
+        segments hold only the worker's contiguous non-zero slice, so
+        subsequent chunk ranges arrive in shard-local coordinates. The
+        parent bumps ``gen`` whenever the shard layout changes, so
+        plan-cache keys never alias across layouts (old plans stay keyed
+        under their generation).
     ``("factor", spec)``
         (Re-)attach the factor buffer. The parent rewrites the segment in
         place between calls; a new name arrives only when the shape grew.
@@ -619,14 +616,7 @@ def worker_main(
                 break
             op = msg[0]
             try:
-                if op == "tensor":
-                    _op, gen, idx_spec, val_spec, dim = msg
-                    state.tensor_gen = gen
-                    state.shard_id = -1
-                    state.dim = dim
-                    state.indices = state.attach("indices", idx_spec)
-                    state.values = state.attach("values", val_spec)
-                elif op == "shard":
+                if op == "shard":
                     _op, gen, shard_id, idx_spec, val_spec, dim = msg
                     state.tensor_gen = gen
                     state.shard_id = shard_id

@@ -10,10 +10,9 @@ can predict budget exhaustion without running the kernels:
 * HOOI: the SVD-side expansion of ``Y_p`` to ``I × R^{N-1}``.
 
 :func:`worker_footprint` extends the same accounting to the parallel
-backends' per-worker peak: under ``sharding="broadcast"`` every worker
-holds the whole non-zero list, under ``sharding="owned"``
-(:mod:`repro.parallel.sharding`) only its shard slice plus the private
-row-block — ``O(shard + row-block)`` instead of ``O(tensor)``.
+backends' per-worker peak: each worker holds only its shard slice
+(:mod:`repro.parallel.sharding`) plus the private row-block —
+``O(shard + row-block)`` instead of ``O(tensor)``.
 """
 
 from __future__ import annotations
@@ -198,42 +197,29 @@ def worker_footprint(
     unnz: int,
     *,
     n_workers: int,
-    sharding: str = "broadcast",
     shard_nnz: Optional[int] = None,
     shard_rows: Optional[int] = None,
     nz_batch: int = 512,
 ) -> WorkerFootprint:
     """Per-worker peak footprint of one parallel S³TTMc invocation.
 
-    ``sharding="broadcast"`` gives every worker the whole non-zero list
-    (the legacy layout); ``sharding="owned"`` gives each worker only its
-    shard — modeled as the balanced ``ceil(unnz / n_workers)`` slice
-    unless the caller passes the actual ``shard_nnz`` (widest shard) from
-    a real partition. ``shard_rows`` bounds the private row-block; the
-    default is the structural bound ``min(dim, shard_nnz · order)``
-    (a chunk cannot touch more output rows than it has index entries).
-    Both modes accumulate into compact row-blocks; only the resident
-    tensor bytes differ — which is exactly the broadcast-vs-owned column
-    of the docs' memory table.
+    Each worker holds only its shard — modeled as the balanced
+    ``ceil(unnz / n_workers)`` slice unless the caller passes the actual
+    ``shard_nnz`` (widest shard) from a real partition — and accumulates
+    into a compact row-block. ``shard_rows`` bounds that row-block; the
+    default is the structural bound ``min(dim, shard_nnz · order)`` (a
+    chunk cannot touch more output rows than it has index entries).
     """
-    if sharding not in ("broadcast", "owned"):
-        raise ValueError(f"unknown sharding {sharding!r}")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    per_nz = order * _INT + _FLOAT
-    if sharding == "owned":
-        if shard_nnz is None:
-            shard_nnz = -(-unnz // n_workers)  # balanced-slice bound
-        tensor_bytes = shard_nnz * per_nz
-    else:
-        shard_nnz = -(-unnz // n_workers) if shard_nnz is None else shard_nnz
-        tensor_bytes = unnz * per_nz
+    if shard_nnz is None:
+        shard_nnz = -(-unnz // n_workers)  # balanced-slice bound
     if shard_rows is None:
         shard_rows = min(dim, shard_nnz * order)
     cols = sym_storage_size(order - 1, rank)
     batch = max(1, min(nz_batch, max(shard_nnz, 1)))
     return WorkerFootprint(
-        tensor=tensor_bytes,
+        tensor=shard_nnz * (order * _INT + _FLOAT),
         partial=shard_rows * cols * _FLOAT,
         intermediates=intermediate_bytes_bound(order, rank, batch, "compact"),
     )

@@ -13,14 +13,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..symmetry.combinatorics import sym_storage_size
 from .complexity import total_cp, total_css, total_sp
 
 __all__ = [
     "kernel_flops_model",
     "RateCalibration",
     "predict_seconds",
-    "predict_parallel_seconds",
 ]
 
 
@@ -95,49 +93,3 @@ def predict_seconds(
         return None
     return kernel_flops_model(family, order, rank, unnz, dim) / rate
 
-
-def predict_parallel_seconds(
-    calibration: RateCalibration,
-    family: str,
-    order: int,
-    rank: int,
-    unnz: int,
-    *,
-    n_workers: int,
-    sharding: str = "broadcast",
-    dim: int = 400,
-    reduce_bandwidth_bytes: float = 4e9,
-) -> Optional[float]:
-    """Extrapolated parallel runtime, including the partial reduction.
-
-    The compute term divides the serial prediction across ``n_workers``
-    (balanced chunks — the executor's partitioner targets exactly that).
-    The reduce term models the bytes the reduction must move, which is
-    where the two distribution modes differ:
-
-    * ``"broadcast"`` — the parent performs one indexed add per worker
-      row-block in slot order: ``p · rows · S`` doubles cross memory.
-    * ``"owned"`` — the hierarchical pairwise tree
-      (:mod:`repro.parallel.sharding`) runs ``ceil(log2 p)`` rounds whose
-      concurrent merges each move at most one ``rows · S`` block.
-
-    ``rows`` is the structural row-block bound ``min(dim, shard_nz·order)``.
-    Used for admission control: pick the mode whose predicted time fits,
-    alongside :func:`repro.perfmodel.memory.worker_footprint` for the
-    memory side. Returns ``None`` without any calibration sample.
-    """
-    if sharding not in ("broadcast", "owned"):
-        raise ValueError(f"unknown sharding {sharding!r}")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    serial = predict_seconds(calibration, family, order, rank, unnz, dim)
-    if serial is None:
-        return None
-    shard_nz = -(-unnz // n_workers)
-    rows = min(dim, shard_nz * order)
-    block_bytes = rows * sym_storage_size(order - 1, rank) * 8
-    if sharding == "owned":
-        reduce_bytes = math.ceil(math.log2(n_workers)) * block_bytes if n_workers > 1 else 0
-    else:
-        reduce_bytes = n_workers * block_bytes
-    return serial / n_workers + reduce_bytes / reduce_bandwidth_bytes

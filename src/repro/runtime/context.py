@@ -69,9 +69,9 @@ from .health import CancelToken, DeadlineExceededError, RunCancelledError
 __all__ = [
     "COMPILED_TABLE_CACHE_CAP",
     "EXECUTIONS",
-    "SHARDINGS",
     "ExecContext",
     "PlanCache",
+    "check_sharding",
     "current_context",
     "reset_thread_runtime_state",
     "resolve_context",
@@ -81,12 +81,24 @@ __all__ = [
 #: Recognized execution strategies (see :mod:`repro.parallel.backends`).
 EXECUTIONS = ("serial", "thread", "process")
 
-#: Recognized tensor-distribution strategies for parallel runs:
-#: ``"broadcast"`` ships the whole tensor to every worker (the legacy
-#: byte-compatible layout); ``"owned"`` gives each worker a disjoint
-#: :class:`~repro.parallel.sharding.TensorShard` plus a private row-block
-#: of ``Y``, merged by a hierarchical blocked reduction.
-SHARDINGS = ("broadcast", "owned")
+
+def check_sharding(sharding: str) -> None:
+    """Reject any tensor distribution but ``"owned"``.
+
+    Parallel runs always give each worker a disjoint
+    :class:`~repro.parallel.sharding.TensorShard`. The ``sharding``
+    keyword survives on :class:`ExecContext` and
+    :func:`~repro.parallel.sharding.shard_resident_bytes` only so that
+    callers passing ``"owned"`` keep working; anything else raises
+    ``ValueError`` rather than silently running a different layout.
+    """
+    if sharding != "owned":
+        raise ValueError(
+            f"sharding={sharding!r} is not supported: the broadcast "
+            "distribution was removed and parallel runs always use owned "
+            "shards"
+        )
+
 
 #: Cap on cached compiled-kernel table sets per :class:`PlanCache` — the
 #: keys are pattern stamps (not weakly referenceable), so the store is
@@ -230,15 +242,11 @@ class ExecContext:
         (parallel backend, owned by this context once adopted).
     n_workers:
         Worker count for parallel executions (``None`` = core count).
-    reduction:
-        Partial-reduction strategy for parallel runs (``"blocked"`` /
-        ``"tree"``).
     sharding:
-        Tensor-distribution strategy for parallel runs: ``"broadcast"``
-        (whole tensor to every worker — the legacy, byte-compatible
-        default) or ``"owned"`` (disjoint per-worker tensor shards with
-        a hierarchical cross-shard reduction; see
-        :mod:`repro.parallel.sharding`).
+        Must be ``"owned"`` (the default): parallel runs always give each
+        worker a disjoint tensor shard (see :mod:`repro.parallel.sharding`).
+        Any other value raises ``ValueError``; the keyword stays only for
+        existing callers.
     seed:
         Default RNG seed for drivers invoked with ``seed=None`` —
         deterministic replay travels with the context.
@@ -289,8 +297,7 @@ class ExecContext:
         collector: Optional["_trace.TraceCollector"] = None,
         execution: str = "serial",
         n_workers: Optional[int] = None,
-        reduction: str = "blocked",
-        sharding: str = "broadcast",
+        sharding: str = "owned",
         seed: Optional[int] = None,
         plans: Optional[PlanCache] = None,
         faults: Optional[FaultInjector] = None,
@@ -303,8 +310,7 @@ class ExecContext:
         self.collector = collector
         self.execution = execution
         self.n_workers = None if n_workers is None else int(n_workers)
-        self.reduction = reduction
-        self.sharding = sharding
+        check_sharding(sharding)
         self.seed = seed
         self.plans = plans if plans is not None else PlanCache()
         self.faults = faults
@@ -504,16 +510,6 @@ class ExecContext:
                 f"unknown execution {self.execution!r}; "
                 f"expected one of {EXECUTIONS}"
             )
-        if self.sharding not in SHARDINGS:
-            raise ValueError(
-                f"unknown sharding {self.sharding!r}; "
-                f"expected one of {SHARDINGS}"
-            )
-        if self.sharding == "owned" and self.reduction != "blocked":
-            raise ValueError(
-                "sharding='owned' requires reduction='blocked' (shard "
-                "row-blocks are what the hierarchical reduction exchanges)"
-            )
         if self.execution == "serial":
             if self.n_workers is not None:
                 raise ValueError("n_workers requires execution='thread'|'process'")
@@ -585,8 +581,6 @@ class ExecContext:
         collector: Optional["_trace.TraceCollector"] = None,
         execution: Optional[str] = None,
         n_workers: Optional[int] = None,
-        reduction: Optional[str] = None,
-        sharding: Optional[str] = None,
         seed: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
         cancel: Optional[CancelToken] = None,
@@ -617,8 +611,6 @@ class ExecContext:
             collector=collector if collector is not None else self.collector,
             execution=execution if execution is not None else self.execution,
             n_workers=n_workers if n_workers is not None else self.n_workers,
-            reduction=reduction if reduction is not None else self.reduction,
-            sharding=sharding if sharding is not None else self.sharding,
             seed=seed if seed is not None else self.seed,
             plans=self.plans,
             faults=self.faults,
@@ -650,8 +642,6 @@ class ExecContext:
             collector=collector,
             execution=self.execution,
             n_workers=self.n_workers,
-            reduction=self.reduction,
-            sharding=self.sharding,
             seed=self.seed,
             plans=self.plans,
             faults=self.faults,
@@ -676,8 +666,6 @@ class ExecContext:
         return {
             "execution": self.execution,
             "n_workers": self.n_workers,
-            "reduction": self.reduction,
-            "sharding": self.sharding,
             "seed": self.seed,
             "budget_limit_bytes": (
                 self.budget.limit_bytes if self.budget is not None else None
@@ -692,10 +680,20 @@ class ExecContext:
         """Rebuild a context from :meth:`to_dict` output.
 
         The budget is recreated fresh (zero ``in_use``); ``traced`` spawns
-        a new empty collector.
+        a new empty collector. Specs written while ``reduction`` and
+        ``sharding`` were options still load when they name the owned
+        layout (``"blocked"`` / ``"owned"``); any other value raises
+        ``ValueError`` instead of silently running a different layout.
         """
         from ..obs.trace import TraceCollector
 
+        reduction = spec.get("reduction", "blocked")
+        if reduction != "blocked":
+            raise ValueError(
+                f"reduction={reduction!r} is not supported: the tree "
+                "reduction was removed and parallel runs always merge owned "
+                "shards' compact row-blocks"
+            )
         limit = spec.get("budget_limit_bytes")
         fallback_spec = spec.get("fallback")
         fallback = None
@@ -708,8 +706,7 @@ class ExecContext:
             collector=TraceCollector() if spec.get("traced") else None,
             execution=spec.get("execution", "serial"),
             n_workers=spec.get("n_workers"),
-            reduction=spec.get("reduction", "blocked"),
-            sharding=spec.get("sharding", "broadcast"),
+            sharding=spec.get("sharding", "owned"),
             seed=spec.get("seed"),
             fallback=fallback,
             deadline_seconds=spec.get("deadline_seconds"),

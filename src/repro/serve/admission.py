@@ -32,7 +32,6 @@ def predict_job_peak_bytes(
     *,
     execution: str = "serial",
     n_workers: Optional[int] = None,
-    sharding: str = "broadcast",
     nz_batch: int = 512,
 ) -> int:
     """Predicted peak resident bytes of running ``spec``.
@@ -45,8 +44,8 @@ def predict_job_peak_bytes(
     * ``hooi`` with ``svd_method="expand"`` additionally pays the
       ``hooi-svd`` expansion — the full ``Y_(1)`` unfolding — which is
       the memory wall this admission gate exists to refuse;
-    * parallel executions add each worker's resident footprint
-      (broadcast: whole tensor per worker; owned: one shard per worker).
+    * parallel executions add each worker's resident footprint (one
+      owned shard plus its row-block per worker).
 
     This is a *model*, deliberately conservative and cheap (closed-form,
     no allocation): the enforced per-job budget catches anything the
@@ -74,7 +73,6 @@ def predict_job_peak_bytes(
             rank,
             unnz,
             n_workers=workers,
-            sharding=sharding,
             nz_batch=nz_batch,
         ).total
         peak = max(peak, workers * per_worker)
@@ -87,7 +85,6 @@ def check_admission(
     *,
     execution: str = "serial",
     n_workers: Optional[int] = None,
-    sharding: str = "broadcast",
 ) -> int:
     """Admit ``spec`` under ``quota`` or raise a typed admission error.
 
@@ -96,7 +93,7 @@ def check_admission(
     the service itself, which owns the queues.
     """
     predicted = predict_job_peak_bytes(
-        spec, execution=execution, n_workers=n_workers, sharding=sharding
+        spec, execution=execution, n_workers=n_workers
     )
     if quota.memory_bytes is not None and predicted > int(quota.memory_bytes):
         raise QuotaExceededError(spec.tenant, predicted, int(quota.memory_bytes))

@@ -7,11 +7,11 @@ of three modes:
 ``bitwise``
     The two paths perform the *same* floating-point operations in the
     same order (plan reuse, ``out=`` accumulation from zeros, identity
-    ``out_row_map``, slot-ordered blocked reduction across backends) —
+    ``out_row_map``, the owned-shard merge across backends) —
     results must be identical to the last bit.
 ``allclose``
     The paths reorder summation (different layouts, batching, block
-    sizes, partitions, tree reduction) — results must agree to a
+    sizes, partitions, shard merges) — results must agree to a
     scale-aware tolerance, with the maximum ULP distance reported.
 ``raises``
     Error contracts: misuse (narrow ``out`` dtypes, unmapped row-map
@@ -63,7 +63,7 @@ class CheckResult:
     """Outcome of one differential or contract check."""
 
     spec: str  # workload spec string (seed + config)
-    check: str  # e.g. "full-vs-compact", "parallel:thread:blocked"
+    check: str  # e.g. "full-vs-compact", "sharded:thread:owned"
     mode: str  # "bitwise" | "allclose" | "raises" | "invariant"
     ok: bool
     detail: str = ""
@@ -525,18 +525,18 @@ def run_workload_checks(
                 )
             )
 
-    # Parallel backends: blocked reduction is slot-ordered, so all
-    # backends must agree bitwise with each other; against the unchunked
-    # kernel the partition reorders summation (allclose). Tree reduction
-    # reorders too.
+    # Parallel backends run owned shards: workers own disjoint tensor
+    # shards and partials merge through the deterministic hierarchical
+    # tree, so every backend running the same shards must match the
+    # serial run bitwise. Cross-shard sums are reordered relative to the
+    # unchunked kernel, so the serial run anchors allclose against the
+    # canonical one.
     if unnz > 0:
         n_workers = 3
 
         def _parallel(
             backend: str,
-            reduction: str,
             kernel_mode: str = "generic",
-            sharding: str = "broadcast",
             run_ctx: ExecContext = None,
             report: ParallelRunReport = None,
         ) -> np.ndarray:
@@ -546,106 +546,14 @@ def run_workload_checks(
                 u,
                 n_workers,
                 backend=backend,
-                reduction=reduction,
                 kernel=kernel_mode,
-                sharding=sharding,
                 report=report,
                 ctx=ctx if run_ctx is None else run_ctx,
             ).data
 
-        def _blocked_matrix() -> List[CheckResult]:
-            out: List[CheckResult] = []
-            base = _parallel("serial", "blocked")
-            out.append(
-                _compare(
-                    spec, "parallel:serial:blocked", "allclose", base, canonical
-                )
-            )
-            out.append(
-                _compare(
-                    spec,
-                    "parallel:thread:blocked",
-                    "bitwise",
-                    _parallel("thread", "blocked"),
-                    base,
-                )
-            )
-            if include_process:
-                out.append(
-                    _compare(
-                        spec,
-                        "parallel:process:blocked",
-                        "bitwise",
-                        _parallel("process", "blocked"),
-                        base,
-                    )
-                )
-            out.append(
-                _compare(
-                    spec,
-                    "parallel:thread:tree",
-                    "allclose",
-                    _parallel("thread", "tree"),
-                    canonical,
-                )
-            )
-            # Compiled kernels under the blocked reduction: every backend
-            # must match the serial-blocked *compiled* base bitwise (the
-            # chunk partition itself reorders vs the unchunked canonical,
-            # hence the allclose anchor row).
-            base_c = _parallel("serial", "blocked", "compiled")
-            out.append(
-                _compare(
-                    spec,
-                    "parallel:serial:blocked:compiled",
-                    "allclose",
-                    base_c,
-                    canonical,
-                )
-            )
-            out.append(
-                _compare(
-                    spec,
-                    "parallel:thread:blocked:compiled",
-                    "bitwise",
-                    _parallel("thread", "blocked", "compiled"),
-                    base_c,
-                )
-            )
-            if include_process:
-                out.append(
-                    _compare(
-                        spec,
-                        "parallel:process:blocked:compiled",
-                        "bitwise",
-                        _parallel("process", "blocked", "compiled"),
-                        base_c,
-                    )
-                )
-            return out
-
-        try:
-            results.extend(_blocked_matrix())
-        except Exception as e:
-            results.append(
-                CheckResult(
-                    spec,
-                    "parallel:matrix",
-                    "allclose",
-                    False,
-                    f"raised {type(e).__name__}: {e}",
-                )
-            )
-
-        # Sharded execution (sharding="owned"): workers own disjoint
-        # tensor shards and partials merge through the deterministic
-        # hierarchical tree. Cross-shard sums are reordered relative to
-        # the slot-ordered broadcast reduce, so the sharded serial run
-        # anchors allclose against the canonical kernel — and every
-        # backend running the same shards must match it bitwise.
         def _sharded_matrix() -> List[CheckResult]:
             out: List[CheckResult] = []
-            base = _parallel("serial", "blocked", sharding="owned")
+            base = _parallel("serial")
             out.append(
                 _compare(
                     spec, "sharded:serial:owned", "allclose", base, canonical
@@ -656,7 +564,7 @@ def run_workload_checks(
                     spec,
                     "sharded:thread:owned",
                     "bitwise",
-                    _parallel("thread", "blocked", sharding="owned"),
+                    _parallel("thread"),
                     base,
                 )
             )
@@ -666,11 +574,11 @@ def run_workload_checks(
                         spec,
                         "sharded:process:owned",
                         "bitwise",
-                        _parallel("process", "blocked", sharding="owned"),
+                        _parallel("process"),
                         base,
                     )
                 )
-            base_c = _parallel("serial", "blocked", "compiled", sharding="owned")
+            base_c = _parallel("serial", "compiled")
             out.append(
                 _compare(
                     spec,
@@ -685,7 +593,7 @@ def run_workload_checks(
                     spec,
                     "sharded:thread:owned:compiled",
                     "bitwise",
-                    _parallel("thread", "blocked", "compiled", sharding="owned"),
+                    _parallel("thread", "compiled"),
                     base_c,
                 )
             )
@@ -695,9 +603,7 @@ def run_workload_checks(
                         spec,
                         "sharded:process:owned:compiled",
                         "bitwise",
-                        _parallel(
-                            "process", "blocked", "compiled", sharding="owned"
-                        ),
+                        _parallel("process", "compiled"),
                         base_c,
                     )
                 )
@@ -712,7 +618,7 @@ def run_workload_checks(
                     collector=collector,
                     plans=ctx.plans,
                 )
-                _parallel("serial", "blocked", sharding="owned", run_ctx=run_ctx)
+                _parallel("serial", run_ctx=run_ctx)
                 planned = plan_sharded_exchange(
                     x, n_workers, rank, ctx=run_ctx
                 ).exchanges
@@ -753,13 +659,7 @@ def run_workload_checks(
                         faults=injector,
                     )
                     report = ParallelRunReport()
-                    got = _parallel(
-                        "process",
-                        "blocked",
-                        sharding="owned",
-                        run_ctx=run_ctx,
-                        report=report,
-                    )
+                    got = _parallel("process", run_ctx=run_ctx, report=report)
                     if injector.n_fired == 0:
                         return CheckResult(
                             spec, name, "invariant", False, "fault never fired"

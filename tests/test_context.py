@@ -167,14 +167,12 @@ class TestScopeAndLifecycle:
             collector=TraceCollector(),
             execution="thread",
             n_workers=3,
-            reduction="tree",
             seed=11,
         )
         spec = ctx.to_dict()
         clone = ExecContext.from_dict(spec)
         assert clone.execution == "thread"
         assert clone.n_workers == 3
-        assert clone.reduction == "tree"
         assert clone.seed == 11
         assert clone.budget.limit_bytes == 12345
         assert clone.collector is not ctx.collector

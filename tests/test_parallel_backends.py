@@ -1,5 +1,6 @@
 """Backend v2 tests: correctness across backends, plan-cache reuse,
-blocked reduction, process-worker persistence, and decomposition wiring."""
+owned-shard reduction, process-worker persistence, and decomposition
+wiring."""
 
 import threading
 
@@ -37,21 +38,17 @@ class TestBackendCorrectness:
         got = parallel_s3ttmc(x, u, 3, backend=backend).unfolding
         assert np.allclose(got, serial, atol=1e-10), backend
 
-    def test_tree_reduction_matches_blocked(self, rng):
-        x = make_random_tensor(4, 12, 60, rng)
-        u = rng.random((12, 3))
-        blocked = parallel_s3ttmc(x, u, 4, backend="thread", reduction="blocked")
-        tree = parallel_s3ttmc(x, u, 4, backend="thread", reduction="tree")
-        assert np.allclose(blocked.unfolding, tree.unfolding, atol=1e-12)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             make_backend("gpu")
 
     def test_unknown_reduction_rejected(self, rng):
+        # The reduction option is gone: every value fails loudly,
+        # including the formerly valid "blocked" and "tree".
         x = make_random_tensor(3, 8, 20, rng)
-        with pytest.raises(ValueError):
-            parallel_s3ttmc(x, rng.random((8, 2)), 2, reduction="atomic")
+        for reduction in ("atomic", "blocked", "tree"):
+            with pytest.raises(TypeError, match="reduction"):
+                parallel_s3ttmc(x, rng.random((8, 2)), 2, reduction=reduction)
 
     def test_backend_instance_reused(self, rng):
         x = make_random_tensor(4, 10, 40, rng)
@@ -154,7 +151,6 @@ class TestProcessBackend:
             report = ParallelRunReport()
             parallel_s3ttmc(x, u, 2, backend=name, report=report)
             assert report.backend == name
-            assert report.reduction == "blocked"
             assert report.elapsed > 0
 
 

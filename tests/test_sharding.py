@@ -1,12 +1,13 @@
-"""Sharded execution v2: workers own tensor shards, not just nz ranges.
+"""Owned-shard execution: workers own tensor shards, not just nz ranges.
 
-Covers the whole owned-sharding stack: the sharder and its invariants,
-the deterministic hierarchical merge (and its exchange-event contract
-with ``merge_schedule``), the owned mode on every backend (bitwise
-across backends, allclose vs the canonical serial kernel), the
-``parallel.shard_bytes`` memory acceptance bound, shard re-ingest after
-a worker crash, context/checkpoint plumbing, and the distributed
-simulator's plan-vs-trace agreement.
+Covers the whole sharding stack: the sharder and its invariants, the
+deterministic hierarchical merge (its exchange-event contract with
+``merge_schedule`` and its budget accounting), owned shards on every
+backend (bitwise across backends, allclose vs the canonical serial
+kernel), the ``parallel.shard_bytes`` memory acceptance bound, shard
+re-ingest after a worker crash, context/checkpoint plumbing — including
+the removed ``broadcast``/``tree`` options failing loudly — and the
+distributed simulator's plan-vs-trace agreement.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.parallel import (
     build_shards,
     exchange_from_trace,
     hierarchical_merge,
+    make_backend,
     merge_schedule,
     parallel_s3ttmc,
     partition_ranges,
@@ -27,8 +29,9 @@ from repro.parallel import (
     shard_resident_bytes,
     simulate_sharded_time,
 )
-from repro.perfmodel import predict_parallel_seconds, worker_footprint, RateCalibration
-from repro.runtime.checkpoint import load_checkpoint
+from repro.perfmodel import worker_footprint
+from repro.runtime.budget import MemoryBudget, MemoryLimitError
+from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.context import ExecContext
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.symmetry.combinatorics import sym_storage_size
@@ -49,11 +52,14 @@ def _owned(tensor, factor, backend, n_workers=4, **kwargs):
         factor,
         n_workers,
         backend=backend,
-        sharding="owned",
         report=report,
         **kwargs,
     ).data
     return data, report
+
+
+def _whole_tensor_bytes(tensor):
+    return tensor.unnz * (tensor.order * 8 + 8)
 
 
 class TestBuildShards:
@@ -67,9 +73,9 @@ class TestBuildShards:
         assert [s.shard_id for s in shards] == list(range(len(shards)))
 
     def test_shards_match_executor_partition(self, workload):
-        # A shard's nz slice must equal the broadcast chunk for the same
+        # A shard's nz slice must equal the executor chunk for the same
         # partition — that identity is what makes per-shard partials
-        # bitwise-reproducible across modes.
+        # bitwise-reproducible across backends.
         tensor, factor = workload
         ranges = partition_ranges(tensor, factor.shape[1], 4)
         shards = build_shards(tensor, 4, factor.shape[1])
@@ -99,18 +105,21 @@ class TestBuildShards:
         assert max(costs) <= 2.5 * min(costs)
 
     def test_resident_bytes_owned_vs_broadcast(self, workload):
+        # Each worker holds only its widest shard; the broadcast layout
+        # (whole tensor per worker) is gone and asking for it fails.
         tensor, factor = workload
         ranges = partition_ranges(tensor, factor.shape[1], 4)
-        owned = shard_resident_bytes(
+        owned = shard_resident_bytes(tensor.unnz, tensor.order, ranges)
+        per_nz = tensor.order * 8 + 8
+        assert owned == max(b - a for a, b in ranges) * per_nz
+        assert owned <= _whole_tensor_bytes(tensor) / 2
+        assert owned == shard_resident_bytes(
             tensor.unnz, tensor.order, ranges, sharding="owned"
         )
-        broadcast = shard_resident_bytes(
-            tensor.unnz, tensor.order, ranges, sharding="broadcast"
-        )
-        per_nz = tensor.order * 8 + 8
-        assert broadcast == tensor.unnz * per_nz
-        assert owned == max(b - a for a, b in ranges) * per_nz
-        assert owned <= broadcast / 2
+        with pytest.raises(ValueError, match="broadcast"):
+            shard_resident_bytes(
+                tensor.unnz, tensor.order, ranges, sharding="broadcast"
+            )
 
 
 class TestHierarchicalMerge:
@@ -146,6 +155,35 @@ class TestHierarchicalMerge:
         assert np.array_equal(out[:, 0], [0.0, 1.0, 0.0, 2.0, 0.0])
         assert np.array_equal(hierarchical_merge([], 4, 2), np.zeros((4, 2)))
 
+    def test_budget_holds_blocks_until_merged_away(self):
+        # 4 overlapping 40-row shards, 50 cols: round 0 builds two 60-row
+        # unions that stay alive while round 1 builds the 100-row union,
+        # so 220 rows of merge blocks are live at once.
+        dim, cols = 100, 50
+        partials = [
+            (np.arange(20 * k, 20 * k + 40), np.ones((40, cols))) for k in range(4)
+        ]
+        ctx = ExecContext(budget=MemoryBudget())
+        hierarchical_merge(partials, dim, cols, ctx=ctx)
+        assert ctx.budget.peak == (60 + 60 + 100) * cols * 8
+        assert ctx.budget.in_use == 0
+        # Two shards: one union, held until the final scatter.
+        two = ExecContext(budget=MemoryBudget())
+        hierarchical_merge(partials[:2], dim, cols, ctx=two)
+        assert two.budget.peak == 60 * cols * 8
+        assert two.budget.in_use == 0
+
+    def test_budget_drained_when_a_merge_is_refused(self):
+        dim, cols = 100, 50
+        partials = [
+            (np.arange(20 * k, 20 * k + 40), np.ones((40, cols))) for k in range(4)
+        ]
+        # Room for both round-0 unions, not for the round-1 union on top.
+        ctx = ExecContext(budget=MemoryBudget(limit_bytes=(60 + 60) * cols * 8))
+        with pytest.raises(MemoryLimitError):
+            hierarchical_merge(partials, dim, cols, ctx=ctx)
+        assert ctx.budget.in_use == 0
+
     def test_emitted_exchanges_match_schedule(self, rng):
         dim, cols = 40, 3
         row_sets = [np.unique(rng.integers(0, dim, size=15)) for _ in range(5)]
@@ -172,7 +210,6 @@ class TestOwnedShardingBackends:
         canonical = s3ttmc(tensor, factor).data
         data, report = _owned(tensor, factor, "serial")
         assert np.allclose(data, canonical, atol=1e-10)
-        assert report.sharding == "owned"
         assert report.reduce_seconds > 0
 
     def test_thread_bitwise_matches_serial_owned(self, workload):
@@ -197,74 +234,100 @@ class TestOwnedShardingBackends:
         assert np.allclose(base, canonical, atol=1e-10)
 
     def test_owned_requires_blocked_reduction(self, workload):
+        # Owned shards always merge compact row-blocks: the reduction and
+        # sharding keywords are gone, and passing either fails loudly.
         tensor, factor = workload
-        with pytest.raises(ValueError, match="blocked"):
-            parallel_s3ttmc(
-                tensor, factor, 4, backend="serial", sharding="owned", reduction="tree"
-            )
-        with pytest.raises(ValueError, match="sharding"):
-            parallel_s3ttmc(tensor, factor, 4, backend="serial", sharding="bogus")
+        for kwargs in (
+            {"reduction": "blocked"},
+            {"reduction": "tree"},
+            {"sharding": "owned"},
+            {"sharding": "broadcast"},
+        ):
+            (name,) = kwargs
+            with pytest.raises(TypeError, match=name):
+                parallel_s3ttmc(tensor, factor, 4, backend="serial", **kwargs)
 
-    def test_broadcast_unchanged_by_default(self, workload):
+    def test_default_is_owned(self, workload):
+        # With one distribution left, a default run is the owned run:
+        # shard-sized resident bytes, one merge per extra shard, bitwise
+        # equal to an explicit ExecContext(sharding="owned").
         tensor, factor = workload
-        report = ParallelRunReport()
-        parallel_s3ttmc(tensor, factor, 4, backend="serial", report=report)
-        assert report.sharding == "broadcast"
+        collector = TraceCollector()
+        data, _ = _owned(tensor, factor, "serial", ctx=ExecContext(collector=collector))
+        explicit, _ = _owned(
+            tensor, factor, "serial", ctx=ExecContext(sharding="owned")
+        )
+        assert np.array_equal(data, explicit)
+        ranges = partition_ranges(tensor, factor.shape[1], 4)
+        assert collector.metrics.gauge("parallel.shard_bytes").value == (
+            shard_resident_bytes(tensor.unnz, tensor.order, ranges)
+        )
+        assert len(exchange_from_trace(collector)) == len(ranges) - 1
 
-    def test_mode_switch_on_live_process_backend(self, workload):
-        # One backend instance must serve owned and broadcast runs
-        # interleaved (shard segments torn down and rebuilt cleanly).
-        from repro.parallel import make_backend
-
+    def test_mode_switch_on_live_process_backend(self, workload, rng):
+        # One backend instance serves generic and compiled kernel modes
+        # and different tensors interleaved: shard segments are torn down
+        # and re-shipped cleanly, worker caches never serve a stale shard.
         tensor, factor = workload
+        other = make_random_tensor(4, 24, 120, rng)
         base, _ = _owned(tensor, factor, "serial")
+        base_c, _ = _owned(tensor, factor, "serial", kernel="compiled")
+        other_base, _ = _owned(other, factor, "serial")
         with make_backend("process", 4) as backend:
-            owned1, _ = _owned(tensor, factor, backend)
-            broadcast = parallel_s3ttmc(tensor, factor, 4, backend=backend).data
-            owned2, _ = _owned(tensor, factor, backend)
-        assert np.array_equal(owned1, base)
-        assert np.array_equal(owned2, base)
-        assert np.allclose(broadcast, base, atol=1e-10)
+            first, _ = _owned(tensor, factor, backend)
+            compiled, _ = _owned(tensor, factor, backend, kernel="compiled")
+            second, _ = _owned(other, factor, backend)
+            third, _ = _owned(tensor, factor, backend)
+        assert np.array_equal(first, base)
+        assert np.array_equal(compiled, base_c)
+        assert np.array_equal(second, other_base)
+        assert np.array_equal(third, base)
+
+    def test_more_shards_than_process_workers_rejected(self, workload):
+        tensor, factor = workload
+        with make_backend("process", 2) as backend:
+            with pytest.raises(ValueError, match="process workers"):
+                parallel_s3ttmc(tensor, factor, 4, backend=backend)
 
 
 class TestMemoryAcceptance:
     def test_owned_gauge_at_most_half_of_broadcast(self, workload):
         # The acceptance criterion: order-4 workload, >= 4 process
-        # workers, owned resident tensor bytes <= 0.5x broadcast.
+        # workers, resident tensor bytes per worker <= 0.5x the whole
+        # tensor (what a broadcast copy would hold).
         tensor, factor = workload
-        readings = {}
-        for sharding in ("broadcast", "owned"):
-            collector = TraceCollector()
-            ctx = ExecContext(collector=collector)
-            parallel_s3ttmc(
-                tensor, factor, 4, backend="process", sharding=sharding, ctx=ctx
-            )
-            readings[sharding] = collector.metrics.gauge("parallel.shard_bytes").value
-        assert readings["owned"] <= 0.5 * readings["broadcast"]
+        collector = TraceCollector()
+        ctx = ExecContext(collector=collector)
+        parallel_s3ttmc(tensor, factor, 4, backend="process", ctx=ctx)
+        gauge = collector.metrics.gauge("parallel.shard_bytes").value
+        assert gauge <= 0.5 * _whole_tensor_bytes(tensor)
 
     def test_worker_footprint_model_agrees(self, workload):
         tensor, factor = workload
         rank = factor.shape[1]
         owned = worker_footprint(
-            tensor.dim, tensor.order, rank, tensor.unnz, n_workers=4, sharding="owned"
-        )
-        broadcast = worker_footprint(
             tensor.dim, tensor.order, rank, tensor.unnz, n_workers=4
         )
-        assert owned.tensor <= 0.5 * broadcast.tensor
-        assert owned.total < broadcast.total
+        whole = _whole_tensor_bytes(tensor)
+        assert owned.tensor <= 0.5 * whole
+        # One worker owns the whole tensor.
+        single = worker_footprint(
+            tensor.dim, tensor.order, rank, tensor.unnz, n_workers=1
+        )
+        assert single.tensor == whole
+        assert owned.total < single.total
         # The model's owned tensor bound must dominate the real widest shard.
         ranges = partition_ranges(tensor, rank, 4)
-        real = shard_resident_bytes(tensor.unnz, tensor.order, ranges, sharding="owned")
+        real = shard_resident_bytes(tensor.unnz, tensor.order, ranges)
         per_nz = tensor.order * 8 + 8
         assert owned.tensor >= (tensor.unnz // 4) * per_nz
-        assert real <= broadcast.tensor
+        assert real <= whole
 
     def test_worker_footprint_validation(self):
         with pytest.raises(ValueError):
             worker_footprint(10, 3, 2, 50, n_workers=0)
-        with pytest.raises(ValueError):
-            worker_footprint(10, 3, 2, 50, n_workers=2, sharding="bogus")
+        with pytest.raises(TypeError, match="sharding"):
+            worker_footprint(10, 3, 2, 50, n_workers=2, sharding="owned")
 
 
 class TestShardLossRecovery:
@@ -300,30 +363,34 @@ class TestContextPlumbing:
         report = ParallelRunReport()
         data = parallel_s3ttmc(tensor, factor, report=report, ctx=ctx).data
         ctx.close()
-        assert report.sharding == "owned"
+        assert report.backend == "thread"
         assert np.array_equal(data, base)
 
     def test_validate_rejects_bad_sharding(self):
-        with pytest.raises(ValueError):
-            ExecContext(sharding="bogus").validate()
-        with pytest.raises(ValueError):
-            ExecContext(
-                execution="thread", sharding="owned", reduction="tree"
-            ).validate()
+        for bad in ("bogus", "broadcast"):
+            with pytest.raises(ValueError, match="broadcast"):
+                ExecContext(sharding=bad)
 
     def test_serialization_roundtrip(self):
         ctx = ExecContext(execution="process", n_workers=4, sharding="owned")
         spec = ctx.to_dict()
-        assert spec["sharding"] == "owned"
-        restored = ExecContext.from_dict(spec)
-        assert restored.sharding == "owned"
-        assert ExecContext.from_dict({"execution": "serial"}).sharding == "broadcast"
+        assert "sharding" not in spec and "reduction" not in spec
+        assert ExecContext.from_dict(spec).to_dict() == spec
+        # Specs written while the options existed still load when they
+        # name what is now the only layout, and fail loudly otherwise.
+        legacy = {**spec, "reduction": "blocked", "sharding": "owned"}
+        assert ExecContext.from_dict(legacy).to_dict() == spec
+        with pytest.raises(ValueError, match="tree"):
+            ExecContext.from_dict({**spec, "reduction": "tree"})
+        with pytest.raises(ValueError, match="broadcast"):
+            ExecContext.from_dict({**spec, "sharding": "broadcast"})
 
-    def test_derive_overrides_sharding(self):
+    def test_derive_rejects_sharding(self):
         base = ExecContext(execution="thread", n_workers=2)
-        child = base.derive(sharding="owned")
-        assert child.sharding == "owned"
-        assert base.derive().sharding == "broadcast"
+        for kwargs in ({"sharding": "owned"}, {"reduction": "blocked"}):
+            (name,) = kwargs
+            with pytest.raises(TypeError, match=name):
+                base.derive(**kwargs)
 
 
 class TestDecompositionWiring:
@@ -331,8 +398,7 @@ class TestDecompositionWiring:
         tensor, _ = workload
         serial = hooi(tensor, 3, max_iters=3, seed=7)
         owned = hooi(
-            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3,
-            sharding="owned",
+            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3
         )
         assert np.allclose(owned.factor, serial.factor, atol=1e-8)
 
@@ -340,23 +406,28 @@ class TestDecompositionWiring:
         tensor, _ = workload
         serial = hoqri(tensor, 3, max_iters=3, seed=7)
         owned = hoqri(
-            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3,
-            sharding="owned",
+            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3
         )
         assert np.allclose(owned.factor, serial.factor, atol=1e-8)
 
     def test_sharding_conflicts_with_explicit_ctx(self, workload):
+        # The drivers' sharding keyword is gone, with or without a ctx.
         tensor, _ = workload
         ctx = ExecContext(execution="thread", n_workers=2)
-        with pytest.raises(ValueError, match="sharding"):
+        with pytest.raises(TypeError, match="sharding"):
             hooi(tensor, 3, max_iters=1, ctx=ctx, sharding="owned")
         ctx.close()
+        with pytest.raises(TypeError, match="sharding"):
+            hoqri(
+                tensor, 3, max_iters=1, execution="thread", n_workers=2,
+                sharding="owned",
+            )
 
     def test_checkpoint_records_shard_map(self, workload, tmp_path):
         tensor, _ = workload
         hooi(
             tensor, 3, max_iters=2, seed=7, execution="thread", n_workers=3,
-            sharding="owned", checkpoint_dir=tmp_path,
+            checkpoint_dir=tmp_path,
         )
         state = load_checkpoint(tmp_path)
         assert state.config["sharding"] == "owned"
@@ -366,23 +437,32 @@ class TestDecompositionWiring:
         # rejected (the shard map is part of the run identity).
         hooi(
             tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=3,
-            sharding="owned", checkpoint_dir=tmp_path, resume=True,
+            checkpoint_dir=tmp_path, resume=True,
         )
         with pytest.raises(ValueError, match="shard_ranges"):
             hooi(
                 tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=2,
-                sharding="owned", checkpoint_dir=tmp_path, resume=True,
+                checkpoint_dir=tmp_path, resume=True,
             )
 
     def test_broadcast_checkpoint_has_no_shard_map(self, workload, tmp_path):
+        # A parallel checkpoint written by a broadcast run carries no
+        # shard map; resuming it must fail loudly on "sharding" rather
+        # than continue under a different summation order.
         tensor, _ = workload
         hooi(
             tensor, 3, max_iters=2, seed=7, execution="thread", n_workers=3,
             checkpoint_dir=tmp_path,
         )
         state = load_checkpoint(tmp_path)
-        assert "sharding" not in state.config
-        assert "shard_ranges" not in state.config
+        del state.config["sharding"]
+        del state.config["shard_ranges"]
+        save_checkpoint(tmp_path, state)
+        with pytest.raises(ValueError, match="sharding"):
+            hooi(
+                tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=3,
+                checkpoint_dir=tmp_path, resume=True,
+            )
 
 
 class TestShardedExchangeModel:
@@ -390,9 +470,7 @@ class TestShardedExchangeModel:
         tensor, factor = workload
         collector = TraceCollector()
         ctx = ExecContext(collector=collector)
-        parallel_s3ttmc(
-            tensor, factor, 4, backend="serial", sharding="owned", ctx=ctx
-        )
+        parallel_s3ttmc(tensor, factor, 4, backend="serial", ctx=ctx)
         plan = plan_sharded_exchange(tensor, 4, factor.shape[1], ctx=ctx)
         assert exchange_from_trace(collector) == plan.exchanges
 
@@ -432,45 +510,3 @@ class TestShardedExchangeModel:
         tensor, factor = workload
         with pytest.raises(ValueError):
             plan_sharded_exchange(tensor, 0, factor.shape[1])
-
-
-class TestPredictParallel:
-    def test_owned_reduce_cheaper_than_broadcast(self):
-        cal = RateCalibration()
-        cal.record("symprop", 1e9, 1.0)
-        kwargs = dict(order=4, rank=4, unnz=10_000, dim=2_000, n_workers=8)
-        broadcast = predict_parallel_seconds(cal, "symprop", **kwargs)
-        owned = predict_parallel_seconds(
-            cal, "symprop", sharding="owned", **kwargs
-        )
-        assert owned < broadcast
-
-    def test_single_worker_has_no_reduce_term(self):
-        cal = RateCalibration()
-        cal.record("symprop", 1e9, 1.0)
-        serial_like = predict_parallel_seconds(
-            cal, "symprop", 4, 4, 1000, n_workers=1, sharding="owned"
-        )
-        from repro.perfmodel import predict_seconds
-
-        assert serial_like == pytest.approx(
-            predict_seconds(cal, "symprop", 4, 4, 1000), rel=1e-9
-        )
-
-    def test_uncalibrated_returns_none(self):
-        assert (
-            predict_parallel_seconds(
-                RateCalibration(), "symprop", 4, 4, 100, n_workers=4
-            )
-            is None
-        )
-
-    def test_validation(self):
-        cal = RateCalibration()
-        cal.record("symprop", 1e9, 1.0)
-        with pytest.raises(ValueError):
-            predict_parallel_seconds(cal, "symprop", 4, 4, 100, n_workers=0)
-        with pytest.raises(ValueError):
-            predict_parallel_seconds(
-                cal, "symprop", 4, 4, 100, n_workers=2, sharding="bogus"
-            )
