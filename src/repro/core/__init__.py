@@ -23,6 +23,7 @@ from .codegen import (
     table_step,
 )
 from .compile import (
+    CHUNK_BYTES,
     DEFAULT_CHUNK_EDGES,
     KERNEL_VERSION,
     KernelSpec,
@@ -52,6 +53,7 @@ __all__ = [
     "KERNELS",
     "KernelSpec",
     "KERNEL_VERSION",
+    "CHUNK_BYTES",
     "DEFAULT_CHUNK_EDGES",
     "build_tables",
     "generate_kernel_source",

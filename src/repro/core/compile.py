@@ -27,9 +27,11 @@ exactly (same degree-group reduction, same stable edge order per output
 row), so compiled results are *bitwise* equal to the generic engine's —
 :mod:`repro.verify` checks that on every configuration it sweeps.
 
-Chunk boundaries never split a lattice node or an output-row segment, so
-results are also bitwise invariant under ``chunk_edges`` — the autotuner
-(:mod:`repro.core.autotune`) can sweep it freely.
+Each level's chunk holds at most ``chunk_edges`` edges and at most
+:data:`CHUNK_BYTES` of chunk buffers, so wide rows (high order, large R)
+get proportionally fewer edges per chunk and the buffers stay bounded
+whatever the row width. Chunk boundaries never split a lattice node or
+an output-row segment, so results are bitwise invariant under both caps.
 
 Caching is two-level:
 
@@ -65,6 +67,7 @@ from .plan import TTMcPlan
 
 __all__ = [
     "KERNEL_VERSION",
+    "CHUNK_BYTES",
     "DEFAULT_CHUNK_EDGES",
     "KernelSpec",
     "KernelTables",
@@ -79,14 +82,25 @@ __all__ = [
 
 #: Version of the v2 source generator. Bumping it invalidates every cached
 #: function and every ``ctx.plans`` table entry (both cache keys embed it).
-KERNEL_VERSION = 2
+KERNEL_VERSION = 3
 
-#: Default edges-per-chunk for the fused gather loops. Small enough that
-#: the three per-chunk buffers stay cache-resident — measured 2.6× over
-#: the generic engine at order 4, R = 8; larger chunks decay toward 1×.
+#: Default edges-per-chunk for the fused gather loops — the upper bound;
+#: :data:`CHUNK_BYTES` caps it further for wide rows.
 DEFAULT_CHUNK_EDGES = 1024
 
+#: Byte cap on one level's chunk buffers: each level's chunk holds at
+#: most ``CHUNK_BYTES // row_bytes`` edges, where ``row_bytes`` is what
+#: one edge occupies across that level's buffers (a level never chunks
+#: below its largest node degree). Keeps the buffers cache-sized and
+#: within the generic engine's memory bounds at high order / large R.
+CHUNK_BYTES = 512 * 1024
+
 _FN_CACHE_CAP = 32
+
+
+def _chunk_rows(chunk_edges: int, row_bytes: int) -> int:
+    """Edges per chunk for one level: ``chunk_edges`` capped by bytes."""
+    return max(1, min(chunk_edges, CHUNK_BYTES // row_bytes))
 
 
 def _level_size(layout: str, level: int, rank: int) -> int:
@@ -174,7 +188,7 @@ class _TopTables:
         self.child = child
         self.node = node
         self.urows = urows  # unique output rows, ascending
-        self.ptr = ptr  # segment start per unique row
+        self.ptr = ptr  # segment start per unique row, then n_edges
         self.n_edges = n_edges
 
 
@@ -253,7 +267,7 @@ def build_tables(lattice: Lattice, rank: int, layout: str) -> KernelTables:
             child=np.ascontiguousarray(child[perm_t]),
             node=np.ascontiguousarray(top.node[perm_t]),
             urows=np.ascontiguousarray(urows),
-            ptr=np.ascontiguousarray(ptr.astype(np.int64)),
+            ptr=np.append(ptr.astype(np.int64), np.int64(top.n_edges)),
             n_edges=top.n_edges,
         ),
     )
@@ -309,13 +323,14 @@ def generate_kernel_source(spec: KernelSpec) -> str:
             add("            Up = _np.ascontiguousarray(factor[:, lt.p])")
             add(f'            _req(lt.n_nodes * {s_cur * 8}, "K level 2")')
             add(f"            k_prev = _np.empty((lt.n_nodes, {s_cur}), dtype=_np.float64)")
-            add(f"            rows = min(max({chunk}, lt.max_degree), max(lt.n_edges, 1))")
+            cap = _chunk_rows(chunk, 2 * s_cur * 8)
+            add(f"            rows = min(max({cap}, lt.max_degree), max(lt.n_edges, 1))")
             add(f'            _req(2 * rows * {s_cur * 8}, "compiled chunk buffers")')
             add(f"            A = _np.empty((rows, {s_cur}), dtype=_np.float64)")
             add(f"            B = _np.empty((rows, {s_cur}), dtype=_np.float64)")
             add("            r0 = 0")
             add("            for d, gn, goff in lt.groups:")
-            add(f"                npc = max(1, {chunk} // d)")
+            add(f"                npc = max(1, {cap} // d)")
             add("                for a in range(0, gn, npc):")
             add("                    b = min(a + npc, gn)")
             add("                    ne = (b - a) * d")
@@ -340,14 +355,15 @@ def generate_kernel_source(spec: KernelSpec) -> str:
             add("            Uq = _np.ascontiguousarray(factor[:, lt.q])")
             add(f'            _req(lt.n_nodes * {s_cur * 8}, "K level {level}")')
             add(f"            k_cur = _np.empty((lt.n_nodes, {s_cur}), dtype=_np.float64)")
-            add(f"            rows = min(max({chunk}, lt.max_degree), max(lt.n_edges, 1))")
+            cap = _chunk_rows(chunk, (s_prev + 2 * s_cur) * 8)
+            add(f"            rows = min(max({cap}, lt.max_degree), max(lt.n_edges, 1))")
             add(f'            _req(rows * {(s_prev + 2 * s_cur) * 8}, "compiled chunk buffers")')
             add(f"            Cp = _np.empty((rows, {s_prev}), dtype=_np.float64)")
             add(f"            C = _np.empty((rows, {s_cur}), dtype=_np.float64)")
             add(f"            D = _np.empty((rows, {s_cur}), dtype=_np.float64)")
             add("            r0 = 0")
             add("            for d, gn, goff in lt.groups:")
-            add(f"                npc = max(1, {chunk} // d)")
+            add(f"                npc = max(1, {cap} // d)")
             add("                for a in range(0, gn, npc):")
             add("                    b = min(a + npc, gn)")
             add("                    ne = (b - a) * d")
@@ -391,23 +407,31 @@ def generate_kernel_source(spec: KernelSpec) -> str:
     add("                    )")
     add("            vscale = values[tt.node]")
     add("            nseg = tt.urows.shape[0]")
-    add(f"            rows = min({chunk}, max(tt.n_edges, 1))")
+    add(f"            rows = min({_chunk_rows(chunk, top_size * 8)}, max(tt.n_edges, 1))")
     add(f'            _req(rows * {top_size * 8}, "compiled chunk buffers")')
     add(f"            E = _np.empty((rows, {top_size}), dtype=_np.float64)")
-    add(f"            spc = max(1, {chunk} // max(1, tt.n_edges // max(1, nseg)))")
     add("            ptr = tt.ptr")
-    add("            for a in range(0, nseg, spc):")
-    add("                b = min(a + spc, nseg)")
+    add("            a = 0")
+    add("            while a < nseg:")
     add("                e0 = ptr[a]")
-    add("                e1 = ptr[b] if b < nseg else tt.n_edges")
+    # Pack whole segments greedily up to ``rows`` edges; a segment longer
+    # than the chunk is reduced alone, in its own accounted buffer (one
+    # reduceat per segment keeps the summation order, hence bitwise).
+    add('                b = max(a + 1, int(_np.searchsorted(ptr, e0 + rows, side="right")) - 1)')
+    add("                e1 = ptr[b]")
     add("                ne = e1 - e0")
     add("                if ne <= rows:")
     add("                    Eb = E[:ne]")
     add("                else:")
+    add(f'                    _req(ne * {top_size * 8}, "compiled scatter overflow")')
     add(f"                    Eb = _np.empty((ne, {top_size}), dtype=_np.float64)")
     add(f"                _np.take({ksrc}, tt.child[e0:e1], axis=0, out=Eb)")
     add("                Eb *= vscale[e0:e1, None]")
     add("                out[lrows[a:b]] += _np.add.reduceat(Eb, ptr[a:b] - e0, axis=0)")
+    add("                if ne > rows:")
+    add("                    Eb = None")
+    add(f'                    _rel(ne * {top_size * 8}, "compiled scatter overflow")')
+    add("                a = b")
     add(f'            _rel(rows * {top_size * 8}, "compiled chunk buffers")')
     add("        if stats is not None:")
     add(f"            stats.add_scatter(tt.n_edges, {top_size})")

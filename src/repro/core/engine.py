@@ -36,8 +36,9 @@ __all__ = ["lattice_ttmc", "DEFAULT_BLOCK_BYTES", "KERNELS"]
 
 DEFAULT_BLOCK_BYTES = 256 * 2**20
 
-#: Engine modes: the generic batched-gather path and the v2 compiled
-#: (fused, exec-generated) path — bitwise-equal by construction.
+#: Engine modes: the generic batched-gather path (the bitwise reference)
+#: and the v2 compiled (fused, exec-generated) path that production
+#: S³TTMc runs — bitwise-equal by construction.
 KERNELS = ("generic", "compiled")
 
 
@@ -82,9 +83,11 @@ def lattice_ttmc(
         per-plan gather tables — bitwise-equal results, no materialized
         expansion intermediates).
     chunk_edges:
-        Edges per fused-gather chunk for the compiled kernel (``None`` =
-        :data:`repro.core.compile.DEFAULT_CHUNK_EDGES`); the autotuner's
-        primary knob. Ignored for the generic kernel.
+        Upper bound on edges per fused-gather chunk for the compiled
+        kernel (``None`` = :data:`repro.core.compile.DEFAULT_CHUNK_EDGES`);
+        each level is further capped at
+        :data:`repro.core.compile.CHUNK_BYTES` of chunk buffers. Ignored
+        for the generic kernel.
     stats:
         Optional :class:`KernelStats` to fill.
     nz_batch_size:

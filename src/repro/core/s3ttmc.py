@@ -40,7 +40,7 @@ def s3ttmc(
     factor: np.ndarray,
     *,
     memoize: str = "global",
-    kernel: str = "generic",
+    kernel: str = "compiled",
     chunk_edges: Optional[int] = None,
     stats: Optional[KernelStats] = None,
     nz_batch_size: Optional[int] = None,
@@ -61,12 +61,17 @@ def s3ttmc(
         tensors across non-zeros (CSS-tree-style), ``"nonzero"`` recomputes
         per non-zero (matches the closed-form complexity model exactly).
     kernel:
-        Engine mode: ``"generic"`` (batched-gather) or ``"compiled"``
-        (fused exec-generated kernels, :mod:`repro.core.compile`);
-        results are bitwise identical.
+        Engine mode: ``"compiled"`` (the default: fused exec-generated
+        kernels, :mod:`repro.core.compile`) or ``"generic"`` (the
+        batched-gather engine, kept as the bitwise reference that
+        :mod:`repro.verify` compares against); results are bitwise
+        identical.
     chunk_edges:
-        Edges per fused chunk for the compiled kernel (``None`` = tuned
-        default); ignored for the generic kernel.
+        Upper bound on edges per fused chunk for the compiled kernel
+        (``None`` = :data:`~repro.core.compile.DEFAULT_CHUNK_EDGES`; each
+        level is further capped at
+        :data:`~repro.core.compile.CHUNK_BYTES` of chunk buffers);
+        ignored for the generic kernel.
     stats:
         Optional :class:`~repro.core.stats.KernelStats` filled with exact
         flop/structure counts.

@@ -90,7 +90,7 @@ def s3ttmc_tc(
     factor: np.ndarray,
     *,
     memoize: str = "global",
-    kernel: str = "generic",
+    kernel: str = "compiled",
     chunk_edges: Optional[int] = None,
     stats: Optional[KernelStats] = None,
     nz_batch_size: Optional[int] = None,

@@ -44,7 +44,10 @@ from .objective import relative_error
 from .restarts import reseed_seed
 from .result import ConvergenceTrace, DecompositionResult
 
-__all__ = ["hooi"]
+__all__ = ["hooi", "HOOI_KERNELS"]
+
+#: Algorithm families ``hooi(kernel=...)`` accepts.
+HOOI_KERNELS = ("symprop", "css")
 
 
 def _leading_left_singular_vectors_expand(
@@ -163,7 +166,7 @@ def hooi(
         raise ValueError("HOOI requires tensor order >= 2")
     if not 1 <= rank <= ucoo.dim:
         raise ValueError(f"rank must be in [1, {ucoo.dim}], got {rank}")
-    if kernel not in ("symprop", "css"):
+    if kernel not in HOOI_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     if svd_method not in ("expand", "gram"):
         raise ValueError(f"unknown svd_method {svd_method!r}")

@@ -42,7 +42,10 @@ from .objective import relative_error
 from .restarts import reseed_seed
 from .result import ConvergenceTrace, DecompositionResult
 
-__all__ = ["hoqri"]
+__all__ = ["hoqri", "HOQRI_KERNELS"]
+
+#: Algorithm families ``hoqri(kernel=...)`` accepts.
+HOQRI_KERNELS = ("symprop", "nary")
 
 
 def _qr_orthonormal(a: np.ndarray) -> np.ndarray:
@@ -95,7 +98,7 @@ def hoqri(
         raise ValueError("HOQRI requires tensor order >= 2")
     if not 1 <= rank <= ucoo.dim:
         raise ValueError(f"rank must be in [1, {ucoo.dim}], got {rank}")
-    if kernel not in ("symprop", "nary"):
+    if kernel not in HOQRI_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     run_ctx, owns_ctx = resolve_run_context(ctx, execution, n_workers)
     backend = acquire_backend(run_ctx, kernel)

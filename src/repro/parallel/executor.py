@@ -74,15 +74,14 @@ class ChunkPlan:
     scatter touches (exactly the distinct index values of its non-zeros);
     ``row_map`` maps global row ids to ``0..len(rows)-1`` (``-1``
     elsewhere) and is handed to the engine as ``out_row_map``. ``plan``
-    is the chunk's lattice plan; it is ``None`` for structure-only
-    entries (``get_chunk_plans(..., with_lattice=False)``).
+    is the chunk's lattice plan.
     """
 
     start: int
     stop: int
     rows: np.ndarray
     row_map: np.ndarray
-    plan: Optional[TTMcPlan]
+    plan: TTMcPlan
     build_seconds: float = 0.0
 
     @property
@@ -167,11 +166,11 @@ class ParallelJob:
     #: The run's (snapshotted) ExecContext: budget/collector travel with
     #: the job into worker threads and (as a budget spec) processes.
     ctx: Optional[ExecContext] = None
-    #: Engine mode per chunk: ``"generic"`` or ``"compiled"`` (the spec
+    #: Engine mode per chunk: ``"compiled"`` or ``"generic"`` (the spec
     #: ships to process workers, which compile locally and cache tables
     #: in their worker-side plan caches).
-    kernel: str = "generic"
-    #: Compiled-kernel chunk size (``None`` = tuned default).
+    kernel: str = "compiled"
+    #: Compiled-kernel edges-per-chunk bound (``None`` = default).
     chunk_edges: Optional[int] = None
 
     @property
@@ -205,7 +204,6 @@ def get_chunk_plans(
     ranges: Sequence[Tuple[int, int]],
     memoize: str = "global",
     *,
-    with_lattice: bool = True,
     report: Optional[ParallelRunReport] = None,
     ctx: Optional[ExecContext] = None,
 ) -> List[ChunkPlan]:
@@ -218,49 +216,27 @@ def get_chunk_plans(
     — the pattern of a :class:`~repro.formats.ucoo.SparseSymmetricTensor`
     is immutable by convention, so each chunk's lattice is built exactly
     once per cache and reused across all kernel calls and decomposition
-    iterations. Pass ``with_lattice=False`` for structure-only entries
-    (row blocks without lattices); a later ``with_lattice=True`` call
-    upgrades the cached entry in place.
+    iterations.
     """
     ctx = resolve_context(ctx)
     cache = ctx.plans.chunk_plans(tensor)
     key = (tuple(ranges), memoize)
     plans = cache.get(key)
-    if plans is not None and (
-        not with_lattice or all(cp.plan is not None for cp in plans)
-    ):
-        # Structure-only lookups don't count: the hit/miss counters track
-        # lattice builds (the process backend reports its worker-side
-        # builds separately).
-        if with_lattice:
-            _count_cache(len(plans), 0, report, ctx)
+    if plans is not None:
+        _count_cache(len(plans), 0, report, ctx)
         return plans
 
     indices = tensor.indices
     dim = tensor.dim
-    hits = 0
-    misses = 0
     out: List[ChunkPlan] = []
     for slot, (start, stop) in enumerate(ranges):
-        prev = plans[slot] if plans is not None else None
-        if prev is not None and (prev.plan is not None or not with_lattice):
-            out.append(prev)
-            hits += 1
-            continue
-        misses += 1
-        if prev is not None:
-            rows, row_map = prev.rows, prev.row_map
-        else:
-            rows, row_map = chunk_row_block(indices[start:stop], dim)
-        plan = None
-        build_seconds = 0.0
-        if with_lattice:
-            with ctx.span(
-                "parallel.plan_build", chunk=slot, nz_start=start, nz_stop=stop
-            ):
-                tick = time.perf_counter()
-                plan = build_plan(indices[start:stop], memoize)
-                build_seconds = time.perf_counter() - tick
+        rows, row_map = chunk_row_block(indices[start:stop], dim)
+        with ctx.span(
+            "parallel.plan_build", chunk=slot, nz_start=start, nz_stop=stop
+        ):
+            tick = time.perf_counter()
+            plan = build_plan(indices[start:stop], memoize)
+            build_seconds = time.perf_counter() - tick
         out.append(
             ChunkPlan(
                 start=start,
@@ -272,10 +248,9 @@ def get_chunk_plans(
             )
         )
     cache[key] = out
-    if with_lattice:
-        _count_cache(hits, misses, report, ctx)
-        if report is not None:
-            report.plan_build_seconds += sum(cp.build_seconds for cp in out)
+    _count_cache(0, len(out), report, ctx)
+    if report is not None:
+        report.plan_build_seconds += sum(cp.build_seconds for cp in out)
     return out
 
 
@@ -286,7 +261,7 @@ def parallel_s3ttmc(
     *,
     backend: Union[str, "Backend", None] = None,
     memoize: str = "global",
-    kernel: str = "generic",
+    kernel: str = "compiled",
     chunk_edges: Optional[int] = None,
     report: Optional[ParallelRunReport] = None,
     ctx: Optional[ExecContext] = None,
@@ -316,11 +291,12 @@ def parallel_s3ttmc(
     memoize:
         Lattice memoization scope, forwarded to the chunk plans.
     kernel:
-        Per-chunk engine mode: ``"generic"`` or ``"compiled"`` (fused
+        Per-chunk engine mode: ``"compiled"`` (the default: fused
         exec-generated kernels; process workers compile locally from the
-        shipped spec and reuse worker-side table caches).
+        shipped spec and reuse worker-side table caches) or
+        ``"generic"`` (the bitwise reference engine).
     chunk_edges:
-        Compiled-kernel fused chunk size (``None`` = tuned default).
+        Compiled-kernel edges-per-chunk bound (``None`` = default).
     report:
         Optional :class:`ParallelRunReport` to fill.
     ctx:

@@ -432,7 +432,7 @@ def _run_chunk(
     budget_spec,
     fault,
     heartbeat: _Heartbeat,
-    kernel: str = "generic",
+    kernel: str = "compiled",
     chunk_edges=None,
     notify_result=None,
 ):

@@ -24,7 +24,7 @@ _INT = 8
 
 #: Kernel names whose lattice kernels share SymProp's compact-footprint
 #: model (the exec-compiled kernels evaluate the same plan).
-_COMPACT_KERNELS = {None, "generic", "symprop", "compiled", "compiled-v2"}
+_COMPACT_KERNELS = {None, "generic", "symprop", "compiled"}
 
 
 def predict_job_peak_bytes(

@@ -22,6 +22,9 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.engine import KERNELS
+from ..decomp.hooi import HOOI_KERNELS
+from ..decomp.hoqri import HOQRI_KERNELS
 from ..formats.ucoo import SparseSymmetricTensor
 
 __all__ = [
@@ -40,6 +43,10 @@ __all__ = [
 
 #: Job kinds the service knows how to execute.
 JOB_KINDS = ("s3ttmc", "hooi", "hoqri")
+
+#: ``kernel`` values each kind's driver accepts: the engine mode for
+#: ``s3ttmc``, the algorithm family for the decompositions.
+_JOB_KERNELS = {"s3ttmc": KERNELS, "hooi": HOOI_KERNELS, "hoqri": HOQRI_KERNELS}
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +165,11 @@ class JobSpec:
         if self.kind not in JOB_KINDS:
             raise InvalidJobError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
+            )
+        allowed = _JOB_KERNELS[self.kind]
+        if self.kernel is not None and self.kernel not in allowed:
+            raise InvalidJobError(
+                f"{self.kind} jobs take kernel in {allowed}, got {self.kernel!r}"
             )
         if not isinstance(self.tensor, SparseSymmetricTensor):
             raise InvalidJobError(

@@ -191,8 +191,10 @@ def run_workload_checks(
     dense_ok = dense_size(order, dim) <= dense_limit
     results: List[CheckResult] = []
 
-    # Canonical path: serial compact kernel, plan memoized on the tensor.
-    y_p = s3ttmc(x, u, ctx=ctx)
+    # Canonical path: serial compact kernel on the generic engine (the
+    # bitwise reference the compiled production engine is held to), plan
+    # memoized on the tensor.
+    y_p = s3ttmc(x, u, kernel="generic", ctx=ctx)
     canonical = y_p.data
     y_full = y_p.to_full_unfolding()
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.compile import (
+    CHUNK_BYTES,
     DEFAULT_CHUNK_EDGES,
     KERNEL_VERSION,
     KernelSpec,
@@ -22,6 +23,9 @@ from repro.core.compile import (
 from repro.core.engine import lattice_ttmc
 from repro.core.plan import build_plan
 from repro.core.s3ttmc import s3ttmc
+from repro.decomp import hooi, hoqri
+from repro.formats import SparseSymmetricTensor
+from repro.obs.trace import TraceCollector
 from repro.runtime.budget import MemoryBudget
 from repro.runtime.context import ExecContext
 from repro.symmetry.combinatorics import sym_storage_size
@@ -215,6 +219,93 @@ class TestBudget:
         with pytest.raises(ValueError):
             _run(t, u, kernel="compiled", out=out, out_row_map=row_map, ctx=ctx)
         assert ctx.budget.in_use == 0
+
+
+def _requests(collector, label):
+    return [
+        e.attrs["nbytes"]
+        for e in collector.events
+        if e.name == "budget.request" and e.attrs["label"] == label
+    ]
+
+
+class TestChunkBytes:
+    def test_chunk_buffers_capped_in_bytes(self, rng):
+        # Order 6, R 8: a 1024-edge chunk of the widest level would hold
+        # 15.7 MB of buffers; capped in bytes, no level's request exceeds
+        # CHUNK_BYTES (node degrees here stay far below the cap).
+        t = make_random_tensor(6, 10, 200, rng)
+        u = rng.standard_normal((10, 8))
+        col = TraceCollector()
+        got = _run(t, u, kernel="compiled", ctx=ExecContext(collector=col))
+        assert np.array_equal(got, _run(t, u))
+        chunks = _requests(col, "compiled chunk buffers")
+        assert len(chunks) == 5  # levels 2..5 and the top scatter
+        assert max(chunks) <= CHUNK_BYTES
+
+    def test_hub_row_overflow_is_accounted(self, rng):
+        # Row 0 is in every non-zero, so its top-level segment is as long
+        # as the tensor. Longer than the chunk, it is reduced alone in its
+        # own buffer — which the budget must see, and get back.
+        dim, rank = 24, 4
+        idx = np.array([(0, i, j) for i in range(1, dim) for j in range(i, dim)])
+        t = SparseSymmetricTensor(3, dim, idx, rng.random(idx.shape[0]))
+        u = rng.standard_normal((dim, rank))
+        col = TraceCollector()
+        ctx = ExecContext(budget=MemoryBudget(), collector=col)
+        got = _run(t, u, kernel="compiled", chunk_edges=16, ctx=ctx)
+        assert np.array_equal(got, _run(t, u))
+        cols = sym_storage_size(2, rank)
+        hub_bytes = t.unnz * cols * 8
+        assert max(_requests(col, "compiled scatter overflow")) == hub_bytes
+        assert ctx.budget.peak >= dim * cols * 8 + hub_bytes  # Y + hub buffer
+        assert ctx.budget.in_use == 0
+
+
+class TestProductionPaths:
+    """Every production S3TTMc path runs the compiled engine."""
+
+    @staticmethod
+    def _engines(collector):
+        spans = collector.find("lattice_ttmc")
+        assert spans
+        return {s.attrs["kernel"] for s in spans}
+
+    def test_default_s3ttmc(self, small_tensor, rng):
+        col = TraceCollector()
+        u = rng.standard_normal((small_tensor.dim, 3))
+        s3ttmc(small_tensor, u, ctx=ExecContext(collector=col))
+        assert self._engines(col) == {"compiled"}
+
+    def test_serial_hoqri(self, rng):
+        t = make_random_tensor(4, 10, 40, rng)
+        col = TraceCollector()
+        hoqri(t, 3, max_iters=2, seed=0, ctx=ExecContext(collector=col))
+        assert self._engines(col) == {"compiled"}
+
+    def test_hooi_thread_backend(self, rng):
+        t = make_random_tensor(4, 10, 40, rng)
+        col = TraceCollector()
+        with ExecContext(execution="thread", n_workers=2, collector=col) as ctx:
+            hooi(t, 3, max_iters=2, seed=0, ctx=ctx)
+        assert col.metrics.counter("parallel.runs.thread").value >= 2
+        assert self._engines(col) == {"compiled"}
+
+    def test_served_s3ttmc_job(self, rng):
+        import asyncio
+
+        from repro.serve import DecompositionService, JobSpec
+
+        t = make_random_tensor(4, 10, 40, rng)
+        u = rng.standard_normal((10, 3))
+
+        async def main():
+            async with DecompositionService() as svc:
+                job = await svc.submit(JobSpec(kind="s3ttmc", tensor=t, factor=u))
+                await svc.result(job)
+                return svc._record(job).collector
+
+        assert self._engines(asyncio.run(main())) == {"compiled"}
 
 
 class TestSpecAndTables:

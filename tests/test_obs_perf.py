@@ -383,7 +383,7 @@ class TestAttribution:
         factor = rng.standard_normal((10, 4))
         with TraceCollector() as col:
             ctx = ExecContext(collector=col)
-            s3ttmc(tensor, factor, ctx=ctx)
+            s3ttmc(tensor, factor, kernel="generic", ctx=ctx)
             s3ttmc(tensor, factor, kernel="compiled", ctx=ctx)
         report = attribute(col)
         assert {k.family for k in report.kernels} == {

@@ -15,7 +15,6 @@ from repro.parallel import (
     BACKENDS,
     ParallelRunReport,
     chunk_row_block,
-    get_chunk_plans,
     make_backend,
     parallel_s3ttmc,
 )
@@ -99,17 +98,6 @@ class TestChunkPlanCache:
             assert warm.plan_cache_misses == 0
             assert _counter(col, "parallel.runs.thread") == 2
             assert len(col.find("parallel.plan_build")) == n_chunks
-
-    def test_structure_only_upgrade(self, rng):
-        """A with_lattice=False entry is upgraded in place, not rebuilt."""
-        x = make_random_tensor(3, 8, 30, rng)
-        mid = x.unnz // 2
-        ranges = ((0, mid), (mid, x.unnz))
-        bare = get_chunk_plans(x, ranges, with_lattice=False)
-        assert all(cp.plan is None for cp in bare)
-        full = get_chunk_plans(x, ranges, with_lattice=True)
-        assert all(cp.plan is not None for cp in full)
-        assert full[0].rows is bare[0].rows  # row blocks carried over
 
     def test_chunk_row_block_roundtrip(self, rng):
         x = make_random_tensor(4, 12, 40, rng)

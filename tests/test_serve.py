@@ -61,6 +61,32 @@ class TestJobSpec:
         with pytest.raises(InvalidJobError, match="does not match tensor dim"):
             JobSpec(kind="s3ttmc", tensor=x, factor=np.ones((5, 2))).validate()
 
+    @pytest.mark.parametrize(
+        "kind,bad,good",
+        [
+            ("hoqri", "compiled", ("symprop", "nary")),
+            ("s3ttmc", "symprop", ("generic", "compiled")),
+            ("hooi", "compiled-v2", ("symprop", "css")),
+        ],
+    )
+    def test_kernel_checked_per_kind_at_submit(self, kind, bad, good, rng):
+        # A kernel the kind's driver would reject never reaches the queue:
+        # submit raises InvalidJobError and nothing is admitted.
+        x = make_random_tensor(3, 8, 30, rng)
+        kw = {"factor": np.ones((8, 2))} if kind == "s3ttmc" else {"rank": 2}
+        for kernel in good:
+            JobSpec(kind=kind, tensor=x, kernel=kernel, **kw).validate()
+
+        async def main():
+            async with DecompositionService() as svc:
+                with pytest.raises(InvalidJobError, match=repr(bad)):
+                    await svc.submit(JobSpec(kind=kind, tensor=x, kernel=bad, **kw))
+                return svc.stats()
+
+        stats = run(main())
+        assert stats["counters"]["submitted"] == 0
+        assert stats["states"] == {}
+
     def test_determinism_classification(self, rng):
         x = make_random_tensor(3, 8, 30, rng)
         assert JobSpec(kind="s3ttmc", tensor=x, factor=np.ones((8, 2))).deterministic()
