@@ -18,20 +18,27 @@ Three fusions distinguish the generated kernels from the generic engine
   (``np.take(..., axis=1, out=...)``), eliminating the materialized
   ``(M_{l-1}, S_l)`` ``expanded_prev`` intermediate the generic engine's
   budget accounts for;
-* **presorted scatter** — the top-level edges are stably pre-sorted by
-  output row at table-build time, so the per-call scatter is a gather +
-  scale + segment-aligned ``np.add.reduceat`` with no runtime argsort.
+* **streamed last level** — level ``N-1`` is computed node chunk by node
+  chunk, and each chunk is scaled by the non-zero values and folded into
+  ``out`` as soon as it exists (:func:`repro.core._segment.fold_rows`,
+  with per-plan grouping tables), so the whole ``K_{N-1}`` — usually the
+  largest intermediate — is never allocated and there is no separate top-level
+  scatter.
 
 Each fusion preserves the generic engine's floating-point summation order
-exactly (same degree-group reduction, same stable edge order per output
-row), so compiled results are *bitwise* equal to the generic engine's —
-:mod:`repro.verify` checks that on every configuration it sweeps.
+exactly (same degree-group reduction; every output row summed left to
+right over its contributions in level-``N-1`` node order, see
+:meth:`repro.core.lattice.Lattice.top_edge_order`), so compiled results
+are *bitwise* equal to the generic engine's — :mod:`repro.verify` checks
+that on every configuration it sweeps.
 
 Each level's chunk holds at most ``chunk_edges`` edges and at most
 :data:`CHUNK_BYTES` of chunk buffers, so wide rows (high order, large R)
 get proportionally fewer edges per chunk and the buffers stay bounded
-whatever the row width. Chunk boundaries never split a lattice node or
-an output-row segment, so results are bitwise invariant under both caps.
+whatever the row width; the streamed level's fold buffers get their own
+:data:`CHUNK_BYTES`. Level chunks never split a lattice node, and the
+per-row fold is sequential, so results are bitwise invariant under both
+caps.
 
 Caching is two-level:
 
@@ -52,6 +59,7 @@ Inspect what the compiler produces with::
 
 from __future__ import annotations
 
+import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -61,6 +69,7 @@ import numpy as np
 
 from ..runtime.context import ExecContext, resolve_context
 from ..symmetry.combinatorics import dense_size, sym_storage_size
+from ._segment import fold_rows, group_rows
 from .lattice import Lattice
 from .layouts import layout_for
 from .plan import TTMcPlan
@@ -82,7 +91,7 @@ __all__ = [
 
 #: Version of the v2 source generator. Bumping it invalidates every cached
 #: function and every ``ctx.plans`` table entry (both cache keys embed it).
-KERNEL_VERSION = 3
+KERNEL_VERSION = 4
 
 #: Default edges-per-chunk for the fused gather loops — the upper bound;
 #: :data:`CHUNK_BYTES` caps it further for wide rows.
@@ -101,6 +110,16 @@ _FN_CACHE_CAP = 32
 def _chunk_rows(chunk_edges: int, row_bytes: int) -> int:
     """Edges per chunk for one level: ``chunk_edges`` capped by bytes."""
     return max(1, min(chunk_edges, CHUNK_BYTES // row_bytes))
+
+
+def _edge_bytes(layout: str, level: int, rank: int) -> int:
+    """Chunk-buffer bytes one level-``level`` edge occupies: two factor
+    products at the leaf-fused level 2; the compact parent row plus two
+    product rows above it."""
+    s_cur = _level_size(layout, level, rank)
+    if level == 2:
+        return 2 * s_cur * 8
+    return (_level_size(layout, level - 1, rank) + 2 * s_cur) * 8
 
 
 def _level_size(layout: str, level: int, rank: int) -> int:
@@ -173,49 +192,163 @@ class _LevelTables:
         self.p = p  # layout parent-location gather (parent K columns)
 
 
-class _TopTables:
-    """Top-level scatter tables, stably pre-sorted by output row.
+class _StreamTables:
+    """Tables for the streamed last level: level ``N-1`` computed in node
+    chunks, each folded into ``out`` as soon as it exists.
 
-    The stable sort matches :func:`repro.core._segment.scatter_add_rows`'s
-    ``np.argsort(rows, kind="stable")`` exactly, so per-row summation
-    order — and therefore the floating-point result — is bitwise identical
-    to the generic engine's.
+    Top-level edges are sorted by level-``N-1`` node
+    (:meth:`~repro.core.lattice.Lattice.top_edge_order`), so each node
+    chunk owns a contiguous edge range. Every *piece* is one such range
+    (a hub node's range is split over several pieces, of which only the
+    first computes the node) together with its
+    :func:`~repro.core._segment.group_rows` layout: ``widx`` gathers each
+    slot from the chunk buffer ``Kx`` (node rows first, then the piece's
+    current ``out`` rows from row ``kn`` on) and ``wnode`` names the
+    non-zero that scales it (``n_nonzeros`` = the ``1.0`` a head slot
+    keeps).
     """
 
-    __slots__ = ("child", "node", "urows", "ptr", "n_edges")
+    __slots__ = (
+        "pieces", "widx", "wnode", "heads", "leaf", "n_edges",
+        "rows", "kn", "hn", "wn",
+    )
 
-    def __init__(self, child, node, urows, ptr, n_edges):
-        self.child = child
-        self.node = node
-        self.urows = urows  # unique output rows, ascending
-        self.ptr = ptr  # segment start per unique row, then n_edges
+    def __init__(self, pieces, widx, wnode, heads, leaf, n_edges, rows, kn, hn, wn):
+        # pieces: ((d, nn, e0, s0, s1, h0, h1, groups), ...) — compute nn
+        # nodes of degree d from level edges e0 : e0 + nn*d (nn = 0: the
+        # node is already in Kx), then fold slots s0:s1 into heads h0:h1.
+        self.pieces = pieces
+        self.widx = widx
+        self.wnode = wnode
+        self.heads = heads  # output row of each head slot
+        self.leaf = leaf  # order 2: factor row of each level-1 node
         self.n_edges = n_edges
+        self.rows = rows  # largest level-edge count of a piece
+        self.kn = kn  # largest node count of a piece (Kx head offset)
+        self.hn = hn  # largest head count of a piece
+        self.wn = wn  # largest slot count of a piece
 
 
 class KernelTables:
     """All gather tables one generated kernel needs for one lattice batch."""
 
-    __slots__ = ("levels", "top")
+    __slots__ = ("levels", "stream")
 
-    def __init__(self, levels: tuple, top: _TopTables) -> None:
+    def __init__(self, levels: tuple, stream: _StreamTables) -> None:
         self.levels = levels
-        self.top = top
+        self.stream = stream
 
     @property
     def nbytes(self) -> int:
         total = 0
         for lt in self.levels:
             total += lt.value.nbytes + lt.child.nbytes + lt.q.nbytes + lt.p.nbytes
-        tt = self.top
-        total += tt.child.nbytes + tt.node.nbytes + tt.urows.nbytes + tt.ptr.nbytes
+        st = self.stream
+        total += st.widx.nbytes + st.wnode.nbytes + st.heads.nbytes + st.leaf.nbytes
         return total
 
 
-def build_tables(lattice: Lattice, rank: int, layout: str) -> KernelTables:
+def _stream_caps(order: int, rank: int, layout: str, chunk_edges: int):
+    """``(level-edge cap, node/top-edge cap)`` of one streamed piece.
+
+    The level part gets :data:`CHUNK_BYTES` as any level does; so does the
+    fold part — the piece's node rows, head rows and slots, at most
+    ``4 * q`` rows of ``S_{N-1}`` for ``q`` nodes and ``q`` top edges.
+    """
+    lcap = (
+        chunk_edges
+        if order == 2
+        else _chunk_rows(chunk_edges, _edge_bytes(layout, order - 1, rank))
+    )
+    return lcap, _chunk_rows(chunk_edges, 4 * _level_size(layout, order - 1, rank) * 8)
+
+
+def _build_stream(lattice: Lattice, rank: int, layout: str, chunk_edges: int):
+    order = lattice.order
+    top = lattice.levels[order]
+    assert top.node is not None, "top lattice level must retain parent ids"
+    lcap, q = _stream_caps(order, rank, layout, chunk_edges)
+    if order == 2:
+        n_nodes = lattice.leaf_values.shape[0]
+        groups = ((1, n_nodes, 0),)
+    else:
+        groups = tuple(
+            (g.degree, g.n_nodes, g.edge_offset)
+            for g in lattice.levels[order - 1].groups
+        )
+        n_nodes = lattice.levels[order - 1].n_nodes
+    perm = lattice.top_edge_order()
+    node = lattice.grouped_rank(order - 1)[top.child[perm]]
+    tptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node, minlength=n_nodes), out=tptr[1:])
+    tptr_list = tptr.tolist()
+
+    # Greedy pieces: whole nodes while both caps hold; a node with more
+    # than q top edges alone, its edges split q at a time.
+    pieces = []  # (d, nn, e0, first node, t0, t1)
+    r0 = 0
+    for d, gn, goff in groups:
+        npc = max(1, min(lcap // d, q))
+        a = 0
+        while a < gn:
+            t0 = tptr_list[r0 + a]
+            b = bisect.bisect_right(tptr_list, t0 + q, r0 + a, r0 + gn + 1) - 1 - r0
+            b = max(a + 1, min(a + npc, b))
+            t1 = tptr_list[r0 + b]
+            e0 = goff + a * d
+            for k, ts in enumerate(range(t0, max(t1, t0 + 1), q)):
+                pieces.append((d, b - a if k == 0 else 0, e0, r0 + a, ts, min(ts + q, t1)))
+            a = b
+        r0 += gn
+
+    bounds = np.array([p[4] for p in pieces] + [top.n_edges], dtype=np.int64)
+    grouped = group_rows(top.value[perm], bounds)
+    n_edges = top.n_edges
+    slot_ptr = bounds + grouped.head_ptr
+    piece_of_slot = np.repeat(
+        np.arange(len(pieces), dtype=np.int64), np.diff(slot_ptr)
+    )
+    first_node = np.array([p[3] for p in pieces], dtype=np.int64)
+    is_head = grouped.slots >= n_edges
+    edge = np.where(is_head, 0, grouped.slots)
+    head = np.where(is_head, grouped.slots - n_edges, 0)
+    kn = max(p[1] for p in pieces)
+    widx = np.where(
+        is_head,
+        kn + head - grouped.head_ptr[piece_of_slot],
+        node[edge] - first_node[piece_of_slot],
+    )
+    wnode = np.where(is_head, lattice.n_nonzeros, top.node[perm][edge])
+    hp = grouped.head_ptr.tolist()
+    sp = slot_ptr.tolist()
+    return _StreamTables(
+        pieces=tuple(
+            (d, nn, e0, sp[i], sp[i + 1], hp[i], hp[i + 1], grouped.groups[i])
+            for i, (d, nn, e0, _n0, _t0, _t1) in enumerate(pieces)
+        ),
+        widx=np.ascontiguousarray(widx),
+        wnode=np.ascontiguousarray(wnode),
+        heads=grouped.heads,
+        leaf=np.ascontiguousarray(lattice.leaf_values),
+        n_edges=n_edges,
+        rows=max(max(p[0] * p[1] for p in pieces), 1),
+        kn=kn,
+        hn=int(np.diff(grouped.head_ptr).max()),
+        wn=int(np.diff(slot_ptr).max()),
+    )
+
+
+def build_tables(
+    lattice: Lattice,
+    rank: int,
+    layout: str,
+    chunk_edges: int = DEFAULT_CHUNK_EDGES,
+) -> KernelTables:
     """Flatten one lattice batch into single-shot gather tables.
 
     Pattern-only (never touches factor values), built once per plan and
     cached on ``ctx.plans`` — the numeric call then runs pure gathers.
+    ``chunk_edges`` fixes the streamed level's pieces.
     """
     order = lattice.order
     levels: List[_LevelTables] = []
@@ -230,12 +363,7 @@ def build_tables(lattice: Lattice, rank: int, layout: str) -> KernelTables:
             child = lattice.leaf_values[child]
         else:
             child = inv[child]
-        if edges.groups:
-            perm = np.concatenate([g.nodes for g in edges.groups])
-        else:
-            perm = np.empty(0, dtype=np.int64)
-        inv = np.empty(edges.n_nodes, dtype=np.int64)
-        inv[perm] = np.arange(edges.n_nodes, dtype=np.int64)
+        inv = lattice.grouped_rank(level)
         levels.append(
             _LevelTables(
                 value=np.ascontiguousarray(edges.value),
@@ -250,32 +378,77 @@ def build_tables(lattice: Lattice, rank: int, layout: str) -> KernelTables:
                 p=np.ascontiguousarray(lay.parent_loc),
             )
         )
-
-    top = lattice.levels[order]
-    assert top.node is not None, "top lattice level must retain parent ids"
-    child = top.child
-    child = lattice.leaf_values[child] if order == 2 else inv[child]
-    rows = top.value
-    # Stable sort by output row: identical permutation to the generic
-    # scatter's argsort, preserving original edge order within each row.
-    perm_t = np.argsort(rows, kind="stable")
-    rows_sorted = rows[perm_t]
-    urows, ptr = np.unique(rows_sorted, return_index=True)
     return KernelTables(
         levels=tuple(levels),
-        top=_TopTables(
-            child=np.ascontiguousarray(child[perm_t]),
-            node=np.ascontiguousarray(top.node[perm_t]),
-            urows=np.ascontiguousarray(urows),
-            ptr=np.append(ptr.astype(np.int64), np.int64(top.n_edges)),
-            n_edges=top.n_edges,
-        ),
+        stream=_build_stream(lattice, rank, layout, chunk_edges),
     )
 
 
 # ---------------------------------------------------------------------------
 # Source generation
 # ---------------------------------------------------------------------------
+
+
+def _level_lines(
+    level: int, s_cur: int, s_prev: int, row_bytes: int, nodes: str, dest: str
+):
+    """Setup, chunk body and teardown lines of one level's node chunks.
+
+    The body computes ``nodes`` rows of level ``level`` into ``dest`` from
+    the ``ne`` degree-``d`` edges ``sl``; the setup requests and builds
+    the gather tables and ``rows``-edge chunk buffers, the teardown gives
+    them back.
+    """
+    if level == 2:
+        setup = [
+            f'_req(2 * factor.shape[0] * {s_cur * 8}, "compiled U tables")',
+            "Uq = _np.ascontiguousarray(factor[:, lt.q])",
+            "Up = _np.ascontiguousarray(factor[:, lt.p])",
+            f'_req(rows * {row_bytes}, "compiled chunk buffers")',
+            f"A = _np.empty((rows, {s_cur}), dtype=_np.float64)",
+            f"B = _np.empty((rows, {s_cur}), dtype=_np.float64)",
+        ]
+        body = [
+            "Ab = A[:ne]",
+            '_np.take(Uq, lt.value[sl], axis=0, out=Ab, mode="clip")',
+            '_np.take(Up, lt.child[sl], axis=0, out=B[:ne], mode="clip")',
+            "Ab *= B[:ne]",
+        ]
+        prod = "Ab"
+        tables = f"2 * factor.shape[0] * {s_cur * 8}"
+    else:
+        setup = [
+            f'_req(factor.shape[0] * {s_cur * 8}, "compiled U tables")',
+            "Uq = _np.ascontiguousarray(factor[:, lt.q])",
+            f'_req(rows * {row_bytes}, "compiled chunk buffers")',
+            f"Cp = _np.empty((rows, {s_prev}), dtype=_np.float64)",
+            f"C = _np.empty((rows, {s_cur}), dtype=_np.float64)",
+            f"D = _np.empty((rows, {s_cur}), dtype=_np.float64)",
+        ]
+        body = [
+            "Cb = C[:ne]",
+            '_np.take(k_prev, lt.child[sl], axis=0, out=Cp[:ne], mode="clip")',
+            '_np.take(Cp[:ne], lt.p, axis=1, out=Cb, mode="clip")',
+            '_np.take(Uq, lt.value[sl], axis=0, out=D[:ne], mode="clip")',
+            "Cb *= D[:ne]",
+        ]
+        prod = "Cb"
+        tables = f"factor.shape[0] * {s_cur * 8}"
+    body += [
+        "if d == 1:",
+        f"    {dest} = {prod}",
+        "else:",
+        f"    _np.sum({prod}.reshape({nodes}, d, {s_cur}), axis=1, out={dest})",
+    ]
+    # Drop the arrays before giving their bytes back, so the budget never
+    # counts as free what is still alive.
+    teardown = [
+        "A = Ab = B = Up = None" if level == 2 else "Cp = C = Cb = D = None",
+        f'_rel(rows * {row_bytes}, "compiled chunk buffers")',
+        "Uq = None",
+        f'_rel({tables}, "compiled U tables")',
+    ]
+    return setup, body, teardown
 
 
 def generate_kernel_source(spec: KernelSpec) -> str:
@@ -286,6 +459,11 @@ def generate_kernel_source(spec: KernelSpec) -> str:
     instantiation. The emitted function signature is
     ``(tables, factor, values, out, out_row_map, ctx, stats, collector)``
     and accumulates one lattice batch into ``out``.
+
+    Levels ``2 .. N-2`` are materialized one at a time. Level ``N-1`` is
+    streamed: each node chunk is scaled by the non-zero values and folded
+    into ``out`` (:func:`repro.core._segment.fold_rows`) as soon as it is
+    computed, so ``K_{N-1}`` never exists as a whole.
     """
     order, rank, layout = spec.order, spec.rank, spec.layout
     chunk = spec.chunk_edges
@@ -294,6 +472,11 @@ def generate_kernel_source(spec: KernelSpec) -> str:
 
     lines: List[str] = []
     add = lines.append
+
+    def block(indent: int, src: List[str]) -> None:
+        for line in src:
+            add(" " * indent + line)
+
     add(f"def {spec.function_name}(t, factor, values, out, out_row_map, ctx, stats, collector):")
     add(f'    """Generated S3TTMc kernel: order={order}, rank={rank}, '
         f'layout={layout!r},')
@@ -311,134 +494,117 @@ def generate_kernel_source(spec: KernelSpec) -> str:
     add("        held.remove((n, label))")
     add("    try:")
 
-    for level in range(2, order):
+    for level in range(2, order - 1):
         s_cur = sizes[level]
-        i = level - 2
+        row_bytes = _edge_bytes(layout, level, rank)
+        setup, body, teardown = _level_lines(
+            level, s_cur, sizes[level - 1], row_bytes, "b - a", "k_cur[r0 + a : r0 + b]"
+        )
         if level == 2:
             add(f"        # -- level 2 (S={s_cur}): leaf level fused into the factor gathers")
-            add(f"        lt = t.levels[{i}]")
-            add(f'        with ctx.span("lattice.level", level=2, nodes=lt.n_nodes, edges=lt.n_edges, entry_size={s_cur}):')
-            add(f'            _req(2 * factor.shape[0] * {s_cur * 8}, "compiled U tables")')
-            add("            Uq = _np.ascontiguousarray(factor[:, lt.q])")
-            add("            Up = _np.ascontiguousarray(factor[:, lt.p])")
-            add(f'            _req(lt.n_nodes * {s_cur * 8}, "K level 2")')
-            add(f"            k_prev = _np.empty((lt.n_nodes, {s_cur}), dtype=_np.float64)")
-            cap = _chunk_rows(chunk, 2 * s_cur * 8)
-            add(f"            rows = min(max({cap}, lt.max_degree), max(lt.n_edges, 1))")
-            add(f'            _req(2 * rows * {s_cur * 8}, "compiled chunk buffers")')
-            add(f"            A = _np.empty((rows, {s_cur}), dtype=_np.float64)")
-            add(f"            B = _np.empty((rows, {s_cur}), dtype=_np.float64)")
-            add("            r0 = 0")
-            add("            for d, gn, goff in lt.groups:")
-            add(f"                npc = max(1, {cap} // d)")
-            add("                for a in range(0, gn, npc):")
-            add("                    b = min(a + npc, gn)")
-            add("                    ne = (b - a) * d")
-            add("                    sl = slice(goff + a * d, goff + b * d)")
-            add("                    Ab = A[:ne]")
-            add("                    _np.take(Uq, lt.value[sl], axis=0, out=Ab)")
-            add("                    _np.take(Up, lt.child[sl], axis=0, out=B[:ne])")
-            add("                    Ab *= B[:ne]")
-            add("                    if d == 1:")
-            add("                        k_prev[r0 + a : r0 + b] = Ab")
-            add("                    else:")
-            add(f"                        _np.sum(Ab.reshape(b - a, d, {s_cur}), axis=1, out=k_prev[r0 + a : r0 + b])")
-            add("                r0 += gn")
-            add(f'            _rel(2 * rows * {s_cur * 8}, "compiled chunk buffers")')
-            add(f'            _rel(2 * factor.shape[0] * {s_cur * 8}, "compiled U tables")')
         else:
-            s_prev = sizes[level - 1]
             add(f"        # -- level {level} (S={s_cur}): parent consumed compact, re-laid-out per chunk")
-            add(f"        lt = t.levels[{i}]")
-            add(f'        with ctx.span("lattice.level", level={level}, nodes=lt.n_nodes, edges=lt.n_edges, entry_size={s_cur}):')
-            add(f'            _req(factor.shape[0] * {s_cur * 8}, "compiled U tables")')
-            add("            Uq = _np.ascontiguousarray(factor[:, lt.q])")
-            add(f'            _req(lt.n_nodes * {s_cur * 8}, "K level {level}")')
-            add(f"            k_cur = _np.empty((lt.n_nodes, {s_cur}), dtype=_np.float64)")
-            cap = _chunk_rows(chunk, (s_prev + 2 * s_cur) * 8)
-            add(f"            rows = min(max({cap}, lt.max_degree), max(lt.n_edges, 1))")
-            add(f'            _req(rows * {(s_prev + 2 * s_cur) * 8}, "compiled chunk buffers")')
-            add(f"            Cp = _np.empty((rows, {s_prev}), dtype=_np.float64)")
-            add(f"            C = _np.empty((rows, {s_cur}), dtype=_np.float64)")
-            add(f"            D = _np.empty((rows, {s_cur}), dtype=_np.float64)")
-            add("            r0 = 0")
-            add("            for d, gn, goff in lt.groups:")
-            add(f"                npc = max(1, {cap} // d)")
-            add("                for a in range(0, gn, npc):")
-            add("                    b = min(a + npc, gn)")
-            add("                    ne = (b - a) * d")
-            add("                    sl = slice(goff + a * d, goff + b * d)")
-            add("                    Cb = C[:ne]")
-            add("                    _np.take(k_prev, lt.child[sl], axis=0, out=Cp[:ne])")
-            add("                    _np.take(Cp[:ne], lt.p, axis=1, out=Cb)")
-            add("                    _np.take(Uq, lt.value[sl], axis=0, out=D[:ne])")
-            add("                    Cb *= D[:ne]")
-            add("                    if d == 1:")
-            add("                        k_cur[r0 + a : r0 + b] = Cb")
-            add("                    else:")
-            add(f"                        _np.sum(Cb.reshape(b - a, d, {s_cur}), axis=1, out=k_cur[r0 + a : r0 + b])")
-            add("                r0 += gn")
-            add(f'            _rel(rows * {(s_prev + 2 * s_cur) * 8}, "compiled chunk buffers")')
-            add(f'            _rel(factor.shape[0] * {s_cur * 8}, "compiled U tables")')
+        cap = _chunk_rows(chunk, row_bytes)
+        add(f"        lt = t.levels[{level - 2}]")
+        add(f'        with ctx.span("lattice.level", level={level}, nodes=lt.n_nodes, edges=lt.n_edges, entry_size={s_cur}):')
+        add(f'            _req(lt.n_nodes * {s_cur * 8}, "K level {level}")')
+        add(f"            k_cur = _np.empty((lt.n_nodes, {s_cur}), dtype=_np.float64)")
+        add(f"            rows = min(max({cap}, lt.max_degree), max(lt.n_edges, 1))")
+        block(12, setup)
+        add("            r0 = 0")
+        add("            for d, gn, goff in lt.groups:")
+        add(f"                npc = max(1, {cap} // d)")
+        add("                for a in range(0, gn, npc):")
+        add("                    b = min(a + npc, gn)")
+        add("                    ne = (b - a) * d")
+        add("                    sl = slice(goff + a * d, goff + b * d)")
+        block(20, body)
+        add("                r0 += gn")
+        block(12, teardown)
         add("        if stats is not None:")
         add(f"            stats.add_level({level}, lt.n_nodes, lt.n_edges, {s_cur})")
         add("        if collector is not None:")
         add(f'            collector.metrics.counter("lattice.flops.level_{level}").inc((2 * lt.n_edges - lt.n_nodes) * {s_cur})')
         add(f'            collector.metrics.histogram("lattice.level_entries").observe(lt.n_nodes * {s_cur})')
         if level > 2:
-            add(f'        _rel(t.levels[{i - 1}].n_nodes * {sizes[level - 1] * 8}, "K level {level - 1}")')
-            add("        k_prev = k_cur")
+            add("        k_prev = None")
+            add(f'        _rel(t.levels[{level - 3}].n_nodes * {sizes[level - 1] * 8}, "K level {level - 1}")')
+        add("        k_prev = k_cur")
+        add("        k_cur = None")
 
-    ksrc = "factor" if order == 2 else "k_prev"
-    add(f"        # -- top level (S={top_size}): presorted scale + segment reduceat")
-    add("        tt = t.top")
-    add(f'        with ctx.span("lattice.scatter", edges=tt.n_edges, entry_size={top_size}):')
+    # -- the streamed level N-1 and its fold into out ----------------------
+    last = order - 1
+    fold_bytes = f"(st.kn + st.hn + st.wn) * {top_size * 8}"
+    add("        st = t.stream")
+    if last == 1:
+        add(f"        # -- top level (S={top_size}): factor rows folded into out")
+        add(f'        with ctx.span("lattice.scatter", level=1, edges=st.n_edges, entry_size={top_size}):')
+    else:
+        add(f"        # -- level {last} (S={top_size}), streamed: each node chunk folded into out")
+        add(f"        lt = t.levels[{last - 2}]")
+        add(f'        with ctx.span("lattice.level", level={last}, nodes=lt.n_nodes, edges=lt.n_edges, entry_size={top_size}, scatter_edges=st.n_edges):')
     add("            if out_row_map is None:")
-    add("                lrows = tt.urows")
+    add("                lrows = st.heads")
     add("            else:")
-    add("                lrows = out_row_map[tt.urows]")
+    add("                lrows = out_row_map[st.heads]")
     add("                if lrows.size and lrows.min() < 0:")
-    add("                    bad = tt.urows[lrows < 0]")
+    add("                    bad = _np.unique(st.heads[lrows < 0])")
     add('                    raise ValueError(')
     add('                        "out_row_map has no local row for scatter target rows "')
     add('                        + str(bad[:8].tolist())')
     add('                        + ("..." if bad.size > 8 else "")')
     add('                        + " - the row block does not cover this chunk\'s non-zeros"')
     add("                    )")
-    add("            vscale = values[tt.node]")
-    add("            nseg = tt.urows.shape[0]")
-    add(f"            rows = min({_chunk_rows(chunk, top_size * 8)}, max(tt.n_edges, 1))")
-    add(f'            _req(rows * {top_size * 8}, "compiled chunk buffers")')
-    add(f"            E = _np.empty((rows, {top_size}), dtype=_np.float64)")
-    add("            ptr = tt.ptr")
-    add("            a = 0")
-    add("            while a < nseg:")
-    add("                e0 = ptr[a]")
-    # Pack whole segments greedily up to ``rows`` edges; a segment longer
-    # than the chunk is reduced alone, in its own accounted buffer (one
-    # reduceat per segment keeps the summation order, hence bitwise).
-    add('                b = max(a + 1, int(_np.searchsorted(ptr, e0 + rows, side="right")) - 1)')
-    add("                e1 = ptr[b]")
-    add("                ne = e1 - e0")
-    add("                if ne <= rows:")
-    add("                    Eb = E[:ne]")
-    add("                else:")
-    add(f'                    _req(ne * {top_size * 8}, "compiled scatter overflow")')
-    add(f"                    Eb = _np.empty((ne, {top_size}), dtype=_np.float64)")
-    add(f"                _np.take({ksrc}, tt.child[e0:e1], axis=0, out=Eb)")
-    add("                Eb *= vscale[e0:e1, None]")
-    add("                out[lrows[a:b]] += _np.add.reduceat(Eb, ptr[a:b] - e0, axis=0)")
-    add("                if ne > rows:")
-    add("                    Eb = None")
-    add(f'                    _rel(ne * {top_size * 8}, "compiled scatter overflow")')
-    add("                a = b")
-    add(f'            _rel(rows * {top_size * 8}, "compiled chunk buffers")')
+    add("                if lrows.size and lrows.max() >= out.shape[0]:")
+    add('                    raise IndexError("out_row_map maps a scatter target past the rows of out")')
+    # Head slots gather the current out rows and are scaled by 1.0 (exact).
+    add("            wsc = _np.append(values, 1.0)[st.wnode]")
+    if last > 1:
+        setup, body, teardown = _level_lines(
+            last,
+            top_size,
+            sizes[last - 1],
+            _edge_bytes(layout, last, rank),
+            "nn",
+            "Kx[:nn]",
+        )
+        add("            rows = st.rows")
+        block(12, setup)
+    add(f'            _req({fold_bytes}, "compiled chunk buffers")')
+    add(f"            Kx = _np.empty((st.kn + st.hn, {top_size}), dtype=_np.float64)")
+    add(f"            W = _np.empty((st.wn, {top_size}), dtype=_np.float64)")
+    add("            KH = Kx[st.kn :]")
+    add("            for d, nn, e0, s0, s1, h0, h1, groups in st.pieces:")
+    add("                if nn:")
+    if last == 1:
+        add('                    _np.take(factor, st.leaf[e0 : e0 + nn], axis=0, out=Kx[:nn], mode="clip")')
+    else:
+        add("                    ne = nn * d")
+        add("                    sl = slice(e0, e0 + ne)")
+        block(20, body)
+    add("                nh = h1 - h0")
+    add('                _np.take(out, lrows[h0:h1], axis=0, out=KH[:nh], mode="clip")')
+    add("                Wb = W[: s1 - s0]")
+    add('                _np.take(Kx, st.widx[s0:s1], axis=0, out=Wb, mode="clip")')
+    add("                Wb *= wsc[s0:s1, None]")
+    add("                _fold(Wb, groups, KH)")
+    add("                out[lrows[h0:h1]] = KH[:nh]")
+    add("            Kx = KH = W = Wb = None")
+    add(f'            _rel({fold_bytes}, "compiled chunk buffers")')
+    if last > 1:
+        block(12, teardown)
     add("        if stats is not None:")
-    add(f"            stats.add_scatter(tt.n_edges, {top_size})")
+    if last > 1:
+        add(f"            stats.add_level({last}, lt.n_nodes, lt.n_edges, {top_size})")
+    add(f"            stats.add_scatter(st.n_edges, {top_size})")
     add("        if collector is not None:")
-    add(f'            collector.metrics.counter("lattice.scatter_flops").inc(2 * tt.n_edges * {top_size})')
-    if order > 2:
-        add(f'        _rel(k_prev.shape[0] * {top_size * 8}, "K level {order - 1}")')
+    if last > 1:
+        add(f'            collector.metrics.counter("lattice.flops.level_{last}").inc((2 * lt.n_edges - lt.n_nodes) * {top_size})')
+        add(f'            collector.metrics.histogram("lattice.level_entries").observe(lt.n_nodes * {top_size})')
+    add(f'            collector.metrics.counter("lattice.scatter_flops").inc(2 * st.n_edges * {top_size})')
+    if last > 2:
+        add("        k_prev = None")
+        add(f'        _rel(t.levels[{last - 3}].n_nodes * {sizes[last - 1] * 8}, "K level {last - 1}")')
     add("    except BaseException:")
     add("        for n, label in held:")
     add("            ctx.release_bytes(n, label)")
@@ -467,7 +633,7 @@ def compiled_kernel(spec: KernelSpec) -> Callable:
             _FN_CACHE.move_to_end(spec)
             return fn
     source = generate_kernel_source(spec)
-    namespace: dict = {"_np": np}
+    namespace: dict = {"_np": np, "_fold": fold_rows}
     exec(
         compile(source, f"<repro.core.compile {spec.function_name}>", "exec"),
         namespace,
@@ -552,12 +718,13 @@ def get_kernel(
             plan.nz_batch_size,
             rank,
             intermediate,
+            chunk,
             KERNEL_VERSION,
         )
         tables = ctx.plans.compiled_get(key)
     if tables is None:
         tables = tuple(
-            build_tables(lattice, rank, intermediate)
+            build_tables(lattice, rank, intermediate, chunk)
             for _start, _stop, lattice in plan.batches
         )
         if key is not None:

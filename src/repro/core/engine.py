@@ -3,7 +3,11 @@
 Evaluates the sub-multiset lattice bottom-up with one vectorized
 gather-multiply-segment-sum per level, in the layout chosen by the caller
 (compact ``S_{l,R}`` — SymProp — or full ``R**l`` — the CSS baseline), and
-scatters the top-level ``K`` tensors into the output rows.
+scatters the top-level ``K`` tensors into the output rows: each row summed
+left to right over its contributions in
+:meth:`~repro.core.lattice.Lattice.top_edge_order`, the order the compiled
+kernel streams them in, so both engines agree bitwise at any chunk or
+block size.
 
 Performance notes (all heavy work is batched NumPy):
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from ..runtime.context import ExecContext, resolve_context
 from ..symmetry.combinatorics import dense_size, sym_storage_size
-from ._segment import scatter_add_rows, segment_sum_by_ptr
+from ._segment import add_rows_in_order
 from .compile import get_kernel
 from .lattice import Lattice
 from .layouts import layout_for
@@ -86,8 +90,8 @@ def lattice_ttmc(
         Upper bound on edges per fused-gather chunk for the compiled
         kernel (``None`` = :data:`repro.core.compile.DEFAULT_CHUNK_EDGES`);
         each level is further capped at
-        :data:`repro.core.compile.CHUNK_BYTES` of chunk buffers. Ignored
-        for the generic kernel.
+        :data:`repro.core.compile.CHUNK_BYTES` of chunk buffers. The
+        result does not depend on it. Ignored for the generic kernel.
     stats:
         Optional :class:`KernelStats` to fill.
     nz_batch_size:
@@ -95,7 +99,9 @@ def lattice_ttmc(
         intermediate memory at a small loss of cross-batch sharing);
         ignored when ``plan`` is given.
     block_bytes:
-        Transient per-level gather buffer bound.
+        Transient per-level gather buffer bound of the generic kernel
+        (level chunks and top-level edge blocks); the result does not
+        depend on it.
     out:
         Optional pre-allocated ``(I, cols)`` output to accumulate into.
         When the engine allocates ``out`` itself, the allocation is
@@ -149,7 +155,7 @@ def lattice_ttmc(
         raise ValueError(f"unknown kernel mode {kernel!r}; expected one of {KERNELS}")
 
     if out is not None and out.dtype != np.float64:
-        # scatter_add_rows accumulates with `out[rows] += float64`: a
+        # The scatter accumulates float64 rows into `out`: a
         # float32 buffer silently truncates every contribution and an
         # integer one fails deep in the scatter — reject up front.
         raise ValueError(
@@ -309,18 +315,24 @@ def _accumulate_batch(
             _release(k_prev.nbytes, k_prev_label)
             k_prev, k_prev_label = k_cur, label
 
-        # Top level: scale by non-zero values, scatter into output rows.
+        # Top level: scale by non-zero values and add into output rows, each
+        # row summed left to right in the lattice's top-edge order (the
+        # compiled kernel's streaming order), so edge blocks of any size
+        # give the same bits.
         top = lattice.levels[order]
         assert top.node is not None, "top lattice level must retain parent ids"
+        n_edges = top.n_edges
         with ctx.span(
-            "lattice.scatter", edges=top.n_edges, entry_size=k_prev.shape[1]
+            "lattice.scatter",
+            level=order - 1,
+            edges=n_edges,
+            entry_size=k_prev.shape[1],
         ):
+            edge_order = lattice.top_edge_order()
             row_bytes = k_prev.shape[1] * 8
             edge_block = max(1, block_bytes // max(2 * row_bytes, 1))
-            n_edges = top.n_edges
             for estart in range(0, n_edges, edge_block):
-                estop = min(estart + edge_block, n_edges)
-                sl = slice(estart, estop)
+                sl = edge_order[estart : estart + edge_block]
                 contrib = k_prev[top.child[sl]] * values[top.node[sl], None]
                 rows = top.value[sl]
                 if out_row_map is not None:
@@ -335,7 +347,7 @@ def _accumulate_batch(
                             f"{'...' if bad.size > 8 else ''} — the row "
                             f"block does not cover this chunk's non-zeros"
                         )
-                scatter_add_rows(out, rows, contrib)
+                add_rows_in_order(out, rows, contrib)
         if stats is not None:
             stats.add_scatter(n_edges, k_prev.shape[1])
         if collector is not None:

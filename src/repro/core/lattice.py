@@ -35,6 +35,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..runtime.budget import request_bytes
+from ._segment import stable_argsort
 
 __all__ = ["DegreeGroup", "LatticeLevel", "Lattice", "build_lattice", "unique_rows"]
 
@@ -142,6 +143,36 @@ class Lattice:
     @property
     def total_edges(self) -> int:
         return sum(lv.n_edges for lv in self.levels.values())
+
+    def grouped_rank(self, level: int) -> np.ndarray:
+        """Position of each level-``level`` node in degree-grouped order.
+
+        The compiled kernel renumbers nodes this way so every degree
+        group is a contiguous row range; level-1 nodes keep their ids.
+        """
+        n_nodes = self.level_nodes(level)
+        if level == 1:
+            return np.arange(n_nodes, dtype=np.int64)
+        groups = self.levels[level].groups
+        perm = (
+            np.concatenate([g.nodes for g in groups])
+            if groups
+            else np.empty(0, dtype=np.int64)
+        )
+        rank = np.empty(n_nodes, dtype=np.int64)
+        rank[perm] = np.arange(n_nodes, dtype=np.int64)
+        return rank
+
+    def top_edge_order(self) -> np.ndarray:
+        """Top-level edge permutation in S³TTMc's summation order.
+
+        Edges sorted (stably) by their level-``N-1`` node's
+        :meth:`grouped_rank`: every output row receives its contributions
+        in this order, each added to the running row in turn.
+        """
+        top = self.levels[self.order]
+        rank = self.grouped_rank(self.order - 1)
+        return stable_argsort(rank[top.child])
 
 
 def _delete_one_per_run(current: np.ndarray):

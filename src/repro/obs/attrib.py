@@ -3,9 +3,10 @@
 The spans (:mod:`repro.obs.trace`) say where time *went*; the perfmodel
 (:mod:`repro.perfmodel`) says where it *should have gone*. This module
 joins the two: every ``lattice.level`` / ``lattice.scatter`` span carries
-the structural quantities (nodes, edges, entry size) from which its exact
-flop count follows — the same arithmetic as
-:meth:`repro.core.stats.KernelStats.add_level` — and the enclosing
+the structural quantities (nodes, edges, entry size, and the top edges a
+fused level folds into ``Y``) from which its exact flop count follows —
+the same arithmetic as :class:`repro.core.stats.KernelStats`
+(:func:`repro.obs.export.structural_flops`) — and the enclosing
 ``lattice_ttmc`` span carries the workload ``(layout, order, rank,
 unnz)`` the closed-form Eq.-9 models speak about. Feeding the measured
 ``(flops, seconds)`` pairs into
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .export import TraceRecords
+from .export import TraceRecords, structural_flops
 from .trace import TraceCollector
 
 __all__ = [
@@ -180,21 +181,6 @@ def _as_span_dicts(records: Union[TraceRecords, TraceCollector]):
     return records.spans, records.events
 
 
-def _structural_flops(name: str, attrs: dict) -> float:
-    """Exact flops of one level/scatter span from its recorded shape.
-
-    Level: each edge contributes a multiply+add per entry, minus one add
-    per node (the first term) — matching ``KernelStats.add_level``.
-    Scatter: value-scale plus accumulate per entry per top edge.
-    """
-    entry = float(attrs.get("entry_size", 0))
-    edges = float(attrs.get("edges", 0))
-    if name == "lattice.scatter":
-        return 2.0 * edges * entry
-    nodes = float(attrs.get("nodes", 0))
-    return (2.0 * edges - nodes) * entry
-
-
 def attribute(records: Union[TraceRecords, TraceCollector]) -> AttributionReport:
     """Join a trace's spans against the perfmodel into an
     :class:`AttributionReport`.
@@ -248,7 +234,7 @@ def attribute(records: Union[TraceRecords, TraceCollector]) -> AttributionReport
         level = "scatter" if name == "lattice.scatter" else str(
             attrs.get("level", "?")
         )
-        flops = _structural_flops(name, attrs)
+        flops = structural_flops(name, attrs)
         row = levels.setdefault(
             (level, layout, backend, mode),
             LevelRow(level, layout, backend, mode),

@@ -33,6 +33,7 @@ __all__ = [
     "TraceSummary",
     "summarize",
     "render_summary",
+    "structural_flops",
     "chrome_trace",
     "write_chrome_trace",
 ]
@@ -41,6 +42,7 @@ __all__ = [
 #: emits; the rollup groups on the suffix.
 PHASE_PREFIX = "phase:"
 LEVEL_SPAN = "lattice.level"
+SCATTER_SPAN = "lattice.scatter"
 
 
 def write_trace(
@@ -142,7 +144,13 @@ class PhaseRollup:
 
 @dataclass
 class LevelRollup:
-    """Aggregate of one lattice level across all kernel invocations."""
+    """Aggregate of one lattice level across all kernel invocations.
+
+    ``scatter_edges`` counts the top-level edges folded out of this
+    level's ``K`` (the fused level-``N-1`` span's ``scatter_edges``, or
+    a ``lattice.scatter`` span naming the level); ``flops`` includes
+    that work.
+    """
 
     level: int
     seconds: float = 0.0
@@ -150,6 +158,26 @@ class LevelRollup:
     nodes: int = 0
     edges: int = 0
     entries: int = 0
+    scatter_edges: int = 0
+    flops: float = 0.0
+
+
+def structural_flops(name: str, attrs: dict) -> float:
+    """Exact flops of one ``lattice.level``/``lattice.scatter`` span.
+
+    Level: each edge contributes a multiply+add per entry, minus one add
+    per node (the first term) — matching ``KernelStats.add_level``.
+    Scatter: value-scale plus accumulate per entry per top edge — matching
+    ``KernelStats.add_scatter``; a fused level span counts the top edges
+    it folds (``scatter_edges``) the same way.
+    """
+    entry = float(attrs.get("entry_size", 0))
+    edges = float(attrs.get("edges", 0))
+    if name == SCATTER_SPAN:
+        return 2.0 * edges * entry
+    nodes = float(attrs.get("nodes", 0))
+    scatter = float(attrs.get("scatter_edges", 0))
+    return (2.0 * edges - nodes) * entry + 2.0 * scatter * entry
 
 
 @dataclass
@@ -206,6 +234,15 @@ def summarize(records: Union[TraceRecords, TraceCollector]) -> TraceSummary:
             lr.nodes += int(attrs.get("nodes", 0))
             lr.edges += int(attrs.get("edges", 0))
             lr.entries += int(attrs.get("nodes", 0)) * int(attrs.get("entry_size", 0))
+            lr.scatter_edges += int(attrs.get("scatter_edges", 0))
+            lr.flops += structural_flops(name, attrs)
+        elif name == SCATTER_SPAN and "level" in attrs:
+            lr = summary.levels.setdefault(
+                int(attrs["level"]), LevelRollup(int(attrs["level"]))
+            )
+            lr.seconds += seconds
+            lr.scatter_edges += int(attrs.get("edges", 0))
+            lr.flops += structural_flops(name, attrs)
         elif ".iteration" in name:
             summary.iterations += 1
         if s.get("parent") is None:
@@ -244,6 +281,8 @@ def render_summary(summary: TraceSummary, title: str = "trace summary") -> str:
             level_table.set("nodes", str(level), str(lr.nodes))
             level_table.set("edges", str(level), str(lr.edges))
             level_table.set("entries", str(level), str(lr.entries))
+            level_table.set("scatter edges", str(level), str(lr.scatter_edges))
+            level_table.set("flops", str(level), f"{lr.flops:.4g}")
         blocks.append(level_table.render())
 
     footer = [

@@ -297,9 +297,10 @@ def run_workload_checks(
     )
 
     # Compiled kernels (repro.core.compile): the fused exec-generated
-    # path preserves operation order (stable scatter sort, degree-group
-    # reductions, node-aligned chunks) so it must match the generic
-    # kernel bitwise; batching/memoization variants reorder (allclose).
+    # path preserves operation order (degree-group reductions, node-aligned
+    # chunks, each output row summed left to right in top-edge order) so
+    # it must match the generic kernel bitwise; batching/memoization
+    # variants reorder (allclose).
     results.append(
         _guarded(
             spec,
@@ -359,6 +360,26 @@ def run_workload_checks(
             ),
         )
     )
+    # Block-size invariance: every output row is summed left to right in
+    # one fixed order, so the generic engine's top-level edge blocks
+    # change no bit and the compiled kernel equals it at any block size
+    # (down to one top edge per block).
+    for label, block in (("64kib", 2**16), ("1edge", 16 * cols)):
+        name = f"compiled-vs-generic-block-{label}"
+        results.append(
+            _guarded(
+                spec,
+                name,
+                "bitwise",
+                lambda name=name, block=block: _compare(
+                    spec,
+                    name,
+                    "bitwise",
+                    kernel(kernel="compiled"),
+                    kernel(block_bytes=block),
+                ),
+            )
+        )
     if unnz > 0:
         results.append(
             _guarded(
@@ -389,8 +410,9 @@ def run_workload_checks(
         )
     )
 
-    # Reordered-summation paths: batching, memoization scope, forced
-    # non-hoisted gathers (tiny block_bytes also splits the scatter).
+    # Reordered-summation paths: batching and memoization scope. Forced
+    # non-hoisted gathers with tiny blocks keep every product and the
+    # per-row summation order, so they stay bitwise.
     if unnz > 0:
         batch = max(1, unnz // 3)
         results.append(
@@ -425,11 +447,11 @@ def run_workload_checks(
         _guarded(
             spec,
             "nohoist-tiny-blocks",
-            "allclose",
+            "bitwise",
             lambda: _compare(
                 spec,
                 "nohoist-tiny-blocks",
-                "allclose",
+                "bitwise",
                 kernel(block_bytes=2048),
                 canonical,
             ),

@@ -1,8 +1,9 @@
 """Tests for the kernel compiler v2 (repro.core.compile).
 
 The compiled kernels promise *bitwise* agreement with the generic
-engine (same reduction order, same stable scatter sort, node-aligned
-chunks) — so most assertions here are ``array_equal``, not ``allclose``.
+engine (same reduction order, every output row summed left to right in
+the same top-edge order, node-aligned chunks) — so most assertions here
+are ``array_equal``, not ``allclose``.
 """
 
 import numpy as np
@@ -23,10 +24,14 @@ from repro.core.compile import (
 from repro.core.engine import lattice_ttmc
 from repro.core.plan import build_plan
 from repro.core.s3ttmc import s3ttmc
+from repro.core.stats import KernelStats
+from repro.data import random_sparse_symmetric
 from repro.decomp import hooi, hoqri
 from repro.formats import SparseSymmetricTensor
+from repro.obs.attrib import attribute
+from repro.obs.export import summarize
 from repro.obs.trace import TraceCollector
-from repro.runtime.budget import MemoryBudget
+from repro.runtime.budget import MemoryBudget, MemoryLimitError
 from repro.runtime.context import ExecContext
 from repro.symmetry.combinatorics import sym_storage_size
 
@@ -64,8 +69,8 @@ class TestBitwiseEquality:
         assert np.array_equal(got.data, ref.data)
 
     def test_chunk_size_invariance(self, rng):
-        # Chunks never split a node or scatter segment, so any chunk
-        # size must be bitwise-identical — not merely close.
+        # Chunks never split a node and rows are folded sequentially, so
+        # any chunk size must be bitwise-identical — not merely close.
         t = make_random_tensor(4, 8, 30, rng)
         u = rng.standard_normal((8, 4))
         base = _run(t, u, kernel="compiled", chunk_edges=DEFAULT_CHUNK_EDGES)
@@ -122,6 +127,20 @@ class TestOutAndRowMap:
         out = np.zeros((1, sym_storage_size(2, 3)))
         with pytest.raises(ValueError, match="row"):
             _run(t, u, kernel="compiled", out=out, out_row_map=row_map)
+
+    @pytest.mark.parametrize("kernel", ["generic", "compiled"])
+    def test_row_map_past_out_raises(self, kernel, rng):
+        # The compiled fold gathers out rows without bounds checks, so a
+        # map pointing past out must be refused up front, as the generic
+        # engine's indexing refuses it.
+        t = make_random_tensor(3, 6, 10, rng)
+        u = rng.standard_normal((6, 3))
+        ctx = ExecContext(budget=MemoryBudget())
+        out = np.zeros((2, sym_storage_size(2, 3)))
+        with pytest.raises(IndexError):
+            _run(t, u, kernel=kernel, out=out, out_row_map=np.full(6, 2), ctx=ctx)
+        assert not out.any()
+        assert ctx.budget.in_use == 0
 
     def test_invalid_kernel_name(self, rng):
         t = make_random_tensor(3, 6, 10, rng)
@@ -240,26 +259,136 @@ class TestChunkBytes:
         got = _run(t, u, kernel="compiled", ctx=ExecContext(collector=col))
         assert np.array_equal(got, _run(t, u))
         chunks = _requests(col, "compiled chunk buffers")
-        assert len(chunks) == 5  # levels 2..5 and the top scatter
+        assert len(chunks) == 5  # levels 2..4, level 5's chunk and fold buffers
         assert max(chunks) <= CHUNK_BYTES
 
-    def test_hub_row_overflow_is_accounted(self, rng):
-        # Row 0 is in every non-zero, so its top-level segment is as long
-        # as the tensor. Longer than the chunk, it is reduced alone in its
-        # own buffer — which the budget must see, and get back.
-        dim, rank = 24, 4
+    def test_hub_row_is_accounted(self, rng):
+        # Row 0 is in every non-zero, and each level-2 node (0, i) feeds
+        # about dim top edges: a hub output row and hub nodes. The hub
+        # row is folded through the accounted fold buffers, piece by
+        # piece; each hub node's top edges are split over pieces.
+        dim, rank, chunk = 24, 4, 16
         idx = np.array([(0, i, j) for i in range(1, dim) for j in range(i, dim)])
         t = SparseSymmetricTensor(3, dim, idx, rng.random(idx.shape[0]))
         u = rng.standard_normal((dim, rank))
         col = TraceCollector()
         ctx = ExecContext(budget=MemoryBudget(), collector=col)
-        got = _run(t, u, kernel="compiled", chunk_edges=16, ctx=ctx)
+        got = _run(t, u, kernel="compiled", chunk_edges=chunk, ctx=ctx)
         assert np.array_equal(got, _run(t, u))
         cols = sym_storage_size(2, rank)
-        hub_bytes = t.unnz * cols * 8
-        assert max(_requests(col, "compiled scatter overflow")) == hub_bytes
-        assert ctx.budget.peak >= dim * cols * 8 + hub_bytes  # Y + hub buffer
+        (tables,) = get_kernel(build_plan(t.indices), rank, "compact", chunk).tables
+        st = tables.stream
+        assert any(nn == 0 for _d, nn, *_rest in st.pieces)  # a split hub node
+        assert (st.heads == 0).sum() > 1  # row 0 is a head in many pieces
+        fold_bytes = (st.kn + st.hn + st.wn) * cols * 8
+        assert fold_bytes in _requests(col, "compiled chunk buffers")
+        assert st.wn <= 2 * chunk  # the hub never widens the fold buffer
+        assert ctx.budget.peak >= dim * cols * 8 + fold_bytes  # Y + fold buffers
         assert ctx.budget.in_use == 0
+
+
+class TestStreamedLevel:
+    """Level N-1 is folded into Y chunk by chunk; K_{N-1} never exists."""
+
+    def test_block_and_chunk_invariance(self):
+        # Each output row is summed left to right in one order, so the
+        # generic engine's top-level edge blocks and the compiled chunk
+        # size change no bit.
+        t = random_sparse_symmetric(4, 50, 3000, seed=3)
+        u = np.random.default_rng(3).standard_normal((50, 4))
+        ref = _run(t, u, kernel="compiled")
+        for block in (256 * 2**20, 2**20, 2**16):
+            assert np.array_equal(_run(t, u, block_bytes=block), ref), block
+        for chunk in (1, 16, 100, 100_000):
+            got = _run(t, u, kernel="compiled", chunk_edges=chunk)
+            assert np.array_equal(got, ref), chunk
+
+    @staticmethod
+    def _order5():
+        # Small dim: lower levels share heavily, so K_4 dwarfs K_2 + K_3.
+        t = random_sparse_symmetric(5, 30, 3000, seed=5)
+        u = np.random.default_rng(5).standard_normal((30, 8))
+        plan = build_plan(t.indices)
+        lattice = plan.batches[0][2]
+        k_bytes = {
+            lv: lattice.levels[lv].n_nodes * sym_storage_size(lv, 8) * 8
+            for lv in (2, 3, 4)
+        }
+        return t, u, plan, k_bytes
+
+    def test_no_k_last_request_and_peak_bound(self):
+        t, u, plan, k_bytes = self._order5()
+        col = TraceCollector()
+        ctx = ExecContext(budget=MemoryBudget(), collector=col)
+        got = _run(t, u, kernel="compiled", plan=plan, ctx=ctx)
+        assert np.array_equal(got, _run(t, u, plan=plan))
+        labels = {
+            e.attrs["label"] for e in col.events if e.name == "budget.request"
+        }
+        assert "K level 3" in labels and "K level 4" not in labels
+        y_bytes = 30 * sym_storage_size(4, 8) * 8
+        u_tables = 30 * 8 * (2 * sym_storage_size(2, 8) + sym_storage_size(3, 8) + sym_storage_size(4, 8))
+        bound = k_bytes[3] + y_bytes + u_tables + 4 * CHUNK_BYTES
+        assert bound < k_bytes[4]
+        assert ctx.budget.peak <= bound
+        assert ctx.budget.in_use == 0
+
+    def test_real_allocations_below_k_last(self):
+        import tracemalloc
+
+        t, u, plan, k_bytes = self._order5()
+        ctx = ExecContext(budget=MemoryBudget())
+        _run(t, u, kernel="compiled", plan=plan, ctx=ctx)  # compile + tables
+        ctx.budget.peak = ctx.budget.in_use
+        tracemalloc.start()
+        try:
+            _run(t, u, kernel="compiled", plan=plan, ctx=ctx)
+            _now, real_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert real_peak < k_bytes[4]
+        # Everything that scales with S is requested before it is made:
+        # what the budget never saw is pattern-sized index/scale arrays.
+        n_slots = get_kernel(plan, 8, "compact", None, ctx).tables[0].stream.wnode.size
+        assert real_peak <= ctx.budget.peak + 4 * 8 * n_slots + 2**16
+
+    def test_limit_hit_mid_level_drains_budget(self):
+        # Fail the fold-buffer request, after the streamed level already
+        # holds its U table and chunk buffers: everything is given back.
+        t, u, plan, _k = self._order5()
+        col = TraceCollector()
+        ctx = ExecContext(budget=MemoryBudget(), collector=col)
+        _run(t, u, kernel="compiled", plan=plan, ctx=ctx)
+        in_use, fold_at = 0, None
+        for e in col.events:
+            if e.name == "budget.request":
+                in_use += e.attrs["nbytes"]
+                if e.attrs["label"] == "compiled chunk buffers":
+                    fold_at = in_use  # the last chunk request is the fold's
+            elif e.name == "budget.release":
+                in_use -= e.attrs["nbytes"]
+        budget = MemoryBudget(limit_bytes=fold_at - 1)
+        with pytest.raises(MemoryLimitError):
+            _run(t, u, kernel="compiled", plan=plan, ctx=ExecContext(budget=budget))
+        assert budget.in_use == 0
+
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    @pytest.mark.parametrize("kernel", ["compiled", "generic"])
+    def test_trace_flops_equal_stats(self, order, kernel, rng):
+        # The fused span carries the fold's shape, so attribute() and
+        # summarize count exactly KernelStats' flops.
+        t = make_random_tensor(order, 8, 30, rng)
+        u = rng.standard_normal((8, 4))
+        col = TraceCollector()
+        stats = KernelStats()
+        _run(t, u, kernel=kernel, stats=stats, ctx=ExecContext(collector=col))
+        report = attribute(col)
+        assert sum(r.flops for r in report.levels) == stats.kernel_flops
+        summary = summarize(col)
+        assert sum(r.flops for r in summary.levels.values()) == stats.kernel_flops
+        assert summary.levels[order - 1].scatter_edges == stats.scatter_flops // (
+            2 * sym_storage_size(order - 1, 4)
+        )
 
 
 class TestProductionPaths:

@@ -4,12 +4,21 @@
 misbehaviour; ``scatter_add_rows`` reimplements ``np.add.at`` via
 sort-and-reduce. Both are cross-checked against loop/``np.add.at``
 references on the degenerate shapes the kernels can produce.
+``add_rows_in_order`` (the S³TTMc top-level fold) must sum every row
+strictly left to right, which is checked bitwise on values whose sum
+depends on the order.
 """
 
 import numpy as np
 import pytest
 
-from repro.core._segment import scatter_add_rows, segment_sum_by_ptr
+from repro.core._segment import (
+    add_rows_in_order,
+    fold_rows,
+    group_rows,
+    scatter_add_rows,
+    segment_sum_by_ptr,
+)
 
 
 def _segment_ref(contrib, node_ptr):
@@ -115,3 +124,73 @@ class TestScatterAddRows:
         n = int(rng.integers(1, 100))
         rows = rng.integers(0, 10, size=n)
         self._check(rows, _rows(n, width=5, seed=seed + 100), n_out=10)
+
+
+def _sequential(out, rows, contrib):
+    ref = out.copy()
+    for r, c in zip(rows, contrib):
+        ref[r] += c
+    return ref
+
+
+def _wide_range(n, width, seed):
+    # Magnitudes over 12 decades: any reassociation changes the bits.
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, width)) * 10.0 ** rng.integers(-6, 6, (n, 1))
+
+
+class TestAddRowsInOrder:
+    @pytest.mark.parametrize("width", [1, 2, 7, 36])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sequential_and_split_invariant(self, width, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        rows = rng.integers(0, 12, size=n)  # rows hit up to ~50 times
+        contrib = _wide_range(n, width, seed)
+        start = _wide_range(12, width, seed + 10)
+        ref = _sequential(start, rows, contrib)
+        got = start.copy()
+        add_rows_in_order(got, rows, contrib)
+        np.testing.assert_array_equal(got, ref)
+        cuts = [0, *sorted(rng.integers(0, n, size=4).tolist()), n]
+        split = start.copy()
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            add_rows_in_order(split, rows[a:b], contrib[a:b])
+        np.testing.assert_array_equal(split, ref)
+
+    def test_empty_is_noop(self):
+        out = np.ones((3, 2))
+        add_rows_in_order(out, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+        np.testing.assert_array_equal(out, np.ones((3, 2)))
+
+    def test_group_layout(self):
+        # Pieces [0, 4) and [4, 6): heads grouped by multiplicity, each
+        # head's slot block = the row itself, then its contributions.
+        rows = np.array([3, 1, 3, 3, 1, 1])
+        g = group_rows(rows, np.array([0, 4, 6]))
+        np.testing.assert_array_equal(g.heads, [1, 3, 1])
+        np.testing.assert_array_equal(g.head_ptr, [0, 2, 3])
+        np.testing.assert_array_equal(g.slots, [6, 1, 7, 0, 2, 3, 8, 4, 5])
+        assert g.groups == (((1, 1, 0, 0), (3, 1, 2, 1)), ((2, 1, 0, 0),))
+        # Rows 0 and 2 both get two: one group, laid out run by run.
+        g = group_rows(np.array([2, 0, 2, 0, 5, 5, 5]))
+        np.testing.assert_array_equal(g.heads, [0, 2, 5])
+        np.testing.assert_array_equal(g.slots, [7, 8, 1, 0, 3, 2, 9, 4, 5, 6])
+        assert g.groups == (((2, 2, 0, 0), (3, 1, 6, 2)),)
+
+    def test_fold_piecewise_matches_sequential(self):
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, 5, size=40)
+        contrib = _wide_range(40, 3, 7)
+        bounds = np.array([0, 9, 9, 25, 40])
+        g = group_rows(rows, bounds)
+        out = _wide_range(5, 3, 8)
+        ref = _sequential(out, rows, contrib)
+        for p in range(4):
+            s0, s1 = bounds[p] + g.head_ptr[p], bounds[p + 1] + g.head_ptr[p + 1]
+            h0, h1 = g.head_ptr[p], g.head_ptr[p + 1]
+            source = np.concatenate((contrib, out[g.heads]))
+            sums = np.empty((h1 - h0, 3))
+            fold_rows(source[g.slots[s0:s1]], g.groups[p], sums)
+            out[g.heads[h0:h1]] = sums
+        np.testing.assert_array_equal(out, ref)
