@@ -1,6 +1,9 @@
 """Vectorized segment reductions used by the lattice kernels.
 
-The S³TTMc engines accumulate top-level contributions into output rows
+Every sum the S³TTMc engines take goes through :func:`sum_runs`, which
+adds whole ``(n, S)`` runs strictly left to right. A lattice node's
+``d`` recurrence terms are summed that way as ``d`` degree-major runs.
+The engines accumulate top-level contributions into output rows
 with :func:`group_rows` + :func:`fold_rows` (or :func:`add_rows_in_order`,
 which combines them): every output row is summed strictly left to right,
 ``((out[r] + c_1) + c_2) + ...``, in the order the contributions arrive.
@@ -22,6 +25,7 @@ __all__ = [
     "scatter_add_rows",
     "RowGroups",
     "group_rows",
+    "sum_runs",
     "fold_rows",
     "add_rows_in_order",
     "stable_argsort",
@@ -186,23 +190,35 @@ def group_rows(rows: np.ndarray, bounds: Optional[np.ndarray] = None) -> RowGrou
     return RowGroups(slots, heads, head_ptr, tuple(tuple(g) for g in groups))
 
 
+def sum_runs(runs: np.ndarray, dest: np.ndarray) -> None:
+    """``dest = ((runs[0] + runs[1]) + runs[2]) + ...``, element by element.
+
+    ``runs`` is a ``(d, n, S)`` array of ``d`` runs of ``(n, S)`` rows and
+    ``dest`` an ``(n, S)`` array. ``np.add.reduce`` over the outer axis of
+    a C-contiguous block adds its runs one after another, as whole
+    blocks; on one single-column row (``n * S == 1``), or on a strided
+    view, it may reduce the run axis as its inner loop and sum pairwise
+    instead, so those cases add run by run.
+    """
+    if runs.shape[1] * runs.shape[2] > 1 and runs.flags.c_contiguous:
+        np.add.reduce(runs, axis=0, out=dest)
+        return
+    np.copyto(dest, runs[0])
+    for run in runs[1:]:
+        dest += run
+
+
 def fold_rows(slots: np.ndarray, groups: tuple, dest: np.ndarray) -> None:
     """Sum each head's slots of ``slots`` left to right into ``dest``.
 
     ``slots`` is one piece's filled ``(n_slots, S)`` slot array and
     ``groups`` its :attr:`RowGroups.groups` entry; ``dest[k]`` receives
-    head ``k``'s sum. ``np.add.reduce`` over the outer axis of a group's
-    ``(1 + m, g, S)`` block adds its ``(g, S)`` runs one after another;
-    a group of one single-column row would be reduced pairwise instead,
-    so that case takes the (sequential) running sum.
+    head ``k``'s sum: the group's ``(1 + m, g, S)`` block is ``1 + m``
+    runs for :func:`sum_runs`.
     """
     width = slots.shape[1]
     for m, g, s, h in groups:
-        block = slots[s : s + (1 + m) * g].reshape(1 + m, g, width)
-        if g * width > 1:
-            np.add.reduce(block, axis=0, out=dest[h : h + g])
-        else:
-            dest[h : h + g] = np.cumsum(block, axis=0)[-1]
+        sum_runs(slots[s : s + (1 + m) * g].reshape(1 + m, g, width), dest[h : h + g])
 
 
 def add_rows_in_order(out: np.ndarray, rows: np.ndarray, contrib: np.ndarray) -> None:

@@ -26,11 +26,17 @@ Three fusions distinguish the generated kernels from the generic engine
   scatter.
 
 Each fusion preserves the generic engine's floating-point summation order
-exactly (same degree-group reduction; every output row summed left to
-right over its contributions in level-``N-1`` node order, see
-:meth:`repro.core.lattice.Lattice.top_edge_order`), so compiled results
-are *bitwise* equal to the generic engine's — :mod:`repro.verify` checks
-that on every configuration it sweeps.
+exactly (every node's terms summed left to right over its edges; every
+output row summed left to right over its contributions in level-``N-1``
+node order, see :meth:`repro.core.lattice.Lattice.top_edge_order`), so
+compiled results are *bitwise* equal to the generic engine's —
+:mod:`repro.verify` checks that on every configuration it sweeps.
+
+The tables own each level's node chunks, and each chunk's edges are
+stored *degree-major*: edge ``k`` of every node in the chunk, for
+``k = 0 .. d-1`` in turn. A chunk's degree sum then adds ``d``
+contiguous ``(nn, S)`` runs (:func:`repro.core._segment.sum_runs`)
+instead of ``nn * S`` strided ``d``-term sums.
 
 Each level's chunk holds at most ``chunk_edges`` edges and at most
 :data:`CHUNK_BYTES` of chunk buffers, so wide rows (high order, large R)
@@ -69,7 +75,7 @@ import numpy as np
 
 from ..runtime.context import ExecContext, resolve_context
 from ..symmetry.combinatorics import dense_size, sym_storage_size
-from ._segment import fold_rows, group_rows
+from ._segment import fold_rows, group_rows, sum_runs
 from .lattice import Lattice
 from .layouts import layout_for
 from .plan import TTMcPlan
@@ -91,7 +97,7 @@ __all__ = [
 
 #: Version of the v2 source generator. Bumping it invalidates every cached
 #: function and every ``ctx.plans`` table entry (both cache keys embed it).
-KERNEL_VERSION = 4
+KERNEL_VERSION = 5
 
 #: Default edges-per-chunk for the fused gather loops — the upper bound;
 #: :data:`CHUNK_BYTES` caps it further for wide rows.
@@ -167,27 +173,26 @@ class KernelSpec:
 
 
 class _LevelTables:
-    """Flat per-level index tables, node-renumbered for contiguous writes.
+    """Flat per-level index tables in degree-major node chunks.
 
     Nodes are renumbered so every degree group occupies a contiguous row
-    range of the level's K matrix — the generated degree-sum writes
-    straight into a slice (``np.sum(..., out=k[r0:r1])``) with no
-    fancy-index scatter. The *next* level's ``child`` array is remapped
-    through the inverse permutation at build time, so renumbering costs
-    nothing per call.
+    range of the level's K matrix; the *next* level's ``child`` array is
+    remapped through the inverse permutation at build time, so
+    renumbering costs nothing per call. ``chunks`` holds one
+    ``(d, nn, e0, n0)`` per chunk: ``nn`` nodes of degree ``d``, rows
+    ``n0 : n0 + nn``, computed from table edges ``e0 : e0 + nn*d``, where
+    edge ``e0 + k*nn + j`` is node ``n0 + j``'s ``k``-th lattice edge.
     """
 
-    __slots__ = (
-        "value", "child", "groups", "n_nodes", "n_edges", "max_degree", "q", "p"
-    )
+    __slots__ = ("value", "child", "chunks", "rows", "n_nodes", "n_edges", "q", "p")
 
-    def __init__(self, value, child, groups, n_nodes, n_edges, max_degree, q, p):
+    def __init__(self, value, child, chunks, rows, n_nodes, n_edges, q, p):
         self.value = value
         self.child = child
-        self.groups = groups  # ((degree, n_nodes, edge_offset), ...)
+        self.chunks = chunks
+        self.rows = rows  # largest edge count of a chunk
         self.n_nodes = n_nodes
         self.n_edges = n_edges
-        self.max_degree = max_degree
         self.q = q  # layout last-index gather (factor columns)
         self.p = p  # layout parent-location gather (parent K columns)
 
@@ -208,22 +213,19 @@ class _StreamTables:
     keeps).
     """
 
-    __slots__ = (
-        "pieces", "widx", "wnode", "heads", "leaf", "n_edges",
-        "rows", "kn", "hn", "wn",
-    )
+    __slots__ = ("pieces", "widx", "wnode", "heads", "leaf", "n_edges", "kn", "hn", "wn")
 
-    def __init__(self, pieces, widx, wnode, heads, leaf, n_edges, rows, kn, hn, wn):
+    def __init__(self, pieces, widx, wnode, heads, leaf, n_edges, kn, hn, wn):
         # pieces: ((d, nn, e0, s0, s1, h0, h1, groups), ...) — compute nn
         # nodes of degree d from level edges e0 : e0 + nn*d (nn = 0: the
         # node is already in Kx), then fold slots s0:s1 into heads h0:h1.
+        # The computing pieces are level N-1's chunks.
         self.pieces = pieces
         self.widx = widx
         self.wnode = wnode
         self.heads = heads  # output row of each head slot
         self.leaf = leaf  # order 2: factor row of each level-1 node
         self.n_edges = n_edges
-        self.rows = rows  # largest level-edge count of a piece
         self.kn = kn  # largest node count of a piece (Kx head offset)
         self.hn = hn  # largest head count of a piece
         self.wn = wn  # largest slot count of a piece
@@ -264,6 +266,8 @@ def _stream_caps(order: int, rank: int, layout: str, chunk_edges: int):
 
 
 def _build_stream(lattice: Lattice, rank: int, layout: str, chunk_edges: int):
+    """The streamed level's tables, and its computing pieces as
+    ``(d, nn, e0, n0)`` chunk rows (see :func:`_level_chunks`)."""
     order = lattice.order
     top = lattice.levels[order]
     assert top.node is not None, "top lattice level must retain parent ids"
@@ -321,7 +325,8 @@ def _build_stream(lattice: Lattice, rank: int, layout: str, chunk_edges: int):
     wnode = np.where(is_head, lattice.n_nonzeros, top.node[perm][edge])
     hp = grouped.head_ptr.tolist()
     sp = slot_ptr.tolist()
-    return _StreamTables(
+    chunks = np.array([p[:4] for p in pieces if p[1]], dtype=np.int64).reshape(-1, 4)
+    stream = _StreamTables(
         pieces=tuple(
             (d, nn, e0, sp[i], sp[i + 1], hp[i], hp[i + 1], grouped.groups[i])
             for i, (d, nn, e0, _n0, _t0, _t1) in enumerate(pieces)
@@ -331,11 +336,46 @@ def _build_stream(lattice: Lattice, rank: int, layout: str, chunk_edges: int):
         heads=grouped.heads,
         leaf=np.ascontiguousarray(lattice.leaf_values),
         n_edges=n_edges,
-        rows=max(max(p[0] * p[1] for p in pieces), 1),
         kn=kn,
         hn=int(np.diff(grouped.head_ptr).max()),
         wn=int(np.diff(slot_ptr).max()),
     )
+    return stream, chunks
+
+
+def _level_chunks(groups, cap: int) -> np.ndarray:
+    """``(n_chunks, 4)`` rows ``(d, nn, e0, n0)``: each degree group cut
+    into chunks of ``max(1, cap // d)`` whole nodes."""
+    parts = [np.zeros((0, 4), dtype=np.int64)]
+    n0 = 0
+    for g in groups:
+        d = g.degree
+        a = np.arange(0, g.n_nodes, max(1, cap // d), dtype=np.int64)
+        nn = np.diff(np.append(a, g.n_nodes))
+        parts.append(
+            np.stack([np.full_like(a, d), nn, g.edge_offset + a * d, n0 + a], axis=1)
+        )
+        n0 += g.n_nodes
+    return np.concatenate(parts)
+
+
+def _degree_major(chunks: np.ndarray) -> np.ndarray:
+    """Edge permutation that stores each chunk degree-major.
+
+    ``chunks`` (rows ``(d, nn, e0, n0)``, ``nn > 0``) tile a level's
+    node-major edges in order; table edge ``e0 + k*nn + j`` takes lattice
+    edge ``e0 + j*d + k``.
+    """
+    d, nn, e0 = chunks[:, 0], chunks[:, 1], chunks[:, 2]
+    # One run per (chunk, k): nn table edges, lattice stride d, from e0 + k.
+    k = np.arange(int(d.sum()), dtype=np.int64) - np.repeat(np.cumsum(d) - d, d)
+    run_len = np.repeat(nn, d)
+    stride = np.repeat(d, d)
+    run_e0 = np.repeat(e0, d)
+    start = run_e0 + k  # lattice edge of the run's first table edge...
+    first = run_e0 + k * run_len  # ...which sits at this table position
+    pos = np.arange(int(run_len.sum()), dtype=np.int64)
+    return np.repeat(start - first * stride, run_len) + pos * np.repeat(stride, run_len)
 
 
 def build_tables(
@@ -348,9 +388,12 @@ def build_tables(
 
     Pattern-only (never touches factor values), built once per plan and
     cached on ``ctx.plans`` — the numeric call then runs pure gathers.
-    ``chunk_edges`` fixes the streamed level's pieces.
+    ``chunk_edges`` (with :data:`CHUNK_BYTES`) fixes every level's node
+    chunks and the streamed level's pieces; each level's edges are
+    stored degree-major within its chunks.
     """
     order = lattice.order
+    stream, stream_chunks = _build_stream(lattice, rank, layout, chunk_edges)
     levels: List[_LevelTables] = []
     inv: Optional[np.ndarray] = None
     for level in range(2, order):
@@ -364,24 +407,25 @@ def build_tables(
         else:
             child = inv[child]
         inv = lattice.grouped_rank(level)
+        if level == order - 1:
+            chunks = stream_chunks
+        else:
+            cap = _chunk_rows(chunk_edges, _edge_bytes(layout, level, rank))
+            chunks = _level_chunks(edges.groups, cap)
+        perm = _degree_major(chunks)
         levels.append(
             _LevelTables(
-                value=np.ascontiguousarray(edges.value),
-                child=np.ascontiguousarray(child),
-                groups=tuple(
-                    (g.degree, g.n_nodes, g.edge_offset) for g in edges.groups
-                ),
+                value=edges.value[perm],
+                child=child[perm],
+                chunks=tuple(map(tuple, chunks.tolist())),
+                rows=int((chunks[:, 0] * chunks[:, 1]).max(initial=1)),
                 n_nodes=edges.n_nodes,
                 n_edges=edges.n_edges,
-                max_degree=max((g.degree for g in edges.groups), default=1),
                 q=np.ascontiguousarray(lay.last_index),
                 p=np.ascontiguousarray(lay.parent_loc),
             )
         )
-    return KernelTables(
-        levels=tuple(levels),
-        stream=_build_stream(lattice, rank, layout, chunk_edges),
-    )
+    return KernelTables(levels=tuple(levels), stream=stream)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +433,13 @@ def build_tables(
 # ---------------------------------------------------------------------------
 
 
-def _level_lines(
-    level: int, s_cur: int, s_prev: int, row_bytes: int, nodes: str, dest: str
-):
+def _level_lines(level: int, s_cur: int, s_prev: int, row_bytes: int, dest: str):
     """Setup, chunk body and teardown lines of one level's node chunks.
 
-    The body computes ``nodes`` rows of level ``level`` into ``dest`` from
-    the ``ne`` degree-``d`` edges ``sl``; the setup requests and builds
-    the gather tables and ``rows``-edge chunk buffers, the teardown gives
-    them back.
+    The body computes ``nn`` rows of level ``level`` into ``dest`` from
+    the ``ne`` degree-major edges ``sl`` of ``nn`` degree-``d`` nodes;
+    the setup requests and builds the gather tables and ``rows``-edge
+    chunk buffers, the teardown gives them back.
     """
     if level == 2:
         setup = [
@@ -434,12 +476,7 @@ def _level_lines(
         ]
         prod = "Cb"
         tables = f"factor.shape[0] * {s_cur * 8}"
-    body += [
-        "if d == 1:",
-        f"    {dest} = {prod}",
-        "else:",
-        f"    _np.sum({prod}.reshape({nodes}, d, {s_cur}), axis=1, out={dest})",
-    ]
+    body.append(f"_sum_runs({prod}.reshape(d, nn, {s_cur}), {dest})")
     # Drop the arrays before giving their bytes back, so the budget never
     # counts as free what is still alive.
     teardown = [
@@ -498,28 +535,22 @@ def generate_kernel_source(spec: KernelSpec) -> str:
         s_cur = sizes[level]
         row_bytes = _edge_bytes(layout, level, rank)
         setup, body, teardown = _level_lines(
-            level, s_cur, sizes[level - 1], row_bytes, "b - a", "k_cur[r0 + a : r0 + b]"
+            level, s_cur, sizes[level - 1], row_bytes, "k_cur[n0 : n0 + nn]"
         )
         if level == 2:
             add(f"        # -- level 2 (S={s_cur}): leaf level fused into the factor gathers")
         else:
             add(f"        # -- level {level} (S={s_cur}): parent consumed compact, re-laid-out per chunk")
-        cap = _chunk_rows(chunk, row_bytes)
         add(f"        lt = t.levels[{level - 2}]")
         add(f'        with ctx.span("lattice.level", level={level}, nodes=lt.n_nodes, edges=lt.n_edges, entry_size={s_cur}):')
         add(f'            _req(lt.n_nodes * {s_cur * 8}, "K level {level}")')
         add(f"            k_cur = _np.empty((lt.n_nodes, {s_cur}), dtype=_np.float64)")
-        add(f"            rows = min(max({cap}, lt.max_degree), max(lt.n_edges, 1))")
+        add("            rows = lt.rows")
         block(12, setup)
-        add("            r0 = 0")
-        add("            for d, gn, goff in lt.groups:")
-        add(f"                npc = max(1, {cap} // d)")
-        add("                for a in range(0, gn, npc):")
-        add("                    b = min(a + npc, gn)")
-        add("                    ne = (b - a) * d")
-        add("                    sl = slice(goff + a * d, goff + b * d)")
-        block(20, body)
-        add("                r0 += gn")
+        add("            for d, nn, e0, n0 in lt.chunks:")
+        add("                ne = nn * d")
+        add("                sl = slice(e0, e0 + ne)")
+        block(16, body)
         block(12, teardown)
         add("        if stats is not None:")
         add(f"            stats.add_level({level}, lt.n_nodes, lt.n_edges, {s_cur})")
@@ -561,14 +592,9 @@ def generate_kernel_source(spec: KernelSpec) -> str:
     add("            wsc = _np.append(values, 1.0)[st.wnode]")
     if last > 1:
         setup, body, teardown = _level_lines(
-            last,
-            top_size,
-            sizes[last - 1],
-            _edge_bytes(layout, last, rank),
-            "nn",
-            "Kx[:nn]",
+            last, top_size, sizes[last - 1], _edge_bytes(layout, last, rank), "Kx[:nn]"
         )
-        add("            rows = st.rows")
+        add("            rows = lt.rows")
         block(12, setup)
     add(f'            _req({fold_bytes}, "compiled chunk buffers")')
     add(f"            Kx = _np.empty((st.kn + st.hn, {top_size}), dtype=_np.float64)")
@@ -633,7 +659,7 @@ def compiled_kernel(spec: KernelSpec) -> Callable:
             _FN_CACHE.move_to_end(spec)
             return fn
     source = generate_kernel_source(spec)
-    namespace: dict = {"_np": np, "_fold": fold_rows}
+    namespace: dict = {"_np": np, "_fold": fold_rows, "_sum_runs": sum_runs}
     exec(
         compile(source, f"<repro.core.compile {spec.function_name}>", "exec"),
         namespace,

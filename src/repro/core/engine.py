@@ -29,7 +29,7 @@ import numpy as np
 
 from ..runtime.context import ExecContext, resolve_context
 from ..symmetry.combinatorics import dense_size, sym_storage_size
-from ._segment import add_rows_in_order
+from ._segment import add_rows_in_order, sum_runs
 from .compile import get_kernel
 from .lattice import Lattice
 from .layouts import layout_for
@@ -374,8 +374,9 @@ def _compute_level(
 
     Per edge ``e`` (term of its node):
     ``contrib[e, s] = U[value[e], last_index[s]] * K_prev[child[e], parent_loc[s]]``
-    with both gathers hoisted to per-level row tables; edges are node-major
-    so a single segment-sum finishes each chunk.
+    with both gathers hoisted to per-level row tables. Each chunk is
+    gathered degree-major, ``(d, nn, S)``, so its degree sum adds ``d``
+    contiguous runs left to right (:func:`~repro.core._segment.sum_runs`).
     """
     ctx = resolve_context(ctx)
     n_nodes = k_cur.shape[0]
@@ -405,18 +406,17 @@ def _compute_level(
             for a in range(0, group.n_nodes, nodes_per_chunk):
                 b = min(a + nodes_per_chunk, group.n_nodes)
                 sl = slice(group.edge_offset + a * degree, group.edge_offset + b * degree)
+                value = edges.value[sl].reshape(b - a, degree).T
+                child = edges.child[sl].reshape(b - a, degree).T
                 if hoist:
-                    contrib = gathered_factor[edges.value[sl]]
-                    contrib *= expanded_prev[edges.child[sl]]
+                    contrib = gathered_factor[value]
+                    contrib *= expanded_prev[child]
                 else:
-                    contrib = factor[edges.value[sl, None], layout.last_index[None, :]]
-                    contrib *= k_prev[edges.child[sl, None], layout.parent_loc[None, :]]
-                if degree == 1:
-                    k_cur[group.nodes[a:b]] = contrib
-                else:
-                    k_cur[group.nodes[a:b]] = contrib.reshape(b - a, degree, size).sum(
-                        axis=1
-                    )
+                    contrib = factor[value[..., None], layout.last_index]
+                    contrib *= k_prev[child[..., None], layout.parent_loc]
+                summed = np.empty((b - a, size), dtype=np.float64)
+                sum_runs(contrib, summed)
+                k_cur[group.nodes[a:b]] = summed
     finally:
         if hoist:
             ctx.release_bytes(hoist_bytes, "level gather tables")

@@ -18,9 +18,10 @@ Memoization scope:
   exactly ``C(N,l)`` nodes per level for an all-distinct non-zero).
 
 Edges of each level are stored *degree-grouped*: nodes with the same
-number of recurrence terms ``d`` are contiguous, with their ``d`` edges
-interleaved, so the evaluation engine can reduce a whole group with one
-``reshape(n, d, S).sum(axis=1)`` — a compiled, exact segment sum. (A node's
+number of recurrence terms ``d`` are contiguous, each with its ``d`` edges
+in a row (node-major), so the evaluation engines can cut a group into node
+chunks of equal degree and sum each node's terms left to right as ``d``
+degree-major runs (:func:`repro.core._segment.sum_runs`). (A node's
 degree is its count of distinct index values, at most ``min(l, order)``.)
 
 The lattice is purely structural — it knows nothing about ranks, layouts,

@@ -22,6 +22,7 @@ from repro.core.compile import (
     kernel_cache_info,
 )
 from repro.core.engine import lattice_ttmc
+from repro.core.lattice import build_lattice
 from repro.core.plan import build_plan
 from repro.core.s3ttmc import s3ttmc
 from repro.core.stats import KernelStats
@@ -299,7 +300,7 @@ class TestStreamedLevel:
         ref = _run(t, u, kernel="compiled")
         for block in (256 * 2**20, 2**20, 2**16):
             assert np.array_equal(_run(t, u, block_bytes=block), ref), block
-        for chunk in (1, 16, 100, 100_000):
+        for chunk in (1, 7, 16, 100, 1024, 100_000):
             got = _run(t, u, kernel="compiled", chunk_edges=chunk)
             assert np.array_equal(got, ref), chunk
 
@@ -455,10 +456,90 @@ class TestSpecAndTables:
         assert "nonzero" in name and "c64" in name
 
     def test_tables_nbytes_positive(self, rng):
-        from repro.core.lattice import build_lattice
-
         t = make_random_tensor(3, 6, 10, rng)
         lattice = build_lattice(t.indices, memoize="global")
         tables = build_tables(lattice, 4, "compact")
         assert tables.nbytes > 0
         assert len(tables.levels) >= 1
+
+
+def _left_to_right_r1(tensor, u):
+    """S³TTMc at R = 1 in plain Python floats, in the reference order:
+    every node's terms summed left to right over its edges, every output
+    row left to right in :meth:`Lattice.top_edge_order`."""
+    lattice = build_lattice(tensor.indices)
+    col = u[:, 0].tolist()
+    k = [col[v] for v in lattice.leaf_values.tolist()]
+    for level in range(2, lattice.order):
+        edges = lattice.levels[level]
+        value, child = edges.value.tolist(), edges.child.tolist()
+        cur = [0.0] * edges.n_nodes
+        for g in edges.groups:
+            for j, node in enumerate(g.nodes.tolist()):
+                e0 = g.edge_offset + j * g.degree
+                acc = col[value[e0]] * k[child[e0]]
+                for e in range(e0 + 1, e0 + g.degree):
+                    acc += col[value[e]] * k[child[e]]
+                cur[node] = acc
+        k = cur
+    top = lattice.levels[lattice.order]
+    value, child, node = top.value.tolist(), top.child.tolist(), top.node.tolist()
+    values = tensor.values.tolist()
+    out = [0.0] * tensor.dim
+    for e in lattice.top_edge_order().tolist():
+        out[value[e]] += k[child[e]] * values[node[e]]
+    return np.array(out)[:, None]
+
+
+class TestDegreeMajorChunks:
+    """Chunk edges are stored degree-major; every degree sum is sequential."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_order9_rank1_sums_left_to_right(self, seed):
+        # At R = 1 a node's d terms are single columns; order 9 has nodes
+        # of degree >= 8, where a contiguous d-term NumPy sum goes pairwise.
+        t = random_sparse_symmetric(9, 30, 50, seed=seed)
+        u = np.random.default_rng(seed).standard_normal((30, 1))
+        ref = _left_to_right_r1(t, u)
+        assert max(g.degree for g in build_lattice(t.indices).levels[8].groups) >= 8
+        for intermediate in ("compact", "cp"):
+            assert np.array_equal(_run(t, u, intermediate=intermediate), ref)
+            for chunk in (1, 7, 1024):
+                got = _run(t, u, intermediate=intermediate, kernel="compiled", chunk_edges=chunk)
+                assert np.array_equal(got, ref), (intermediate, chunk)
+        for block in (2**10, 2**16):
+            assert np.array_equal(_run(t, u, block_bytes=block), ref), block
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    @pytest.mark.parametrize("order,rank", [(3, 4), (5, 8), (9, 1)])
+    def test_table_invariants(self, order, rank, chunk):
+        t = random_sparse_symmetric(order, 30, 80, seed=1)
+        lattice = build_lattice(t.indices)
+        tables = build_tables(lattice, rank, "compact", chunk)
+        streamed = [p[:3] for p in tables.stream.pieces if p[1]]
+        assert [c[:3] for c in tables.levels[-1].chunks] == streamed
+        for level, lt in zip(range(2, order), tables.levels):
+            edges = lattice.levels[level]
+            child = (
+                lattice.leaf_values[edges.child]
+                if level == 2
+                else lattice.grouped_rank(level - 1)[edges.child]
+            )
+            # Grouped node i's node-major lattice edges start at ptr[i].
+            degree = np.concatenate([np.full(g.n_nodes, g.degree) for g in edges.groups])
+            ptr = np.concatenate([[0], np.cumsum(degree)])
+            covered = np.zeros(edges.n_nodes, dtype=np.int64)
+            for d, nn, e0, n0 in lt.chunks:
+                covered[n0 : n0 + nn] += 1
+                assert (degree[n0 : n0 + nn] == d).all() and e0 == ptr[n0]
+                assert nn * d <= lt.rows
+                sl = slice(e0, e0 + nn * d)
+                # The chunk's table edges are its lattice edges, permuted...
+                got = np.sort(lt.value[sl] * edges.n_edges + lt.child[sl])
+                want = np.sort(edges.value[sl] * edges.n_edges + child[sl])
+                assert np.array_equal(got, want)
+                # ...so that row (k, j) of C.reshape(d, nn, S) is node
+                # n0 + j's k-th edge.
+                for table, lat in ((lt.value, edges.value), (lt.child, child)):
+                    assert np.array_equal(table[sl].reshape(d, nn), lat[sl].reshape(nn, d).T)
+            assert (covered == 1).all(), level

@@ -356,10 +356,13 @@ class TestDerivedJobIsolation:
         base = ExecContext(seed=1)
         budget_a, budget_b = MemoryBudget(), MemoryBudget()
         col_a, col_b = TraceCollector(), TraceCollector()
+        # Job a's 5000 iterations stop at exact convergence after about
+        # 150 (~40 ms on a 2-core host), so its deadline must sit well
+        # below that for the trip to be certain.
         job_a = base.derive(
             budget=budget_a,
             collector=col_a,
-            deadline_seconds=0.05,
+            deadline_seconds=0.01,
             cancel=CancelToken(),
         )
         job_b = base.derive(

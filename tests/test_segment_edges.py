@@ -4,9 +4,9 @@
 misbehaviour; ``scatter_add_rows`` reimplements ``np.add.at`` via
 sort-and-reduce. Both are cross-checked against loop/``np.add.at``
 references on the degenerate shapes the kernels can produce.
-``add_rows_in_order`` (the S³TTMc top-level fold) must sum every row
-strictly left to right, which is checked bitwise on values whose sum
-depends on the order.
+``add_rows_in_order`` (the S³TTMc top-level fold) and ``sum_runs`` (every
+degree sum) must sum strictly left to right, which is checked bitwise on
+values whose sum depends on the order.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.core._segment import (
     group_rows,
     scatter_add_rows,
     segment_sum_by_ptr,
+    sum_runs,
 )
 
 
@@ -194,3 +195,26 @@ class TestAddRowsInOrder:
             fold_rows(source[g.slots[s0:s1]], g.groups[p], sums)
             out[g.heads[h0:h1]] = sums
         np.testing.assert_array_equal(out, ref)
+
+
+class TestSumRuns:
+    @pytest.mark.parametrize(
+        "d,n,width", [(1, 4, 3), (2, 500, 10), (9, 1, 1), (9, 6, 1), (12, 1, 5), (30, 3, 2)]
+    )
+    @pytest.mark.parametrize("degree_major", [True, False])
+    def test_left_to_right(self, d, n, width, degree_major):
+        flat = _wide_range(d * n, width, d + n)
+        # Degree-major (contiguous runs) or node-major (a strided view).
+        runs = (
+            flat.reshape(d, n, width)
+            if degree_major
+            else flat.reshape(n, d, width).transpose(1, 0, 2)
+        )
+        ref = runs[0].copy()
+        for k in range(1, d):
+            for i in range(n):
+                for c in range(width):
+                    ref[i, c] = ref[i, c] + runs[k, i, c]
+        got = np.empty((n, width))
+        sum_runs(runs, got)
+        np.testing.assert_array_equal(got, ref)
