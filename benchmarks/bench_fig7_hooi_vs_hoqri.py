@@ -12,7 +12,7 @@ linearly cannot shrink an ``R^{N-1}`` term, so the rank is lowered instead
 (documented in EXPERIMENTS.md).
 
 ``REPRO_FIG7_EXECUTION=thread|process`` routes every S³TTMc through the
-parallel backend (``hooi(..., execution=...)``); default ``serial``
+parallel backend (``ExecContext(execution=...)``); default ``serial``
 reproduces the single-core paper numbers.
 """
 
@@ -24,6 +24,7 @@ from _common import BUDGET_GB, save_table
 from repro.bench.records import Measurement, SeriesTable
 from repro.data.datasets import DATASETS, dataset_names
 from repro.decomp import hooi, hoqri
+from repro.runtime import ExecContext
 from repro.runtime.budget import MemoryBudget, MemoryLimitError
 
 N_ITERS = 3
@@ -36,11 +37,11 @@ EXECUTION = os.environ.get("REPRO_FIG7_EXECUTION", "serial")
 def _run_algorithm(fn, tensor, rank, **kwargs) -> Measurement:
     import time
 
-    kwargs.setdefault("execution", EXECUTION)
+    ctx = ExecContext(budget=MemoryBudget(gigabytes=BUDGET_GB), execution=EXECUTION)
     try:
-        with MemoryBudget(gigabytes=BUDGET_GB):
+        with ctx:
             tick = time.perf_counter()
-            fn(tensor, rank, max_iters=N_ITERS, tol=0.0, seed=1, **kwargs)
+            fn(tensor, rank, max_iters=N_ITERS, tol=0.0, seed=1, ctx=ctx, **kwargs)
             return Measurement.from_seconds(time.perf_counter() - tick)
     except MemoryLimitError as exc:
         return Measurement.out_of_memory(note=exc.label)

@@ -75,7 +75,7 @@ per-incident trace events, and the matching
 Backends are context managers; ``close()`` is idempotent. Create them
 directly, via :func:`make_backend`, or implicitly through
 ``parallel_s3ttmc(..., backend="thread")`` /
-``hooi(..., execution="process")``.
+``hooi(..., ctx=ExecContext(execution="process"))``.
 """
 
 from __future__ import annotations

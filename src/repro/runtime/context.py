@@ -538,7 +538,7 @@ class ExecContext:
 
         The context deliberately does not *create* backends (that would
         invert the layering — ``runtime`` sits below ``parallel``);
-        creation lives in :func:`repro.decomp._execution.acquire_backend`
+        creation lives in :func:`repro.decomp._sweep.acquire_backend`
         and :func:`repro.parallel.executor.parallel_s3ttmc`, which adopt
         what they make.
         """
@@ -579,19 +579,19 @@ class ExecContext:
         *,
         budget: Optional[MemoryBudget] = None,
         collector: Optional["_trace.TraceCollector"] = None,
-        execution: Optional[str] = None,
-        n_workers: Optional[int] = None,
         seed: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
         cancel: Optional[CancelToken] = None,
     ) -> "ExecContext":
-        """Child context sharing budget/collector/plan cache, with its own
-        backend slot and (optionally) overridden execution settings.
+        """Child context sharing budget/collector/plan cache and execution
+        settings, with its own backend slot.
 
-        This is how the legacy ``hooi(..., execution="thread")`` call
-        sites keep working: the driver derives an ephemeral child from the
-        ambient context, runs on it, and closes it — while plans persist
-        in the shared cache across calls.
+        A ``hooi``/``hoqri`` call without ``ctx=`` outside any explicit
+        context derives an ephemeral child of the ambient context, runs
+        on it, and closes it — while plans persist in the shared cache
+        across calls. Execution settings are not overridable here: a run
+        that executes differently is configured with its own
+        :class:`ExecContext`.
 
         Resilience state is inherited: the child shares the parent's
         :class:`~repro.runtime.health.CancelToken` (cancelling the run
@@ -609,8 +609,8 @@ class ExecContext:
         child = ExecContext(
             budget=budget if budget is not None else self.budget,
             collector=collector if collector is not None else self.collector,
-            execution=execution if execution is not None else self.execution,
-            n_workers=n_workers if n_workers is not None else self.n_workers,
+            execution=self.execution,
+            n_workers=self.n_workers,
             seed=seed if seed is not None else self.seed,
             plans=self.plans,
             faults=self.faults,

@@ -188,6 +188,13 @@ class JobSpec:
         else:
             if self.rank is None or int(self.rank) < 1:
                 raise InvalidJobError(f"{self.kind} jobs require rank >= 1")
+            if int(self.rank) > self.tensor.dim:
+                raise InvalidJobError(
+                    f"rank {self.rank} exceeds the tensor dimension "
+                    f"{self.tensor.dim}"
+                )
+            if self.max_iters is not None and int(self.max_iters) < 1:
+                raise InvalidJobError(f"{self.kind} jobs require max_iters >= 1")
 
     @property
     def effective_rank(self) -> int:

@@ -193,31 +193,30 @@ class TestDriverResume:
 
 
 _KILLED_CHILD = """
-import importlib
 import os
 import signal
 import sys
 import numpy as np
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {root!r})
-# importlib, not `import repro.decomp.hooi`: the package re-exports the
-# `hooi` *function* under the same name, shadowing the submodule.
-hooi_mod = importlib.import_module("repro.decomp.hooi")
+import repro.decomp._sweep as sweep_mod
+from repro.decomp import hooi
 from tests.conftest import make_random_tensor
 
 # SIGKILL ourselves the instant the iteration-2 checkpoint hits disk:
 # no atexit, no cleanup, no warning — exactly a hard kill mid-sweep.
-real_save = hooi_mod.save_checkpoint
+# The shared iteration loop is the one caller of save_checkpoint.
+real_save = sweep_mod.save_checkpoint
 def dying_save(directory, state, *, ctx=None):
     path = real_save(directory, state, ctx=ctx)
     if state.iteration >= 2:
         os.kill(os.getpid(), signal.SIGKILL)
     return path
-hooi_mod.save_checkpoint = dying_save
+sweep_mod.save_checkpoint = dying_save
 
 rng = np.random.default_rng(20250704)
 x = make_random_tensor(4, 12, 50, rng)
-hooi_mod.hooi(x, 3, max_iters=6, tol=0.0, seed=5, checkpoint_dir={ckpt!r})
+hooi(x, 3, max_iters=6, tol=0.0, seed=5, checkpoint_dir={ckpt!r})
 """
 
 

@@ -64,12 +64,14 @@ class TestValidation:
     def test_hooi_rejects_parallel_css(self, rng):
         x = make_random_tensor(3, 8, 30, rng)
         with pytest.raises(ValueError, match="requires kernel='symprop'"):
-            hooi(x, 2, kernel="css", execution="thread", max_iters=1)
+            hooi(x, 2, kernel="css", ctx=ExecContext(execution="thread"), max_iters=1)
 
     def test_hooi_rejects_ctx_execution_conflict(self, rng):
+        # The execution keyword that could contradict ctx is gone: the
+        # ExecContext is the one place a run's execution is configured.
         x = make_random_tensor(3, 8, 30, rng)
         ctx = ExecContext(execution="serial")
-        with pytest.raises(ValueError, match="conflicts with ctx"):
+        with pytest.raises(TypeError, match="execution"):
             hooi(x, 2, ctx=ctx, execution="thread", max_iters=1)
 
 
@@ -140,15 +142,21 @@ class TestScopeAndLifecycle:
 
     def test_derive_shares_state_but_not_backend(self):
         budget = MemoryBudget(gigabytes=1)
-        parent = ExecContext(budget=budget, collector=TraceCollector(), seed=3)
+        parent = ExecContext(
+            budget=budget, collector=TraceCollector(), seed=3,
+            execution="thread", n_workers=2,
+        )
         parent.adopt_backend(_DummyBackend())
-        child = parent.derive(execution="thread", n_workers=2)
+        child = parent.derive()
         assert child.budget is budget
         assert child.collector is parent.collector
         assert child.plans is parent.plans
         assert child.seed == 3
         assert child.execution == "thread" and child.n_workers == 2
         assert child.backend is None
+        for removed in ("execution", "n_workers"):
+            with pytest.raises(TypeError, match=removed):
+                parent.derive(**{removed: None})
         parent.close()
 
     def test_snapshot_materializes_ambient(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.data import planted_lowrank
 from repro.decomp import hooi, hoqri, hosvd_init, random_init
 from repro.decomp.objective import fit, relative_error, tucker_objective
+from repro.runtime import ExecContext
 from tests.conftest import make_random_tensor
 
 
@@ -116,6 +117,27 @@ class TestHoqri:
         assert {"init", "s3ttmc", "times_core", "qr", "objective"} <= set(
             res.timer.totals
         )
+
+
+class TestRunValidation:
+    @pytest.mark.parametrize("algorithm", [hooi, hoqri])
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_rejected_before_any_run_work(
+        self, algorithm, max_iters, tensor4
+    ):
+        # A typed error before the context acquires a backend, not an
+        # AssertionError after initialization.
+        ctx = ExecContext(execution="thread", n_workers=2)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            algorithm(tensor4, 2, max_iters=max_iters, seed=0, ctx=ctx)
+        assert ctx.backend is None
+        ctx.close()
+
+    @pytest.mark.parametrize("algorithm", [hooi, hoqri])
+    @pytest.mark.parametrize("removed", ["execution", "n_workers"])
+    def test_legacy_execution_keywords_removed(self, algorithm, removed, tensor4):
+        with pytest.raises(TypeError, match=removed):
+            algorithm(tensor4, 2, max_iters=1, **{removed: None})
 
 
 class TestInits:

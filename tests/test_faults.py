@@ -472,9 +472,8 @@ class TestDecompositionUnderFaults:
             got = hooi(x, 3, max_iters=3, tol=0.0, seed=5, ctx=ctx)
         finally:
             ctx.close()
-        clean_parallel = hooi(
-            x, 3, max_iters=3, tol=0.0, seed=5, execution="thread", n_workers=2
-        )
+        with ExecContext(execution="thread", n_workers=2) as clean_ctx:
+            clean_parallel = hooi(x, 3, max_iters=3, tol=0.0, seed=5, ctx=clean_ctx)
         assert ctx.faults.n_fired == 2
         # Recovery is bitwise against the same-backend clean run.
         assert np.array_equal(got.factor, clean_parallel.factor)

@@ -275,21 +275,40 @@ class TestBackendHealth:
 
 
 class TestDecompResilience:
-    def _per_iteration_seconds(self, x, rank):
+    """Both drivers run on one iteration loop; each resilience path is
+    exercised on each of them."""
+
+    @staticmethod
+    def _per_iteration_seconds(algorithm, x, rank):
         tick = time.perf_counter()
-        hooi(x, rank, max_iters=2, seed=3)
+        algorithm(x, rank, max_iters=2, seed=3)
         return max(0.01, (time.perf_counter() - tick) / 2)
 
-    def test_hooi_cancel_checkpoints_and_resumes_bitwise(self, rng, tmp_path):
+    @staticmethod
+    def _assert_resumes_bitwise(algorithm, x, checkpoint_dir):
+        state = load_checkpoint(checkpoint_dir)
+        assert state is not None
+        n = state.iteration + 1 + 2
+        resumed = algorithm(
+            x, 6, max_iters=n, tol=0.0, seed=3,
+            checkpoint_dir=checkpoint_dir, resume=True,
+        )
+        straight = algorithm(x, 6, max_iters=n, tol=0.0, seed=3)
+        assert np.array_equal(resumed.factor, straight.factor)
+        assert np.array_equal(resumed.core.data, straight.core.data)
+        assert resumed.trace.objective == straight.trace.objective
+
+    @pytest.mark.parametrize("algorithm", [hooi, hoqri])
+    def test_cancel_checkpoints_and_resumes_bitwise(self, algorithm, rng, tmp_path):
         x = make_random_tensor(3, 60, 6000, rng)
-        per_iter = self._per_iteration_seconds(x, 6)
+        per_iter = self._per_iteration_seconds(algorithm, x, 6)
         tok = CancelToken()
         ctx = ExecContext(cancel=tok)
         timer = threading.Timer(2.5 * per_iter, tok.cancel, args=("evicted",))
         timer.start()
         try:
             with pytest.raises(RunCancelledError, match="evicted"):
-                hooi(
+                algorithm(
                     x, 6, max_iters=100_000, tol=0.0, seed=3, ctx=ctx,
                     checkpoint_dir=tmp_path, checkpoint_every=10**9,
                 )
@@ -297,40 +316,23 @@ class TestDecompResilience:
             timer.cancel()
             ctx.close()
         # checkpoint_every never fires; the save came from the trip path.
-        state = load_checkpoint(tmp_path)
-        assert state is not None
-        n = state.iteration + 1 + 2
-        resumed = hooi(
-            x, 6, max_iters=n, tol=0.0, seed=3,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        straight = hooi(x, 6, max_iters=n, tol=0.0, seed=3)
-        assert np.array_equal(resumed.factor, straight.factor)
-        assert np.array_equal(resumed.core.data, straight.core.data)
+        self._assert_resumes_bitwise(algorithm, x, tmp_path)
 
-    def test_hoqri_deadline_checkpoints_before_raising(self, rng, tmp_path):
+    @pytest.mark.parametrize("algorithm", [hooi, hoqri])
+    def test_deadline_checkpoints_before_raising(self, algorithm, rng, tmp_path):
         x = make_random_tensor(3, 60, 6000, rng)
-        tick = time.perf_counter()
-        hoqri(x, 6, max_iters=2, seed=3)
-        per_iter = max(0.01, (time.perf_counter() - tick) / 2)
+        per_iter = self._per_iteration_seconds(algorithm, x, 6)
         ctx = ExecContext(deadline_seconds=3.0 * per_iter)
         with ctx:
             with pytest.raises(DeadlineExceededError):
-                hoqri(
+                algorithm(
                     x, 6, max_iters=100_000, tol=0.0, seed=3, ctx=ctx,
                     checkpoint_dir=tmp_path, checkpoint_every=10**9,
                 )
-        state = load_checkpoint(tmp_path)
-        assert state is not None
-        n = state.iteration + 1 + 2
-        resumed = hoqri(
-            x, 6, max_iters=n, tol=0.0, seed=3,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        straight = hoqri(x, 6, max_iters=n, tol=0.0, seed=3)
-        assert np.array_equal(resumed.factor, straight.factor)
+        self._assert_resumes_bitwise(algorithm, x, tmp_path)
 
-    def test_watchdog_restores_after_transient_nan(self, rng):
+    @pytest.mark.parametrize("algorithm", [hooi, hoqri])
+    def test_watchdog_restores_after_transient_nan(self, algorithm, rng):
         from repro.obs.trace import TraceCollector
 
         x = make_random_tensor(3, 12, 60, rng)
@@ -345,10 +347,26 @@ class TestDecompResilience:
             collector=col,
         )
         with ctx:
-            result = hooi(x, 4, max_iters=8, seed=3, ctx=ctx)
+            result = algorithm(x, 4, max_iters=8, seed=3, ctx=ctx)
         assert np.isfinite(result.relative_error)
         assert _counter(col, "health.recovery") == 1
         assert _counter(col, "health.nonfinite") >= 1
+
+    def test_run_without_a_completed_iteration_fails_typed(self, rng):
+        # A NaN Y makes the SVD raise, which counts as a strike under the
+        # ceiling; with no iteration left there is no core to return.
+        x = make_random_tensor(3, 12, 60, rng)
+        pol = FallbackPolicy(
+            check_finite=False, verify_partials=False,
+            max_unhealthy_iters=2, max_health_recoveries=2,
+        )
+        inj = FaultInjector([FaultSpec(site="chunk", kind="nan")])
+        ctx = ExecContext(
+            execution="thread", n_workers=2, fallback=pol, faults=inj
+        )
+        with ctx:
+            with pytest.raises(NumericalHealthError, match="no iteration"):
+                hooi(x, 4, max_iters=1, seed=3, ctx=ctx)
 
     @pytest.mark.parametrize("algorithm", [hooi, hoqri])
     def test_watchdog_exhausts_to_typed_error(self, algorithm, rng):

@@ -19,6 +19,7 @@ from repro.parallel import (
     parallel_s3ttmc,
 )
 from repro.parallel.partition import assign_chunks
+from repro.runtime import ExecContext
 from tests.conftest import make_random_tensor
 
 
@@ -175,14 +176,16 @@ class TestDecompositionWiring:
     def test_hooi_matches_serial(self, execution, rng):
         x = make_random_tensor(4, 12, 50, rng)
         base = hooi(x, 3, max_iters=3, seed=5)
-        got = hooi(x, 3, max_iters=3, seed=5, execution=execution, n_workers=2)
+        with ExecContext(execution=execution, n_workers=2) as ctx:
+            got = hooi(x, 3, max_iters=3, seed=5, ctx=ctx)
         assert np.allclose(got.factor, base.factor, atol=1e-9)
         assert np.allclose(got.trace.objective, base.trace.objective, atol=1e-9)
 
     def test_hoqri_matches_serial(self, rng):
         x = make_random_tensor(4, 12, 50, rng)
         base = hoqri(x, 3, max_iters=3, seed=5)
-        got = hoqri(x, 3, max_iters=3, seed=5, execution="thread", n_workers=2)
+        with ExecContext(execution="thread", n_workers=2) as ctx:
+            got = hoqri(x, 3, max_iters=3, seed=5, ctx=ctx)
         assert np.allclose(got.factor, base.factor, atol=1e-9)
 
     def test_warmed_cache_across_iterations(self, rng):
@@ -190,7 +193,8 @@ class TestDecompositionWiring:
         lattice exactly once — iterations 2..5 pay zero symbolic cost."""
         x = make_random_tensor(4, 12, 50, rng)
         with TraceCollector() as col:
-            hooi(x, 3, max_iters=5, tol=0.0, seed=5, execution="thread", n_workers=2)
+            with ExecContext(execution="thread", n_workers=2) as ctx:
+                hooi(x, 3, max_iters=5, tol=0.0, seed=5, ctx=ctx)
         runs = col.find("parallel.s3ttmc")
         builds = col.find("parallel.plan_build")
         assert len(runs) == 5
@@ -201,19 +205,23 @@ class TestDecompositionWiring:
     def test_execution_requires_symprop(self, rng):
         x = make_random_tensor(3, 8, 20, rng)
         with pytest.raises(ValueError, match="symprop"):
-            hooi(x, 2, execution="thread", kernel="css")
+            hooi(x, 2, kernel="css", ctx=ExecContext(execution="thread"))
         with pytest.raises(ValueError, match="symprop"):
-            hoqri(x, 2, execution="process", kernel="nary")
+            hoqri(x, 2, kernel="nary", ctx=ExecContext(execution="process"))
 
     def test_n_workers_requires_parallel_execution(self, rng):
         x = make_random_tensor(3, 8, 20, rng)
         with pytest.raises(ValueError, match="n_workers"):
-            hooi(x, 2, n_workers=2)
+            hooi(x, 2, ctx=ExecContext(n_workers=2))
+        with pytest.raises(TypeError, match="n_workers"):
+            hooi(x, 2, n_workers=2)  # the removed driver keyword
 
     def test_unknown_execution(self, rng):
         x = make_random_tensor(3, 8, 20, rng)
         with pytest.raises(ValueError, match="execution"):
-            hooi(x, 2, execution="cluster")
+            hooi(x, 2, ctx=ExecContext(execution="cluster"))
+        with pytest.raises(TypeError, match="execution"):
+            hooi(x, 2, execution="thread")  # the removed driver keyword
 
 
 class TestShmRunTokens:

@@ -87,6 +87,28 @@ class TestJobSpec:
         assert stats["counters"]["submitted"] == 0
         assert stats["states"] == {}
 
+    @pytest.mark.parametrize("kind", ["hooi", "hoqri"])
+    def test_iteration_and_rank_limits_checked_at_submit(self, kind, rng):
+        # max_iters < 1 and rank > dim used to be admitted and fail only
+        # once running (an untyped AssertionError for max_iters=0).
+        x = make_random_tensor(3, 8, 30, rng)
+        bad = [
+            (JobSpec(kind=kind, tensor=x, rank=2, max_iters=0), "max_iters"),
+            (JobSpec(kind=kind, tensor=x, rank=9), "exceeds the tensor dimension"),
+        ]
+        JobSpec(kind=kind, tensor=x, rank=8, max_iters=1).validate()
+
+        async def main():
+            async with DecompositionService() as svc:
+                for spec, match in bad:
+                    with pytest.raises(InvalidJobError, match=match):
+                        await svc.submit(spec)
+                return svc.stats()
+
+        stats = run(main())
+        assert stats["counters"]["submitted"] == 0
+        assert stats["states"] == {}
+
     def test_determinism_classification(self, rng):
         x = make_random_tensor(3, 8, 30, rng)
         assert JobSpec(kind="s3ttmc", tensor=x, factor=np.ones((8, 2))).deterministic()

@@ -397,17 +397,15 @@ class TestDecompositionWiring:
     def test_hooi_owned_matches_serial(self, workload):
         tensor, _ = workload
         serial = hooi(tensor, 3, max_iters=3, seed=7)
-        owned = hooi(
-            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3
-        )
+        with ExecContext(execution="thread", n_workers=3) as ctx:
+            owned = hooi(tensor, 3, max_iters=3, seed=7, ctx=ctx)
         assert np.allclose(owned.factor, serial.factor, atol=1e-8)
 
     def test_hoqri_owned_matches_serial(self, workload):
         tensor, _ = workload
         serial = hoqri(tensor, 3, max_iters=3, seed=7)
-        owned = hoqri(
-            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3
-        )
+        with ExecContext(execution="thread", n_workers=3) as ctx:
+            owned = hoqri(tensor, 3, max_iters=3, seed=7, ctx=ctx)
         assert np.allclose(owned.factor, serial.factor, atol=1e-8)
 
     def test_sharding_conflicts_with_explicit_ctx(self, workload):
@@ -418,51 +416,47 @@ class TestDecompositionWiring:
             hooi(tensor, 3, max_iters=1, ctx=ctx, sharding="owned")
         ctx.close()
         with pytest.raises(TypeError, match="sharding"):
-            hoqri(
-                tensor, 3, max_iters=1, execution="thread", n_workers=2,
-                sharding="owned",
-            )
+            hoqri(tensor, 3, max_iters=1, sharding="owned")
 
     def test_checkpoint_records_shard_map(self, workload, tmp_path):
         tensor, _ = workload
-        hooi(
-            tensor, 3, max_iters=2, seed=7, execution="thread", n_workers=3,
-            checkpoint_dir=tmp_path,
-        )
+        with ExecContext(execution="thread", n_workers=3) as ctx:
+            hooi(tensor, 3, max_iters=2, seed=7, ctx=ctx, checkpoint_dir=tmp_path)
         state = load_checkpoint(tmp_path)
         assert state.config["sharding"] == "owned"
         ranges = state.config["shard_ranges"]
         assert ranges[0][0] == 0 and ranges[-1][1] == tensor.unnz
         # Resume under the same layout continues; a different layout is
         # rejected (the shard map is part of the run identity).
-        hooi(
-            tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=3,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        with pytest.raises(ValueError, match="shard_ranges"):
+        with ExecContext(execution="thread", n_workers=3) as ctx:
             hooi(
-                tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=2,
+                tensor, 3, max_iters=4, seed=7, ctx=ctx,
                 checkpoint_dir=tmp_path, resume=True,
             )
+        with ExecContext(execution="thread", n_workers=2) as ctx:
+            with pytest.raises(ValueError, match="shard_ranges"):
+                hooi(
+                    tensor, 3, max_iters=4, seed=7, ctx=ctx,
+                    checkpoint_dir=tmp_path, resume=True,
+                )
 
     def test_broadcast_checkpoint_has_no_shard_map(self, workload, tmp_path):
         # A parallel checkpoint written by a broadcast run carries no
         # shard map; resuming it must fail loudly on "sharding" rather
         # than continue under a different summation order.
         tensor, _ = workload
-        hooi(
-            tensor, 3, max_iters=2, seed=7, execution="thread", n_workers=3,
-            checkpoint_dir=tmp_path,
-        )
+        with ExecContext(execution="thread", n_workers=3) as ctx:
+            hooi(tensor, 3, max_iters=2, seed=7, ctx=ctx, checkpoint_dir=tmp_path)
         state = load_checkpoint(tmp_path)
         del state.config["sharding"]
         del state.config["shard_ranges"]
         save_checkpoint(tmp_path, state)
-        with pytest.raises(ValueError, match="sharding"):
-            hooi(
-                tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=3,
-                checkpoint_dir=tmp_path, resume=True,
-            )
+        with ExecContext(execution="thread", n_workers=3) as ctx:
+            with pytest.raises(ValueError, match="sharding"):
+                hooi(
+                    tensor, 3, max_iters=4, seed=7, ctx=ctx,
+                    checkpoint_dir=tmp_path, resume=True,
+                )
 
 
 class TestShardedExchangeModel:
