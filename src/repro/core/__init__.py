@@ -1,17 +1,5 @@
 """SymProp core: symmetry-propagated S³TTMc and S³TTMcTC kernels."""
 
-from .autotune import (
-    PROFILE_VERSION,
-    TunedConfig,
-    TuneProfileError,
-    autotune,
-    candidates_from_attribution,
-    default_candidates,
-    load_profile,
-    save_profile,
-    tuned_s3ttmc,
-    workload_key,
-)
 from .codegen import (
     CODEGEN_VERSION,
     STRATEGIES,
@@ -61,16 +49,6 @@ __all__ = [
     "get_kernel",
     "kernel_cache_info",
     "clear_kernel_cache",
-    "TunedConfig",
-    "TuneProfileError",
-    "PROFILE_VERSION",
-    "autotune",
-    "candidates_from_attribution",
-    "tuned_s3ttmc",
-    "default_candidates",
-    "workload_key",
-    "load_profile",
-    "save_profile",
     "build_lattice",
     "Lattice",
     "LatticeLevel",

@@ -16,7 +16,7 @@ from ..formats.css import CSSTensor
 from ..formats.partial_sym import PartiallySymmetricTensor
 from ..formats.ucoo import SparseSymmetricTensor
 from ..runtime.context import ExecContext, resolve_context
-from .engine import DEFAULT_BLOCK_BYTES, lattice_ttmc
+from .engine import lattice_ttmc
 from .plan import TTMcPlan, get_plan
 from .stats import KernelStats
 
@@ -41,10 +41,8 @@ def s3ttmc(
     *,
     memoize: str = "global",
     kernel: str = "compiled",
-    chunk_edges: Optional[int] = None,
     stats: Optional[KernelStats] = None,
     nz_batch_size: Optional[int] = None,
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
     plan: Optional[TTMcPlan] = None,
     ctx: Optional[ExecContext] = None,
 ) -> PartiallySymmetricTensor:
@@ -65,20 +63,15 @@ def s3ttmc(
         kernels, :mod:`repro.core.compile`) or ``"generic"`` (the
         batched-gather engine, kept as the bitwise reference that
         :mod:`repro.verify` compares against); results are bitwise
-        identical.
-    chunk_edges:
-        Upper bound on edges per fused chunk for the compiled kernel
-        (``None`` = :data:`~repro.core.compile.DEFAULT_CHUNK_EDGES`; each
-        level is further capped at
-        :data:`~repro.core.compile.CHUNK_BYTES` of chunk buffers);
-        ignored for the generic kernel.
+        identical. Chunk and block sizes are not options here: the
+        compiled kernel sizes its chunks in bytes, and
+        :func:`~repro.core.engine.lattice_ttmc` is the one place that
+        varies them.
     stats:
         Optional :class:`~repro.core.stats.KernelStats` filled with exact
         flop/structure counts.
     nz_batch_size:
         Optional non-zero batching to bound intermediate memory.
-    block_bytes:
-        Bound on transient gather buffers.
     plan:
         Pre-built execution plan. When omitted, the plan is built on first
         use and memoized on the tensor (the CSS-tree analogue: structure is
@@ -122,10 +115,8 @@ def s3ttmc(
             intermediate="compact",
             memoize=memoize,
             kernel=kernel,
-            chunk_edges=chunk_edges,
             stats=stats,
             nz_batch_size=nz_batch_size,
-            block_bytes=block_bytes,
             plan=plan,
             ctx=ctx,
         )

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..formats.partial_sym import PartiallySymmetricTensor
 from ..runtime.context import ExecContext, resolve_context
-from .engine import DEFAULT_BLOCK_BYTES
 from .s3ttmc import SymmetricInput, s3ttmc
 from .stats import KernelStats
 
@@ -91,18 +90,16 @@ def s3ttmc_tc(
     *,
     memoize: str = "global",
     kernel: str = "compiled",
-    chunk_edges: Optional[int] = None,
     stats: Optional[KernelStats] = None,
     nz_batch_size: Optional[int] = None,
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
     plan=None,
     ctx: Optional[ExecContext] = None,
 ) -> TTMcTCResult:
     """Full S³TTMcTC-SP: S³TTMc followed by the two Property-2/3 GEMMs.
 
     See :func:`repro.core.s3ttmc.s3ttmc` for the shared parameters
-    (including the ``kernel``/``chunk_edges`` engine mode); ``ctx``
-    carries the run's budget/collector (ambient when ``None``).
+    (including the ``kernel`` engine mode); ``ctx`` carries the run's
+    budget/collector (ambient when ``None``).
     """
     ctx = resolve_context(ctx)
     y = s3ttmc(
@@ -110,10 +107,8 @@ def s3ttmc_tc(
         factor,
         memoize=memoize,
         kernel=kernel,
-        chunk_edges=chunk_edges,
         stats=stats,
         nz_batch_size=nz_batch_size,
-        block_bytes=block_bytes,
         plan=plan,
         ctx=ctx,
     )

@@ -40,9 +40,11 @@ def symmetric_mttkrp(
 ) -> np.ndarray:
     """Symmetry-propagated sparse symmetric MTTKRP, ``(I, R)`` output.
 
-    Parameters mirror :func:`repro.core.s3ttmc.s3ttmc`; the execution plan
-    is shared with S³TTMc (same lattice, different layout), so Tucker and
-    CP runs on the same tensor reuse one structure.
+    Parameters mirror :func:`repro.core.s3ttmc.s3ttmc`, plus
+    ``block_bytes``, the generic engine's transient gather-buffer bound
+    (the result does not depend on it). The execution plan is shared
+    with S³TTMc (same lattice, different layout), so Tucker and CP runs
+    on the same tensor reuse one structure.
     """
     ucoo = _as_ucoo(tensor)
     factor = np.asarray(factor, dtype=np.float64)

@@ -13,9 +13,8 @@ unnz)`` the closed-form Eq.-9 models speak about. Feeding the measured
 :class:`repro.perfmodel.predict.RateCalibration` and predicting each
 row back via the calibrated family rate yields an efficiency table: rows
 whose measured time exceeds their prediction are the ones running below
-the machine's demonstrated flop rate — exactly the signal an autotuner
-(or a human) needs to decide which ``(level, layout, backend)`` to
-specialize next.
+the machine's demonstrated flop rate — the signal a developer needs to
+decide which ``(level, layout, backend)`` to specialize next.
 
 For parallel runs the report adds critical-path and worker-utilization
 rollups from ``parallel.s3ttmc`` spans: thread/serial backends nest

@@ -280,7 +280,6 @@ def _resilient_partial(
                     intermediate="compact",
                     memoize=job.memoize,
                     kernel=job.kernel,
-                    chunk_edges=job.chunk_edges,
                     out=partial,
                     out_row_map=row_map,
                     plan=plan,
@@ -1132,8 +1131,7 @@ class ProcessBackend(Backend):
                         "chunk", task_seq, task.start, task.stop,
                         job.memoize, job.cols, budget_spec,
                         fault.payload() if fault is not None else None,
-                        policy.heartbeat_interval,
-                        job.kernel, job.chunk_edges,
+                        policy.heartbeat_interval, job.kernel,
                     )
                 )
             except (OSError, BrokenPipeError, ValueError):

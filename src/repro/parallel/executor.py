@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.engine import lattice_ttmc
+from ..core.engine import KERNELS, lattice_ttmc
 from ..core.plan import TTMcPlan, build_plan
 from ..core.s3ttmc import SymmetricInput, _as_ucoo
 from ..formats.partial_sym import PartiallySymmetricTensor
@@ -170,8 +170,6 @@ class ParallelJob:
     #: ships to process workers, which compile locally and cache tables
     #: in their worker-side plan caches).
     kernel: str = "compiled"
-    #: Compiled-kernel edges-per-chunk bound (``None`` = default).
-    chunk_edges: Optional[int] = None
 
     @property
     def order(self) -> int:
@@ -262,7 +260,6 @@ def parallel_s3ttmc(
     backend: Union[str, "Backend", None] = None,
     memoize: str = "global",
     kernel: str = "compiled",
-    chunk_edges: Optional[int] = None,
     report: Optional[ParallelRunReport] = None,
     ctx: Optional[ExecContext] = None,
 ) -> PartiallySymmetricTensor:
@@ -295,8 +292,6 @@ def parallel_s3ttmc(
         exec-generated kernels; process workers compile locally from the
         shipped spec and reuse worker-side table caches) or
         ``"generic"`` (the bitwise reference engine).
-    chunk_edges:
-        Compiled-kernel edges-per-chunk bound (``None`` = default).
     report:
         Optional :class:`ParallelRunReport` to fill.
     ctx:
@@ -309,6 +304,10 @@ def parallel_s3ttmc(
     """
     from .backends import Backend, make_backend  # local: avoid import cycle
 
+    # A bad engine name is the caller's error, not a worker fault: reject
+    # it before any backend spawns, retries or degrades over it.
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel mode {kernel!r}; expected one of {KERNELS}")
     ctx = resolve_context(ctx)
     ctx.check_health("parallel.s3ttmc")
     ucoo = _as_ucoo(tensor)
@@ -354,7 +353,6 @@ def parallel_s3ttmc(
         tensor=ucoo,
         ctx=run_ctx,
         kernel=kernel,
-        chunk_edges=chunk_edges,
     )
     if report is not None:
         report.n_workers = n_workers

@@ -433,7 +433,6 @@ def _run_chunk(
     fault,
     heartbeat: _Heartbeat,
     kernel: str = "compiled",
-    chunk_edges=None,
     notify_result=None,
 ):
     """Evaluate one chunk into the worker's result buffer.
@@ -534,7 +533,6 @@ def _run_chunk(
         intermediate="compact",
         memoize=memoize,
         kernel=kernel,
-        chunk_edges=chunk_edges,
         out=block,
         out_row_map=row_map,
         plan=plan,
@@ -574,7 +572,7 @@ def worker_main(
         (Re-)attach the factor buffer. The parent rewrites the segment in
         place between calls; a new name arrives only when the shape grew.
     ``("chunk", task_id, start, stop, memoize, cols, budget_spec, fault,
-    heartbeat_interval, kernel, chunk_edges)``
+    heartbeat_interval, kernel)``
         Evaluate one chunk under the mirrored budget — with the generic
         or compiled engine per the shipped kernel spec — heartbeating
         every ``heartbeat_interval`` seconds. The worker announces its
@@ -639,7 +637,6 @@ def worker_main(
                         fault,
                         hb_interval,
                         kernel,
-                        chunk_edges,
                     ) = msg
                     heartbeat.start_task(task_id, hb_interval)
                     try:
@@ -653,7 +650,6 @@ def worker_main(
                             fault,
                             heartbeat,
                             kernel,
-                            chunk_edges,
                             notify_result=lambda name, _tid=task_id: reply(
                                 ("result", _tid, name)
                             ),

@@ -8,6 +8,7 @@ from repro.baselines.dense_ref import dense_s3ttmc_matrix
 from repro.core import s3ttmc
 from repro.core._segment import scatter_add_rows, segment_sum_by_ptr
 from repro.core.engine import lattice_ttmc
+from repro.formats import PartiallySymmetricTensor
 from tests.conftest import make_random_tensor
 
 
@@ -56,12 +57,15 @@ class TestSegmentHelpers:
 class TestEngineChunking:
     @pytest.mark.parametrize("block_bytes", [64, 1024, 65536])
     def test_tiny_blocks_exact(self, block_bytes, rng):
-        """Node-chunking at absurdly small block sizes stays exact."""
+        """The generic engine's blocking at absurdly small block sizes
+        changes no bit and stays exact."""
         x = make_random_tensor(5, 8, 40, rng)
         u = rng.random((8, 3))
-        ref = dense_s3ttmc_matrix(x, u)
-        got = s3ttmc(x, u, block_bytes=block_bytes).to_full_unfolding()
-        assert np.allclose(got, ref, atol=1e-10)
+        args = (x.indices, x.values, x.dim, u)
+        got = lattice_ttmc(*args, kernel="generic", block_bytes=block_bytes)
+        assert np.array_equal(got, lattice_ttmc(*args, kernel="generic"))
+        y = PartiallySymmetricTensor(x.dim, x.order - 1, u.shape[1], got)
+        assert np.allclose(y.to_full_unfolding(), dense_s3ttmc_matrix(x, u), atol=1e-10)
 
     def test_full_layout_hoist_fallback(self, rng):
         """Tiny block_bytes forces the non-hoisted 2-D gather path for the

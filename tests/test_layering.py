@@ -21,11 +21,7 @@ def _load_checker():
 
 def test_no_upward_imports():
     chk = _load_checker()
-    errors = []
-    for path in sorted(chk.PACKAGE.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        errors.extend(chk.check_file(path))
+    errors = chk.check_package()
     assert not errors, "\n".join(errors)
 
 
@@ -47,9 +43,14 @@ def test_checker_detects_inverted_ranks():
     """Guard against the checker itself going vacuous."""
     chk = _load_checker()
     chk.LAYERS["parallel"] = 99  # pretend parallel sits above decomp
-    errors = []
-    for path in sorted(chk.PACKAGE.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        errors.extend(chk.check_file(path))
-    assert any("upward import" in e for e in errors)
+    assert any("upward import" in e for e in chk.check_package())
+
+
+def test_checker_rejects_stale_lazy_allowance(capsys):
+    """An allowlisted lazy pair that no import uses fails the check."""
+    chk = _load_checker()
+    chk.LAZY_ALLOWED.add(("core", "parallel"))
+    errors = chk.check_package()
+    assert [e for e in errors if "stale allowance core -> parallel" in e]
+    assert chk.main() == 1
+    assert "stale allowance core -> parallel" in capsys.readouterr().err

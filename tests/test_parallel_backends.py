@@ -50,6 +50,23 @@ class TestBackendCorrectness:
             with pytest.raises(TypeError, match="reduction"):
                 parallel_s3ttmc(x, rng.random((8, 2)), 2, reduction=reduction)
 
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    def test_unknown_kernel_rejected_before_any_work(self, execution, rng):
+        # A bad engine name is the caller's error: it must not spawn
+        # workers, retry chunks or degrade the backend on its way out.
+        x = make_random_tensor(3, 8, 20, rng)
+        col = TraceCollector()
+        ctx = ExecContext(execution=execution, n_workers=2, collector=col)
+        try:
+            with pytest.raises(ValueError, match="bogus"):
+                parallel_s3ttmc(x, rng.random((8, 2)), ctx=ctx, kernel="bogus")
+            assert ctx.backend is None
+        finally:
+            ctx.close()
+        names = {e.name for e in col.events}
+        assert not names & {"parallel.retry", "parallel.fallback"}, names
+        assert not col.find("parallel.chunk")
+
     def test_backend_instance_reused(self, rng):
         x = make_random_tensor(4, 10, 40, rng)
         u1 = rng.random((10, 3))

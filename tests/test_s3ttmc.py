@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.dense_ref import dense_s3ttmc_matrix
-from repro.core import KernelStats, build_plan, s3ttmc
-from repro.formats import CSSTensor, SparseSymmetricTensor
+from repro.core import KernelStats, build_plan, lattice_ttmc, s3ttmc
+from repro.formats import CSSTensor, PartiallySymmetricTensor, SparseSymmetricTensor
 from tests.conftest import make_random_tensor
 
 
@@ -44,11 +44,16 @@ class TestAgainstDense:
             assert np.allclose(s3ttmc(x, u, nz_batch_size=batch).unfolding, full)
 
     def test_block_bytes_invariance(self, rng):
+        # block_bytes is honoured by the generic engine only, so the
+        # check runs there: tiny blocks change no bit and stay exact.
         x = make_random_tensor(5, 6, 30, rng)
         u = rng.random((6, 3))
-        full = s3ttmc(x, u).unfolding
-        tiny = s3ttmc(x, u, block_bytes=4096).unfolding
-        assert np.allclose(tiny, full)
+        args = (x.indices, x.values, x.dim, u)
+        full = lattice_ttmc(*args, kernel="generic")
+        tiny = lattice_ttmc(*args, kernel="generic", block_bytes=4096)
+        assert np.array_equal(tiny, full)
+        y = PartiallySymmetricTensor(x.dim, x.order - 1, u.shape[1], tiny)
+        assert np.allclose(y.to_full_unfolding(), dense_s3ttmc_matrix(x, u), atol=1e-10)
 
     def test_plan_reuse(self, rng):
         x = make_random_tensor(4, 6, 20, rng)
@@ -129,3 +134,29 @@ class TestStats:
         assert a.level_nodes[2] == 15
         assert a.level_edges[2] == 28
         assert a.scatter_flops == 48
+
+
+class TestRemovedOptions:
+    def test_removed_kernel_knobs_fail_loudly(self, small_tensor, rng):
+        # Chunk and block sizes are set only on lattice_ttmc; the entry
+        # points above it reject them.
+        import importlib
+
+        import repro.core
+        from repro.core import s3ttmc_tc
+        from repro.parallel import parallel_s3ttmc
+
+        u = rng.random((small_tensor.dim, 2))
+        calls = [
+            lambda: s3ttmc(small_tensor, u, chunk_edges=64),
+            lambda: s3ttmc(small_tensor, u, block_bytes=4096),
+            lambda: s3ttmc_tc(small_tensor, u, chunk_edges=64),
+            lambda: parallel_s3ttmc(small_tensor, u, 2, chunk_edges=64),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.autotune")
+        assert not hasattr(repro.core, "autotune")
+        assert not hasattr(repro.core, "tuned_s3ttmc")

@@ -11,6 +11,8 @@ lower layer to a higher one and fails CI.
 Function-level (lazy) imports upward are tolerated only for pairs listed
 in ``LAZY_ALLOWED`` — each entry documents a deliberate, cycle-breaking
 dependency (e.g. ``repro.obs.export`` rendering bench tables on demand).
+An entry no lazy import uses any more is stale and fails the check too,
+so the allowlist never outlives the code that needed it.
 
 Usage: ``python tools/check_layering.py`` (exit 1 on violations).
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
@@ -57,10 +59,6 @@ LAZY_ALLOWED = {
     # obs.attrib joins measured spans against the perfmodel's closed-form
     # flop counts/rate calibration; lazy for the same importability reason.
     ("obs", "perfmodel"),
-    # core.autotune optionally probes the parallel backends during
-    # calibration; lazy so the core kernels stay importable without the
-    # executor stack.
-    ("core", "parallel"),
 }
 
 
@@ -124,7 +122,10 @@ def iter_imports(
     return iter(visitor.found)
 
 
-def check_file(path: Path) -> List[str]:
+def check_file(
+    path: Path, used: Optional[Set[Tuple[str, str]]] = None
+) -> List[str]:
+    """Layering violations in one file; adds each allowance it uses to ``used``."""
     rel = path.relative_to(PACKAGE)
     parts = list(rel.parts)
     is_package = parts[-1] == "__init__.py"
@@ -162,6 +163,8 @@ def check_file(path: Path) -> List[str]:
             if trank <= rank:
                 continue
             if not at_module_level and (group, tgroup) in LAZY_ALLOWED:
+                if used is not None:
+                    used.add((group, tgroup))
                 continue
             kind = "module-level" if at_module_level else "lazy"
             errors.append(
@@ -171,12 +174,24 @@ def check_file(path: Path) -> List[str]:
     return errors
 
 
-def main() -> int:
+def check_package() -> List[str]:
+    """Every violation under ``src/repro``, stale ``LAZY_ALLOWED`` pairs included."""
     errors: List[str] = []
+    used: Set[Tuple[str, str]] = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         if "__pycache__" in path.parts:
             continue
-        errors.extend(check_file(path))
+        errors.extend(check_file(path, used))
+    for importer, imported in sorted(LAZY_ALLOWED - used):
+        errors.append(
+            f"LAZY_ALLOWED: stale allowance {importer} -> {imported}: "
+            f"no lazy import in src/repro uses it — remove it"
+        )
+    return errors
+
+
+def main() -> int:
+    errors = check_package()
     if errors:
         print(f"{len(errors)} layering violation(s):", file=sys.stderr)
         for err in errors:
