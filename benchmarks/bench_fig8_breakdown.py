@@ -11,7 +11,7 @@ from _common import BUDGET_GB, save_table
 from repro.bench.records import SeriesTable
 from repro.data.datasets import DATASETS
 from repro.decomp import hooi, hoqri
-from repro.runtime.budget import MemoryBudget
+from repro.runtime import ExecContext, MemoryBudget
 from repro.runtime.timer import PhaseTimer
 
 N_ITERS = 3
@@ -21,8 +21,8 @@ FIG8_RANKS = {}
 
 def _breakdown(fn, tensor, rank):
     timer = PhaseTimer()
-    with MemoryBudget(gigabytes=BUDGET_GB):
-        fn(tensor, rank, max_iters=N_ITERS, tol=0.0, seed=1, timer=timer)
+    ctx = ExecContext(budget=MemoryBudget(gigabytes=BUDGET_GB))
+    fn(tensor, rank, max_iters=N_ITERS, tol=0.0, seed=1, timer=timer, ctx=ctx)
     shares = timer.breakdown()
     shares.pop("init", None)
     total = sum(shares.values()) or 1.0

@@ -12,7 +12,14 @@ import time
 
 import numpy as np
 
-from repro import KernelStats, MemoryBudget, MemoryLimitError, random_sparse_symmetric, s3ttmc
+from repro import (
+    ExecContext,
+    KernelStats,
+    MemoryBudget,
+    MemoryLimitError,
+    random_sparse_symmetric,
+    s3ttmc,
+)
 from repro.baselines import css_s3ttmc, splatt_ttmc
 from repro.perfmodel import footprint_table, total_css, total_sp
 
@@ -60,7 +67,7 @@ for name, fn in [("SymProp", lambda: s3ttmc(x, u)),
                  ("CSS", lambda: css_s3ttmc(x, u)),
                  ("SPLATT", lambda: splatt_ttmc(x, u))]:
     try:
-        with MemoryBudget(gigabytes=budget_mb / 1024):
+        with ExecContext(budget=MemoryBudget(gigabytes=budget_mb / 1024)):
             fn()
         print(f"  {name:8s} runs")
     except MemoryLimitError as exc:

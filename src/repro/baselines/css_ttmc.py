@@ -43,7 +43,7 @@ def css_s3ttmc(
     ucoo = _as_ucoo(tensor)
     factor = np.asarray(factor, dtype=np.float64)
     if plan is None:
-        plan = get_plan(ucoo, memoize, nz_batch_size)
+        plan = get_plan(ucoo, memoize, nz_batch_size, ctx)
     return lattice_ttmc(
         ucoo.indices,
         ucoo.values,

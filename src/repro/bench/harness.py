@@ -7,9 +7,10 @@ timing (the paper averages 10 runs; the default here is 3, configurable
 via ``REPRO_BENCH_REPEATS``).
 
 Setting ``REPRO_TRACE=path.jsonl`` makes every measurement run under a
-:class:`repro.obs.TraceCollector` and *append* its spans/events/metrics to
-that file — existing benchmark scripts gain trace output with zero code
-changes (``python -m repro.obs summarize path.jsonl`` to inspect).
+context carrying a :class:`repro.obs.TraceCollector` and *append* its
+spans/events/metrics to that file — existing benchmark scripts gain trace
+output with zero code changes (``python -m repro.obs summarize
+path.jsonl`` to inspect).
 
 Setting ``REPRO_PROFILE=path[:interval_ms]`` additionally runs every
 measurement under the :class:`repro.obs.SamplingProfiler`, appending
@@ -33,7 +34,7 @@ from ..obs import SamplingProfiler, TraceCollector, profiler_from_env
 from ..obs.export import write_trace
 from ..perfmodel.memory import kernel_footprint, suggest_nz_batch
 from ..runtime.budget import MemoryBudget, MemoryLimitError
-from ..runtime.context import ExecContext
+from ..runtime.context import ExecContext, current_context
 from ..runtime.faults import faults_from_env, policy_from_env
 from .records import Measurement
 
@@ -63,8 +64,11 @@ def bench_repeats(default: int = 3) -> int:
 def maybe_trace() -> Iterator[Optional[TraceCollector]]:
     """Opt-in tracing scope: active only when ``REPRO_TRACE`` is set.
 
-    On exit the collector's records are appended to the named JSONL file,
-    so a whole benchmark run accumulates one measurement per flush. An
+    Inside, the thread's active context is a child of the current one
+    carrying the collector, so calls made without ``ctx=`` trace into it
+    too; contexts built inside pass the yielded collector on. On exit
+    the collector's records are appended to the named JSONL file, so a
+    whole benchmark run accumulates one measurement per flush. An
     unwritable path must not take down a (possibly hours-long) benchmark
     run after the measurement already succeeded, so write failures warn
     and the measurement result stands.
@@ -75,7 +79,7 @@ def maybe_trace() -> Iterator[Optional[TraceCollector]]:
         return
     collector = TraceCollector()
     try:
-        with collector:
+        with current_context().derive(collector=collector):
             yield collector
     finally:
         try:

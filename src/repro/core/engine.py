@@ -123,8 +123,8 @@ def lattice_ttmc(
     ctx:
         Optional :class:`~repro.runtime.context.ExecContext`; its budget
         governs the allocation declarations and its collector receives
-        the spans/metrics. ``None`` resolves to the ambient context, so
-        legacy budget/trace scoping keeps working.
+        the spans/metrics. ``None`` resolves to
+        :func:`~repro.runtime.context.current_context`.
 
     Returns
     -------
@@ -202,7 +202,7 @@ def lattice_ttmc(
             return out
 
         if plan is None:
-            plan = build_plan(indices, memoize, nz_batch_size)
+            plan = build_plan(indices, memoize, nz_batch_size, ctx)
 
         with ctx.span(
             "lattice_ttmc",
@@ -215,7 +215,6 @@ def lattice_ttmc(
         ):
             if kernel == "compiled":
                 kern = get_kernel(plan, rank, intermediate, chunk_edges, ctx)
-                collector = ctx.effective_collector()
                 for (start, stop, _lattice), tables in zip(
                     plan.batches, kern.tables
                 ):
@@ -228,7 +227,7 @@ def lattice_ttmc(
                             out_row_map,
                             ctx,
                             stats,
-                            collector,
+                            ctx.collector,
                         )
                     if stats is not None:
                         stats.batches += 1
@@ -286,7 +285,7 @@ def _accumulate_batch(
     # Level-1 K tensors are rows of U (identical in both layouts).
     k_prev = factor[lattice.leaf_values]
     k_prev_label = "K level 1"
-    collector = ctx.effective_collector()
+    collector = ctx.collector
     try:
         _request(k_prev.nbytes, k_prev_label)
         for level in range(2, order):

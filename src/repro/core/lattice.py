@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..runtime.budget import request_bytes
+from ..runtime.context import ExecContext, resolve_context
 from ._segment import stable_argsort
 
 __all__ = ["DegreeGroup", "LatticeLevel", "Lattice", "build_lattice", "unique_rows"]
@@ -242,7 +242,11 @@ def _degree_grouped_order(counts: np.ndarray):
 
 
 def build_lattice(
-    indices: np.ndarray, memoize: str = "global", *, keep_keys: bool = False
+    indices: np.ndarray,
+    memoize: str = "global",
+    *,
+    keep_keys: bool = False,
+    ctx: Optional[ExecContext] = None,
 ) -> Lattice:
     """Build the sub-multiset lattice for a batch of IOU non-zeros.
 
@@ -255,6 +259,9 @@ def build_lattice(
     keep_keys:
         Retain the per-level node index tuples (``node_keys``) — useful for
         inspection and tests, costly on deep lattices.
+    ctx:
+        Context whose budget each level's deduplication transients are
+        declared against while that level is built.
     """
     if memoize not in ("global", "nonzero"):
         raise ValueError(f"unknown memoize scope {memoize!r}")
@@ -264,6 +271,7 @@ def build_lattice(
     unnz, order = indices.shape
     if order < 2:
         raise ValueError("lattice requires order >= 2")
+    ctx = resolve_context(ctx)
 
     levels: Dict[int, LatticeLevel] = {}
     node_keys: Dict[int, np.ndarray] = {order: indices} if keep_keys else {}
@@ -273,21 +281,25 @@ def build_lattice(
     owner = np.arange(unnz, dtype=np.int64)
     for level in range(order, 1, -1):
         parent_row, deleted, child, counts = _delete_one_per_run(current)
-        request_bytes(child.nbytes + 3 * parent_row.nbytes, f"lattice level {level}")
-        if level - 1 == 1 or memoize == "global":
-            key = child
-        else:
-            key = np.concatenate([owner[parent_row, None], child], axis=1)
-        uniq, inverse = unique_rows(key)
-        edge_perm, groups = _degree_grouped_order(counts)
-        levels[level] = LatticeLevel(
-            level=level,
-            n_nodes=current.shape[0],
-            value=deleted[edge_perm],
-            child=inverse[edge_perm],
-            node=parent_row[edge_perm] if level == order else None,
-            groups=groups,
-        )
+        nbytes, label = child.nbytes + 3 * parent_row.nbytes, f"lattice level {level}"
+        ctx.request_bytes(nbytes, label)
+        try:
+            if level - 1 == 1 or memoize == "global":
+                key = child
+            else:
+                key = np.concatenate([owner[parent_row, None], child], axis=1)
+            uniq, inverse = unique_rows(key)
+            edge_perm, groups = _degree_grouped_order(counts)
+            levels[level] = LatticeLevel(
+                level=level,
+                n_nodes=current.shape[0],
+                value=deleted[edge_perm],
+                child=inverse[edge_perm],
+                node=parent_row[edge_perm] if level == order else None,
+                groups=groups,
+            )
+        finally:
+            ctx.release_bytes(nbytes, label)
         if memoize == "nonzero" and level - 1 > 1:
             owner = uniq[:, 0].copy()
             uniq = uniq[:, 1:]

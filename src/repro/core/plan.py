@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..formats.ucoo import SparseSymmetricTensor
+from ..runtime.context import ExecContext
 from .lattice import Lattice, build_lattice
 
 __all__ = [
@@ -103,8 +104,10 @@ def build_plan(
     indices: np.ndarray,
     memoize: str = "global",
     nz_batch_size: Optional[int] = None,
+    ctx: Optional[ExecContext] = None,
 ) -> TTMcPlan:
-    """Build lattices for every batch of the given IOU pattern."""
+    """Build lattices for every batch of the given IOU pattern, declaring
+    each level's transients against ``ctx``'s budget."""
     indices = np.asarray(indices, dtype=np.int64)
     unnz, order = indices.shape
     batch = max(1, unnz) if not nz_batch_size else max(1, int(nz_batch_size))
@@ -113,7 +116,8 @@ def build_plan(
         stop = min(start + batch, unnz)
         if start >= stop:
             break
-        batches.append((start, stop, build_lattice(indices[start:stop], memoize)))
+        lattice = build_lattice(indices[start:stop], memoize, ctx=ctx)
+        batches.append((start, stop, lattice))
     return TTMcPlan(
         order=order,
         memoize=memoize,
@@ -128,11 +132,13 @@ def get_plan(
     tensor: SparseSymmetricTensor,
     memoize: str = "global",
     nz_batch_size: Optional[int] = None,
+    ctx: Optional[ExecContext] = None,
 ) -> TTMcPlan:
     """Plan for ``tensor``, memoized on the tensor instance.
 
     The cache key is ``(memoize, nz_batch_size)``; the pattern of a
-    :class:`SparseSymmetricTensor` is immutable by convention.
+    :class:`SparseSymmetricTensor` is immutable by convention. A build
+    on a miss is accounted against ``ctx`` (see :func:`build_plan`).
     """
     cache = getattr(tensor, _CACHE_ATTR, None)
     if cache is None:
@@ -141,6 +147,6 @@ def get_plan(
     key = (memoize, nz_batch_size)
     plan = cache.get(key)
     if plan is None:
-        plan = build_plan(tensor.indices, memoize, nz_batch_size)
+        plan = build_plan(tensor.indices, memoize, nz_batch_size, ctx)
         cache[key] = plan
     return plan

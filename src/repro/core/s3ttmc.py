@@ -78,7 +78,8 @@ def s3ttmc(
         pattern-only and reused across iterations).
     ctx:
         Optional :class:`~repro.runtime.context.ExecContext` carrying the
-        run's budget and trace collector; defaults to the ambient context.
+        run's budget and trace collector (plan builds included); defaults
+        to :func:`~repro.runtime.context.current_context`.
 
     Returns
     -------
@@ -94,9 +95,9 @@ def s3ttmc(
         )
     if ucoo.order < 2:
         raise ValueError("S³TTMc requires tensor order >= 2")
-    if plan is None:
-        plan = get_plan(ucoo, memoize, nz_batch_size)
     ctx = resolve_context(ctx)
+    if plan is None:
+        plan = get_plan(ucoo, memoize, nz_batch_size, ctx)
     with ctx.span(
         "s3ttmc",
         kernel="symprop",

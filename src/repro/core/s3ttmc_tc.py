@@ -99,7 +99,7 @@ def s3ttmc_tc(
 
     See :func:`repro.core.s3ttmc.s3ttmc` for the shared parameters
     (including the ``kernel`` engine mode); ``ctx`` carries the run's
-    budget/collector (ambient when ``None``).
+    budget/collector (the current context when ``None``).
     """
     ctx = resolve_context(ctx)
     y = s3ttmc(

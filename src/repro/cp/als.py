@@ -23,6 +23,7 @@ import numpy as np
 from ..core.plan import get_plan
 from ..core.s3ttmc import SymmetricInput, _as_ucoo
 from ..core.stats import KernelStats
+from ..runtime.context import current_context
 from ..runtime.timer import PhaseTimer
 from .mttkrp import symmetric_mttkrp
 
@@ -111,6 +112,7 @@ def symmetric_cp_als(
         raise ValueError("rank must be >= 1")
     rng = np.random.default_rng(seed)
     timer = timer if timer is not None else PhaseTimer()
+    timer.collector = current_context().collector
     stats = KernelStats()
     order = ucoo.order
 

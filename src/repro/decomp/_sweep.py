@@ -4,9 +4,9 @@ Both algorithms repeat one outer iteration: S³TTMc, a factor update, the
 core, and the objective test. :func:`sweep` owns everything around the
 algorithm-specific part:
 
-* the run's context — the explicit ``ctx``, else the active explicit
-  context, else an ephemeral child of the ambient one, closed with the
-  run — and the parallel backend kept on it across iterations, so the
+* the run's context — the explicit ``ctx``, else the thread's active
+  context, else an ephemeral child of the process default, closed with
+  the run — and the parallel backend kept on it across iterations, so the
   chunk-plan cache (and, for the process backend, the worker processes
   with their shared-memory shards) amortizes symbolic work down to
   iteration 1 only;
@@ -45,7 +45,7 @@ from ..runtime.checkpoint import (
     save_checkpoint,
     tensor_fingerprint,
 )
-from ..runtime.context import ExecContext, current_context
+from ..runtime.context import ExecContext, default_context, resolve_context
 from ..runtime.health import (
     DeadlineExceededError,
     HealthMonitor,
@@ -147,6 +147,9 @@ def sweep(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     run_ctx, owns_ctx = resolve_run_context(ctx)
+    if timer is None:
+        timer = PhaseTimer()
+    timer.collector = run_ctx.collector
     try:
         backend = acquire_backend(run_ctx, options["kernel"])
         run = Sweep(
@@ -154,7 +157,7 @@ def sweep(
             rank,
             run_ctx,
             backend,
-            timer if timer is not None else PhaseTimer(),
+            timer,
             KernelStats(),
             memoize,
             nz_batch_size,
@@ -332,18 +335,15 @@ def _replay(run: Sweep, state: CheckpointState):
 def resolve_run_context(ctx: Optional[ExecContext]) -> Tuple[ExecContext, bool]:
     """The context a run executes under, and whether the run owns it.
 
-    An explicit ``ctx``, or else the active explicit context, stays the
+    An explicit ``ctx``, or else the thread's active context, stays the
     caller's: its backend outlives the run. Otherwise the run derives an
-    ephemeral child of the ambient context (sharing its budget, collector
-    and plan cache) and closes it, with any backend it adopted, at the
-    end.
+    ephemeral child of the process default (sharing its plan cache) and
+    closes it, with any backend it adopted, at the end.
     """
-    if ctx is not None:
-        return ctx, False
-    base = current_context()
-    if not base.is_ambient:
-        return base, False
-    return base.derive(), True
+    ctx = resolve_context(ctx)
+    if ctx is default_context():
+        return ctx.derive(), True
+    return ctx, False
 
 
 def acquire_backend(ctx: ExecContext, kernel: str) -> Optional[Backend]:

@@ -153,10 +153,9 @@ def hooi(
         backend, the worker processes with their shared-memory shards —
         are reused; each worker owns a disjoint
         :class:`~repro.parallel.sharding.TensorShard`, and checkpoints
-        record the shard map. ``None`` runs in the active explicit
-        context, or else in an ephemeral child of the ambient one (so
-        ``with MemoryBudget(...):`` / ``with TraceCollector():`` call
-        sites keep working).
+        record the shard map. ``None`` runs in the thread's active
+        context (``with ctx:``), or else in an ephemeral child of the
+        process default, which has no budget and no collector.
     checkpoint_dir, checkpoint_every, resume:
         Iteration checkpointing (:mod:`repro.runtime.checkpoint`). With
         ``checkpoint_dir`` set, the full sweep state — factor, core,

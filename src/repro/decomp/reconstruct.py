@@ -18,7 +18,7 @@ import numpy as np
 
 from ..formats.dense import ttm
 from ..formats.partial_sym import PartiallySymmetricTensor
-from ..runtime.budget import request_bytes
+from ..runtime.context import current_context
 from .result import DecompositionResult
 
 __all__ = ["reconstruct_dense", "reconstruct_at", "residual_norm"]
@@ -33,7 +33,7 @@ def reconstruct_dense(result: DecompositionResult) -> np.ndarray:
     factor = result.factor
     order = core.order
     dim = factor.shape[0]
-    request_bytes(dim**order * 8, "dense reconstruction")
+    current_context().request_bytes(dim**order * 8, "dense reconstruction")
     recon = core.to_full_tensor()
     for mode in range(order):
         recon = ttm(recon, factor.T, mode)

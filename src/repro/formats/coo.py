@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.budget import request_bytes
+from ..runtime.context import current_context
 from ..symmetry.combinatorics import dense_size
 
 __all__ = ["COOTensor"]
@@ -73,7 +73,9 @@ class COOTensor:
 
     def to_dense(self) -> np.ndarray:
         """Full dense ndarray (budget-accounted)."""
-        request_bytes(dense_size(self.order, self.dim) * 8, "dense tensor")
+        current_context().request_bytes(
+            dense_size(self.order, self.dim) * 8, "dense tensor"
+        )
         out = np.zeros((self.dim,) * self.order, dtype=np.float64)
         out[tuple(self.indices.T)] = self.values
         return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.budget import release_bytes, request_bytes
+from ..runtime.context import current_context
 from ._trie import PrefixTrie, build_trie
 from .coo import COOTensor
 from .ucoo import SparseSymmetricTensor
@@ -40,14 +40,15 @@ class CSFTensor:
         self.mode_order = tuple(mode_order)
         self.values = sorted_coo.values
         self.permuted_indices = sorted_coo.indices[:, list(mode_order)]
-        request_bytes(self.permuted_indices.nbytes, "CSF permuted indices")
+        ctx = current_context()
+        ctx.request_bytes(self.permuted_indices.nbytes, "CSF permuted indices")
         try:
             self.trie: PrefixTrie = build_trie(self.permuted_indices)
-            request_bytes(self.trie.storage_bytes(), "CSF trie")
+            ctx.request_bytes(self.trie.storage_bytes(), "CSF trie")
         except BaseException:
             # A half-built CSF is garbage; give its index bytes back so an
             # over-budget construction leaves the accounting untouched.
-            release_bytes(self.permuted_indices.nbytes, "CSF permuted indices")
+            ctx.release_bytes(self.permuted_indices.nbytes, "CSF permuted indices")
             raise
 
     def release_structure(self) -> None:
@@ -56,8 +57,9 @@ class CSFTensor:
         For throwaway CSF builds (e.g. the SPLATT baseline rebuilds one per
         call); long-lived cached CSFs keep their bytes accounted instead.
         """
-        release_bytes(self.permuted_indices.nbytes, "CSF permuted indices")
-        release_bytes(self.trie.storage_bytes(), "CSF trie")
+        ctx = current_context()
+        ctx.release_bytes(self.permuted_indices.nbytes, "CSF permuted indices")
+        ctx.release_bytes(self.trie.storage_bytes(), "CSF trie")
 
     @classmethod
     def from_symmetric(

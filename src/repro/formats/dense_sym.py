@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..runtime.budget import request_bytes
+from ..runtime.context import current_context
 from ..symmetry.combinatorics import dense_size, sym_storage_size
 from ..symmetry.expansion import compact_from_full, expand_compact
 from ..symmetry.iou import rank_iou_array
@@ -43,7 +43,7 @@ class DenseSymmetricTensor:
         self.dim = dim
         self.size = sym_storage_size(order, dim)
         if data is None:
-            request_bytes(self.size * 8, "DenseSymmetricTensor.data")
+            current_context().request_bytes(self.size * 8, "DenseSymmetricTensor.data")
             data = np.zeros(self.size, dtype=np.float64)
         else:
             data = np.asarray(data, dtype=np.float64)
@@ -73,7 +73,9 @@ class DenseSymmetricTensor:
     # -- conversions -------------------------------------------------------
     def to_full(self) -> np.ndarray:
         """Expand to the full ``(dim,)*order`` ndarray (accounted allocation)."""
-        request_bytes(dense_size(self.order, self.dim) * 8, "DenseSymmetricTensor.full")
+        current_context().request_bytes(
+            dense_size(self.order, self.dim) * 8, "DenseSymmetricTensor.full"
+        )
         flat = expand_compact(self.data, self.order, self.dim)
         return flat.reshape((self.dim,) * self.order)
 

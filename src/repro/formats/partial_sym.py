@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.budget import release_bytes, request_bytes
+from ..runtime.context import current_context
 from ..symmetry.combinatorics import dense_size, sym_storage_size
 from ..symmetry.expansion import expand_compact
 from ..symmetry.tables import get_tables
@@ -51,13 +51,13 @@ class PartiallySymmetricTensor:
         self.sym_dim = sym_dim
         self.sym_size = sym_storage_size(sym_order, sym_dim)
         if data is None:
-            request_bytes(nrows * self.sym_size * 8, "PartiallySymmetricTensor.data")
+            nbytes, label = nrows * self.sym_size * 8, "PartiallySymmetricTensor.data"
+            ctx = current_context()
+            ctx.request_bytes(nbytes, label)
             try:
                 data = np.zeros((nrows, self.sym_size), dtype=np.float64)
             except BaseException:
-                release_bytes(
-                    nrows * self.sym_size * 8, "PartiallySymmetricTensor.data"
-                )
+                ctx.release_bytes(nbytes, label)
                 raise
         else:
             data = np.asarray(data, dtype=np.float64)
@@ -92,7 +92,7 @@ class PartiallySymmetricTensor:
         that makes HOOI's SVD step blow up; it is budget-accounted.
         """
         full_cols = dense_size(self.sym_order, self.sym_dim)
-        request_bytes(
+        current_context().request_bytes(
             self.nrows * full_cols * 8, "PartiallySymmetricTensor.full_unfolding"
         )
         try:
@@ -100,7 +100,7 @@ class PartiallySymmetricTensor:
         except BaseException:
             # The caller releases on the success path (it owns the returned
             # array); on failure nothing is returned, so give back here.
-            release_bytes(
+            current_context().release_bytes(
                 self.nrows * full_cols * 8, "PartiallySymmetricTensor.full_unfolding"
             )
             raise

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..runtime.budget import release_bytes, request_bytes
+from ..runtime.context import current_context
 from ..symmetry.combinatorics import dense_size, permutation_counts_array
 from ..symmetry.permutations import canonicalize, count_expanded, expand_iou
 
@@ -110,19 +110,22 @@ class SparseSymmetricTensor:
         from .coo import COOTensor
 
         nnz = self.nnz
-        request_bytes(nnz * self.order * 8 + nnz * 8, "expanded COO")
+        ctx = current_context()
+        ctx.request_bytes(nnz * self.order * 8 + nnz * 8, "expanded COO")
         try:
             exp_idx, exp_val, _ = expand_iou(self.indices, self.values)
             return COOTensor(
                 self.order, self.dim, exp_idx, exp_val, assume_unique=True
             )
         except BaseException:
-            release_bytes(nnz * self.order * 8 + nnz * 8, "expanded COO")
+            ctx.release_bytes(nnz * self.order * 8 + nnz * 8, "expanded COO")
             raise
 
     def to_dense(self) -> np.ndarray:
         """Full dense ndarray (tiny tensors only; budget-accounted)."""
-        request_bytes(dense_size(self.order, self.dim) * 8, "dense tensor")
+        current_context().request_bytes(
+            dense_size(self.order, self.dim) * 8, "dense tensor"
+        )
         out = np.zeros((self.dim,) * self.order, dtype=np.float64)
         exp_idx, exp_val, _ = expand_iou(self.indices, self.values)
         out[tuple(exp_idx.T)] = exp_val

@@ -95,8 +95,8 @@ def general_hooi(
     Each sweep updates every mode via the leading left singular vectors of
     the corresponding TTMc unfolding; the objective is
     ``‖X‖² − ‖C‖²`` with the core from the final mode of the sweep.
-    ``ctx`` supplies the run's budget/collector/seed (ambient when
-    ``None``) — same entry contract as the symmetric drivers, so bench
+    ``ctx`` supplies the run's budget/collector/seed (the current
+    context when ``None``) — same entry contract as the symmetric drivers, so bench
     comparisons are apples-to-apples.
     """
     ctx = resolve_context(ctx)
@@ -112,6 +112,7 @@ def general_hooi(
         seed = ctx.seed
     rng = np.random.default_rng(seed)
     timer = timer if timer is not None else PhaseTimer()
+    timer.collector = ctx.collector
     stats = KernelStats()
 
     trace: List[float] = []

@@ -22,7 +22,7 @@ from ..core._segment import segment_sum_by_ptr
 from ..core.stats import KernelStats
 from ..formats.coo import COOTensor
 from ..formats.csf import CSFTensor
-from ..runtime.budget import release_bytes, request_bytes
+from ..runtime.context import current_context
 
 __all__ = ["general_ttmc", "csf_ttmc_multi"]
 
@@ -49,16 +49,17 @@ def csf_ttmc_multi(
         if mat.ndim != 2 or mat.shape[0] != csf.dim:
             raise ValueError(f"factor {mode} must be ({csf.dim}, R_m)")
     trie = csf.trie
+    ctx = current_context()
     # Budget requests currently held; all given back if a later request
     # raises, so an over-limit chain leaves the budget exactly as found.
     held: list[tuple[int, str]] = []
 
     def _request(nbytes: int, label: str) -> None:
-        request_bytes(nbytes, label)
+        ctx.request_bytes(nbytes, label)
         held.append((nbytes, label))
 
     def _release(nbytes: int, label: str) -> None:
-        release_bytes(nbytes, label)
+        ctx.release_bytes(nbytes, label)
         held.remove((nbytes, label))
 
     try:
@@ -93,7 +94,7 @@ def csf_ttmc_multi(
         _release(csf.dim * out_cols * 8, "general Y full")
     except BaseException:
         for nbytes, label in held:
-            release_bytes(nbytes, label)
+            ctx.release_bytes(nbytes, label)
         raise
     if stats is not None:
         stats.output_bytes = out.nbytes

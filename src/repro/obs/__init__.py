@@ -3,8 +3,9 @@
 The measurement substrate behind every "where did the time/memory go?"
 question in this reproduction. Three pieces:
 
-* :mod:`repro.obs.trace` — hierarchical spans with an ambient collector
-  (near-zero overhead when disabled; thread-local span stacks).
+* :mod:`repro.obs.trace` — hierarchical spans into the run's collector
+  (``ExecContext.collector``; near-zero overhead when there is none;
+  thread-local span stacks).
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms.
 * :mod:`repro.obs.export` — JSONL writer/reader, the per-phase /
   per-lattice-level rollup (``python -m repro.obs summarize``) and the
@@ -42,26 +43,22 @@ from .trace import (
     Span,
     TraceCollector,
     TraceEvent,
-    active_collector,
     current_span_id,
     event,
     open_span_depth,
     snapshot_open_stacks,
     span,
-    tracing_enabled,
 )
 
 __all__ = [
     "Span",
     "TraceEvent",
     "TraceCollector",
-    "active_collector",
     "current_span_id",
     "open_span_depth",
     "snapshot_open_stacks",
     "event",
     "span",
-    "tracing_enabled",
     "Counter",
     "Gauge",
     "Histogram",

@@ -3,7 +3,7 @@
 Complements the span tracer with cheap aggregates that don't need one
 record per occurrence — per-level flop counters, segment-sum size
 histograms, budget high-water-mark gauges. Every metric is thread-safe
-(worker threads bump the same registry the driving thread installed) and
+(worker threads bump the same registry as the driving thread) and
 the whole registry flattens to a plain ``dict`` for JSONL export.
 """
 

@@ -1,4 +1,4 @@
-"""Span-based tracing with an ambient collector.
+"""Span-based tracing into an explicit collector.
 
 The tracer answers the question the paper's whole evaluation revolves
 around — *where did the time and memory go?* — with hierarchical spans:
@@ -9,32 +9,28 @@ interleave with spans.
 
 Design constraints, in order:
 
-1. **Near-zero overhead when disabled.** Kernels call :func:`span` on hot
-   paths (once per lattice level per batch). With no active collector the
-   call is one module-global load, one ``is None`` test and the return of
-   a shared no-op singleton — no allocation, no clock read.
-2. **Thread-correct nesting.** The *collector* is process-wide by default
-   (worker threads report into the measurement installed by the driving
-   thread) but the *open-span stack* is thread-local, so concurrent
-   workers never corrupt each other's parent chains. Cross-thread
-   parentage is explicit: the submitting thread captures
+1. **One route to a collector.** Every record names its collector: a
+   run's is ``ExecContext.collector`` (:meth:`ExecContext.span
+   <repro.runtime.context.ExecContext.span>` passes it). ``collector=None``
+   means tracing is off — there is no installed or ambient collector, so
+   two runs in one process can never trace into each other's records.
+2. **Near-zero overhead when disabled.** Kernels call :func:`span` on hot
+   paths (once per lattice level per batch). Without a collector the call
+   is one ``is None`` test and the return of a shared no-op singleton —
+   no allocation, no clock read.
+3. **Thread-correct nesting.** The *open-span stack* is thread-local, so
+   concurrent workers never corrupt each other's parent chains.
+   Cross-thread parentage is explicit: the submitting thread captures
    :func:`current_span_id` and passes it as ``parent_id`` (see
-   :mod:`repro.parallel.executor`).
-3. **Nestable scopes.** Collectors stack like ``MemoryBudget``; the
-   innermost one receives the records.
-4. **Per-thread isolation on demand.** :func:`collector_scope` installs a
-   *thread-local* collector override that shadows the process-wide one —
-   this is how :class:`repro.runtime.context.ExecContext` keeps two
-   concurrent runs (each with its own collector) from cross-contaminating
-   each other's traces while sharing one process.
+   :mod:`repro.parallel.backends`).
 
 Usage::
 
     from repro.obs import TraceCollector, span
 
-    with TraceCollector() as col:
-        with span("s3ttmc", kernel="symprop"):
-            ...
+    col = TraceCollector()
+    with span("s3ttmc", collector=col, kernel="symprop"):
+        ...
     col.spans   # finished Span records, tree via span_id/parent_id
 """
 
@@ -42,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -52,9 +47,6 @@ __all__ = [
     "Span",
     "TraceEvent",
     "TraceCollector",
-    "active_collector",
-    "collector_scope",
-    "tracing_enabled",
     "span",
     "begin_span",
     "finish_span",
@@ -97,7 +89,7 @@ class TraceEvent:
 
 
 class TraceCollector:
-    """Receives spans/events; install with ``with`` to make it ambient.
+    """Receives the spans/events routed to it (see the module docs).
 
     Attributes
     ----------
@@ -174,26 +166,6 @@ class TraceCollector:
     def find(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
 
-    # -- scope management --------------------------------------------------
-    def __enter__(self) -> "TraceCollector":
-        global _ACTIVE
-        with _INSTALL_LOCK:
-            _COLLECTORS.append(self)
-            _ACTIVE = self
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _ACTIVE
-        with _INSTALL_LOCK:
-            if self in _COLLECTORS:
-                _COLLECTORS.remove(self)
-            _ACTIVE = _COLLECTORS[-1] if _COLLECTORS else None
-
-
-_INSTALL_LOCK = threading.Lock()
-_COLLECTORS: List[TraceCollector] = []
-#: Fast-path cache of the innermost collector (``None`` = tracing off).
-_ACTIVE: Optional[TraceCollector] = None
 
 _STACKS = threading.local()
 
@@ -246,41 +218,6 @@ def snapshot_open_stacks() -> Dict[str, List[str]]:
     return out
 
 
-def active_collector() -> Optional[TraceCollector]:
-    """Collector receiving this thread's records, or ``None``.
-
-    A thread-local override (see :func:`collector_scope`) shadows the
-    process-wide installed collector; with neither, tracing is off.
-    """
-    override = getattr(_STACKS, "collector", None)
-    return override if override is not None else _ACTIVE
-
-
-def tracing_enabled() -> bool:
-    """``True`` when a collector is reachable from this thread (one TLS
-    read plus one global load — hot-path safe as a guard before building
-    attribute dicts)."""
-    return getattr(_STACKS, "collector", None) is not None or _ACTIVE is not None
-
-
-@contextmanager
-def collector_scope(collector: TraceCollector):
-    """Route this thread's ambient span/event emission to ``collector``.
-
-    Unlike ``with collector:`` (which installs process-wide), the override
-    is strictly thread-local: other threads keep whatever collector they
-    see, so two runs on two threads can each trace into their own
-    collector. Used by :meth:`repro.runtime.context.ExecContext.scope` and
-    by parallel workers adopting their job's context.
-    """
-    prev = getattr(_STACKS, "collector", None)
-    _STACKS.collector = collector
-    try:
-        yield collector
-    finally:
-        _STACKS.collector = prev
-
-
 def current_span_id() -> Optional[int]:
     """Id of the innermost open span on *this* thread (for explicit
     cross-thread parenting), or ``None``."""
@@ -328,16 +265,13 @@ def begin_span(
     parent_id: Optional[int] = None,
     collector: Optional[TraceCollector] = None,
 ) -> Optional[Span]:
-    """Open a span imperatively; returns ``None`` when tracing is off.
+    """Open a span in ``collector`` imperatively; returns ``None`` when
+    ``collector`` is ``None`` (tracing off).
 
     For callers that need the span's exact clock readings (e.g.
     :class:`repro.runtime.timer.PhaseTimer`, whose totals must agree with
     the trace rollup to the clock tick). Pair with :func:`finish_span`.
-    ``collector`` routes the span explicitly (execution-context path),
-    bypassing the ambient lookup.
     """
-    if collector is None:
-        collector = active_collector()
     if collector is None:
         return None
     stack = _stack()
@@ -366,9 +300,7 @@ def finish_span(s: Span, end: Optional[float] = None) -> None:
         stack.pop()
     elif s in stack:  # tolerate misnested exits rather than corrupting
         stack.remove(s)
-    collector = getattr(s, "_collector", None) or active_collector()
-    if collector is not None:
-        collector.record_span(s)
+    s._collector.record_span(s)  # type: ignore[attr-defined]
 
 
 class _LiveSpan:
@@ -390,13 +322,11 @@ class _LiveSpan:
         self.span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        # Pinning the collector captured at span() creation keeps the span
-        # routed even if the ambient collector changes before __enter__.
         s = begin_span(
             self._name, self._attrs, parent_id=self._parent_id,
             collector=self._collector,
         )
-        assert s is not None  # explicit collector: begin_span never bails
+        assert s is not None  # a collector is set: begin_span never bails
         self.span = s
         return s
 
@@ -414,16 +344,11 @@ def span(
     collector: Optional[TraceCollector] = None,
     **attrs: Any,
 ):
-    """Open a span under the ambient collector (no-op when tracing is off).
+    """Open a span in ``collector`` (a no-op when it is ``None``).
 
     ``parent_id`` overrides the thread-local parent — pass the submitting
     thread's :func:`current_span_id` when crossing into a worker thread.
-    ``collector`` routes the span into that collector explicitly instead
-    of the ambient one (the :class:`~repro.runtime.context.ExecContext`
-    path).
     """
-    if collector is None:
-        collector = active_collector()
     if collector is None:
         return _NULL_SPAN
     return _LiveSpan(collector, name, parent_id, attrs)
@@ -436,12 +361,8 @@ def event(
     collector: Optional[TraceCollector] = None,
     **attrs: Any,
 ) -> None:
-    """Record a point-in-time event (no-op when tracing is off).
-
-    ``collector`` routes the event explicitly, as for :func:`span`.
-    """
-    if collector is None:
-        collector = active_collector()
+    """Record a point-in-time event in ``collector`` (a no-op when it is
+    ``None``), parented like :func:`span`."""
     if collector is None:
         return
     stack = _stack()

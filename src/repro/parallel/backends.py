@@ -197,7 +197,7 @@ def _note_incident(
     **attrs,
 ) -> None:
     """Record one resilience incident: trace event + counter + report."""
-    collector = ctx.effective_collector()
+    collector = ctx.collector
     if collector is not None:
         _trace.event(event, collector=collector, **attrs)
         collector.metrics.counter(counter).inc()
@@ -532,8 +532,8 @@ class ThreadBackend(Backend):
 
         def run(slot: int) -> None:
             cp = plans[slot]
-            # Enter the job's context on this worker thread so budget and
-            # collector resolve here exactly as on the submitting thread.
+            # Activate the job's context on this worker thread so code
+            # without a ctx resolves to it, as on the submitting thread.
             with ctx.scope(), ctx.span(
                 "parallel.chunk",
                 parent_id=parent_span,
@@ -908,7 +908,7 @@ class ProcessBackend(Backend):
         self._ensure_workers()
         shards = self._ensure_shards(job)
         self._ensure_factor(job.factor)
-        collector = ctx.effective_collector()
+        collector = ctx.collector
 
         total_rows = sum(s.n_rows for s in shards)
         partial_bytes = total_rows * job.cols * 8
@@ -917,7 +917,7 @@ class ProcessBackend(Backend):
         blocks = [
             np.zeros((s.n_rows, job.cols), dtype=np.float64) for s in shards
         ]
-        budget = ctx.effective_budget()
+        budget = ctx.budget
         budget_spec = (
             (budget.limit_bytes, budget.in_use) if budget is not None else None
         )

@@ -14,7 +14,7 @@ story, Figure 6):
   kernel call and every HOOI/HOQRI iteration (:func:`get_chunk_plans`,
   held on the execution context's
   :class:`~repro.runtime.context.PlanCache`, weakly keyed by the tensor;
-  the ambient context's cache gives legacy call sites process-wide
+  the default context's cache gives ctx-less call sites process-wide
   reuse). Cache behaviour is observable via the
   ``parallel.plan_cache.hits`` / ``parallel.plan_cache.misses`` counters
   and per-chunk ``parallel.plan_build`` spans.
@@ -32,8 +32,7 @@ story, Figure 6):
   ``p·I·S``, and the partials merge through the deterministic pairwise
   tree (:func:`~repro.parallel.sharding.hierarchical_merge`). All partial
   buffers are declared against the job context's
-  :class:`~repro.runtime.budget.MemoryBudget` (the ambient one when no
-  explicit context is given).
+  :class:`~repro.runtime.budget.MemoryBudget`.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from ..core.engine import KERNELS, lattice_ttmc
 from ..core.plan import TTMcPlan, build_plan
 from ..core.s3ttmc import SymmetricInput, _as_ucoo
 from ..formats.partial_sym import PartiallySymmetricTensor
-from ..obs import trace as _trace
-from ..runtime.context import ExecContext, resolve_context
+from ..runtime.context import ExecContext, default_context, resolve_context
 from ..runtime.faults import BackendUnhealthyError
 from ..symmetry.combinatorics import sym_storage_size
 from .sharding import chunk_row_block, partition_ranges, shard_resident_bytes
@@ -186,7 +184,7 @@ def _count_cache(
     report: Optional[ParallelRunReport],
     ctx: ExecContext,
 ) -> None:
-    collector = ctx.effective_collector()
+    collector = ctx.collector
     if collector is not None:
         if hits:
             collector.metrics.counter("parallel.plan_cache.hits").inc(hits)
@@ -209,7 +207,7 @@ def get_chunk_plans(
 
     The cache lives on the :class:`~repro.runtime.context.ExecContext`'s
     :class:`~repro.runtime.context.PlanCache` (weakly keyed by the tensor;
-    the ambient context's cache is process-persistent, so legacy call
+    the default context's cache is process-persistent, so ctx-less call
     sites keep their cross-call reuse), keyed by ``(partition, memoize)``
     — the pattern of a :class:`~repro.formats.ucoo.SparseSymmetricTensor`
     is immutable by convention, so each chunk's lattice is built exactly
@@ -233,7 +231,7 @@ def get_chunk_plans(
             "parallel.plan_build", chunk=slot, nz_start=start, nz_stop=stop
         ):
             tick = time.perf_counter()
-            plan = build_plan(indices[start:stop], memoize)
+            plan = build_plan(indices[start:stop], memoize, ctx=ctx)
             build_seconds = time.perf_counter() - tick
         out.append(
             ChunkPlan(
@@ -282,8 +280,8 @@ def parallel_s3ttmc(
         :class:`~repro.parallel.backends.Backend` instance. ``None``
         (the default) consults the context: its adopted backend is
         reused; otherwise a backend matching ``ctx.execution`` is created
-        and, for non-ambient contexts, adopted (kept alive until
-        ``ctx.close()``). String backends are created and closed per
+        and, unless ``ctx`` is the process default, adopted (kept alive
+        until ``ctx.close()``). String backends are created and closed per
         call.
     memoize:
         Lattice memoization scope, forwarded to the chunk plans.
@@ -298,9 +296,8 @@ def parallel_s3ttmc(
         Optional :class:`~repro.runtime.context.ExecContext`. Its budget
         and collector travel with the job to workers (threads enter the
         context's scope; processes mirror the budget limit), and its plan
-        cache holds the chunk plans. ``None`` resolves to the ambient
-        context — legacy ``with MemoryBudget(...):`` call sites still
-        propagate, via :meth:`~repro.runtime.context.ExecContext.snapshot`.
+        cache holds the chunk plans. ``None`` resolves to
+        :func:`~repro.runtime.context.current_context`.
     """
     from .backends import Backend, make_backend  # local: avoid import cycle
 
@@ -326,8 +323,8 @@ def parallel_s3ttmc(
         else:
             name = ctx.execution if ctx.execution in ("thread", "process") else "thread"
             backend = make_backend(name, n_workers, run_token=ctx.run_token)
-            if ctx.is_ambient:
-                owns_backend = True  # never pin a pool on the ambient default
+            if ctx is default_context():
+                owns_backend = True  # never pin a pool on the process default
             else:
                 ctx.adopt_backend(backend)
     elif isinstance(backend, str):
@@ -338,9 +335,6 @@ def parallel_s3ttmc(
     if n_workers is None:
         n_workers = backend.n_workers
 
-    # Materialize ambient budget/collector so they survive the hop onto
-    # worker threads (whose own ambient state is empty).
-    run_ctx = ctx.snapshot()
     ranges = partition_ranges(ucoo, rank, max(1, n_workers), ctx)
     job = ParallelJob(
         indices=ucoo.indices,
@@ -351,7 +345,7 @@ def parallel_s3ttmc(
         memoize=memoize,
         cols=cols,
         tensor=ucoo,
-        ctx=run_ctx,
+        ctx=ctx,
         kernel=kernel,
     )
     if report is not None:
@@ -362,7 +356,7 @@ def parallel_s3ttmc(
 
     # Per-worker resident tensor bytes (the widest shard) — the gauge
     # the sharded-memory acceptance criterion reads.
-    collector = ctx.effective_collector()
+    collector = ctx.collector
     if collector is not None:
         collector.metrics.gauge("parallel.shard_bytes").set(
             shard_resident_bytes(ucoo.unnz, ucoo.order, ranges)
@@ -390,11 +384,9 @@ def parallel_s3ttmc(
                 weaker = policy.degrade_to(backend.name)
                 if weaker is None:
                     raise
-                collector = ctx.effective_collector()
                 if collector is not None:
-                    _trace.event(
+                    ctx.event(
                         "parallel.fallback",
-                        collector=collector,
                         from_backend=backend.name,
                         to_backend=weaker,
                         reason=exc.reason,
@@ -408,12 +400,11 @@ def parallel_s3ttmc(
                 else:
                     backend.close()
                 backend = make_backend(weaker, n_workers, run_token=ctx.run_token)
-                if not owns_backend and not ctx.is_ambient:
+                if not owns_backend and ctx is not default_context():
                     ctx.adopt_backend(backend)
                 else:
                     owns_backend = True
         elapsed = time.perf_counter() - tick
-        collector = ctx.effective_collector()
         if collector is not None:
             collector.metrics.counter(f"parallel.runs.{backend.name}").inc()
     finally:

@@ -269,7 +269,7 @@ def hierarchical_merge(
     ``reduce_seconds``.
     """
     ctx = resolve_context(ctx)
-    collector = ctx.effective_collector()
+    collector = ctx.collector
     tick = time.perf_counter()
     items: List[Tuple[np.ndarray, np.ndarray]] = [
         (np.asarray(rows), block) for rows, block in partials

@@ -439,8 +439,8 @@ def _run_chunk(
 
     ``budget_spec`` — ``(limit_bytes, parent_in_use)`` — mirrors the
     parent's :class:`~repro.runtime.budget.MemoryBudget` into this
-    process: a local budget preloaded with the parent's current usage is
-    installed around the kernel call, so transient allocations here are
+    process: a local budget preloaded with the parent's current usage
+    governs the kernel call, so transient allocations here are
     limit-checked exactly as they would be in-process. The worker's peak
     is reported back for the parent to fold in.
 
@@ -520,9 +520,7 @@ def _run_chunk(
     block = np.ndarray((n_rows, cols), dtype=np.float64, buffer=shm.buf)
     block[...] = 0.0
     # The kernel is driven under an explicit per-call ExecContext carrying
-    # the mirrored budget; relying on ambient state here would be wrong
-    # twice over — the fork may have inherited the parent's thread-local
-    # context stack, and a bare budget push would not survive it.
+    # the mirrored budget, never the worker's active context.
     worker_ctx = ExecContext(budget=budget, plans=state.plans)
     tick = time.perf_counter()
     lattice_ttmc(
@@ -593,10 +591,10 @@ def worker_main(
     from ..runtime.context import reset_thread_runtime_state
 
     # A fork start method clones the parent's thread-local runtime state
-    # (active ExecContext / budget / collector stacks) into this process.
-    # None of it belongs to the worker — accounting against a forked copy
-    # of the parent's budget would be silently invisible — so drop it and
-    # run against this process's own ambient state.
+    # (active ExecContext and open-span stacks) into this process. None of
+    # it belongs to the worker — accounting against a forked copy of the
+    # parent's budget would be silently invisible — so drop it and run
+    # against this process's default context.
     reset_thread_runtime_state()
     state = _WorkerState(untrack_attach, run_token)
     send_lock = threading.Lock()

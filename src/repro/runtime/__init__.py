@@ -1,13 +1,6 @@
 """Execution-environment substrate: contexts, budgets, faults, checkpoints."""
 
-from .budget import (
-    MemoryBudget,
-    MemoryLimitError,
-    current_budget,
-    release_bytes,
-    request_bytes,
-    track_array,
-)
+from .budget import MemoryBudget, MemoryLimitError
 from .checkpoint import (
     CheckpointState,
     checkpoint_path,
@@ -56,10 +49,6 @@ __all__ = [
     "tensor_generation",
     "MemoryBudget",
     "MemoryLimitError",
-    "current_budget",
-    "request_bytes",
-    "release_bytes",
-    "track_array",
     "FaultSpec",
     "FaultInjector",
     "FallbackPolicy",

@@ -5,38 +5,31 @@ CSF stores all ``N!``-expanded non-zeros and a full ``I × R^{N-1}`` output),
 CSS later (full ``R^l`` intermediates), SymProp last. To reproduce those
 "OOM" entries deterministically — independent of the actual RAM of the
 machine running this reproduction — kernels *declare* their major
-allocations against an ambient :class:`MemoryBudget` before performing
+allocations against the run's :class:`MemoryBudget` before performing
 them. Exceeding the budget raises :class:`MemoryLimitError`, which the
 benchmark harness renders as "OOM", exactly like the paper's figures.
 
-Usage::
+A budget reaches the kernels only as ``ExecContext.budget``: code
+declares through :meth:`repro.runtime.context.ExecContext.request_bytes`
+on the context it was given (or :func:`~repro.runtime.context.current_context`
+in leaf code that has none). Usage::
 
-    with MemoryBudget(gigabytes=4):
-        y = s3ttmc(x, u)          # raises MemoryLimitError if too large
+    ctx = ExecContext(budget=MemoryBudget(gigabytes=4))
+    y = s3ttmc(x, u, ctx=ctx)     # raises MemoryLimitError if too large
 
-With no active budget, accounting still happens (peak tracking) but nothing
-is ever refused.
+A budget without a limit only accounts (peak tracking); a run whose
+context has no budget accounts nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Optional
 
 from ..obs import trace as _trace
 
-__all__ = [
-    "MemoryLimitError",
-    "MemoryBudget",
-    "current_budget",
-    "request_bytes",
-    "release_bytes",
-    "track_array",
-]
-
-_FLOAT64 = 8
+__all__ = ["MemoryLimitError", "MemoryBudget"]
 
 
 class MemoryLimitError(MemoryError):
@@ -59,7 +52,7 @@ class MemoryLimitError(MemoryError):
 
 @dataclass
 class MemoryBudget:
-    """A nestable, thread-local memory accounting scope.
+    """One run's memory accounting (thread-safe; shared by its workers).
 
     Parameters
     ----------
@@ -86,22 +79,18 @@ class MemoryBudget:
     def request(self, nbytes: int, label: str = "array", *, collector=None) -> None:
         """Declare an allocation of ``nbytes``; raise if over the limit.
 
-        ``collector`` routes the budget events/metrics into a specific
-        :class:`~repro.obs.trace.TraceCollector` (the execution-context
-        path) instead of the ambient one.
+        ``collector`` (the run's :class:`~repro.obs.trace.TraceCollector`,
+        or ``None``) receives the budget events and metrics.
         """
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         with self._lock:
             if self.limit_bytes is not None and self.in_use + nbytes > self.limit_bytes:
-                refused_collector = (
-                    collector if collector is not None else _trace.active_collector()
-                )
-                if refused_collector is not None:
+                if collector is not None:
                     _trace.event(
                         "budget.refused",
-                        collector=refused_collector,
+                        collector=collector,
                         label=label,
                         nbytes=nbytes,
                         in_use=self.in_use,
@@ -112,8 +101,6 @@ class MemoryBudget:
             self.peak = max(self.peak, self.in_use)
             self.allocations[label] = self.allocations.get(label, 0) + nbytes
             in_use, peak = self.in_use, self.peak
-        if collector is None:
-            collector = _trace.active_collector()
         if collector is not None:
             _trace.event(
                 "budget.request",
@@ -141,8 +128,6 @@ class MemoryBudget:
                 else:
                     self.allocations[label] = remaining
             in_use = self.in_use
-        if collector is None:
-            collector = _trace.active_collector()
         if collector is not None:
             _trace.event(
                 "budget.release",
@@ -179,71 +164,3 @@ class MemoryBudget:
         """
         with self._lock:
             self.peak = max(self.peak, int(nbytes))
-
-    # -- scope management --------------------------------------------------
-    def __enter__(self) -> "MemoryBudget":
-        _stack().append(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-
-
-_LOCAL = threading.local()
-
-
-def _stack() -> List[MemoryBudget]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
-
-
-def current_budget() -> Optional[MemoryBudget]:
-    """Innermost active budget on this thread, or ``None``."""
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-def request_bytes(nbytes: int, label: str = "array") -> None:
-    """Declare ``nbytes`` against the active budget.
-
-    Without a budget this only emits a trace event (and nothing at all
-    when tracing is off), so traces still capture allocation declarations
-    from budget-less runs.
-    """
-    budget = current_budget()
-    if budget is not None:
-        budget.request(nbytes, label)
-    elif _trace.tracing_enabled():
-        _trace.event("budget.request", label=label, nbytes=int(nbytes))
-
-
-def release_bytes(nbytes: int, label: str = "array") -> None:
-    """Release ``nbytes`` from the active budget (see :func:`request_bytes`)."""
-    budget = current_budget()
-    if budget is not None:
-        budget.release(nbytes, label)
-    elif _trace.tracing_enabled():
-        _trace.event("budget.release", label=label, nbytes=int(nbytes))
-
-
-@contextmanager
-def track_array(shape, label: str, itemsize: int = _FLOAT64) -> Iterator[int]:
-    """Context manager declaring an array allocation for its lifetime.
-
-    Yields the byte count. The bytes are released when the scope exits —
-    use for *transient* buffers; for arrays returned to the caller, call
-    :func:`request_bytes` without release.
-    """
-    nbytes = itemsize
-    for extent in shape:
-        nbytes *= int(extent)
-    request_bytes(nbytes, label)
-    try:
-        yield nbytes
-    finally:
-        release_bytes(nbytes, label)

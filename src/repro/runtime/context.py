@@ -1,14 +1,6 @@
 """Per-run execution context: the object every layer threads explicitly.
 
-Before this module existed, every cross-cutting concern was ambient
-process/thread state: the :class:`~repro.runtime.budget.MemoryBudget`
-lived in a ``threading.local`` stack, the trace collector was installed
-process-wide, execution backends were created ad hoc per decomposition
-call, and chunk-plan caches hung off tensor objects. Two decompositions
-running concurrently in one process therefore shared (or silently missed)
-budgets, traces and caches.
-
-:class:`ExecContext` makes the run's environment explicit — one object
+:class:`ExecContext` is the one way to configure a run — one object
 owning
 
 * the **memory budget** (``ctx.budget`` — the paper's OOM-reproduction
@@ -22,12 +14,14 @@ owning
 * the **RNG seed** (deterministic replay: seed + budget + backend travel
   together and serialize via :meth:`ExecContext.to_dict`).
 
-Backward compatibility is preserved through the *ambient default
-context*: :func:`current_context` returns the innermost explicitly
-scoped context on this thread, falling back to a process-wide singleton
-whose budget/collector properties delegate to the pre-existing ambient
-mechanisms. Code that never mentions contexts behaves exactly as before;
-code that passes ``ctx=`` gets isolation.
+``ctx.budget`` and ``ctx.collector`` are the only budget and collector a
+run accounts and traces into; ``None`` means none. The only ambient
+state is the thread's *active* context: :func:`current_context` returns
+the innermost context scoped on this thread (``with ctx:`` or
+:meth:`ExecContext.scope`), falling back to a process-default context
+with no budget and no collector whose plan cache is process-wide. Code
+that has a ``ctx`` uses it; leaf code without one (format constructors,
+dense reconstruction) declares through ``current_context()``.
 
 Usage::
 
@@ -54,14 +48,13 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from ..obs import trace as _trace
 from ..obs.profile import SamplingProfiler
-from . import budget as _budget
 from .budget import MemoryBudget
 from .faults import DEFAULT_FALLBACK, FallbackPolicy, FaultInjector
 from .health import CancelToken, DeadlineExceededError, RunCancelledError
@@ -73,6 +66,7 @@ __all__ = [
     "PlanCache",
     "check_sharding",
     "current_context",
+    "default_context",
     "reset_thread_runtime_state",
     "resolve_context",
     "tensor_generation",
@@ -231,12 +225,11 @@ class ExecContext:
     Parameters
     ----------
     budget:
-        The run's :class:`~repro.runtime.budget.MemoryBudget`. ``None``
-        delegates to the ambient (thread-local) budget stack, preserving
-        legacy ``with MemoryBudget(...):`` call sites.
+        The run's :class:`~repro.runtime.budget.MemoryBudget`, or
+        ``None`` for no accounting.
     collector:
-        The run's :class:`~repro.obs.trace.TraceCollector`. ``None``
-        delegates to the ambient collector.
+        The run's :class:`~repro.obs.trace.TraceCollector`, or ``None``
+        for no tracing.
     execution:
         ``"serial"`` (plain kernel), ``"thread"`` or ``"process"``
         (parallel backend, owned by this context once adopted).
@@ -266,7 +259,7 @@ class ExecContext:
         Optional :class:`~repro.obs.profile.SamplingProfiler`. The
         context *owns* it like the backend: started when the context is
         entered, stopped (and flushed to its path) in :meth:`close`.
-        Not inherited by :meth:`derive`/:meth:`snapshot` children — the
+        Not inherited by :meth:`derive` children — the
         sampler observes every thread of the process already, and a
         child's ``close()`` must not stop the parent's profiler.
     deadline_seconds:
@@ -275,7 +268,7 @@ class ExecContext:
         :meth:`check_health` at chunk/iteration boundaries; past the
         deadline it raises
         :class:`~repro.runtime.health.DeadlineExceededError`. Children
-        from :meth:`derive`/:meth:`snapshot` inherit the parent's
+        from :meth:`derive` inherit the parent's
         *absolute* deadline, not a fresh budget.
     cancel:
         Optional :class:`~repro.runtime.health.CancelToken` for
@@ -285,9 +278,9 @@ class ExecContext:
         boundary. Children share the parent's token by default.
 
     The context is a context manager: ``with ctx:`` activates it on the
-    current thread (budget pushed, collector installed thread-locally,
-    :func:`current_context` returns it) and closes the owned backend on
-    exit. For activation without lifecycle teardown use :meth:`scope`.
+    current thread (:func:`current_context` returns it) and closes the
+    owned backend on exit. For activation without lifecycle teardown use
+    :meth:`scope`.
     """
 
     def __init__(
@@ -334,20 +327,11 @@ class ExecContext:
         #: reseeds of seedless runs (see
         #: :func:`repro.decomp.restarts.reseed_seed`), so concurrent runs in
         #: one process can never collide or correlate. :meth:`derive` mints
-        #: a fresh token (a child job is a new run); :meth:`snapshot` keeps
-        #: it (same run, materialized ambient state).
+        #: a fresh token (a child job is a new run).
         self.run_token = os.urandom(4).hex()
         self._health_tripped = False
         self._backend = None
-        self._ambient = False
         self._entered: List[Any] = []
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def is_ambient(self) -> bool:
-        """``True`` only for the process-wide ambient default context."""
-        return self._ambient
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         bits = [f"execution={self.execution!r}"]
@@ -359,74 +343,35 @@ class ExecContext:
             bits.append("traced")
         if self.seed is not None:
             bits.append(f"seed={self.seed}")
-        if self._ambient:
-            bits.append("ambient")
         return f"ExecContext({', '.join(bits)})"
 
     # -- budget ------------------------------------------------------------
 
-    def effective_budget(self) -> Optional[MemoryBudget]:
-        """This context's budget, else the ambient one on this thread."""
-        return self.budget if self.budget is not None else _budget.current_budget()
-
     def request_bytes(self, nbytes: int, label: str = "array") -> None:
-        """Declare ``nbytes`` against this run's budget (see
-        :func:`repro.runtime.budget.request_bytes`)."""
-        budget = self.effective_budget()
-        if budget is not None:
-            budget.request(nbytes, label, collector=self.collector)
-        else:
-            collector = self.effective_collector()
-            if collector is not None:
-                _trace.event(
-                    "budget.request",
-                    collector=collector,
-                    label=label,
-                    nbytes=int(nbytes),
-                )
+        """Declare ``nbytes`` against this run's budget (raises
+        :class:`~repro.runtime.budget.MemoryLimitError` over its limit).
+
+        Without a budget nothing is accounted; a collector still records
+        the declaration as a ``budget.request`` event.
+        """
+        if self.budget is not None:
+            self.budget.request(nbytes, label, collector=self.collector)
+        elif self.collector is not None:
+            self.event("budget.request", label=label, nbytes=int(nbytes))
 
     def release_bytes(self, nbytes: int, label: str = "array") -> None:
         """Release ``nbytes`` from this run's budget."""
-        budget = self.effective_budget()
-        if budget is not None:
-            budget.release(nbytes, label, collector=self.collector)
-        else:
-            collector = self.effective_collector()
-            if collector is not None:
-                _trace.event(
-                    "budget.release",
-                    collector=collector,
-                    label=label,
-                    nbytes=int(nbytes),
-                )
-
-    @contextmanager
-    def track_array(self, shape, label: str, itemsize: int = 8) -> Iterator[int]:
-        """Context-scoped transient-array declaration (yields the bytes)."""
-        nbytes = itemsize
-        for extent in shape:
-            nbytes *= int(extent)
-        self.request_bytes(nbytes, label)
-        try:
-            yield nbytes
-        finally:
-            self.release_bytes(nbytes, label)
+        if self.budget is not None:
+            self.budget.release(nbytes, label, collector=self.collector)
+        elif self.collector is not None:
+            self.event("budget.release", label=label, nbytes=int(nbytes))
 
     # -- tracing -----------------------------------------------------------
 
-    def effective_collector(self) -> Optional["_trace.TraceCollector"]:
-        """This context's collector, else the ambient one on this thread."""
-        return (
-            self.collector
-            if self.collector is not None
-            else _trace.active_collector()
-        )
-
     @property
     def metrics(self):
-        """Metrics registry of the effective collector, or ``None``."""
-        collector = self.effective_collector()
-        return collector.metrics if collector is not None else None
+        """Metrics registry of this run's collector, or ``None``."""
+        return self.collector.metrics if self.collector is not None else None
 
     def span(self, name: str, *, parent_id: Optional[int] = None, **attrs: Any):
         """Open a span routed into this run's collector (no-op if none)."""
@@ -572,7 +517,7 @@ class ExecContext:
         if self.profiler is not None:
             self.profiler.stop()
 
-    # -- derivation / snapshot ---------------------------------------------
+    # -- derivation --------------------------------------------------------
 
     def derive(
         self,
@@ -586,8 +531,8 @@ class ExecContext:
         """Child context sharing budget/collector/plan cache and execution
         settings, with its own backend slot.
 
-        A ``hooi``/``hoqri`` call without ``ctx=`` outside any explicit
-        context derives an ephemeral child of the ambient context, runs
+        A ``hooi``/``hoqri`` call without ``ctx=`` outside any active
+        context derives an ephemeral child of the default context, runs
         on it, and closes it — while plans persist in the shared cache
         across calls. Execution settings are not overridable here: a run
         that executes differently is configured with its own
@@ -625,33 +570,6 @@ class ExecContext:
         if deadline_seconds is None:
             child._deadline_at = self._deadline_at
         return child
-
-    def snapshot(self) -> "ExecContext":
-        """Materialize ambient delegation into explicit fields.
-
-        Resolves the effective budget/collector *on the calling thread* so
-        the result can travel to worker threads (whose own ambient state
-        would differ). Returns ``self`` when nothing is delegated.
-        """
-        budget = self.effective_budget()
-        collector = self.effective_collector()
-        if budget is self.budget and collector is self.collector:
-            return self
-        snap = ExecContext(
-            budget=budget,
-            collector=collector,
-            execution=self.execution,
-            n_workers=self.n_workers,
-            seed=self.seed,
-            plans=self.plans,
-            faults=self.faults,
-            fallback=self.fallback,
-            deadline_seconds=self.deadline_seconds,
-            cancel=self.cancel_token,
-        )
-        snap._deadline_at = self._deadline_at
-        snap.run_token = self.run_token  # same run, materialized
-        return snap
 
     # -- serialization -----------------------------------------------------
 
@@ -716,33 +634,18 @@ class ExecContext:
 
     @contextmanager
     def scope(self) -> Iterator["ExecContext"]:
-        """Activate on the current thread, without lifecycle teardown.
-
-        Installs the budget on the thread-local budget stack, the
-        collector as this thread's trace override, and the context itself
-        as :func:`current_context`'s answer. Reentrant and cheap when
-        already active; the ambient default context installs nothing.
-        """
-        with ExitStack() as stack:
-            if (
-                self.budget is not None
-                and _budget.current_budget() is not self.budget
-            ):
-                stack.enter_context(self.budget)
-            if (
-                self.collector is not None
-                and _trace.active_collector() is not self.collector
-            ):
-                stack.enter_context(_trace.collector_scope(self.collector))
-            ctx_stack = _context_stack()
-            pushed = not (ctx_stack and ctx_stack[-1] is self)
-            if pushed:
-                ctx_stack.append(self)
-            try:
-                yield self
-            finally:
-                if pushed and ctx_stack and ctx_stack[-1] is self:
-                    ctx_stack.pop()
+        """Activate on the current thread, without lifecycle teardown:
+        :func:`current_context` returns this context inside. Reentrant
+        and cheap when already active."""
+        stack = _context_stack()
+        pushed = not (stack and stack[-1] is self)
+        if pushed:
+            stack.append(self)
+        try:
+            yield self
+        finally:
+            if pushed and stack and stack[-1] is self:
+                stack.pop()
 
     def __enter__(self) -> "ExecContext":
         cm = self.scope()
@@ -761,7 +664,7 @@ class ExecContext:
 
 
 # ---------------------------------------------------------------------------
-# Ambient default
+# The active context
 # ---------------------------------------------------------------------------
 
 _TLS = threading.local()
@@ -775,20 +678,28 @@ def _context_stack() -> List[ExecContext]:
     return stack
 
 
-#: Process-wide fallback: delegates budget/trace to the ambient
-#: mechanisms; its plan cache is the process-wide one (the successor of
-#: the old tensor-attribute caches).
-_AMBIENT = ExecContext()
-_AMBIENT._ambient = True
+#: The process default: no budget, no collector, serial; its plan cache
+#: is the process-wide one (the successor of the old tensor-attribute
+#: caches), so ctx-less calls keep reusing plans.
+_DEFAULT = ExecContext()
+
+
+def default_context() -> ExecContext:
+    """The process-default context :func:`current_context` falls back to.
+
+    Callers that would adopt a backend onto a context check for it: a
+    pool pinned on the default would outlive every run.
+    """
+    return _DEFAULT
 
 
 def current_context() -> ExecContext:
-    """Innermost active context on this thread, else the ambient default.
+    """Innermost active context on this thread, else the process default.
 
     Never returns ``None`` — code can always thread the result.
     """
     stack = _context_stack()
-    return stack[-1] if stack else _AMBIENT
+    return stack[-1] if stack else _DEFAULT
 
 
 def resolve_context(ctx: Optional[ExecContext]) -> ExecContext:
@@ -800,19 +711,15 @@ def resolve_context(ctx: Optional[ExecContext]) -> ExecContext:
 
 
 def reset_thread_runtime_state() -> None:
-    """Forget all inherited ambient runtime state (fork safety).
+    """Forget the inherited active-context and open-span stacks (fork
+    safety).
 
     A ``fork``-started process clones the parent's thread-local context
-    stack, budget stack, span stack and the process-wide collectors.
-    Accounting or tracing against those clones is silently invisible to
-    the parent — worse, a cloned budget can spuriously refuse worker
-    allocations. Process workers call this once at startup so they run
-    against their own (empty) ambient state; explicit state still arrives
-    via the job's serialized budget/context.
+    and span stacks. Accounting or tracing against those clones is
+    silently invisible to the parent — worse, a cloned budget can
+    spuriously refuse worker allocations. Process workers call this once
+    at startup so they run against the process default; explicit state
+    still arrives via the job's serialized budget/context.
     """
     _TLS.__dict__.clear()
-    _budget._LOCAL.__dict__.clear()
     _trace._STACKS.__dict__.clear()
-    with _trace._INSTALL_LOCK:
-        _trace._COLLECTORS.clear()
-        _trace._ACTIVE = None

@@ -4,10 +4,11 @@ A :class:`PhaseTimer` accumulates wall-clock time per named phase across
 repeated entries — e.g. "s3ttmc", "svd", "qr", "core", "objective" inside a
 Tucker iteration loop — and reports totals and percentage breakdowns.
 
-Since the :mod:`repro.obs` layer landed, the timer is a thin *consumer*
-of the tracer: every ``phase(name)`` scope also opens a ``phase:<name>``
-span under the ambient collector (a no-op when tracing is off), so the
-``repro.obs summarize`` rollup and the timer report the same numbers.
+The timer is also a thin *consumer* of the tracer: every ``phase(name)``
+scope opens a ``phase:<name>`` span in the timer's ``collector`` (a no-op
+when it is ``None``), so the ``repro.obs summarize`` rollup and the timer
+report the same numbers. The code that owns the run sets ``collector``
+to the run's ``ExecContext.collector``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional
 
 from ..obs import trace as _trace
 
@@ -36,12 +37,18 @@ class PhaseTimer:
 
     totals: Dict[str, float] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
+    #: Receives the ``phase:<name>`` spans; set by the run driving the timer.
+    collector: Optional[_trace.TraceCollector] = field(
+        default=None, repr=False, compare=False
+    )
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         # Timer and trace span share the same two clock readings, so the
         # `repro.obs summarize` rollup agrees with breakdown() exactly.
-        live = _trace.begin_span("phase:" + name, {"phase": name})
+        live = _trace.begin_span(
+            "phase:" + name, {"phase": name}, collector=self.collector
+        )
         start = live.start if live is not None else time.perf_counter()
         try:
             yield

@@ -275,17 +275,12 @@ def run_chaos_case(
 
     hygiene_ok = True
     hygiene_detail = "budget drained, no shm leaks"
-    # Plan-cache lattice bytes are tensor-lifetime by design (the plan is
-    # memoized on the tensor instance), so they are not a per-run leak;
-    # everything else must have drained even on a cancelled/failed run.
-    residual = {
-        label: nbytes
-        for label, nbytes in ctx.budget.allocations.items()
-        if not label.startswith("lattice level")
-    }
-    if residual:
+    # Everything must have drained, even on a cancelled/failed run.
+    if ctx.budget.allocations:
         hygiene_ok = False
-        hygiene_detail = f"budget not drained; held allocations: {residual}"
+        hygiene_detail = (
+            f"budget not drained; held allocations: {ctx.budget.allocations}"
+        )
     leaked = set(_shm._LIVE_SEGMENTS) - segments_before
     if leaked:
         hygiene_ok = False

@@ -217,17 +217,17 @@ def check_budget_preflight() -> CheckResult:
         before = tracemalloc.get_traced_memory()[0]
         refused = False
         try:
-            with MemoryBudget(limit_bytes=4 * 2**20):
-                # Large block_bytes keeps the hoist path enabled, so the
-                # ~11.5 MB gather tables are the allocation under test.
-                lattice_ttmc(
-                    indices,
-                    values,
-                    dim,
-                    factor,
-                    out=out,
-                    block_bytes=1 << 25,
-                )
+            # Large block_bytes keeps the hoist path enabled, so the
+            # ~11.5 MB gather tables are the allocation under test.
+            lattice_ttmc(
+                indices,
+                values,
+                dim,
+                factor,
+                out=out,
+                block_bytes=1 << 25,
+                ctx=ExecContext(budget=MemoryBudget(limit_bytes=4 * 2**20)),
+            )
         except MemoryLimitError:
             refused = True
         peak = tracemalloc.get_traced_memory()[1] - before

@@ -178,8 +178,9 @@ def run_workload_checks(
     """Run the full differential matrix for one workload.
 
     ``ctx`` carries the case's budget/collector/plan cache; kernels are
-    invoked with it explicitly (it is never installed ambiently, so the
-    dense reference materializations stay outside the budget). The
+    invoked with it explicitly (it is never made the thread's active
+    context, so the dense reference materializations, which declare
+    through ``current_context()``, stay outside the budget). The
     returned list contains one :class:`CheckResult` per executed check;
     infeasible checks (dense reference too large, parallel on an empty
     tensor) are skipped, not failed.
@@ -638,7 +639,7 @@ def run_workload_checks(
                 # contract the distributed simulator builds on.
                 collector = TraceCollector()
                 run_ctx = ExecContext(
-                    budget=ctx.effective_budget(),
+                    budget=ctx.budget,
                     collector=collector,
                     plans=ctx.plans,
                 )
@@ -678,7 +679,7 @@ def run_workload_checks(
                         seed=0,
                     )
                     run_ctx = ExecContext(
-                        budget=ctx.effective_budget(),
+                        budget=ctx.budget,
                         plans=ctx.plans,
                         faults=injector,
                     )

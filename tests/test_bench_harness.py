@@ -71,10 +71,12 @@ class TestTimedMeasurement:
         assert m.ok and m.seconds >= 0
 
     def test_oom_reported(self):
-        from repro.runtime.budget import request_bytes
+        from repro.runtime import current_context
 
         m = timed_measurement(
-            lambda: request_bytes(10**12, "huge"), repeats=1, budget_gb=0.001
+            lambda: current_context().request_bytes(10**12, "huge"),
+            repeats=1,
+            budget_gb=0.001,
         )
         assert m.oom
 
@@ -110,3 +112,22 @@ class TestTimedMeasurement:
         assert preferred_batch("splatt", 8, 4, 2**30) is None
         batch = preferred_batch("css", 10, 5, 4 * 2**30)
         assert batch is not None and batch >= 1
+
+
+class TestMaybeTrace:
+    def test_ctx_less_call_is_traced(self, tmp_path, monkeypatch):
+        """``REPRO_TRACE`` reaches kernels called without ``ctx=`` (as
+        ``benchmarks/bench_parallel_baseline.py`` calls them)."""
+        from repro import random_sparse_symmetric, s3ttmc
+        from repro.bench.harness import maybe_trace
+        from repro.obs import read_trace
+        from repro.runtime.context import current_context, default_context
+
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        x = random_sparse_symmetric(3, 10, 40, seed=0)
+        with maybe_trace() as collector:
+            s3ttmc(x, np.ones((10, 2)))
+        assert collector.find("s3ttmc") and collector.find("lattice.level")
+        assert any(s["name"] == "s3ttmc" for s in read_trace(path).spans)
+        assert current_context() is default_context()

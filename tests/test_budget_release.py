@@ -1,6 +1,7 @@
 """Budget exception-path audit: a ``MemoryLimitError`` (or any failure)
 mid-kernel must release every byte the call had requested, so retry and
-OOM-splitting logic upstream sees the budget exactly as it found it."""
+OOM-splitting logic upstream sees the budget exactly as it found it —
+and a completed run, plan build included, must drain to zero."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ import pytest
 from repro.baselines.hoqri_nary import nary_hoqri_step
 from repro.baselines.splatt import splatt_ttmc
 from repro.core import s3ttmc
+from repro.data.synthetic import random_sparse_symmetric
+from repro.decomp import hoqri
 from repro.decomp.hosvd import hosvd_init
 from repro.formats.csf import CSFTensor
 from repro.formats.partial_sym import PartiallySymmetricTensor
 from repro.general.ttmc import csf_ttmc_multi
+from repro.obs import TraceCollector
+from repro.runtime import ExecContext
 from repro.runtime.budget import MemoryBudget, MemoryLimitError
 from repro.symmetry.combinatorics import sym_storage_size
 from tests.conftest import make_random_tensor
@@ -22,10 +27,15 @@ def tensor(rng):
     return make_random_tensor(4, 12, 120, rng)
 
 
+def _budgeted(limit_bytes=None):
+    """A context with a fresh budget; activate it with ``with``."""
+    return ExecContext(budget=MemoryBudget(limit_bytes=limit_bytes))
+
+
 def _peak(fn):
-    with MemoryBudget() as probe:
+    with _budgeted() as probe:
         fn()
-        return probe.peak
+    return probe.budget.peak
 
 
 def _assert_restored_under_pressure(fn, peak, fractions):
@@ -33,7 +43,8 @@ def _assert_restored_under_pressure(fn, peak, fractions):
     exactly where it was before the call."""
     ooms = 0
     for frac in fractions:
-        with MemoryBudget(limit_bytes=int(peak * frac)) as budget:
+        with _budgeted(int(peak * frac)) as ctx:
+            budget = ctx.budget
             before = budget.in_use
             try:
                 fn()
@@ -55,7 +66,8 @@ class TestEngineRelease:
 class TestBaselineRelease:
     def test_splatt_no_per_call_drift(self, tensor, rng):
         u = rng.random((12, 4))
-        with MemoryBudget() as budget:
+        with _budgeted() as ctx:
+            budget = ctx.budget
             splatt_ttmc(tensor, u)
             base = budget.in_use
             splatt_ttmc(tensor, u)
@@ -70,7 +82,8 @@ class TestBaselineRelease:
 
     def test_nary_step_no_core_leak(self, tensor, rng):
         u = rng.random((12, 4))
-        with MemoryBudget() as budget:
+        with _budgeted() as ctx:
+            budget = ctx.budget
             nary_hoqri_step(tensor, u, chunk=16)
             base = budget.in_use
             nary_hoqri_step(tensor, u, chunk=16)
@@ -103,14 +116,16 @@ class TestFormatRelease:
             raise RuntimeError("synthetic expand failure")
 
         monkeypatch.setattr(ps, "expand_compact", boom)
-        with MemoryBudget() as budget:
+        with _budgeted() as ctx:
+            budget = ctx.budget
             before = budget.in_use
             with pytest.raises(RuntimeError):
                 y.to_full_unfolding()
             assert budget.in_use == before, budget.allocations
 
     def test_csf_construction_oom_releases_indices(self, tensor):
-        with MemoryBudget(limit_bytes=1024) as budget:
+        with _budgeted(1024) as ctx:
+            budget = ctx.budget
             before = budget.in_use
             with pytest.raises(MemoryLimitError):
                 CSFTensor.from_symmetric(tensor)
@@ -123,3 +138,45 @@ class TestDecompRelease:
         _assert_restored_under_pressure(
             lambda: hosvd_init(tensor, 3), peak, (0.5, 0.1)
         )
+
+
+class TestPlanBuildAccounting:
+    """Plan builds charge their per-level transients to the caller's
+    context and give them back once each level is built."""
+
+    @staticmethod
+    def _fresh(seed=0):
+        # A new tensor object each call: plans are memoized per instance.
+        return random_sparse_symmetric(4, 30, 200, seed=seed)
+
+    def test_scoped_hoqri_on_fresh_tensor_drains(self):
+        ctx = ExecContext(budget=MemoryBudget(), collector=TraceCollector())
+        with ctx:
+            hoqri(self._fresh(), 3, max_iters=2, tol=-1.0, seed=0)
+        assert ctx.budget.in_use == 0, ctx.budget.allocations
+        assert ctx.budget.allocations == {}
+        requested, released = {}, {}
+        for e in ctx.collector.events:
+            if e.name in ("budget.request", "budget.release"):
+                tally = requested if e.name == "budget.request" else released
+                label = e.attrs["label"]
+                tally[label] = tally.get(label, 0) + e.attrs["nbytes"]
+        assert any(label.startswith("lattice level") for label in requested)
+        assert requested == released
+
+    def test_s3ttmc_peak_same_bare_and_scoped(self, rng):
+        u = rng.random((30, 4))
+        bare = ExecContext(budget=MemoryBudget())
+        s3ttmc(self._fresh(), u, ctx=bare)
+        scoped = ExecContext(budget=MemoryBudget())
+        with scoped.scope():
+            s3ttmc(self._fresh(), u, ctx=scoped)
+        assert bare.budget.peak == scoped.budget.peak > 0
+        assert bare.budget.in_use == scoped.budget.in_use == 0
+
+    def test_plan_build_is_limit_checked(self):
+        x = self._fresh()
+        ctx = ExecContext(budget=MemoryBudget(limit_bytes=1024))
+        with pytest.raises(MemoryLimitError, match="lattice level"):
+            s3ttmc(x, np.ones((30, 2)), ctx=ctx)
+        assert ctx.budget.in_use == 0

@@ -12,6 +12,7 @@ import pytest
 
 from repro.decomp import hooi, hoqri
 from repro.obs.trace import TraceCollector
+from repro.runtime import ExecContext
 from repro.runtime.checkpoint import (
     CHECKPOINT_FILENAME,
     CheckpointState,
@@ -107,9 +108,10 @@ class TestCheckpointIO:
             state.check_config({"kernel": "symprop"})  # missing key
 
     def test_observability(self, tmp_path):
-        with TraceCollector() as col:
-            save_checkpoint(tmp_path, _state())
-            load_checkpoint(tmp_path)
+        col = TraceCollector()
+        ctx = ExecContext(collector=col)
+        save_checkpoint(tmp_path, _state(), ctx=ctx)
+        load_checkpoint(tmp_path, ctx=ctx)
         assert col.metrics.counter("checkpoint.saves").value == 1
         assert col.metrics.counter("checkpoint.loads").value == 1
         assert len(col.find("checkpoint.save")) == 1
@@ -161,7 +163,8 @@ class TestDriverResume:
         x = make_random_tensor(3, 10, 40, rng)
         first = hooi(x, 2, max_iters=30, tol=1e-4, seed=1, checkpoint_dir=tmp_path)
         assert first.converged
-        with TraceCollector() as col:
+        col = TraceCollector()
+        with ExecContext(collector=col):
             resumed = hooi(
                 x, 2, max_iters=30, tol=1e-4, seed=1,
                 checkpoint_dir=tmp_path, resume=True,

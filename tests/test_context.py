@@ -1,6 +1,7 @@
-"""ExecContext tests: validation, ambient fallback, scoping/derivation,
-serialization, budget propagation under every execution, and isolation
-between concurrent runs."""
+"""ExecContext tests: validation, the process-default fallback,
+scoping/derivation, serialization, budget propagation under every
+execution, isolation between concurrent runs, and the removed ambient
+budget/collector idioms."""
 
 import asyncio
 import threading
@@ -11,12 +12,14 @@ import pytest
 from repro import ExecContext, current_context
 from repro.core import s3ttmc
 from repro.decomp import hooi
-from repro.obs.trace import TraceCollector
+from repro.obs.trace import TraceCollector, begin_span, open_span_depth
 from repro.parallel import parallel_s3ttmc
 from repro.runtime import MemoryBudget, MemoryLimitError
 from repro.runtime.context import (
     EXECUTIONS,
     PlanCache,
+    default_context,
+    reset_thread_runtime_state,
     resolve_context,
     tensor_generation,
 )
@@ -78,33 +81,41 @@ class TestValidation:
 class TestAmbientDefault:
     def test_current_context_defaults_to_ambient(self):
         ctx = current_context()
-        assert ctx.is_ambient
+        assert ctx is default_context()
+        assert ctx.budget is None and ctx.collector is None
         assert resolve_context(None) is ctx
 
     def test_explicit_context_wins_inside_scope(self):
         ctx = ExecContext(seed=7)
         with ctx:
             assert current_context() is ctx
-            assert not current_context().is_ambient
-        assert current_context().is_ambient
+        assert current_context() is default_context()
 
     def test_resolve_passthrough(self):
         ctx = ExecContext()
         assert resolve_context(ctx) is ctx
 
     def test_legacy_budget_call_site_still_accounts(self, rng):
-        """Pre-existing ``with MemoryBudget(...):`` sites see no change."""
+        """A call without ``ctx=`` accounts against the active context."""
         x = make_random_tensor(3, 8, 40, rng)
         u = rng.random((8, 2))
-        with MemoryBudget() as budget:
+        with ExecContext(budget=MemoryBudget()) as ctx:
             s3ttmc(x, u)
-        assert budget.peak > 0
+        assert ctx.budget.peak > 0
 
     def test_legacy_collector_call_site_still_traces(self, rng):
         x = make_random_tensor(3, 8, 40, rng)
-        with TraceCollector() as col:
+        col = TraceCollector()
+        with ExecContext(collector=col):
             hooi(x, 2, max_iters=1)
         assert col.find("hooi.iteration")
+        assert col.find("phase:s3ttmc")
+
+    def test_default_context_never_pins_a_backend(self, rng):
+        x = make_random_tensor(3, 8, 40, rng)
+        parallel_s3ttmc(x, rng.random((8, 2)), 2)
+        hooi(x, 2, max_iters=1, tol=-1.0)
+        assert default_context().backend is None
 
 
 class TestScopeAndLifecycle:
@@ -158,16 +169,6 @@ class TestScopeAndLifecycle:
             with pytest.raises(TypeError, match=removed):
                 parent.derive(**{removed: None})
         parent.close()
-
-    def test_snapshot_materializes_ambient(self):
-        with MemoryBudget() as budget, TraceCollector() as col:
-            snap = ExecContext().snapshot()
-        assert snap.budget is budget
-        assert snap.collector is col
-
-    def test_snapshot_is_identity_when_explicit(self):
-        ctx = ExecContext(budget=MemoryBudget(), collector=TraceCollector())
-        assert ctx.snapshot() is ctx
 
     def test_serialization_round_trip(self):
         ctx = ExecContext(
@@ -318,12 +319,35 @@ class TestConcurrencyIsolation:
         assert a.budget.peak > 0 and b.budget.peak > 0
 
     def test_explicit_context_shields_ambient_collector(self, rng):
+        """Two threads, two active contexts: each collector records only
+        its own thread's spans, though neither call passes ``ctx=``."""
         x = make_random_tensor(3, 8, 40, rng)
-        ctx = ExecContext(collector=TraceCollector())
-        with TraceCollector() as ambient:
-            hooi(x, 2, max_iters=1, ctx=ctx)
-        assert ctx.collector.find("hooi.iteration")
-        assert not ambient.spans
+        collectors = {"a": TraceCollector(), "b": TraceCollector()}
+        errors = []
+        barrier = threading.Barrier(2)
+
+        def run(name, iters):
+            try:
+                with ExecContext(collector=collectors[name]):
+                    barrier.wait(timeout=30)
+                    hooi(x, 2, max_iters=iters, tol=-1.0)
+                    barrier.wait(timeout=30)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append((name, exc))
+
+        threads = [
+            threading.Thread(target=run, args=(name, iters), name=f"run-{name}")
+            for name, iters in (("a", 2), ("b", 3))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors, errors
+        for name, iters in (("a", 2), ("b", 3)):
+            col = collectors[name]
+            assert len(col.find("hooi.iteration")) == iters
+            assert {s.thread for s in col.spans} == {f"run-{name}"}
 
 
 class TestRunTokens:
@@ -333,11 +357,10 @@ class TestRunTokens:
         assert len(a.run_token) == 8
         int(a.run_token, 16)  # hex-parsable (reseed derivation relies on it)
 
-    def test_derive_mints_fresh_token_snapshot_keeps_it(self):
+    def test_derive_mints_fresh_token(self):
         parent = ExecContext(budget=MemoryBudget(), collector=TraceCollector())
         child = parent.derive()
         assert child.run_token != parent.run_token  # child = new logical run
-        assert parent.snapshot().run_token == parent.run_token
 
     def test_release_backend_detaches_without_closing(self):
         ctx = ExecContext()
@@ -417,3 +440,60 @@ class TestDerivedJobIsolation:
         plain = base.derive()
         assert plain.budget is base.budget
         assert plain.collector is base.collector
+
+
+class TestForkSafety:
+    def test_reset_forgets_active_context_and_open_spans(self):
+        """What a process worker calls first: the thread's inherited
+        context stack and span stack are dropped."""
+        seen = {}
+
+        def run():
+            with ExecContext(budget=MemoryBudget(), collector=TraceCollector()) as ctx:
+                begin_span("inherited", collector=ctx.collector)
+                assert current_context() is ctx and open_span_depth() == 1
+                reset_thread_runtime_state()
+                seen["ctx"] = current_context()
+                seen["depth"] = open_span_depth()
+
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=30)
+        assert seen["ctx"] is default_context()
+        assert seen["depth"] == 0
+
+
+class TestRemovedIdioms:
+    """The ambient budget stack and the installed collector are gone:
+    their idioms fail loudly instead of silently not accounting."""
+
+    @pytest.mark.parametrize("make", [MemoryBudget, TraceCollector])
+    def test_budget_and_collector_are_not_context_managers(self, make):
+        with pytest.raises((TypeError, AttributeError)):
+            with make():
+                pass
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.obs", "active_collector"),
+            ("repro.obs", "tracing_enabled"),
+            ("repro.obs.trace", "active_collector"),
+            ("repro.obs.trace", "tracing_enabled"),
+            ("repro.obs.trace", "collector_scope"),
+            ("repro.runtime", "current_budget"),
+            ("repro.runtime.budget", "current_budget"),
+            ("repro.runtime.budget", "request_bytes"),
+            ("repro.runtime.budget", "release_bytes"),
+            ("repro.runtime.budget", "track_array"),
+        ],
+    )
+    def test_removed_names_fail_to_import(self, module, name):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+    @pytest.mark.parametrize(
+        "attr", ["effective_budget", "effective_collector", "snapshot", "is_ambient"]
+    )
+    def test_context_glue_is_gone(self, attr):
+        assert not hasattr(ExecContext(), attr)

@@ -244,8 +244,6 @@ class TestFallbackPolicy:
         child = ctx.derive()
         assert child.effective_fallback() is pol
         assert child.faults is ctx.faults
-        snap = ctx.snapshot()
-        assert snap.effective_fallback() is pol
 
 
 class TestRecoveryEquivalence:
@@ -351,9 +349,10 @@ class TestRecoveryEquivalence:
                 ]
             ),
             fallback=FAST,
+            collector=TraceCollector(),
         )
-        with TraceCollector() as col:
-            parallel_s3ttmc(x, u, 2, backend="thread", ctx=ctx)
+        parallel_s3ttmc(x, u, 2, backend="thread", ctx=ctx)
+        col = ctx.collector
         assert _counter(col, "parallel.retries") == 1
         assert _counter(col, "parallel.oom_splits") == 1
         assert len([e for e in col.events if e.name == "parallel.retry"]) == 1
@@ -379,10 +378,11 @@ class TestBackendFallback:
                 ]
             ),
             fallback=FAST,
+            collector=TraceCollector(),
         )
         report = ParallelRunReport()
-        with TraceCollector() as col:
-            got = parallel_s3ttmc(x, u, 2, backend="process", ctx=ctx, report=report)
+        got = parallel_s3ttmc(x, u, 2, backend="process", ctx=ctx, report=report)
+        col = ctx.collector
         assert report.fallbacks == 1
         assert report.fallback_chain == ["thread"]
         assert report.backend == "thread"

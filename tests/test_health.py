@@ -119,11 +119,6 @@ class TestContextDeadline:
         assert tightened.deadline_seconds == 5.0
         assert tightened._deadline_at != fresh._deadline_at
 
-    def test_snapshot_preserves_deadline(self):
-        ctx = ExecContext(deadline_seconds=30.0)
-        snap = ctx.snapshot()
-        assert snap._deadline_at == ctx._deadline_at
-
     def test_dict_roundtrip_carries_deadline(self):
         ctx = ExecContext(deadline_seconds=12.5)
         spec = ctx.to_dict()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import planted_lowrank, random_sparse_symmetric
 from repro.decomp.hosvd import hosvd_init
+from repro.runtime import ExecContext
 from repro.runtime.budget import MemoryBudget, MemoryLimitError
 
 
@@ -37,10 +38,10 @@ class TestRandomizedHosvd:
         """randomized fits a budget where the dense Gram cannot."""
         x = random_sparse_symmetric(3, 3000, 500, seed=4)
         budget = 30 * 2**20  # Gram: 3000^2 * 8 = 72 MB > 30 MB
-        with MemoryBudget(limit_bytes=budget):
+        with ExecContext(budget=MemoryBudget(limit_bytes=budget)):
             with pytest.raises(MemoryLimitError):
                 hosvd_init(x, 4, method="gram")
-        with MemoryBudget(limit_bytes=budget):
+        with ExecContext(budget=MemoryBudget(limit_bytes=budget)):
             u = hosvd_init(x, 4, method="randomized", seed=0)
         assert u.shape == (3000, 4)
 

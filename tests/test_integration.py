@@ -5,6 +5,7 @@ import pytest
 
 from repro import (
     CSSTensor,
+    ExecContext,
     MemoryBudget,
     MemoryLimitError,
     hooi,
@@ -24,7 +25,7 @@ class TestEndToEndPipelines:
     def test_dataset_to_decomposition(self):
         """Registry dataset → HOQRI under the scaled budget."""
         x = load_dataset("L6", seed=0)
-        with MemoryBudget(gigabytes=1.5):
+        with ExecContext(budget=MemoryBudget(gigabytes=1.5)):
             res = hoqri(x, 2, max_iters=3, tol=0.0, seed=0)
         # tol=0 may stop early if the objective exactly stagnates
         assert 1 <= res.iterations <= 3
@@ -60,12 +61,12 @@ class TestEndToEndPipelines:
 
         fp = kernel_footprint("css", 40, 6, 5, 100, nz_batch=100)
         assert not fp.fits(budget)
-        with MemoryBudget(limit_bytes=budget):
+        with ExecContext(budget=MemoryBudget(limit_bytes=budget)):
             with pytest.raises(MemoryLimitError):
                 css_s3ttmc(x, u)
         fp_sp = kernel_footprint("symprop", 40, 6, 5, 100, nz_batch=100)
         assert fp_sp.fits(budget)
-        with MemoryBudget(limit_bytes=budget):
+        with ExecContext(budget=MemoryBudget(limit_bytes=budget)):
             s3ttmc(x, u)
 
     def test_flops_accumulate_over_decomposition(self):
@@ -83,7 +84,7 @@ class TestEndToEndPipelines:
         rank = 8
         # full Y: 200 * 8^5 * 8 = 52 MB > 16 MB budget; Gram: 200^2 * 8 tiny,
         # and the compact kernel (batched) stays well under the limit.
-        with MemoryBudget(limit_bytes=16 * 2**20):
+        with ExecContext(budget=MemoryBudget(limit_bytes=16 * 2**20)):
             with pytest.raises(MemoryLimitError):
                 hooi(
                     x,
@@ -93,7 +94,7 @@ class TestEndToEndPipelines:
                     svd_method="expand",
                     nz_batch_size=64,
                 )
-        with MemoryBudget(limit_bytes=16 * 2**20):
+        with ExecContext(budget=MemoryBudget(limit_bytes=16 * 2**20)):
             res = hooi(
                 x, rank, max_iters=2, tol=0.0, seed=0, svd_method="gram",
                 nz_batch_size=64,

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.engine import lattice_ttmc
 from repro.core.plan import build_plan, pattern_fingerprint
+from repro.runtime import ExecContext
 from repro.runtime.budget import MemoryBudget, MemoryLimitError
 from repro.symmetry.combinatorics import sym_storage_size
 from repro.verify.invariants import check_budget_preflight
@@ -56,16 +57,14 @@ class TestBudgetPreflight:
         x = make_random_tensor(3, dim, 48, rng)
         u = rng.standard_normal((dim, rank))
         out = np.zeros((dim, _cols(3, rank)))
-        # Plan construction transfers lattice bytes to the (long-lived)
-        # plan object, so build it outside the budget under test.
-        plan = build_plan(x.indices)
+        # The plan is built inside the budget under test: its per-level
+        # transients must drain too.
         budget = MemoryBudget(limit_bytes=4 * 2**20)
-        with budget:
-            with pytest.raises(MemoryLimitError):
-                lattice_ttmc(
-                    x.indices, x.values, dim, u, out=out, plan=plan,
-                    block_bytes=1 << 25,
-                )
+        with pytest.raises(MemoryLimitError):
+            lattice_ttmc(
+                x.indices, x.values, dim, u, out=out, block_bytes=1 << 25,
+                ctx=ExecContext(budget=budget),
+            )
         assert budget.in_use == 0, budget.allocations
 
     def test_traced_peak_small_during_refused_hoist(self):
@@ -79,11 +78,12 @@ class TestBudgetPreflight:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            with MemoryBudget(limit_bytes=4 * 2**20):
-                with pytest.raises(MemoryLimitError):
-                    lattice_ttmc(
-                        x.indices, x.values, dim, u, out=out, block_bytes=1 << 25
-                    )
+            ctx = ExecContext(budget=MemoryBudget(limit_bytes=4 * 2**20))
+            with pytest.raises(MemoryLimitError):
+                lattice_ttmc(
+                    x.indices, x.values, dim, u, out=out, block_bytes=1 << 25,
+                    ctx=ctx,
+                )
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -54,3 +54,32 @@ def test_checker_rejects_stale_lazy_allowance(capsys):
     assert [e for e in errors if "stale allowance core -> parallel" in e]
     assert chk.main() == 1
     assert "stale allowance core -> parallel" in capsys.readouterr().err
+
+
+def test_checker_rejects_thread_local_outside_allowlist(tmp_path):
+    """A new ``threading.local()`` is new ambient state and fails."""
+    chk = _load_checker()
+    chk.PACKAGE = tmp_path
+    (tmp_path / "core").mkdir()
+    bad = tmp_path / "core" / "ambient.py"
+    bad.write_text("import threading\n\n_STATE = threading.local()\n")
+    also_bad = tmp_path / "core" / "aliased.py"
+    also_bad.write_text("from threading import local\n")
+    allowed = tmp_path / "obs"
+    allowed.mkdir()
+    (allowed / "trace.py").write_text("import threading\n_S = threading.local()\n")
+    assert any("core/ambient.py:3: threading.local()" in e for e in chk.check_file(bad))
+    assert chk.check_file(also_bad)
+    used = set()
+    assert chk.check_file(allowed / "trace.py", used) == []
+    assert used == {"obs/trace.py"}
+
+
+def test_checker_rejects_stale_thread_local_allowance():
+    chk = _load_checker()
+    chk.THREAD_LOCAL_ALLOWED.add("core/engine.py")
+    errors = chk.check_package()
+    assert errors == [
+        "THREAD_LOCAL_ALLOWED: stale allowance core/engine.py: it uses no "
+        "threading.local — remove it"
+    ]

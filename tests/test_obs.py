@@ -1,6 +1,6 @@
 """Tests for the repro.obs observability layer.
 
-Covers the span tracer (ambient collector, nesting, threads, disabled
+Covers the span tracer (explicit collectors, nesting, threads, disabled
 no-op path and its overhead), the metrics registry, JSONL export/import,
 the summarize rollup + CLI, and the end-to-end wiring through kernels,
 decompositions, the budget, the parallel executor and the bench harness.
@@ -17,23 +17,21 @@ from repro import hooi, hoqri, random_sparse_symmetric, s3ttmc
 from repro.obs import (
     MetricsRegistry,
     TraceCollector,
-    active_collector,
     read_trace,
     render_summary,
     span,
     summarize,
-    tracing_enabled,
     write_trace,
 )
 from repro.obs import trace as trace_mod
 from repro.obs.__main__ import main as obs_main
+from repro.runtime import ExecContext, MemoryBudget, current_context
 from tests.conftest import make_random_tensor
 
 
 class TestTracer:
     def test_disabled_is_noop_singleton(self):
-        assert active_collector() is None
-        assert not tracing_enabled()
+        assert current_context().collector is None
         a = span("anything", foo=1)
         b = span("else")
         assert a is b  # shared null span: no allocation when disabled
@@ -42,11 +40,9 @@ class TestTracer:
         assert s.attrs == {}
 
     def test_collector_records_span(self):
-        with TraceCollector() as col:
-            assert active_collector() is col
-            with span("work", items=3) as s:
-                assert s.attrs["items"] == 3
-        assert active_collector() is None
+        col = TraceCollector()
+        with span("work", collector=col, items=3) as s:
+            assert s.attrs["items"] == 3
         assert len(col.spans) == 1
         rec = col.spans[0]
         assert rec.name == "work"
@@ -54,22 +50,24 @@ class TestTracer:
         assert rec.seconds >= 0.0
 
     def test_nesting_parent_ids(self):
-        with TraceCollector() as col:
-            with span("outer") as outer:
-                with span("inner") as inner:
-                    pass
+        col = TraceCollector()
+        with span("outer", collector=col) as outer:
+            with span("inner", collector=col) as inner:
+                pass
         assert inner.parent_id == outer.span_id
         assert col.children(outer.span_id) == [inner]
         assert col.roots() == [outer]
 
     def test_collectors_nest_like_budgets(self):
-        with TraceCollector() as outer:
-            with span("a"):
+        """Nested active contexts: the innermost one's collector records."""
+        outer, inner = TraceCollector(), TraceCollector()
+        with ExecContext(collector=outer):
+            with current_context().span("a"):
                 pass
-            with TraceCollector() as inner:
-                with span("b"):
+            with ExecContext(collector=inner):
+                with current_context().span("b"):
                     pass
-            with span("c"):
+            with current_context().span("c"):
                 pass
         assert [s.name for s in outer.spans] == ["a", "c"]
         assert [s.name for s in inner.spans] == ["b"]
@@ -78,44 +76,42 @@ class TestTracer:
         """Worker spans don't inherit the driving thread's stack; explicit
         parent ids carry the link across threads."""
         recorded = {}
+        col = TraceCollector()
 
         def worker(parent_id):
-            with span("chunk", parent_id=parent_id) as s:
+            with span("chunk", parent_id=parent_id, collector=col) as s:
                 recorded["implicit_parent"] = trace_mod.current_span_id()
             recorded["span"] = s
 
-        with TraceCollector():
-            with span("driver") as driver:
-                t = threading.Thread(
-                    target=worker, args=(trace_mod.current_span_id(),)
-                )
-                t.start()
-                t.join()
+        with span("driver", collector=col) as driver:
+            t = threading.Thread(target=worker, args=(trace_mod.current_span_id(),))
+            t.start()
+            t.join()
         assert recorded["span"].parent_id == driver.span_id
         # inside the worker, its own span was the innermost
         assert recorded["implicit_parent"] == recorded["span"].span_id
         assert recorded["span"].thread != driver.thread
 
     def test_events_attach_to_open_span(self):
-        with TraceCollector() as col:
-            with span("scope") as s:
-                trace_mod.event("tick", n=1)
+        col = TraceCollector()
+        with span("scope", collector=col) as s:
+            trace_mod.event("tick", collector=col, n=1)
         assert len(col.events) == 1
         assert col.events[0].parent_id == s.span_id
         assert col.events[0].attrs == {"n": 1}
 
     def test_begin_finish_shared_clock(self):
-        with TraceCollector() as col:
-            live = trace_mod.begin_span("manual")
-            end = time.perf_counter()
-            trace_mod.finish_span(live, end)
+        col = TraceCollector()
+        live = trace_mod.begin_span("manual", collector=col)
+        end = time.perf_counter()
+        trace_mod.finish_span(live, end)
         assert col.spans[0].end == end
 
     def test_exception_still_records(self):
-        with TraceCollector() as col:
-            with pytest.raises(RuntimeError):
-                with span("failing"):
-                    raise RuntimeError("boom")
+        col = TraceCollector()
+        with pytest.raises(RuntimeError):
+            with span("failing", collector=col):
+                raise RuntimeError("boom")
         assert col.spans[0].name == "failing"
         assert col.spans[0].end >= col.spans[0].start
 
@@ -183,10 +179,10 @@ class TestMetrics:
 
 class TestExport:
     def test_jsonl_roundtrip(self, tmp_path):
-        with TraceCollector() as col:
-            with span("a", k="v"):
-                trace_mod.event("e", n=2)
-            col.metrics.counter("calls").inc(3)
+        col = TraceCollector()
+        with span("a", collector=col, k="v"):
+            trace_mod.event("e", collector=col, n=2)
+        col.metrics.counter("calls").inc(3)
         path = write_trace(col, tmp_path / "t.jsonl")
         records = read_trace(path)
         assert len(records.spans) == 1
@@ -198,17 +194,17 @@ class TestExport:
     def test_append_accumulates(self, tmp_path):
         path = tmp_path / "t.jsonl"
         for _ in range(2):
-            with TraceCollector() as col:
-                with span("m"):
-                    pass
+            col = TraceCollector()
+            with span("m", collector=col):
+                pass
             write_trace(col, path, append=True)
         records = read_trace(path)
         assert len(records.spans) == 2
 
     def test_every_line_is_json(self, tmp_path):
-        with TraceCollector() as col:
-            with span("x", arr=np.int64(3)):  # non-JSON-native attr
-                pass
+        col = TraceCollector()
+        with span("x", collector=col, arr=np.int64(3)):  # non-JSON-native attr
+            pass
         path = write_trace(col, tmp_path / "t.jsonl")
         for line in path.read_text().splitlines():
             json.loads(line)
@@ -217,7 +213,8 @@ class TestExport:
 class TestSummarize:
     def _traced_hooi(self, tmp_path, rng):
         x = make_random_tensor(3, 25, 150, rng)
-        with TraceCollector() as col:
+        col = TraceCollector()
+        with ExecContext(collector=col):
             result = hooi(x, rank=3, max_iters=4, seed=0, kernel="symprop")
         path = write_trace(col, tmp_path / "hooi.jsonl")
         return col, result, path
@@ -282,13 +279,10 @@ class TestSummarize:
 
 class TestWiring:
     def test_budget_events_and_peak_gauge(self, rng):
-        from repro.runtime.budget import MemoryBudget
-
         x = make_random_tensor(4, 12, 60, rng)
         u = rng.random((12, 3))
-        with TraceCollector() as col:
-            with MemoryBudget(gigabytes=4.0) as budget:
-                s3ttmc(x, u)
+        col, budget = TraceCollector(), MemoryBudget(gigabytes=4.0)
+        s3ttmc(x, u, ctx=ExecContext(budget=budget, collector=col))
         kinds = {e.name for e in col.events}
         assert "budget.request" in kinds
         assert "budget.release" in kinds
@@ -299,15 +293,15 @@ class TestWiring:
     def test_budgetless_requests_still_traced(self, rng):
         x = make_random_tensor(3, 10, 40, rng)
         u = rng.random((10, 3))
-        with TraceCollector() as col:
-            s3ttmc(x, u)
+        col = TraceCollector()
+        s3ttmc(x, u, ctx=ExecContext(collector=col))
         assert any(e.name == "budget.request" for e in col.events)
 
     def test_kernel_metrics(self, rng):
         x = make_random_tensor(4, 12, 60, rng)
         u = rng.random((12, 3))
-        with TraceCollector() as col:
-            s3ttmc(x, u)
+        col = TraceCollector()
+        s3ttmc(x, u, ctx=ExecContext(collector=col))
         flat = col.metrics.as_dict()
         per_level = [k for k in flat if k.startswith("lattice.flops.level_")]
         assert per_level
@@ -316,7 +310,8 @@ class TestWiring:
 
     def test_hoqri_iteration_spans(self, rng):
         x = make_random_tensor(3, 20, 100, rng)
-        with TraceCollector() as col:
+        col = TraceCollector()
+        with ExecContext(collector=col):
             result = hoqri(x, rank=3, max_iters=3, seed=0)
         iters = col.find("hoqri.iteration")
         assert len(iters) == result.iterations
@@ -327,8 +322,9 @@ class TestWiring:
 
         x = make_random_tensor(3, 30, 200, rng)
         u = rng.random((30, 4))
-        with TraceCollector() as col:
-            with span("driver"):
+        col = TraceCollector()
+        with ExecContext(collector=col) as ctx:
+            with ctx.span("driver"):
                 parallel_s3ttmc(x, u, n_workers=2)
         chunks = col.find("parallel.chunk")
         assert chunks
@@ -364,7 +360,7 @@ class TestWiring:
         x = make_random_tensor(3, 10, 40, rng)
         u = rng.random((10, 3))
         timed_measurement(lambda: s3ttmc(x, u), repeats=1, budget_gb=1.0)
-        assert active_collector() is None
+        assert current_context().collector is None
 
 
 class TestDisabledOverhead:
@@ -383,12 +379,11 @@ class TestDisabledOverhead:
         s3ttmc(x, u)  # warm plan/lattice caches
 
         # how many tracer touchpoints does one call make?
-        with TraceCollector() as col:
-            s3ttmc(x, u)
+        col = TraceCollector()
+        s3ttmc(x, u, ctx=ExecContext(collector=col))
         touchpoints = len(col.spans) + len(col.events)
 
         # per-call cost of the disabled path (span + enter/exit)
-        assert active_collector() is None
         reps = 20_000
         tick = time.perf_counter()
         for _ in range(reps):
@@ -407,7 +402,6 @@ class TestDisabledOverhead:
         )
 
     def test_disabled_event_is_cheap_noop(self):
-        assert active_collector() is None
         trace_mod.event("nothing", n=1)  # must not raise or allocate state
 
 

@@ -40,6 +40,7 @@ from repro.obs.regress import (
     phase_stats,
     render_findings,
 )
+from repro.runtime.context import ExecContext
 from repro.obs.trace import span
 from tests.conftest import make_random_tensor
 
@@ -130,12 +131,12 @@ class TestSamplingProfiler:
         assert p.interval == DEFAULT_INTERVAL
 
     def test_samples_attribute_to_open_spans(self):
-        with TraceCollector():
-            with span("outer"):
-                with span("inner"):
-                    stacks = snapshot_open_stacks()
-                    prof = SamplingProfiler(0.001, stacks=snapshot_open_stacks)
-                    prof.sample_once()
+        col = TraceCollector()
+        with span("outer", collector=col):
+            with span("inner", collector=col):
+                stacks = snapshot_open_stacks()
+                prof = SamplingProfiler(0.001, stacks=snapshot_open_stacks)
+                prof.sample_once()
         (key,) = prof.samples
         assert key[-2:] == ("outer", "inner")
         assert any(names == ["outer", "inner"] for names in stacks.values())
@@ -181,8 +182,8 @@ class TestChromeExport:
 
         x = make_random_tensor(3, 10, 40, rng)
         u = rng.random((10, 3))
-        with TraceCollector() as col:
-            s3ttmc(x, u)
+        col = TraceCollector()
+        s3ttmc(x, u, ctx=ExecContext(collector=col))
         doc = chrome_trace(col)
         self._schema_check(doc)
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
@@ -236,8 +237,8 @@ class TestChromeExport:
 
         x = make_random_tensor(3, 10, 40, rng)
         u = rng.random((10, 3))
-        with TraceCollector() as col:
-            s3ttmc(x, u)
+        col = TraceCollector()
+        s3ttmc(x, u, ctx=ExecContext(collector=col))
         trace = tmp_path / "t.jsonl"
         write_trace(col, trace)
         assert obs_main(["export-chrome", str(trace)]) == 0
@@ -381,10 +382,10 @@ class TestAttribution:
 
         tensor = make_random_tensor(3, 10, 30, rng)
         factor = rng.standard_normal((10, 4))
-        with TraceCollector() as col:
-            ctx = ExecContext(collector=col)
-            s3ttmc(tensor, factor, kernel="generic", ctx=ctx)
-            s3ttmc(tensor, factor, kernel="compiled", ctx=ctx)
+        col = TraceCollector()
+        ctx = ExecContext(collector=col)
+        s3ttmc(tensor, factor, kernel="generic", ctx=ctx)
+        s3ttmc(tensor, factor, kernel="compiled", ctx=ctx)
         report = attribute(col)
         assert {k.family for k in report.kernels} == {
             "symprop",
@@ -606,11 +607,10 @@ class TestGaugeAddAndBudgetWiring:
     def test_budget_in_use_gauge_deltas(self):
         from repro.runtime.budget import MemoryBudget
 
-        budget = MemoryBudget()
-        with TraceCollector() as col:
-            budget.request(100, "a")
-            budget.request(50, "b")
-            budget.release(100, "a")
+        budget, col = MemoryBudget(), TraceCollector()
+        budget.request(100, "a", collector=col)
+        budget.request(50, "b", collector=col)
+        budget.release(100, "a", collector=col)
         g = col.metrics.gauge("budget.in_use_bytes")
         assert g.value == 50
         assert g.max == 150
@@ -657,9 +657,11 @@ class TestProcessTraceRoundTrip:
         x = make_random_tensor(3, 16, 120, rng)
         u = rng.random((16, 4))
         report = ParallelRunReport()
-        with TraceCollector() as col:
-            with make_backend("process", 2) as backend:
-                parallel_s3ttmc(x, u, backend=backend, report=report)
+        col = TraceCollector()
+        with make_backend("process", 2) as backend:
+            parallel_s3ttmc(
+                x, u, backend=backend, report=report, ctx=ExecContext(collector=col)
+            )
         path = tmp_path / "proc.jsonl"
         write_trace(col, path)
         records = read_trace(path)

@@ -104,7 +104,8 @@ class TestChunkPlanCache:
     def test_cache_counters(self, rng):
         x = make_random_tensor(4, 10, 60, rng)
         u = rng.random((10, 3))
-        with TraceCollector() as col:
+        col = TraceCollector()
+        with ExecContext(collector=col):
             report = ParallelRunReport()
             parallel_s3ttmc(x, u, 2, backend="thread", report=report)
             n_chunks = len(report.ranges)
@@ -209,9 +210,9 @@ class TestDecompositionWiring:
         """5-iteration HOOI on the parallel backend builds each chunk's
         lattice exactly once — iterations 2..5 pay zero symbolic cost."""
         x = make_random_tensor(4, 12, 50, rng)
-        with TraceCollector() as col:
-            with ExecContext(execution="thread", n_workers=2) as ctx:
-                hooi(x, 3, max_iters=5, tol=0.0, seed=5, ctx=ctx)
+        col = TraceCollector()
+        with ExecContext(execution="thread", n_workers=2, collector=col) as ctx:
+            hooi(x, 3, max_iters=5, tol=0.0, seed=5, ctx=ctx)
         runs = col.find("parallel.s3ttmc")
         builds = col.find("parallel.plan_build")
         assert len(runs) == 5

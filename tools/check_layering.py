@@ -14,6 +14,11 @@ dependency (e.g. ``repro.obs.export`` rendering bench tables on demand).
 An entry no lazy import uses any more is stale and fails the check too,
 so the allowlist never outlives the code that needed it.
 
+Thread-local state (``threading.local()``) is ambient state: a run is
+configured through ``ExecContext`` alone, so only the modules in
+``THREAD_LOCAL_ALLOWED`` may hold it — the active-context stack and the
+open-span stacks. The same stale-entry rule applies.
+
 Usage: ``python tools/check_layering.py`` (exit 1 on violations).
 """
 
@@ -60,6 +65,32 @@ LAZY_ALLOWED = {
     # flop counts/rate calibration; lazy for the same importability reason.
     ("obs", "perfmodel"),
 }
+
+
+#: Modules (relative to ``src/repro``) permitted to use ``threading.local``.
+THREAD_LOCAL_ALLOWED = {
+    # The thread's active-ExecContext stack: the one ambient route.
+    "runtime/context.py",
+    # Per-thread open-span stacks (parentage, not routing).
+    "obs/trace.py",
+}
+
+
+def uses_thread_local(tree: ast.Module) -> Optional[int]:
+    """Line of the first ``threading.local`` use in ``tree``, or ``None``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "local"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "threading"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "threading"
+            and any(alias.name == "local" for alias in node.names)
+        ):
+            return node.lineno
+    return None
 
 
 def module_group(module: str) -> Optional[str]:
@@ -122,10 +153,10 @@ def iter_imports(
     return iter(visitor.found)
 
 
-def check_file(
-    path: Path, used: Optional[Set[Tuple[str, str]]] = None
-) -> List[str]:
-    """Layering violations in one file; adds each allowance it uses to ``used``."""
+def check_file(path: Path, used: Optional[Set[object]] = None) -> List[str]:
+    """Layering and thread-local violations in one file; adds each
+    allowance it uses (a ``LAZY_ALLOWED`` pair or a
+    ``THREAD_LOCAL_ALLOWED`` path) to ``used``."""
     rel = path.relative_to(PACKAGE)
     parts = list(rel.parts)
     is_package = parts[-1] == "__init__.py"
@@ -144,6 +175,17 @@ def check_file(
 
     tree = ast.parse(path.read_text(encoding="utf-8"))
     errors = []
+    line = uses_thread_local(tree)
+    if line is not None:
+        if rel.as_posix() in THREAD_LOCAL_ALLOWED:
+            if used is not None:
+                used.add(rel.as_posix())
+        else:
+            errors.append(
+                f"{rel}:{line}: threading.local() outside "
+                f"{sorted(THREAD_LOCAL_ALLOWED)}: route per-run state "
+                f"through ExecContext"
+            )
     for node, at_module_level in iter_imports(tree):
         if isinstance(node, ast.Import):
             targets = [alias.name for alias in node.names]
@@ -175,9 +217,9 @@ def check_file(
 
 
 def check_package() -> List[str]:
-    """Every violation under ``src/repro``, stale ``LAZY_ALLOWED`` pairs included."""
+    """Every violation under ``src/repro``, stale allowances included."""
     errors: List[str] = []
-    used: Set[Tuple[str, str]] = set()
+    used: Set[object] = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         if "__pycache__" in path.parts:
             continue
@@ -186,6 +228,11 @@ def check_package() -> List[str]:
         errors.append(
             f"LAZY_ALLOWED: stale allowance {importer} -> {imported}: "
             f"no lazy import in src/repro uses it — remove it"
+        )
+    for rel in sorted(THREAD_LOCAL_ALLOWED - used):
+        errors.append(
+            f"THREAD_LOCAL_ALLOWED: stale allowance {rel}: it uses no "
+            f"threading.local — remove it"
         )
     return errors
 
