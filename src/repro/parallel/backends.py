@@ -8,13 +8,13 @@ deterministic :func:`~repro.parallel.sharding.hierarchical_merge` into
 one ``(I, S_{N-1,R})`` output:
 
 ``serial``
-    In-line loop over shards on the calling thread. The bitwise
+    Runs each shard's tasks in line on the calling thread. The bitwise
     reference the other two are checked against, and the single-core
     fallback of last resort.
 ``thread``
     Persistent :class:`~concurrent.futures.ThreadPoolExecutor`, one
-    shard per thread. NumPy's heavy vector ops release the GIL, so
-    gathers/segment-sums overlap on multi-core builds.
+    task per shard in flight. NumPy's heavy vector ops release the GIL,
+    so gathers/segment-sums overlap on multi-core builds.
 ``process``
     Persistent worker processes fed via ``multiprocessing`` pipes, each
     holding only its own shard in shared memory
@@ -23,49 +23,58 @@ one ``(I, S_{N-1,R})`` output:
     first kernel call of a decomposition pays symbolic (lattice-build)
     cost.
 
-Fault tolerance
----------------
-All backends run chunks through the same resilience envelope, governed
-by the context's :class:`~repro.runtime.faults.FallbackPolicy`:
+Chunk supervision
+-----------------
+One supervisor, :meth:`Backend.execute`, drives every backend. It keeps
+one task queue per shard, runs at most one task per shard at a time,
+and applies the context's :class:`~repro.runtime.faults.FallbackPolicy`
+the same way whatever runs the task:
 
-* transient chunk failures (worker crash, corrupt partial, injected
-  error) are retried with exponential backoff up to
-  ``policy.max_retries`` per chunk;
-* a chunk that exceeds the memory budget is **bisected** along the
-  non-zero axis via the balanced partitioner and its halves retried
-  recursively (up to ``policy.max_oom_splits`` deep) — the run degrades
-  to smaller intermediates instead of dying;
-* every partial carries a checksum taken at the producer; a mismatch at
-  the consumer marks the partial corrupt and retries the chunk
-  (``policy.verify_partials``).
+* transient task failures (worker crash or error, corrupt partial,
+  injected error) are retried with exponential backoff, up to the
+  policy's ``max_retries`` per task;
+* a task that exceeds the memory budget is **bisected** along the
+  non-zero axis via the balanced partitioner, depth-first — its halves
+  run next, first half first — up to ``max_oom_splits`` deep, so the
+  run degrades to smaller intermediates instead of dying;
+* every partial carries a checksum taken by its producer; a mismatch
+  at the consumer marks the partial corrupt and retries the task
+  (``verify_partials``). The checksum doubles as a free finiteness
+  sentinel (``check_finite``): persistently non-finite partials raise
+  :class:`~repro.runtime.health.NumericalHealthError` rather than
+  degrading the backend, since a weaker backend cannot fix numerics.
 
-The process backend additionally *supervises* its workers: each running
-chunk is covered by a heartbeat (sent by the worker, suppressed only if
+Faults are armed only here, once per task attempt at the ``"chunk"``
+site. A backend supplies only a task runner — how one task runs:
+``serial`` in line, ``thread`` on its pool, ``process`` over the owner
+worker's pipe. Every partial, in-process or in a worker, comes from
+:func:`~repro.parallel.shm.compute_partial`, so only the ``crash`` and
+``hang`` faults act differently per substrate.
+
+The process runner additionally *supervises* its workers: each running
+task is covered by a heartbeat (sent by the worker, suppressed only if
 the process is truly wedged), silence longer than
 ``policy.chunk_timeout`` gets the worker killed, and dead workers —
 killed, crashed, or OOM-killed by the OS — are detected via pipe EOF,
 respawned (re-ingesting their shard from the parent's canonical copy,
-plan caches rewarmed on demand), and their chunk requeued. When a backend exhausts
-its retry/respawn budget it raises
+plan caches rewarmed on demand), and their task retried. When a backend
+exhausts its retry/respawn budget it raises
 :class:`~repro.runtime.faults.BackendUnhealthyError`, which the executor
 turns into a degrade (process → thread → serial) per the policy.
 
 Run-level health rides on the context (:mod:`repro.runtime.health`):
-every chunk attempt and every supervisor round calls
+every supervisor round and every in-process task attempt calls
 ``ctx.check_health()`` — cooperative cancellation and deadlines trip at
-chunk boundaries, and in-flight process workers are killed and the pool
-reset on the way out. Each partial's producer-side checksum doubles as
-a free finiteness sentinel (``policy.check_finite``); persistently
-non-finite partials raise
-:class:`~repro.runtime.health.NumericalHealthError` rather than
-degrading the backend, since a weaker backend cannot fix numerics.
+task boundaries, and in-flight process workers are killed and the pool
+reset on the way out.
 
-Reductions are deterministic: shard partials are staged per slot and the
-pairwise merge tree depends only on the shard layout, so reruns —
-including runs where chunks were retried or executed by different
-workers — produce bit-identical output on every backend. (OOM splits
-change a chunk's internal summation order; results then agree to
-rounding.)
+Reductions are deterministic: a shard's partial — or, after OOM
+splits, its sub-partials summed in start order — merges through the
+pairwise tree fixed by the shard layout, so reruns produce bit-identical
+output whatever the completion order, retries or backend. For one fault
+schedule keyed by slot and attempt, split results are bitwise across
+backends too; against a clean run they agree to rounding, since a split
+reorders the summation inside one chunk.
 
 Everything is observable: ``parallel.retries``, ``parallel.worker_respawns``,
 ``parallel.oom_splits``, ``parallel.corrupt_partials`` counters plus
@@ -87,30 +96,28 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
+from concurrent.futures import wait as _futures_wait
 from multiprocessing.connection import wait as _mp_wait
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..core.engine import lattice_ttmc
 from ..obs import trace as _trace
 from ..runtime.budget import MemoryLimitError
-from ..runtime.context import ExecContext, resolve_context, tensor_generation
+from ..runtime.context import ExecContext, tensor_generation
 from ..runtime.faults import (
     BackendUnhealthyError,
-    CorruptPartialError,
     FallbackPolicy,
-    FaultInjector,
     InjectedFault,
     WorkerCrashError,
 )
 from ..runtime.health import NumericalHealthError
 from . import shm as _shm
 from .executor import (
-    ChunkPlan,
     ParallelJob,
     ParallelRunReport,
+    _count_cache,
     chunk_row_block,
     get_chunk_plans,
 )
@@ -133,20 +140,14 @@ __all__ = [
 #: spawn path on platforms that default to fork.
 START_METHOD_ENV_VAR = "REPRO_START_METHOD"
 
+#: Task failures the supervisor retries. A ``MemoryLimitError`` splits
+#: the task instead; any other error propagates.
+_RETRYABLE = (WorkerCrashError, InjectedFault)
+
 
 def default_workers() -> int:
     """Default worker count: one per core."""
     return max(1, os.cpu_count() or 1)
-
-
-class _NonFinitePartialError(RuntimeError):
-    """Internal: a chunk partial's checksum came back non-finite.
-
-    Retried like other transient chunk failures, but exhaustion raises
-    :class:`~repro.runtime.health.NumericalHealthError` instead of
-    :class:`~repro.runtime.faults.BackendUnhealthyError` — degrading to
-    a weaker backend cannot fix numerics.
-    """
 
 
 def _supervisor_wait_timeout(
@@ -205,6 +206,16 @@ def _note_incident(
         setattr(report, report_field, getattr(report, report_field) + 1)
 
 
+def _fill_chunk_report(
+    report: Optional[ParallelRunReport], slot: int, seconds: float, worker: str
+) -> None:
+    if report is None:
+        return
+    if slot < len(report.chunk_seconds):
+        report.chunk_seconds[slot] += seconds
+    report.worker_busy[worker] = report.worker_busy.get(worker, 0.0) + seconds
+
+
 def _bisect_range(
     indices: np.ndarray, start: int, stop: int, rank: int
 ) -> List[Tuple[int, int]]:
@@ -223,169 +234,31 @@ def _bisect_range(
     return halves
 
 
-def _resilient_partial(
-    job: ParallelJob,
-    ctx: ExecContext,
-    policy: FallbackPolicy,
-    injector: Optional[FaultInjector],
-    backend_name: str,
-    slot: int,
-    cp: ChunkPlan,
-    report: Optional[ParallelRunReport],
-) -> np.ndarray:
-    """Compact ``(n_rows, cols)`` partial for one chunk, with recovery.
+class _Task:
+    """One schedulable unit of a shard: the whole shard or an OOM-split
+    sub-range, in global non-zero coordinates; ``rows`` are its sorted
+    output rows."""
 
-    The in-process resilience envelope shared by the serial and thread
-    backends: retries transient failures (injected crash/error, corrupt
-    partial) with backoff, recursively bisects on
-    :class:`~repro.runtime.budget.MemoryLimitError`, and verifies each
-    partial's checksum. An injected *hang* here is just a delay — there
-    is no process boundary to kill across, so kill-based hang recovery is
-    a process-backend capability. Raises
-    :class:`~repro.runtime.faults.BackendUnhealthyError` once a chunk
-    exhausts its retries.
-    """
+    __slots__ = ("slot", "start", "stop", "rows", "attempt", "depth")
 
-    def eval_range(start, stop, rows, row_map, plan, depth) -> np.ndarray:
-        attempt = 0
-        while True:
-            # Cooperative cancellation/deadline checkpoint: once per
-            # chunk attempt, before any kernel work starts.
-            ctx.check_health(f"{backend_name}.chunk")
-            fault = (
-                injector.arm(
-                    "chunk", backend=backend_name, slot=slot, attempt=attempt
-                )
-                if injector is not None
-                else None
-            )
-            try:
-                if fault is not None:
-                    if fault.kind == "crash":
-                        raise WorkerCrashError(
-                            f"injected crash (chunk {slot})"
-                        )
-                    if fault.kind == "error":
-                        raise InjectedFault(f"injected error (chunk {slot})")
-                    if fault.kind in ("hang", "slow"):
-                        time.sleep(fault.seconds)
-                    if fault.kind == "oom":
-                        raise MemoryLimitError("injected chunk oom", 0, 0, 0)
-                partial = np.zeros((rows.shape[0], job.cols), dtype=np.float64)
-                lattice_ttmc(
-                    job.indices[start:stop],
-                    job.values[start:stop],
-                    job.dim,
-                    job.factor,
-                    intermediate="compact",
-                    memoize=job.memoize,
-                    kernel=job.kernel,
-                    out=partial,
-                    out_row_map=row_map,
-                    plan=plan,
-                    ctx=ctx,
-                )
-                # An injected nan poisons the partial *before* the
-                # checksum (unlike corrupt, which evades it): the
-                # non-finite value rides the checksum to the sentinel.
-                if fault is not None and fault.kind == "nan" and partial.size:
-                    partial.flat[0] = np.nan
-                checksum = float(partial.sum())
-                if fault is not None and fault.kind == "corrupt" and partial.size:
-                    partial.flat[0] += fault.scale
-                if policy.check_finite and not math.isfinite(checksum):
-                    raise _NonFinitePartialError(
-                        f"chunk {slot} partial is non-finite "
-                        f"(checksum {checksum!r})"
-                    )
-                if policy.verify_partials and not _checksums_match(
-                    checksum, float(partial.sum())
-                ):
-                    raise CorruptPartialError(
-                        f"chunk {slot} partial failed checksum verification"
-                    )
-                return partial
-            except MemoryLimitError as oom:
-                if depth >= policy.max_oom_splits or stop - start <= 1:
-                    raise
-                _note_incident(
-                    ctx,
-                    report,
-                    "parallel.oom_split",
-                    "parallel.oom_splits",
-                    "oom_splits",
-                    backend=backend_name,
-                    chunk=slot,
-                    nz_start=start,
-                    nz_stop=stop,
-                    depth=depth,
-                    label=oom.label,
-                )
-                halves = _bisect_range(job.indices, start, stop, job.rank)
-                sub_plans = get_chunk_plans(
-                    job.tensor, halves, job.memoize, ctx=ctx
-                )
-                partial = np.zeros((rows.shape[0], job.cols), dtype=np.float64)
-                for sp in sub_plans:
-                    sub = eval_range(
-                        sp.start, sp.stop, sp.rows, sp.row_map, sp.plan,
-                        depth + 1,
-                    )
-                    partial[np.searchsorted(rows, sp.rows)] += sub
-                return partial
-            except (
-                WorkerCrashError,
-                CorruptPartialError,
-                InjectedFault,
-                _NonFinitePartialError,
-            ) as exc:
-                if isinstance(exc, CorruptPartialError):
-                    _note_incident(
-                        ctx,
-                        report,
-                        "parallel.corrupt_partial",
-                        "parallel.corrupt_partials",
-                        "corrupt_partials",
-                        backend=backend_name,
-                        chunk=slot,
-                    )
-                elif isinstance(exc, _NonFinitePartialError):
-                    _note_incident(
-                        ctx,
-                        report,
-                        "health.nonfinite_partial",
-                        "health.nonfinite_partials",
-                        "nonfinite_partials",
-                        backend=backend_name,
-                        chunk=slot,
-                    )
-                attempt += 1
-                if attempt > policy.max_retries:
-                    if isinstance(exc, _NonFinitePartialError):
-                        raise NumericalHealthError(
-                            f"chunk {slot} partial stayed non-finite after "
-                            f"{attempt} attempts"
-                        ) from exc
-                    raise BackendUnhealthyError(
-                        backend_name,
-                        f"chunk {slot} failed after {attempt} attempts: {exc}",
-                    ) from exc
-                _note_incident(
-                    ctx,
-                    report,
-                    "parallel.retry",
-                    "parallel.retries",
-                    "retries",
-                    backend=backend_name,
-                    chunk=slot,
-                    attempt=attempt,
-                    reason=str(exc),
-                )
-                backoff = policy.backoff(attempt)
-                if backoff > 0:
-                    time.sleep(backoff)
+    def __init__(self, slot, start, stop, rows, depth=0) -> None:
+        self.slot = slot
+        self.start = start
+        self.stop = stop
+        self.rows = rows
+        self.attempt = 0
+        self.depth = depth
 
-    return eval_range(cp.start, cp.stop, cp.rows, cp.row_map, cp.plan, 0)
+
+class _Partial(NamedTuple):
+    """A finished task's partial and the checksum its producer took."""
+
+    data: np.ndarray
+    checksum: float
+    #: Worker-side plan-cache hit and build seconds (process only; the
+    #: in-process runner's plans are counted by ``get_chunk_plans``).
+    plan_hit: Optional[bool] = None
+    build_seconds: float = 0.0
 
 
 class Backend(ABC):
@@ -399,10 +272,163 @@ class Backend(ABC):
         self.n_workers = int(n_workers) if n_workers else default_workers()
 
     @abstractmethod
+    def _runner(self, job: ParallelJob, report: Optional[ParallelRunReport]):
+        """This backend's task runner for one :meth:`execute`.
+
+        The runner exposes ``rows`` (each shard's output rows),
+        ``start(task, fault)`` (begin one task; ``fault`` is an armed
+        fault's payload or ``None``), ``wait()`` (block until some
+        started tasks finish; returns ``(task, outcome)`` pairs, the
+        outcome a :class:`_Partial`, a retryable error or a
+        ``MemoryLimitError``) and ``abort()`` (stop in-flight work on the
+        way out of a failed run).
+        """
+
     def execute(
         self, job: ParallelJob, report: Optional[ParallelRunReport] = None
     ) -> np.ndarray:
-        """Run ``job`` and return the reduced ``(dim, cols)`` output."""
+        """Run ``job``'s shards under the chunk supervisor and return the
+        reduced ``(dim, cols)`` output."""
+        ctx = job.ctx
+        policy = ctx.effective_fallback()
+        injector = ctx.faults
+        runner = self._runner(job, report)
+        partial_bytes = sum(rows.shape[0] for rows in runner.rows) * job.cols * 8
+        y_bytes = job.dim * job.cols * 8
+        ctx.request_bytes(partial_bytes, "parallel partials (sharded)")
+        ctx.request_bytes(y_bytes, "Y (parallel)")
+        queues: List[Deque[_Task]] = [
+            deque([_Task(slot, start, stop, runner.rows[slot])])
+            for slot, (start, stop) in enumerate(job.ranges)
+        ]
+        done: List[List[Tuple[_Task, np.ndarray]]] = [[] for _ in queues]
+        busy: set = set()
+        hits = misses = 0
+        build_seconds = 0.0
+
+        def retry(task: _Task, reason: str, *, health: bool = False) -> None:
+            task.attempt += 1
+            where = f"shard {task.slot} chunk [{task.start},{task.stop})"
+            if task.attempt > policy.max_retries:
+                if health:
+                    raise NumericalHealthError(
+                        f"{where} stayed non-finite after {task.attempt} attempts"
+                    )
+                raise BackendUnhealthyError(
+                    self.name,
+                    f"{where} failed after {task.attempt} attempts: {reason}",
+                )
+            _note_incident(
+                ctx, report, "parallel.retry", "parallel.retries", "retries",
+                backend=self.name, chunk=task.slot, shard=task.slot,
+                attempt=task.attempt, reason=reason,
+            )
+            backoff = policy.backoff(task.attempt)
+            if backoff > 0:
+                time.sleep(backoff)
+            queues[task.slot].appendleft(task)
+
+        def split(task: _Task, oom: MemoryLimitError) -> None:
+            if task.depth >= policy.max_oom_splits or task.stop - task.start <= 1:
+                raise oom
+            _note_incident(
+                ctx, report, "parallel.oom_split", "parallel.oom_splits",
+                "oom_splits", backend=self.name, chunk=task.slot,
+                shard=task.slot, nz_start=task.start, nz_stop=task.stop,
+                depth=task.depth, label=oom.label,
+            )
+            halves = [
+                _Task(
+                    task.slot, start, stop,
+                    chunk_row_block(job.indices[start:stop], job.dim)[0],
+                    depth=task.depth + 1,
+                )
+                for start, stop in _bisect_range(
+                    job.indices, task.start, task.stop, job.rank
+                )
+            ]
+            # Depth-first: the halves run next, first half first, so the
+            # split tree (and every fault armed on it) is the same on
+            # every backend.
+            queues[task.slot].extendleft(reversed(halves))
+
+        try:
+            while busy or any(queues):
+                # Raising here escapes into the BaseException handler
+                # below: the runner stops in-flight work on the way out.
+                ctx.check_health(f"{self.name}.supervisor")
+                for slot, queue in enumerate(queues):
+                    if not queue or slot in busy:
+                        continue
+                    task = queue.popleft()
+                    fault = (
+                        injector.arm(
+                            "chunk", backend=self.name, slot=slot, shard=slot,
+                            attempt=task.attempt,
+                        )
+                        if injector is not None
+                        else None
+                    )
+                    busy.add(slot)
+                    runner.start(task, None if fault is None else fault.payload())
+                for task, outcome in runner.wait():
+                    busy.discard(task.slot)
+                    if isinstance(outcome, MemoryLimitError):
+                        split(task, outcome)
+                    elif isinstance(outcome, _RETRYABLE):
+                        retry(task, str(outcome))
+                    elif policy.check_finite and not math.isfinite(outcome.checksum):
+                        _note_incident(
+                            ctx, report, "health.nonfinite_partial",
+                            "health.nonfinite_partials", "nonfinite_partials",
+                            backend=self.name, chunk=task.slot, shard=task.slot,
+                        )
+                        retry(task, "non-finite partial", health=True)
+                    elif policy.verify_partials and not _checksums_match(
+                        outcome.checksum, float(outcome.data.sum())
+                    ):
+                        _note_incident(
+                            ctx, report, "parallel.corrupt_partial",
+                            "parallel.corrupt_partials", "corrupt_partials",
+                            backend=self.name, chunk=task.slot, shard=task.slot,
+                        )
+                        retry(task, "corrupt partial (checksum mismatch)")
+                    else:
+                        done[task.slot].append((task, outcome.data))
+                        if outcome.plan_hit is not None:
+                            hits += outcome.plan_hit
+                            misses += not outcome.plan_hit
+                            build_seconds += outcome.build_seconds
+
+            blocks = []
+            for rows, parts in zip(runner.rows, done):
+                if len(parts) == 1 and parts[0][0].depth == 0:
+                    blocks.append(parts[0][1])
+                    continue
+                # Start-ordered merge of a split shard: the summation
+                # order is a function of the split tree alone, never of
+                # completion order.
+                block = np.zeros((rows.shape[0], job.cols), dtype=np.float64)
+                for task, part in sorted(parts, key=lambda item: item[0].start):
+                    block[np.searchsorted(rows, task.rows)] += part
+                blocks.append(block)
+            out = hierarchical_merge(
+                list(zip(runner.rows, blocks)),
+                job.dim,
+                job.cols,
+                ctx=ctx,
+                report=report,
+            )
+            _count_cache(hits, misses, report, ctx)
+            if report is not None:
+                report.plan_build_seconds += build_seconds
+            return out
+        except BaseException:
+            runner.abort()
+            raise
+        finally:
+            ctx.release_bytes(partial_bytes, "parallel partials (sharded)")
+            ctx.release_bytes(y_bytes, "Y (parallel)")
 
     def close(self) -> None:
         """Release worker state (idempotent)."""
@@ -413,37 +439,110 @@ class Backend(ABC):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- shared helpers ----------------------------------------------------
-    @staticmethod
-    def _job_ctx(job: ParallelJob) -> ExecContext:
-        return resolve_context(job.ctx)
 
-    @staticmethod
-    def _handoff(job: ParallelJob) -> None:
-        resolve_context(job.ctx).release_bytes(job.dim * job.cols * 8, "Y (parallel)")
+class _InProcessRunner:
+    """Runs tasks in this process: in line, or on a thread pool.
 
-    @staticmethod
-    def _fill_chunk_report(
+    Each task attempt is one ``parallel.chunk`` span. Nothing can
+    preempt an in-process task, so an injected hang is a stall here and
+    kill-based hang recovery is a process-backend capability.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        job: ParallelJob,
         report: Optional[ParallelRunReport],
-        slot: int,
-        seconds: float,
-        worker: Optional[str] = None,
+        pool: Optional[ThreadPoolExecutor],
     ) -> None:
-        if report is None:
-            return
-        if slot < len(report.chunk_seconds):
-            report.chunk_seconds[slot] += seconds
-        if worker is not None:
-            report.worker_busy[worker] = report.worker_busy.get(worker, 0.0) + seconds
+        self.name = name
+        self.job = job
+        self.report = report
+        self.pool = pool
+        self.plans = get_chunk_plans(
+            job.tensor, job.ranges, job.memoize, report=report, ctx=job.ctx
+        )
+        self.rows = [cp.rows for cp in self.plans]
+        self.parent_span = _trace.current_span_id()
+        self.futures: Dict[object, _Task] = {}
+        self.finished: List[Tuple[_Task, object]] = []
+
+    def start(self, task: _Task, fault) -> None:
+        if self.pool is None:
+            self.finished.append((task, self._run(task, fault)))
+        else:
+            self.futures[self.pool.submit(self._run, task, fault)] = task
+
+    def wait(self) -> List[Tuple[_Task, object]]:
+        if self.futures:
+            done, _ = _futures_wait(self.futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                self.finished.append((self.futures.pop(future), future.result()))
+        finished, self.finished = self.finished, []
+        return finished
+
+    def abort(self) -> None:
+        # Let in-flight attempts finish before the run's buffers go.
+        _futures_wait(self.futures)
+
+    def _run(self, task: _Task, fault):
+        job, ctx = self.job, self.job.ctx
+        worker = threading.current_thread().name
+        # Activate the job's context on a pool thread so code without a
+        # ctx resolves to it, as on the submitting thread.
+        with ctx.scope(), ctx.span(
+            "parallel.chunk",
+            parent_id=self.parent_span,
+            chunk=task.slot,
+            shard=task.slot,
+            nz_start=task.start,
+            nz_stop=task.stop,
+            worker=worker,
+        ):
+            tick = time.perf_counter()
+            try:
+                ctx.check_health(f"{self.name}.chunk")
+                kind = fault[0] if fault is not None else None
+                if kind == "crash":
+                    raise WorkerCrashError(f"injected crash (shard {task.slot})")
+                if kind == "hang":
+                    time.sleep(fault[1])
+                cp = (
+                    self.plans[task.slot]
+                    if task.depth == 0
+                    else get_chunk_plans(
+                        job.tensor, [(task.start, task.stop)], job.memoize, ctx=ctx
+                    )[0]
+                )
+                data = np.zeros((cp.n_rows, job.cols), dtype=np.float64)
+                checksum = _shm.compute_partial(
+                    job.indices[cp.start : cp.stop],
+                    job.values[cp.start : cp.stop],
+                    job.dim,
+                    job.factor,
+                    data,
+                    cp.row_map,
+                    cp.plan,
+                    memoize=job.memoize,
+                    kernel=job.kernel,
+                    ctx=ctx,
+                    fault=fault,
+                )
+                return _Partial(data, checksum)
+            except (MemoryLimitError, *_RETRYABLE) as exc:
+                return exc
+            finally:
+                _fill_chunk_report(
+                    self.report, task.slot, time.perf_counter() - tick, worker
+                )
 
 
 class SerialBackend(Backend):
-    """Loop over shards on the calling thread (reference backend).
+    """Run every task in line on the calling thread (reference backend).
 
-    Every shard partial is computed in slot order, then merged through
-    the deterministic pairwise tree — the bitwise anchor the thread and
-    process backends are checked against. All shard partials are staged
-    until the merge, so reduction memory is ``Σ_c rows_c·S``.
+    All shard partials are staged until the deterministic pairwise merge
+    — the bitwise anchor the thread and process backends are checked
+    against — so reduction memory is ``Σ_c rows_c·S``.
     """
 
     name = "serial"
@@ -451,46 +550,12 @@ class SerialBackend(Backend):
     def __init__(self, n_workers: Optional[int] = None) -> None:
         super().__init__(n_workers or 1)
 
-    def execute(
-        self, job: ParallelJob, report: Optional[ParallelRunReport] = None
-    ) -> np.ndarray:
-        ctx = self._job_ctx(job)
-        policy = ctx.effective_fallback()
-        injector = ctx.faults
-        plans = get_chunk_plans(
-            job.tensor, job.ranges, job.memoize, report=report, ctx=ctx
-        )
-        partial_bytes = sum(cp.n_rows for cp in plans) * job.cols * 8
-        ctx.request_bytes(partial_bytes, "parallel partials (sharded)")
-        ctx.request_bytes(job.dim * job.cols * 8, "Y (parallel)")
-        try:
-            partials: List[Tuple[np.ndarray, np.ndarray]] = []
-            for slot, cp in enumerate(plans):
-                with ctx.span(
-                    "parallel.chunk",
-                    chunk=slot,
-                    shard=slot,
-                    nz_start=cp.start,
-                    nz_stop=cp.stop,
-                ):
-                    tick = time.perf_counter()
-                    partial = _resilient_partial(
-                        job, ctx, policy, injector, self.name, slot, cp, report
-                    )
-                    self._fill_chunk_report(
-                        report, slot, time.perf_counter() - tick, worker=self.name
-                    )
-                partials.append((cp.rows, partial))
-            return hierarchical_merge(
-                partials, job.dim, job.cols, ctx=ctx, report=report
-            )
-        finally:
-            ctx.release_bytes(partial_bytes, "parallel partials (sharded)")
-            self._handoff(job)
+    def _runner(self, job, report) -> _InProcessRunner:
+        return _InProcessRunner(self.name, job, report, None)
 
 
 class ThreadBackend(Backend):
-    """Persistent thread pool, one shard per thread.
+    """Persistent thread pool, one task per shard in flight.
 
     Shard partials are computed concurrently and merged by the
     deterministic pairwise tree on the calling thread — bitwise-identical
@@ -503,73 +568,17 @@ class ThreadBackend(Backend):
         super().__init__(n_workers)
         self._pool: Optional[ThreadPoolExecutor] = None
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
+    def _runner(self, job, report) -> _InProcessRunner:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.n_workers, thread_name_prefix="s3ttmc"
             )
-        return self._pool
+        return _InProcessRunner(self.name, job, report, self._pool)
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def execute(
-        self, job: ParallelJob, report: Optional[ParallelRunReport] = None
-    ) -> np.ndarray:
-        ctx = self._job_ctx(job)
-        policy = ctx.effective_fallback()
-        injector = ctx.faults
-        plans = get_chunk_plans(
-            job.tensor, job.ranges, job.memoize, report=report, ctx=ctx
-        )
-        partial_bytes = sum(cp.n_rows for cp in plans) * job.cols * 8
-        ctx.request_bytes(partial_bytes, "parallel partials (sharded)")
-        ctx.request_bytes(job.dim * job.cols * 8, "Y (parallel)")
-        parent_span = _trace.current_span_id()
-        partials: List[Optional[np.ndarray]] = [None] * len(plans)
-
-        def run(slot: int) -> None:
-            cp = plans[slot]
-            # Activate the job's context on this worker thread so code
-            # without a ctx resolves to it, as on the submitting thread.
-            with ctx.scope(), ctx.span(
-                "parallel.chunk",
-                parent_id=parent_span,
-                chunk=slot,
-                shard=slot,
-                nz_start=cp.start,
-                nz_stop=cp.stop,
-            ) as chunk_span:
-                chunk_span.set_attr("worker", threading.current_thread().name)
-                tick = time.perf_counter()
-                partials[slot] = _resilient_partial(
-                    job, ctx, policy, injector, self.name, slot, cp, report
-                )
-                self._fill_chunk_report(
-                    report,
-                    slot,
-                    time.perf_counter() - tick,
-                    worker=threading.current_thread().name,
-                )
-
-        try:
-            if len(plans) <= 1:
-                for slot in range(len(plans)):
-                    run(slot)
-            else:
-                list(self._ensure_pool().map(run, range(len(plans))))
-            return hierarchical_merge(
-                [(cp.rows, partial) for cp, partial in zip(plans, partials)],
-                job.dim,
-                job.cols,
-                ctx=ctx,
-                report=report,
-            )
-        finally:
-            ctx.release_bytes(partial_bytes, "parallel partials (sharded)")
-            self._handoff(job)
 
 
 class _WorkerHandle:
@@ -589,24 +598,183 @@ class _WorkerHandle:
         self.worker_id = worker_id
         self.proc = proc
         self.conn = conn
-        self.task: Optional[_ChunkTask] = None
+        self.task: Optional[_Task] = None
         self.task_id = -1
         self.last_heard = 0.0
         self.result_name = ""
 
 
-class _ChunkTask:
-    """One schedulable unit: a chunk slot or an OOM-split sub-range."""
+class _ProcessRunner:
+    """Runs one execute's tasks on the shard owners, over their pipes.
 
-    __slots__ = ("slot", "start", "stop", "rows", "attempt", "depth")
+    Task ranges cross the pipe in the owner's shard-local coordinates
+    (its segments hold just its slice). Besides sending tasks and
+    receiving partials, this runner owns what only a process boundary
+    has: heartbeats, the hang kill, and respawning a lost owner, which
+    re-ingests its shard from the parent's canonical segments (counted
+    by ``parallel.shard_reingests``).
+    """
 
-    def __init__(self, slot, start, stop, rows, attempt=0, depth=0) -> None:
-        self.slot = slot
-        self.start = start
-        self.stop = stop
-        self.rows = rows
-        self.attempt = attempt
-        self.depth = depth
+    def __init__(
+        self,
+        backend: "ProcessBackend",
+        job: ParallelJob,
+        report: Optional[ParallelRunReport],
+    ) -> None:
+        if len(job.ranges) > backend.n_workers:
+            # Shard k only ever runs on worker k: a shard without an
+            # owner would wait forever.
+            raise ValueError(
+                f"{len(job.ranges)} shards need as many process workers; "
+                f"this backend has {backend.n_workers}"
+            )
+        backend._ensure_workers()
+        shards = backend._ensure_shards(job)
+        backend._ensure_factor(job.factor)
+        self.backend = backend
+        self.job = job
+        self.ctx = job.ctx
+        self.policy = job.ctx.effective_fallback()
+        self.report = report
+        self.rows = [shard.rows for shard in shards]
+        self.offsets = [shard.start for shard in shards]
+        self.running: Dict[object, _WorkerHandle] = {}  # conn -> handle
+        self.finished: List[Tuple[_Task, object]] = []
+        self.respawns = 0
+        self.task_seq = 0
+
+    def start(self, task: _Task, fault) -> None:
+        handle = next(h for h in self.backend._workers if h.worker_id == task.slot)
+        offset = self.offsets[task.slot]
+        budget = self.ctx.budget
+        self.task_seq += 1
+        handle.task = task
+        handle.task_id = self.task_seq
+        handle.last_heard = time.monotonic()
+        self.running[handle.conn] = handle
+        try:
+            handle.conn.send(
+                (
+                    "chunk", self.task_seq, task.start - offset,
+                    task.stop - offset, self.job.memoize, self.job.cols,
+                    # The worker's mirrored budget starts from the
+                    # parent's current usage.
+                    (budget.limit_bytes, budget.in_use) if budget else None,
+                    fault, self.policy.heartbeat_interval, self.job.kernel,
+                )
+            )
+        except (OSError, BrokenPipeError, ValueError):
+            self.finished.append(self._lose(handle, "shard owner died while idle"))
+
+    def wait(self) -> List[Tuple[_Task, object]]:
+        finished, self.finished = self.finished, []
+        if finished or not self.running:
+            return finished
+        timeout = _supervisor_wait_timeout(self.ctx, self.policy, self.running)
+        for conn in _mp_wait(list(self.running), timeout):
+            handle = self.running.get(conn)
+            if handle is None:
+                continue  # worker was lost earlier this round
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                finished.append(self._lose(handle, "worker died (pipe EOF)"))
+                continue
+            kind = msg[0]
+            if msg[1] != handle.task_id:
+                continue  # a message about a superseded dispatch
+            if kind == "beat":
+                handle.last_heard = time.monotonic()
+            elif kind == "result":
+                # Proactive result-segment announcement: recorded before
+                # the first chunk_done so a worker killed mid-chunk
+                # cannot leak its segment.
+                self.backend._note_result_announce(handle, msg[2])
+                handle.last_heard = time.monotonic()
+            else:
+                task = handle.task
+                self._release(handle)
+                if kind == "chunk_done":
+                    finished.append((task, self._receive(handle, task, msg)))
+                elif kind == "chunk_oom":
+                    finished.append((task, MemoryLimitError(*msg[2:])))
+                else:  # chunk_error: retried like a crash
+                    reason = str(msg[2]).splitlines()[0]
+                    finished.append((task, WorkerCrashError(f"worker error: {reason}")))
+        if self.policy.chunk_timeout is not None:
+            now = time.monotonic()
+            for handle in list(self.running.values()):
+                silent = now - handle.last_heard
+                if silent > self.policy.chunk_timeout:
+                    finished.append(
+                        self._lose(handle, f"worker hung (silent for {silent:.2f}s)")
+                    )
+        return finished
+
+    def abort(self) -> None:
+        # Workers may be mid-chunk, wedged, or have unread replies in
+        # their pipes; reset the pool so this backend (or its successor
+        # after a fallback) starts clean.
+        self.backend._reset_workers()
+
+    def _release(self, handle: _WorkerHandle) -> None:
+        self.running.pop(handle.conn, None)
+        handle.task = None
+        handle.task_id = -1
+
+    def _receive(self, handle: _WorkerHandle, task: _Task, msg: tuple) -> _Partial:
+        (
+            _kind, _task_id, result_name, n_rows, checksum,
+            build_s, numeric_s, hit, peak,
+        ) = msg
+        buffer = self.backend._attach_result(
+            handle, result_name, n_rows, self.job.cols
+        )
+        budget = self.ctx.budget
+        if budget is not None and peak:
+            budget.observe_peak(peak)
+        _fill_chunk_report(self.report, task.slot, numeric_s, f"w{handle.worker_id}")
+        self.ctx.event(
+            "parallel.chunk.done",
+            chunk=task.slot,
+            shard=task.slot,
+            worker=handle.worker_id,
+            attempt=task.attempt,
+            numeric_seconds=numeric_s,
+            build_seconds=build_s,
+            plan_cache_hit=bool(hit),
+        )
+        # The worker reuses its result buffer for its next task.
+        return _Partial(np.array(buffer, copy=True), checksum, bool(hit), build_s)
+
+    def _lose(self, handle: _WorkerHandle, reason: str) -> Tuple[_Task, WorkerCrashError]:
+        """Replace a lost shard owner; its task comes back as crashed."""
+        task = handle.task
+        self._release(handle)
+        backend = self.backend
+        backend._retire_worker(handle)
+        if self.respawns >= self.policy.max_respawns:
+            # Nobody else holds this shard: the run cannot finish.
+            raise BackendUnhealthyError(
+                backend.name,
+                f"shard {handle.worker_id} owner lost with respawn budget "
+                f"exhausted ({reason})",
+            )
+        self.respawns += 1
+        _note_incident(
+            self.ctx, self.report, "parallel.worker_respawn",
+            "parallel.worker_respawns", "respawns",
+            worker=handle.worker_id, reason=reason,
+        )
+        fresh = backend._spawn_one(handle.worker_id)
+        backend._workers.append(fresh)
+        backend._send_state(fresh)  # re-ingests the worker's shard
+        _note_incident(
+            self.ctx, self.report, "parallel.shard_reingest",
+            "parallel.shard_reingests", "shard_reingests",
+            worker=handle.worker_id, shard=handle.worker_id, reason=reason,
+        )
+        return task, WorkerCrashError(reason)
 
 
 class ProcessBackend(Backend):
@@ -618,14 +786,15 @@ class ProcessBackend(Backend):
     per call, and each worker caches its chunk plans across calls —
     iteration 2..n of a decomposition pays no symbolic cost on any core.
 
-    Chunks are dispatched **one at a time** per owner and supervised:
-    workers heartbeat while computing, silence past the policy's
-    ``chunk_timeout`` gets the worker killed, and any worker loss (hang,
-    crash, OS kill) triggers a respawn — the shard re-ingested from the
-    parent's segments, plan caches rewarmed on demand — and a bounded
-    requeue of its chunk. Chunk OOM replies split the chunk instead of
-    failing the run. Shard partials merge through the deterministic
-    pairwise tree, so recovered runs are bit-identical to clean ones.
+    Shard *k* is bound 1:1 to worker *k*: its tasks, OOM-split halves
+    included, only ever run there, one at a time. Workers heartbeat
+    while computing, silence past the policy's ``chunk_timeout`` gets
+    the worker killed, and any worker loss (hang, crash, OS kill)
+    triggers a respawn — the shard re-ingested from the parent's
+    segments, plan caches rewarmed on demand — and a retry of its task.
+    Shard partials merge through the deterministic pairwise tree, so
+    recovered runs are bit-identical to clean ones and to the
+    serial/thread backends.
     """
 
     name = "process"
@@ -648,9 +817,6 @@ class ProcessBackend(Backend):
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
-        # spawn-started processes have private resource trackers; see
-        # repro.parallel.shm.attach_shared_array.
-        self._untrack_attach = start_method != "fork"
         self._workers: List[_WorkerHandle] = []
         self._tensor_gen = 0
         self._owned: Dict[str, object] = {}  # label -> SharedMemory
@@ -664,12 +830,15 @@ class ProcessBackend(Backend):
         self._shard_msgs: Dict[int, tuple] = {}
         self._shards: List[TensorShard] = []
 
+    def _runner(self, job, report) -> _ProcessRunner:
+        return _ProcessRunner(self, job, report)
+
     # -- worker lifecycle --------------------------------------------------
     def _spawn_one(self, worker_id: int) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_shm.worker_main,
-            args=(child_conn, worker_id, self._untrack_attach, self._run_token),
+            args=(child_conn, worker_id, self._run_token),
             name=f"s3ttmc-worker-{worker_id}",
             daemon=True,
         )
@@ -686,19 +855,19 @@ class ProcessBackend(Backend):
     def _ensure_workers(self) -> None:
         if self._workers:
             return
-        if not self._untrack_attach:
-            # Fork path: start the resource tracker *before* forking so
-            # every worker inherits it. With one shared tracker,
-            # register/unregister pairs from creators and attachers
-            # deduplicate and segment cleanup is exact (no spurious
-            # "leaked shared_memory" warnings from per-worker trackers).
-            try:  # pragma: no cover - tracker internals vary across versions
-                from multiprocessing import resource_tracker
+        # Start the resource tracker *before* the workers so every worker
+        # shares it: fork children inherit it and spawn children are
+        # handed its descriptor. With one shared tracker, register and
+        # unregister pairs from creators and attachers deduplicate and
+        # segment cleanup is exact (no spurious "leaked shared_memory"
+        # warnings from per-worker trackers).
+        try:  # pragma: no cover - tracker internals vary across versions
+            from multiprocessing import resource_tracker
 
-                with _shm.tracker_guard():
-                    resource_tracker.ensure_running()
-            except Exception:
-                pass
+            with _shm.tracker_guard():
+                resource_tracker.ensure_running()
+        except Exception:
+            pass
         self._workers = [
             self._spawn_one(worker_id) for worker_id in range(self.n_workers)
         ]
@@ -728,16 +897,16 @@ class ProcessBackend(Backend):
                 # A worker died while idle; replace it. _send_state runs
                 # after the caller updated the pending state, so the
                 # replacement receives `msg`'s content too.
-                self._retire_worker(handle, kill=True)
+                self._retire_worker(handle)
                 fresh = self._spawn_one(handle.worker_id)
                 self._workers.append(fresh)
                 self._send_state(fresh)
 
-    def _retire_worker(self, handle: _WorkerHandle, *, kill: bool) -> None:
-        """Remove a worker from the pool and reclaim everything it held."""
+    def _retire_worker(self, handle: _WorkerHandle) -> None:
+        """Kill a worker, remove it from the pool and reclaim what it held."""
         if handle in self._workers:
             self._workers.remove(handle)
-        if kill and handle.proc.is_alive():
+        if handle.proc.is_alive():
             handle.proc.terminate()
         handle.proc.join(timeout=5)
         if handle.proc.is_alive():  # pragma: no cover - stuck worker
@@ -763,7 +932,7 @@ class ProcessBackend(Backend):
     def _reset_workers(self) -> None:
         """Hard-stop the pool (fatal-error path); next execute rebuilds."""
         for handle in list(self._workers):
-            self._retire_worker(handle, kill=True)
+            self._retire_worker(handle)
         self._workers = []
         self._factor_view = None
         self._factor_spec = None
@@ -878,380 +1047,15 @@ class ProcessBackend(Backend):
         except Exception:
             pass
 
-    # -- execution ---------------------------------------------------------
-    def execute(
-        self, job: ParallelJob, report: Optional[ParallelRunReport] = None
-    ) -> np.ndarray:
-        """One shard per worker, shard-local chunks.
-
-        Each shard is bound 1:1 to its same-numbered owner worker — tasks
-        for shard *k* only ever run on worker *k*, in the worker's local
-        non-zero coordinates (its segments hold just the slice). Losing
-        an owner triggers a respawn plus shard *re-ingest* (the parent
-        re-sends the shard's canonical segments — counted by
-        ``parallel.shard_reingests``) and a bounded requeue. OOM splits
-        bisect within the shard and stay on the owner. Completed shard
-        row-blocks merge through the deterministic hierarchical
-        reduction, so recovered runs are bit-identical to clean ones and
-        to the serial/thread backends.
-        """
-        if len(job.ranges) > self.n_workers:
-            # Shard k only ever runs on worker k: a shard without an
-            # owner would wait forever.
-            raise ValueError(
-                f"{len(job.ranges)} shards need as many process workers; "
-                f"this backend has {self.n_workers}"
-            )
-        ctx = self._job_ctx(job)
-        policy = ctx.effective_fallback()
-        injector = ctx.faults
-        self._ensure_workers()
-        shards = self._ensure_shards(job)
-        self._ensure_factor(job.factor)
-        collector = ctx.collector
-
-        total_rows = sum(s.n_rows for s in shards)
-        partial_bytes = total_rows * job.cols * 8
-        ctx.request_bytes(partial_bytes, "parallel partials (sharded)")
-        ctx.request_bytes(job.dim * job.cols * 8, "Y (parallel)")
-        blocks = [
-            np.zeros((s.n_rows, job.cols), dtype=np.float64) for s in shards
-        ]
-        budget = ctx.budget
-        budget_spec = (
-            (budget.limit_bytes, budget.in_use) if budget is not None else None
-        )
-
-        # Per-owner queues in shard-LOCAL coordinates: [0, n_nz) of the
-        # worker's own slice (the parent maps back via shard.start).
-        queues: Dict[int, Deque[_ChunkTask]] = {
-            s.shard_id: deque([_ChunkTask(s.shard_id, 0, s.n_nz, s.rows)])
-            for s in shards
-        }
-        running: Dict[object, _WorkerHandle] = {}  # conn -> handle
-        outstanding = {s.shard_id: 1 for s in shards}
-        split_slots: set = set()
-        sub_partials: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
-        task_seq = 0
-        respawns_used = 0
-        stats = {"hits": 0, "misses": 0, "build": 0.0, "reduce": 0.0}
-
-        def handle_for(worker_id: int) -> Optional[_WorkerHandle]:
-            for handle in self._workers:
-                if handle.worker_id == worker_id:
-                    return handle
-            return None
-
-        def release(handle: _WorkerHandle) -> None:
-            running.pop(handle.conn, None)
-            handle.task = None
-            handle.task_id = -1
-
-        def retry_task(task: _ChunkTask, reason: str, *, health: bool = False) -> None:
-            task.attempt += 1
-            if task.attempt > policy.max_retries:
-                if health:
-                    raise NumericalHealthError(
-                        f"shard {task.slot} chunk [{task.start},{task.stop}) "
-                        f"stayed non-finite after {task.attempt} attempts"
-                    )
-                raise BackendUnhealthyError(
-                    self.name,
-                    f"shard {task.slot} chunk [{task.start},{task.stop}) "
-                    f"failed after {task.attempt} attempts: {reason}",
-                )
-            _note_incident(
-                ctx, report, "parallel.retry", "parallel.retries", "retries",
-                backend=self.name, chunk=task.slot, shard=task.slot,
-                attempt=task.attempt, reason=reason,
-            )
-            backoff = policy.backoff(task.attempt)
-            if backoff > 0:
-                time.sleep(backoff)
-            queues[task.slot].append(task)
-
-        def lose_worker(handle: _WorkerHandle, reason: str, *, kill: bool) -> None:
-            nonlocal respawns_used
-            running.pop(handle.conn, None)
-            task = handle.task
-            worker_id = handle.worker_id
-            self._retire_worker(handle, kill=kill)
-            owns_shard = worker_id in self._shard_msgs
-            if respawns_used >= policy.max_respawns:
-                if owns_shard:
-                    # Nobody else holds this shard: the run cannot finish.
-                    raise BackendUnhealthyError(
-                        self.name,
-                        f"shard {worker_id} owner lost with respawn budget "
-                        f"exhausted ({reason})",
-                    )
-                return
-            respawns_used += 1
-            _note_incident(
-                ctx, report, "parallel.worker_respawn",
-                "parallel.worker_respawns", "respawns",
-                worker=worker_id, reason=reason,
-            )
-            fresh = self._spawn_one(worker_id)
-            self._workers.append(fresh)
-            self._send_state(fresh)  # re-ingests the worker's shard
-            if owns_shard:
-                _note_incident(
-                    ctx, report, "parallel.shard_reingest",
-                    "parallel.shard_reingests", "shard_reingests",
-                    worker=worker_id, shard=worker_id, reason=reason,
-                )
-            if task is not None:
-                retry_task(task, reason)
-
-        def split_task(task: _ChunkTask, oom: MemoryLimitError) -> None:
-            if task.depth >= policy.max_oom_splits or task.stop - task.start <= 1:
-                raise oom
-            shard = shards[task.slot]
-            _note_incident(
-                ctx, report, "parallel.oom_split", "parallel.oom_splits",
-                "oom_splits", backend=self.name, chunk=task.slot,
-                shard=task.slot, nz_start=shard.start + task.start,
-                nz_stop=shard.start + task.stop, depth=task.depth,
-                label=oom.label,
-            )
-            split_slots.add(task.slot)
-            halves = _bisect_range(
-                job.indices,
-                shard.start + task.start,
-                shard.start + task.stop,
-                job.rank,
-            )
-            outstanding[task.slot] += len(halves) - 1
-            for gs, ge in halves:
-                rows_sub, _map = chunk_row_block(job.indices[gs:ge], job.dim)
-                queues[task.slot].append(
-                    _ChunkTask(
-                        task.slot,
-                        gs - shard.start,
-                        ge - shard.start,
-                        rows_sub,
-                        depth=task.depth + 1,
-                    )
-                )
-
-        def merge_split_slot(slot: int) -> None:
-            shard = shards[slot]
-            block = blocks[slot]
-            # Start-ordered merge: the summation order is a function of
-            # the split tree alone, never of completion order.
-            for _start, rows_sub, part in sorted(
-                sub_partials.pop(slot, []), key=lambda item: item[0]
-            ):
-                block[np.searchsorted(shard.rows, rows_sub)] += part
-
-        def finish(handle: _WorkerHandle, msg: tuple) -> None:
-            (
-                _kind, _task_id, result_name, n_rows, checksum,
-                build_s, numeric_s, hit, peak,
-            ) = msg
-            task = handle.task
-            buffer = self._attach_result(handle, result_name, n_rows, job.cols)
-            if policy.check_finite and not math.isfinite(checksum):
-                _note_incident(
-                    ctx, report, "health.nonfinite_partial",
-                    "health.nonfinite_partials", "nonfinite_partials",
-                    backend=self.name, chunk=task.slot, shard=task.slot,
-                    worker=handle.worker_id,
-                )
-                release(handle)
-                retry_task(task, "non-finite partial", health=True)
-                return
-            if policy.verify_partials and not _checksums_match(
-                checksum, float(buffer.sum())
-            ):
-                _note_incident(
-                    ctx, report, "parallel.corrupt_partial",
-                    "parallel.corrupt_partials", "corrupt_partials",
-                    backend=self.name, chunk=task.slot, shard=task.slot,
-                    worker=handle.worker_id,
-                )
-                release(handle)
-                retry_task(task, "corrupt partial (checksum mismatch)")
-                return
-            if budget is not None and peak:
-                budget.observe_peak(peak)
-            tick = time.perf_counter()
-            if task.slot in split_slots:
-                sub_partials.setdefault(task.slot, []).append(
-                    (task.start, task.rows, np.array(buffer, copy=True))
-                )
-            else:
-                blocks[task.slot][...] = buffer
-            outstanding[task.slot] -= 1
-            if outstanding[task.slot] == 0 and task.slot in split_slots:
-                merge_split_slot(task.slot)
-            stats["reduce"] += time.perf_counter() - tick
-            stats["hits"] += bool(hit)
-            stats["misses"] += not hit
-            stats["build"] += build_s
-            self._fill_chunk_report(
-                report, task.slot, numeric_s, worker=f"w{handle.worker_id}"
-            )
-            if collector is not None:
-                _trace.event(
-                    "parallel.chunk.done",
-                    collector=collector,
-                    chunk=task.slot,
-                    shard=task.slot,
-                    worker=handle.worker_id,
-                    attempt=task.attempt,
-                    numeric_seconds=numeric_s,
-                    build_seconds=build_s,
-                    plan_cache_hit=bool(hit),
-                )
-            release(handle)
-
-        def dispatch_owner(worker_id: int) -> None:
-            nonlocal task_seq
-            queue = queues.get(worker_id)
-            if not queue:
-                return
-            handle = handle_for(worker_id)
-            if handle is None or handle.conn in running:
-                return
-            task = queue.popleft()
-            fault = (
-                injector.arm(
-                    "chunk", backend=self.name, slot=task.slot,
-                    attempt=task.attempt, worker=worker_id, shard=task.slot,
-                )
-                if injector is not None
-                else None
-            )
-            task_seq += 1
-            try:
-                handle.conn.send(
-                    (
-                        "chunk", task_seq, task.start, task.stop,
-                        job.memoize, job.cols, budget_spec,
-                        fault.payload() if fault is not None else None,
-                        policy.heartbeat_interval, job.kernel,
-                    )
-                )
-            except (OSError, BrokenPipeError, ValueError):
-                queues[task.slot].appendleft(task)
-                lose_worker(handle, "shard owner died while idle", kill=True)
-                return
-            handle.task = task
-            handle.task_id = task_seq
-            handle.last_heard = time.monotonic()
-            running[handle.conn] = handle
-
-        try:
-            while running or any(queues.values()):
-                # Raising here escapes into the BaseException handler
-                # below: in-flight owners are killed and the pool reset,
-                # so a cancelled/expired run leaves nothing running.
-                ctx.check_health("process.supervisor")
-                for worker_id in list(queues):
-                    dispatch_owner(worker_id)
-                if not running:
-                    if not self._workers and any(queues.values()):
-                        raise BackendUnhealthyError(
-                            self.name, "no workers available"
-                        )
-                    continue
-                timeout = _supervisor_wait_timeout(ctx, policy, running)
-                for conn in _mp_wait(list(running), timeout):
-                    handle = running.get(conn)
-                    if handle is None:
-                        continue  # worker was killed earlier this round
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        lose_worker(handle, "worker died (pipe EOF)", kill=True)
-                        continue
-                    kind = msg[0]
-                    if kind == "beat":
-                        if msg[1] == handle.task_id:
-                            handle.last_heard = time.monotonic()
-                    elif kind == "result":
-                        # Proactive result-segment announcement: recorded
-                        # before the first chunk_done so a worker killed
-                        # mid-chunk cannot leak its segment.
-                        if msg[1] == handle.task_id:
-                            self._note_result_announce(handle, msg[2])
-                            handle.last_heard = time.monotonic()
-                    elif msg[1] != handle.task_id:
-                        continue  # reply for a superseded dispatch
-                    elif kind == "chunk_done":
-                        finish(handle, msg)
-                    elif kind == "chunk_oom":
-                        _k, _tid, label, nbytes, limit, in_use = msg
-                        task = handle.task
-                        release(handle)
-                        split_task(
-                            task, MemoryLimitError(label, nbytes, limit, in_use)
-                        )
-                    elif kind == "chunk_error":
-                        task = handle.task
-                        release(handle)
-                        retry_task(
-                            task,
-                            f"worker error: {str(msg[2]).splitlines()[0]}",
-                        )
-                if policy.chunk_timeout is not None:
-                    now = time.monotonic()
-                    for handle in list(running.values()):
-                        if now - handle.last_heard > policy.chunk_timeout:
-                            lose_worker(
-                                handle,
-                                f"worker hung (silent for "
-                                f"{now - handle.last_heard:.2f}s)",
-                                kill=True,
-                            )
-
-            out = hierarchical_merge(
-                [(shard.rows, block) for shard, block in zip(shards, blocks)],
-                job.dim,
-                job.cols,
-                ctx=ctx,
-                report=report,
-            )
-            if report is not None:
-                report.reduce_seconds += stats["reduce"]
-
-            if collector is not None:
-                if stats["hits"]:
-                    collector.metrics.counter("parallel.plan_cache.hits").inc(
-                        stats["hits"]
-                    )
-                if stats["misses"]:
-                    collector.metrics.counter(
-                        "parallel.plan_cache.misses"
-                    ).inc(stats["misses"])
-            if report is not None:
-                report.plan_cache_hits += stats["hits"]
-                report.plan_cache_misses += stats["misses"]
-                report.plan_build_seconds += stats["build"]
-            return out
-        except BaseException:
-            # Workers may be mid-chunk, wedged, or have unread replies in
-            # their pipes; reset the pool so this backend (or its
-            # successor after a fallback) starts clean.
-            self._reset_workers()
-            raise
-        finally:
-            ctx.release_bytes(partial_bytes, "parallel partials (sharded)")
-            self._handoff(job)
-
+    # -- result segments ---------------------------------------------------
     def _note_result_announce(self, handle: _WorkerHandle, name: str) -> None:
         """Record a worker's result-segment name from its announcement.
 
         Workers announce their (worker-owned) result segment as soon as
         it is created or regrown — *before* computing the chunk — so the
         parent's :meth:`_retire_worker` unlink path covers a worker
-        killed mid-first-chunk (previously the name was only learned
-        from the first ``chunk_done`` reply, leaking the segment when a
-        cancellation or hang kill landed earlier). A regrow makes the
-        previous attachment stale; drop it here, exactly as
-        :meth:`_attach_result` would.
+        killed mid-first-chunk. A regrow (the worker unlinked its old
+        buffer) makes the previous attachment stale; drop it here.
         """
         if handle.result_name and handle.result_name != name:
             old = self._attached_results.pop(handle.result_name, None)
@@ -1265,23 +1069,12 @@ class ProcessBackend(Backend):
     def _attach_result(
         self, handle: _WorkerHandle, name: str, n_rows: int, cols: int
     ) -> np.ndarray:
+        self._note_result_announce(handle, name)
         shm = self._attached_results.get(name)
         if shm is None:
             spec = _shm.ShmArraySpec(name, (1,), "float64")
-            shm, _view = _shm.attach_shared_array(
-                spec, untrack=self._untrack_attach
-            )
-            if handle.result_name and handle.result_name != name:
-                # The worker grew (and unlinked) its old buffer; drop our
-                # stale attachment.
-                old = self._attached_results.pop(handle.result_name, None)
-                if old is not None:
-                    try:
-                        old.close()
-                    except Exception:
-                        pass
+            shm, _view = _shm.attach_shared_array(spec)
             self._attached_results[name] = shm
-        handle.result_name = name
         return np.ndarray((n_rows, cols), dtype=np.float64, buffer=shm.buf)
 
 

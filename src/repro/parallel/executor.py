@@ -161,9 +161,9 @@ class ParallelJob:
     memoize: str
     cols: int
     tensor: object  # SparseSymmetricTensor — plan-cache anchor
-    #: The run's (snapshotted) ExecContext: budget/collector travel with
-    #: the job into worker threads and (as a budget spec) processes.
-    ctx: Optional[ExecContext] = None
+    #: The run's ExecContext: budget/collector travel with the job into
+    #: worker threads and (as a budget spec) processes.
+    ctx: ExecContext
     #: Engine mode per chunk: ``"compiled"`` or ``"generic"`` (the spec
     #: ships to process workers, which compile locally and cache tables
     #: in their worker-side plan caches).

@@ -20,11 +20,12 @@ a chunk, the worker evaluates it into its result buffer, replies, and
 receives the next chunk. While a chunk is running a daemon heartbeat
 thread sends periodic ``("beat", task_id)`` messages over the same pipe
 so the parent can tell a long chunk from a hung worker. Each chunk
-message may carry an injected fault (crash / hang / slow / oom /
-corrupt / nan — see
-:mod:`repro.runtime.faults`) which the worker *executes* but never
-decides: arming lives parent-side so fault plans replay
-deterministically.
+message may carry an injected fault (see :mod:`repro.runtime.faults`)
+which the worker *executes* but never decides: arming lives in the
+parent's chunk supervisor so fault plans replay deterministically. The
+worker applies ``crash`` and ``hang`` itself; every other kind is
+applied by :func:`compute_partial`, the helper that also produces the
+serial and thread backends' partials.
 
 Workers cache their chunk plans across calls keyed on
 ``(tensor generation, chunk range, memoize)`` — the process-side half of
@@ -32,6 +33,10 @@ the executor's plan cache, which is what makes iteration 2..n of a
 decomposition pay zero symbolic cost on every core. A respawned worker
 starts with an empty cache and rewarms it on demand (visible as plan
 cache misses).
+
+All processes share one resource tracker — the parent's, inherited
+under fork and handed over under spawn — so attaching a segment leaves
+its tracker registration alone (see :func:`attach_shared_array`).
 
 Segment hygiene: every segment created in a process is recorded in a
 module registry and swept at interpreter exit, so even abnormal
@@ -57,12 +62,15 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection
 from multiprocessing.shared_memory import SharedMemory
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+from ..core.engine import lattice_ttmc
+from ..runtime.budget import MemoryLimitError
+from ..runtime.faults import InjectedFault
 
 __all__ = [
     "ShmArraySpec",
@@ -73,6 +81,7 @@ __all__ = [
     "sweep_run_segments",
     "live_segments",
     "tracker_guard",
+    "compute_partial",
     "worker_main",
 ]
 
@@ -268,24 +277,19 @@ def create_shared_array(
 
 
 def attach_shared_array(
-    spec: ShmArraySpec, *, writeable: bool = False, untrack: bool = False
+    spec: ShmArraySpec, *, writeable: bool = False
 ) -> Tuple[SharedMemory, np.ndarray]:
     """Map an existing segment; the attachment never owns the segment.
 
-    ``untrack=True`` works around bpo-38119 for **spawn**-started
-    processes: their private ``resource_tracker`` registers the attach
-    and would unlink the creator's segment at exit. Under **fork** the
-    tracker is shared with the creator, registration is set-deduplicated,
-    and unregistering here would instead *cancel* the creator's
-    registration — so leave it off (the default).
+    The attach registers the name with the resource tracker, and that is
+    left alone: the process backend's workers share the parent's tracker
+    (fork children inherit it, spawn children are handed its
+    descriptor), where registration is set-deduplicated. Unregistering
+    here would cancel the *creator's* registration, and the creator's
+    later unlink would then fail inside the tracker.
     """
     with tracker_guard():
         shm = SharedMemory(name=spec.name)
-        if untrack:
-            try:  # pragma: no cover - tracker internals vary across versions
-                resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-            except Exception:
-                pass
     view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
     if not writeable:
         view.flags.writeable = False
@@ -373,8 +377,7 @@ class _Heartbeat:
 class _WorkerState:
     """Everything one worker process keeps alive between calls."""
 
-    def __init__(self, untrack_attach: bool = False, run_token: str = "") -> None:
-        self.untrack_attach = untrack_attach
+    def __init__(self, run_token: str = "") -> None:
         self.run_token = run_token
         self.tensor_gen = -1
         self.shard_id = -1  # >= 0 when this worker owns a tensor shard
@@ -401,7 +404,7 @@ class _WorkerState:
                 old.close()
             except Exception:
                 pass
-        shm, view = attach_shared_array(spec, untrack=self.untrack_attach)
+        shm, view = attach_shared_array(spec)
         self.segments[key] = shm
         return view
 
@@ -421,6 +424,68 @@ class _WorkerState:
         self.segments.clear()
         close_and_unlink(self.result)
         self.result = None
+
+
+def compute_partial(
+    indices: np.ndarray,
+    values: np.ndarray,
+    dim: int,
+    factor: np.ndarray,
+    out: np.ndarray,
+    row_map: np.ndarray,
+    plan,
+    *,
+    memoize: str,
+    kernel: str,
+    ctx,
+    fault=None,
+) -> float:
+    """Evaluate one chunk into the zeroed ``out``; return its checksum.
+
+    The one producer of chunk partials, used in-process by the serial
+    and thread backends and in the workers by :func:`_run_chunk`.
+    ``fault`` is ``None`` or an armed fault's ``(kind, param)`` payload
+    (see :mod:`repro.runtime.faults`). Every kind is applied here except
+    the two whose effect depends on where the chunk runs, ``crash`` and
+    ``hang``:
+
+    * ``slow`` — sleep ``param`` seconds (pure latency: a process worker
+      keeps heartbeating, so it never trips hang detection, but it burns
+      the run's wall-clock deadline);
+    * ``oom`` — raise a :class:`~repro.runtime.budget.MemoryLimitError`
+      as a too-large chunk would;
+    * ``error`` — raise a generic injected exception;
+    * ``nan`` — poison the partial *before* its checksum is taken (the
+      non-finite sum rides the checksum to the finiteness sentinel);
+    * ``corrupt`` — perturb the partial *after* its checksum was taken
+      (caught by partial verification instead).
+    """
+    kind = fault[0] if fault is not None else None
+    if kind == "slow":
+        time.sleep(float(fault[1]))
+    elif kind == "oom":
+        raise MemoryLimitError("injected chunk oom", 0, 0, 0)
+    elif kind == "error":
+        raise InjectedFault("injected chunk error")
+    lattice_ttmc(
+        indices,
+        values,
+        dim,
+        factor,
+        intermediate="compact",
+        memoize=memoize,
+        kernel=kernel,
+        out=out,
+        out_row_map=row_map,
+        plan=plan,
+        ctx=ctx,
+    )
+    if kind == "nan" and out.size:
+        out.flat[0] = np.nan
+    checksum = float(out.sum())
+    if kind == "corrupt" and out.size:
+        out.flat[0] += float(fault[1])
+    return checksum
 
 
 def _run_chunk(
@@ -445,20 +510,11 @@ def _run_chunk(
     is reported back for the parent to fold in.
 
     ``fault`` is ``None`` or ``(kind, param)`` shipped by the parent's
-    armed :class:`~repro.runtime.faults.FaultInjector`:
-
-    * ``crash`` — ``os._exit(3)`` (pipe EOF at the parent);
-    * ``hang`` — sleep ``param`` seconds with heartbeats suppressed;
-    * ``slow`` — sleep ``param`` seconds with heartbeats *running*
-      (pure latency: never trips hang detection, but burns the run's
-      wall-clock deadline);
-    * ``oom`` — raise a :class:`~repro.runtime.budget.MemoryLimitError`
-      as a too-large chunk would;
-    * ``corrupt`` — perturb the result *after* its checksum was taken
-      (caught by the parent's partial verification);
-    * ``nan`` — poison the result *before* its checksum is taken (the
-      non-finite sum is caught by the parent's finiteness sentinel);
-    * ``error`` — raise a generic injected exception.
+    armed :class:`~repro.runtime.faults.FaultInjector`. Only the
+    process-specific kinds are handled here — ``crash`` is
+    ``os._exit(3)`` (pipe EOF at the parent) and ``hang`` sleeps
+    ``param`` seconds with heartbeats suppressed; the rest are applied
+    by :func:`compute_partial`.
 
     ``notify_result`` (when given) is called with the result segment's
     name as soon as the buffer exists — before any numeric work — so the
@@ -468,30 +524,21 @@ def _run_chunk(
     Returns ``(result_name, n_rows, checksum, build_s, numeric_s,
     plan_cache_hit, peak_bytes)``.
     """
-    from ..core.engine import lattice_ttmc
     from ..core.plan import build_plan
-    from ..runtime.budget import MemoryBudget, MemoryLimitError
+    from ..runtime.budget import MemoryBudget
     from ..runtime.context import ExecContext
-    from ..runtime.faults import InjectedFault
     from .executor import chunk_row_block
 
     assert state.indices is not None and state.values is not None
     assert state.factor is not None
 
-    if fault is not None:
-        kind, param = fault
-        if kind == "crash":
-            os._exit(3)
-        elif kind == "hang":
-            heartbeat.suppress(True)
-            time.sleep(float(param))
-            heartbeat.suppress(False)
-        elif kind == "slow":
-            time.sleep(float(param))
-        elif kind == "oom":
-            raise MemoryLimitError("injected chunk oom", 0, 0, 0)
-        elif kind == "error":
-            raise InjectedFault("injected worker error")
+    kind = fault[0] if fault is not None else None
+    if kind == "crash":
+        os._exit(3)
+    elif kind == "hang":
+        heartbeat.suppress(True)
+        time.sleep(float(fault[1]))
+        heartbeat.suppress(False)
 
     budget = None
     if budget_spec is not None:
@@ -523,38 +570,25 @@ def _run_chunk(
     # the mirrored budget, never the worker's active context.
     worker_ctx = ExecContext(budget=budget, plans=state.plans)
     tick = time.perf_counter()
-    lattice_ttmc(
+    checksum = compute_partial(
         state.indices[start:stop],
         state.values[start:stop],
         state.dim,
         state.factor,
-        intermediate="compact",
+        block,
+        row_map,
+        plan,
         memoize=memoize,
         kernel=kernel,
-        out=block,
-        out_row_map=row_map,
-        plan=plan,
         ctx=worker_ctx,
+        fault=fault,
     )
     numeric_seconds = time.perf_counter() - tick
-    # nan poisons *before* the checksum (rides it to the parent's
-    # finiteness sentinel); corrupt perturbs *after* (evades it, caught
-    # by partial verification instead).
-    if fault is not None and fault[0] == "nan" and block.size:
-        block.flat[0] = np.nan
-    checksum = float(block.sum())
-    if fault is not None and fault[0] == "corrupt" and block.size:
-        block.flat[0] += float(fault[1])
     peak = budget.peak if budget is not None else 0
     return shm.name, n_rows, checksum, build_seconds, numeric_seconds, hit, peak
 
 
-def worker_main(
-    conn: Connection,
-    worker_id: int,
-    untrack_attach: bool = False,
-    run_token: str = "",
-) -> None:
+def worker_main(conn: Connection, worker_id: int, run_token: str = "") -> None:
     """Persistent worker loop; one per process, fed over a duplex pipe.
 
     Messages (tuples, first element is the op):
@@ -587,7 +621,6 @@ def worker_main(
     Replies are serialized through one lock shared with the heartbeat
     thread, so beats never interleave mid-message.
     """
-    from ..runtime.budget import MemoryLimitError
     from ..runtime.context import reset_thread_runtime_state
 
     # A fork start method clones the parent's thread-local runtime state
@@ -596,7 +629,7 @@ def worker_main(
     # parent's budget would be silently invisible — so drop it and run
     # against this process's default context.
     reset_thread_runtime_state()
-    state = _WorkerState(untrack_attach, run_token)
+    state = _WorkerState(run_token)
     send_lock = threading.Lock()
     heartbeat = _Heartbeat(conn, send_lock)
 

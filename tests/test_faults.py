@@ -287,6 +287,27 @@ class TestRecoveryEquivalence:
         # floating-point tolerance, not bitwise.
         assert np.allclose(got, clean, atol=1e-12), backend
 
+    def test_oom_splits_bitwise_across_backends(self):
+        # One supervisor splits depth-first on every backend, so a fault
+        # schedule keyed by slot builds the same split trees — and the
+        # same sums — whatever runs the tasks.
+        specs = [
+            FaultSpec(site="chunk", kind="oom", match={"slot": 0}, times=3),
+            FaultSpec(site="chunk", kind="oom", match={"slot": 1}, times=1),
+        ]
+        runs = {
+            backend: self._run(backend, specs)
+            for backend in ("serial", "thread", "process")
+        }
+        clean, serial, serial_report, _ = runs["serial"]
+        assert serial_report.oom_splits == 4
+        assert np.allclose(serial, clean, atol=1e-12)
+        for backend in ("thread", "process"):
+            _, got, report, injector = runs[backend]
+            assert injector.n_fired == 4
+            assert report.oom_splits == serial_report.oom_splits, backend
+            assert np.array_equal(got, serial), backend
+
     def test_process_hang_detected_and_respawned(self):
         clean, got, report, injector = self._run(
             "process",

@@ -2,7 +2,12 @@
 owned-shard reduction, process-worker persistence, and decomposition
 wiring."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from repro.parallel import (
 from repro.parallel.partition import assign_chunks
 from repro.runtime import ExecContext
 from tests.conftest import make_random_tensor
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _counter(col, name):
@@ -326,3 +333,40 @@ class TestShmRunTokens:
         assert np.allclose(results["one"], s3ttmc(x1, u1).unfolding, atol=1e-10)
         assert np.allclose(results["two"], s3ttmc(x2, u2).unfolding, atol=1e-10)
         assert set(_shm._LIVE_SEGMENTS) == before
+
+
+class TestSpawnResourceTracker:
+    def test_spawn_workers_leave_tracker_silent(self):
+        """Spawn workers share the parent's resource tracker, so a worker
+        attaching a segment must not unregister it: the creator's later
+        unlink would then fail inside the tracker, which prints a
+        ``KeyError`` traceback to the run's stderr. The tracker is its
+        own process, so only a fresh interpreter's stderr shows it."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.parallel import parallel_s3ttmc
+            from repro.parallel.backends import ProcessBackend
+            from tests.conftest import make_random_tensor
+
+            rng = np.random.default_rng(0)
+            x = make_random_tensor(4, 10, 60, rng)
+            with ProcessBackend(2, start_method="spawn") as backend:
+                for _ in range(3):
+                    parallel_s3ttmc(x, rng.random((10, 3)), backend=backend)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), str(REPO), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
