@@ -27,12 +27,15 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.decomp` — HOOI (Alg. 3) and HOQRI (Alg. 4)
 - :mod:`repro.baselines` — CSS, SPLATT, n-ary, dense references
 - :mod:`repro.symmetry` — IOU combinatorics, Properties 1–3 machinery
-- :mod:`repro.hypergraph` / :mod:`repro.data` — datasets and applications
+- :mod:`repro.hypergraph` / :mod:`repro.data` / :mod:`repro.apps` —
+  datasets and applications; :mod:`repro.cp` — the CP extension
 - :mod:`repro.perfmodel` / :mod:`repro.parallel` / :mod:`repro.runtime` —
-  complexity models, parallel substrate, memory budgets
+  complexity models, parallel backends, ``ExecContext`` and memory budgets
 - :mod:`repro.obs` — span tracing, metrics, JSONL export
   (``python -m repro.obs summarize``)
+- :mod:`repro.verify` — the differential oracle (``python -m repro.verify``)
 - :mod:`repro.bench` — the harness regenerating every figure/table
+- :mod:`repro.serve` — the job service (``python -m repro.serve``)
 """
 
 from .core import KernelStats, s3ttmc, s3ttmc_tc
@@ -56,7 +59,6 @@ from .apps import symmetric_apply
 from .cp import symmetric_cp_als, symmetric_mttkrp
 from .obs import TraceCollector
 from .runtime import ExecContext, MemoryBudget, MemoryLimitError, current_context
-from .validation import verify_kernels
 
 __version__ = "1.0.0"
 
@@ -86,7 +88,6 @@ __all__ = [
     "symmetric_apply",
     "symmetric_cp_als",
     "symmetric_mttkrp",
-    "verify_kernels",
     "MemoryLimitError",
     "__version__",
 ]

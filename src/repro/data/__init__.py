@@ -1,7 +1,6 @@
 """Datasets: synthetic generators, Table III registry, tensor I/O."""
 
 from .datasets import DATASETS, DatasetSpec, dataset_names, load_dataset
-from .describe import TensorSummary, describe
 from .io import read_tns, write_tns
 from .synthetic import planted_lowrank, random_iou_pattern, random_sparse_symmetric
 
@@ -10,8 +9,6 @@ __all__ = [
     "DatasetSpec",
     "dataset_names",
     "load_dataset",
-    "describe",
-    "TensorSummary",
     "random_sparse_symmetric",
     "random_iou_pattern",
     "planted_lowrank",

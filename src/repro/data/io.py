@@ -43,7 +43,8 @@ def write_tns(tensor: SparseSymmetricTensor, target: PathLike) -> None:
 
 
 def read_tns(source: PathLike) -> SparseSymmetricTensor:
-    """Read a tensor written by :func:`write_tns`."""
+    """Read a tensor written by :func:`write_tns`; a malformed or
+    non-finite entry raises ``ValueError`` naming its line."""
     handle, owned = _open(source, "r")
     try:
         header = None
@@ -55,7 +56,7 @@ def read_tns(source: PathLike) -> SparseSymmetricTensor:
                 continue
             parts = text.split()
             if header is None:
-                if len(parts) != 3:
+                if len(parts) != 3 or not all(p.isdecimal() for p in parts):
                     raise ValueError(f"line {lineno}: header must be 'order dim unnz'")
                 header = tuple(int(p) for p in parts)
                 continue
@@ -64,8 +65,14 @@ def read_tns(source: PathLike) -> SparseSymmetricTensor:
                 raise ValueError(
                     f"line {lineno}: expected {order} indices + value, got {len(parts)} fields"
                 )
-            rows.append([int(p) - 1 for p in parts[:order]])
-            vals.append(float(parts[order]))
+            try:
+                rows.append([int(p) - 1 for p in parts[:order]])
+                value = float(parts[order])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad index or value") from exc
+            if not np.isfinite(value):
+                raise ValueError(f"line {lineno}: value {value} is not finite")
+            vals.append(value)
         if header is None:
             raise ValueError("missing header line")
         order, dim, unnz = header

@@ -8,6 +8,7 @@ count so isolated trailing nodes survive round trips.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TextIO, Union
 
@@ -43,7 +44,7 @@ def read_hyperedges(source: PathLike, n_nodes: int | None = None) -> Hypergraph:
     """Read a hyperedge list written by :func:`write_hyperedges`.
 
     ``n_nodes`` overrides the header (or infers ``max id + 1`` when both
-    are absent).
+    are absent). A malformed line raises ``ValueError`` naming it.
     """
     handle, owned = _open(source, "r")
     try:
@@ -57,17 +58,19 @@ def read_hyperedges(source: PathLike, n_nodes: int | None = None) -> Hypergraph:
             if text.startswith("#"):
                 body = text[1:].strip()
                 if body.startswith("nodes:"):
-                    header_nodes = int(body.split(":", 1)[1])
+                    try:
+                        header_nodes = int(body.split(":", 1)[1])
+                    except ValueError as exc:
+                        raise ValueError(f"line {lineno}: bad node count") from exc
                 continue
-            if "#" in text:
-                ids_part, weight_part = text.split("#", 1)
-                weight = float(weight_part.strip())
-            else:
-                ids_part, weight = text, 1.0
+            ids_part, _, weight_part = text.partition("#")
             try:
                 ids = [int(tok) - 1 for tok in ids_part.split()]
+                weight = float(weight_part) if "#" in text else 1.0
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad node id") from exc
+                raise ValueError(f"line {lineno}: bad node id or weight") from exc
+            if not math.isfinite(weight):
+                raise ValueError(f"line {lineno}: weight {weight} is not finite")
             if not ids:
                 raise ValueError(f"line {lineno}: empty hyperedge")
             edges.append(tuple(ids))

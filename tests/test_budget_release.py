@@ -14,7 +14,6 @@ from repro.decomp import hoqri
 from repro.decomp.hosvd import hosvd_init
 from repro.formats.csf import CSFTensor
 from repro.formats.partial_sym import PartiallySymmetricTensor
-from repro.general.ttmc import csf_ttmc_multi
 from repro.obs import TraceCollector
 from repro.runtime import ExecContext
 from repro.runtime.budget import MemoryBudget, MemoryLimitError
@@ -94,14 +93,6 @@ class TestBaselineRelease:
         peak = _peak(lambda: nary_hoqri_step(tensor, u, chunk=16))
         _assert_restored_under_pressure(
             lambda: nary_hoqri_step(tensor, u, chunk=16), peak, (0.5, 0.1)
-        )
-
-    def test_general_csf_oom_releases(self, tensor, rng):
-        csf = CSFTensor.from_symmetric(tensor)
-        factors = [rng.random((12, 3)) for _ in range(4)]
-        peak = _peak(lambda: csf_ttmc_multi(csf, factors))
-        _assert_restored_under_pressure(
-            lambda: csf_ttmc_multi(csf, factors), peak, (0.5, 0.2, 0.05)
         )
 
 

@@ -139,10 +139,23 @@ class TestIO:
             read_tns(io.StringIO("# only a comment\n"))
         with pytest.raises(ValueError, match="header"):
             read_tns(io.StringIO("3 4\n"))
+        with pytest.raises(ValueError, match="line 2: header"):
+            read_tns(io.StringIO("# c\n2 three 1\n"))
 
     def test_field_count_error(self):
         with pytest.raises(ValueError, match="indices"):
             read_tns(io.StringIO("2 3 1\n1 2 3 4.0\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_rejected(self, value):
+        text = f"2 3 2\n1 2 1.0\n2 3 {value}\n"
+        with pytest.raises(ValueError, match=r"line 3: value \S+ is not finite"):
+            read_tns(io.StringIO(text))
+
+    @pytest.mark.parametrize("entry", ["1 b 1.0", "1 2 heavy"])
+    def test_bad_entry_names_line(self, entry):
+        with pytest.raises(ValueError, match="line 2: bad index or value"):
+            read_tns(io.StringIO(f"2 3 1\n{entry}\n"))
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="claims"):

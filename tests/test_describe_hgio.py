@@ -1,46 +1,11 @@
-"""Tests for tensor statistics and hypergraph I/O."""
+"""Tests for hypergraph I/O."""
 
 import io
 
 import numpy as np
 import pytest
 
-from repro.data import describe, random_sparse_symmetric
-from repro.formats import SparseSymmetricTensor
 from repro.hypergraph import Hypergraph, read_hyperedges, write_hyperedges
-
-
-class TestDescribe:
-    def test_counts(self):
-        x = SparseSymmetricTensor(
-            3, 6, np.array([[1, 3, 5], [1, 1, 3], [2, 2, 2]]), np.array([1.0, 2.0, 0.5])
-        )
-        summary = describe(x)
-        assert summary.unnz == 3
-        assert summary.nnz == 10
-        assert summary.expansion_factor == pytest.approx(10 / 3)
-        assert summary.distinct_values_histogram == {1: 1, 2: 1, 3: 1}
-        assert summary.touched_indices == 4  # {1, 2, 3, 5}
-        assert summary.max_index_degree == 3  # index 1 appears 3 times
-        assert summary.value_min == 0.5 and summary.value_max == 2.0
-
-    def test_density_bounds(self):
-        x = random_sparse_symmetric(4, 15, 100, seed=0)
-        summary = describe(x)
-        assert 0 < summary.density < 1
-        assert 0 < summary.iou_density <= 1
-        assert summary.density <= summary.iou_density * 1.0001 * summary.expansion_factor
-
-    def test_empty_tensor(self):
-        x = SparseSymmetricTensor(3, 5, np.zeros((0, 3), dtype=int), np.zeros(0))
-        summary = describe(x)
-        assert summary.unnz == 0 and summary.nnz == 0
-        assert summary.expansion_factor == 0.0
-
-    def test_str_renders(self):
-        x = random_sparse_symmetric(3, 10, 20, seed=1)
-        text = str(describe(x))
-        assert "order=3" in text and "expansion" in text
 
 
 class TestHypergraphIO:
@@ -79,6 +44,20 @@ class TestHypergraphIO:
     def test_bad_id_rejected(self):
         with pytest.raises(ValueError, match="bad node id"):
             read_hyperedges(io.StringIO("1 x\n"))
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, weight):
+        text = f"# nodes: 3\n1 2 # 2.0\n2 3 # {weight}\n"
+        with pytest.raises(ValueError, match=r"line 3: weight \S+ is not finite"):
+            read_hyperedges(io.StringIO(text))
+
+    def test_bad_weight_names_line(self):
+        with pytest.raises(ValueError, match="line 2: bad node id or weight"):
+            read_hyperedges(io.StringIO("1 2\n2 3 # heavy\n"))
+
+    def test_bad_node_count_names_line(self):
+        with pytest.raises(ValueError, match="line 2: bad node count"):
+            read_hyperedges(io.StringIO("# a comment\n# nodes: abc\n1 2\n"))
 
     def test_comments_skipped(self):
         back = read_hyperedges(io.StringIO("# a comment\n\n1 2\n"))

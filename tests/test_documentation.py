@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -52,8 +54,6 @@ def test_package_has_substantial_init_doc():
 
 
 def test_repo_docs_exist():
-    from pathlib import Path
-
     root = Path(repro.__file__).resolve().parents[2]
     for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
         path = root / name
@@ -66,3 +66,30 @@ def test_repo_docs_exist():
         "benchmarks.md",
         "formats.md",
     }
+
+
+def test_design_module_tree_lists_every_module():
+    """DESIGN.md §3 names every ``.py`` under ``src/repro`` except
+    ``__init__.py``, and nothing that does not exist."""
+    root = Path(repro.__file__).resolve().parents[2]
+    text = (root / "DESIGN.md").read_text(encoding="utf-8")
+    block = text.split("## 3.", 1)[1].split("```", 2)[1]
+    listed, package = [], ""
+    for line in block.splitlines():
+        entry = re.match(r"( {2}| {4})(\w+)(/|\.py)(\s|$)", line)
+        if entry is None:
+            continue
+        indent, name, kind = entry.group(1, 2, 3)
+        if kind == "/":
+            package = f"{name}/"
+        else:
+            listed.append((package if len(indent) == 4 else "") + name + kind)
+    package_dir = Path(repro.__file__).parent
+    actual = {
+        p.relative_to(package_dir).as_posix()
+        for p in package_dir.rglob("*.py")
+        if p.name != "__init__.py" and "__pycache__" not in p.parts
+    }
+    assert len(listed) == len(set(listed)), "DESIGN.md lists a module twice"
+    assert sorted(actual - set(listed)) == [], "modules missing from DESIGN.md §3"
+    assert sorted(set(listed) - actual) == [], "DESIGN.md §3 lists missing modules"

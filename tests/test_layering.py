@@ -1,4 +1,5 @@
-"""The architectural layering holds: no upward imports between layers.
+"""The architectural layering holds: no upward imports between layers,
+and every module is reached from an entry point.
 
 Runs the same checker CI runs (``tools/check_layering.py``) so a
 violation fails the suite locally before it fails the lint job.
@@ -6,6 +7,8 @@ violation fails the suite locally before it fails the lint job.
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -28,7 +31,7 @@ def test_no_upward_imports():
 def test_every_subpackage_has_a_layer():
     chk = _load_checker()
     groups = {
-        p.name for p in chk.PACKAGE.iterdir() if p.is_dir() and p.name != "__pycache__"
+        p.name for p in chk.PACKAGE.iterdir() if (p / "__init__.py").is_file()
     }
     groups |= {
         p.stem
@@ -82,4 +85,72 @@ def test_checker_rejects_stale_thread_local_allowance():
     assert errors == [
         "THREAD_LOCAL_ALLOWED: stale allowance core/engine.py: it uses no "
         "threading.local — remove it"
+    ]
+
+
+def test_checker_rejects_stale_layer_rank():
+    """A rank for a subpackage that does not exist is a dead layer."""
+    chk = _load_checker()
+    chk.LAYERS["nonexistent"] = 6
+    assert chk.check_package() == [
+        "LAYERS: stale rank 'nonexistent': no such subpackage or module "
+        "under src/repro — remove it"
+    ]
+
+
+def test_checker_rejects_orphan_module(tmp_path):
+    """A module only its package re-exports is unreached and fails; a
+    re-export a tool imports reaches the module defining the name."""
+    chk = _load_checker()
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "core").mkdir(parents=True)
+    (pkg / "__init__.py").write_text('"""Facade."""\n')
+    (pkg / "core" / "__init__.py").write_text(
+        "from .orphan import g\nfrom .used import f\n"
+    )
+    (pkg / "core" / "used.py").write_text("def f():\n    return 1\n")
+    (pkg / "core" / "orphan.py").write_text("def g():\n    return 2\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text("from repro.core import f\n")
+    chk.PACKAGE = pkg
+    chk.ENTRY_DIRS = [tmp_path / "tools"]
+    chk.PUBLIC_LEAVES.clear()
+    assert chk.reached_modules() == {"repro.core.used"}
+    errors = chk.check_reachability()
+    assert len(errors) == 1
+    assert errors[0].startswith("core/orphan.py: unreached module repro.core.orphan")
+    chk.PUBLIC_LEAVES["repro.core.orphan"] = "kept for a stated reason"
+    assert chk.check_reachability() == []
+
+
+def test_checker_rejects_orphan_in_the_real_package():
+    """Dropping a real leaf's allowance makes the full check fail."""
+    chk = _load_checker()
+    del chk.PUBLIC_LEAVES["repro.data.io"]
+    errors = chk.check_package()
+    assert len(errors) == 1 and "unreached module repro.data.io" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "name, why",
+    [
+        ("repro.core.engine", "an entry point reaches it"),
+        ("repro.core.missing", "no such module"),
+    ],
+)
+def test_checker_rejects_stale_public_leaf(name, why, capsys):
+    chk = _load_checker()
+    chk.PUBLIC_LEAVES[name] = "no longer true"
+    assert chk.check_package() == [
+        f"PUBLIC_LEAVES: stale entry {name}: {why} — remove it"
+    ]
+    assert chk.main() == 1
+    assert f"stale entry {name}" in capsys.readouterr().err
+
+
+def test_checker_rejects_public_leaf_without_reason():
+    chk = _load_checker()
+    chk.PUBLIC_LEAVES["repro.data.io"] = " "
+    assert chk.check_package() == [
+        "PUBLIC_LEAVES: entry repro.data.io states no reason"
     ]

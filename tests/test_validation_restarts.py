@@ -1,31 +1,9 @@
-"""Tests for the kernel-agreement validator and the restart protocol."""
+"""Tests for the restart protocol."""
 
-import numpy as np
 import pytest
 
 from repro import hoqri, random_sparse_symmetric
 from repro.decomp import best_of_restarts, hooi
-from repro.validation import verify_kernels
-
-
-class TestVerifyKernels:
-    def test_agreement_on_small_tensor(self):
-        x = random_sparse_symmetric(4, 8, 40, seed=0)
-        report = verify_kernels(x, 3)
-        assert report.reference == "dense"
-        assert report.ok, repr(report)
-        assert set(report.deviations) == {"symprop", "css", "splatt"}
-
-    def test_css_reference_when_dense_too_big(self):
-        x = random_sparse_symmetric(4, 60, 100, seed=1)
-        report = verify_kernels(x, 2, include_dense=False, include_splatt=False)
-        assert report.reference == "css"
-        assert report.ok
-
-    def test_repr_mentions_status(self):
-        x = random_sparse_symmetric(3, 6, 15, seed=2)
-        text = repr(verify_kernels(x, 2))
-        assert "OK" in text
 
 
 class TestBestOfRestarts:

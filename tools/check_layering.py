@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail on upward imports between repro's architectural layers.
+"""Fail on upward imports between repro's layers, and on modules nothing runs.
 
 The package is layered (see ``docs/architecture.md``): combinatorics at
 the bottom, observability and the runtime (context/budget) as carried
@@ -19,6 +19,15 @@ configured through ``ExecContext`` alone, so only the modules in
 ``THREAD_LOCAL_ALLOWED`` may hold it — the active-context stack and the
 open-span stacks. The same stale-entry rule applies.
 
+Every module must also be *reached*: it has to lie in the transitive
+import closure of the entry points — the files under ``benchmarks/``,
+``examples/`` and ``tools/`` and every ``repro.*.__main__``. The closure
+follows ``from pkg import name`` to the module that defines ``name``, so
+a package ``__init__`` re-exporting a module does not reach it. A module
+outside the closure passes only if ``PUBLIC_LEAVES`` names it with a
+reason; an entry for a module that is reached or gone is stale and
+fails, as does a ``LAYERS`` rank for a subpackage that no longer exists.
+
 Usage: ``python tools/check_layering.py`` (exit 1 on violations).
 """
 
@@ -27,12 +36,16 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 
-#: Layer rank per top-level repro subpackage (module for validation.py).
+#: Trees whose every file is an entry point of the reachability closure
+#: (besides each ``repro.*.__main__``).
+ENTRY_DIRS = [REPO / "benchmarks", REPO / "examples", REPO / "tools"]
+
+#: Layer rank per top-level repro subpackage (or top-level module).
 #: Lower rank = lower layer. Equal ranks may import each other.
 LAYERS = {
     "symmetry": 0,
@@ -44,13 +57,11 @@ LAYERS = {
     "core": 5,
     "ops": 6,
     "cp": 6,
-    "general": 6,
     "baselines": 6,
     "parallel": 6,
     "decomp": 7,
     "data": 8,
     "apps": 8,
-    "validation": 8,
     "verify": 8,
     "bench": 9,
     "serve": 9,
@@ -66,6 +77,20 @@ LAZY_ALLOWED = {
     ("obs", "perfmodel"),
 }
 
+
+#: Modules no entry point reaches that stay on purpose, with the reason.
+PUBLIC_LEAVES = {
+    "repro.data.io": "reads FROSTT .tns files: the only way to load the "
+    "real datasets that the synthetic stand-ins replace",
+    "repro.hypergraph.io": "reads hyperedge lists: the only way to load "
+    "the real hypergraph datasets that the stand-ins replace",
+    "repro.apps.moments": "the moment-tensor application of the paper's "
+    "introduction (ref [6])",
+    "repro.formats.hicoo": "deletion pending, ROADMAP item 8",
+    "repro.ops.algebra": "deletion pending, ROADMAP item 8",
+    "repro.ops.marginal": "deletion pending, ROADMAP item 8",
+    "repro.runtime.profile": "deletion pending, ROADMAP item 8",
+}
 
 #: Modules (relative to ``src/repro``) permitted to use ``threading.local``.
 THREAD_LOCAL_ALLOWED = {
@@ -101,27 +126,34 @@ def module_group(module: str) -> Optional[str]:
     return parts[1]
 
 
-def resolve_relative(
+def from_module(
     module_name: str, is_package: bool, node: ast.ImportFrom
-) -> List[str]:
-    """Absolute dotted names targeted by a (possibly relative) import."""
+) -> Optional[str]:
+    """Absolute dotted module a ``from X import ...`` reads from, or
+    ``None`` when it is outside ``repro``."""
     if node.level == 0:
         base = node.module or ""
-        if not base.startswith("repro"):
-            return []
-        return [base]
+        return base if base.split(".")[0] == "repro" else None
     # Relative: start from the importer's containing package and walk up
     # ``level - 1`` further components.
     base_parts = module_name.split(".")
     if not is_package:
         base_parts = base_parts[:-1]
-    if node.level - 1 > len(base_parts):
+    if not module_name or node.level - 1 >= len(base_parts):
+        return None
+    base_parts = base_parts[: len(base_parts) - (node.level - 1)]
+    return ".".join([*base_parts, node.module] if node.module else base_parts)
+
+
+def resolve_relative(
+    module_name: str, is_package: bool, node: ast.ImportFrom
+) -> List[str]:
+    """Absolute dotted names targeted by a (possibly relative) import."""
+    base = from_module(module_name, is_package, node)
+    if base is None:
         return []
-    if node.level > 1:
-        base_parts = base_parts[: len(base_parts) - (node.level - 1)]
-    base = ".".join(base_parts)
     if node.module:
-        return [f"{base}.{node.module}"]
+        return [base]
     return [f"{base}.{alias.name}" for alias in node.names]
 
 
@@ -153,22 +185,133 @@ def iter_imports(
     return iter(visitor.found)
 
 
+def module_name_of(path: Path) -> str:
+    """Dotted name of a file under ``PACKAGE`` (a package's ``__init__``
+    is the package)."""
+    parts = list(path.relative_to(PACKAGE).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(["repro", *parts])
+
+
+def package_files() -> Iterator[Path]:
+    """Every source file under ``PACKAGE``, in a stable order."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if "__pycache__" not in path.parts:
+            yield path
+
+
+def reached_modules() -> Set[str]:
+    """Modules in the import closure of the entry points.
+
+    ``from P import name`` on a package ``P`` follows ``P.__init__``'s
+    re-export of ``name`` to the module that defines it (or reaches the
+    submodule ``P.name``); importing a package by itself reaches nothing.
+    """
+    files = {module_name_of(path): path for path in package_files()}
+    trees: Dict[str, ast.Module] = {}
+
+    def tree(name: str) -> ast.Module:
+        if name not in trees:
+            trees[name] = ast.parse(files[name].read_text(encoding="utf-8"))
+        return trees[name]
+
+    def reach(module: str, name: Optional[str]) -> Iterator[str]:
+        """Modules that ``from module import name`` (or, with ``name``
+        ``None``, ``import module``) reaches."""
+        path = files.get(module)
+        if path is None:
+            return
+        if path.name != "__init__.py":
+            yield module
+            return
+        if name is None:
+            return
+        for node in tree(module).body:
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    base = from_module(module, True, node)
+                    if base is None:
+                        return
+                    if node.module:
+                        yield from reach(base, alias.name)
+                    else:
+                        yield from reach(f"{base}.{alias.name}", None)
+                    return
+        yield from reach(f"{module}.{name}", None)
+
+    def imported(source: ast.Module, module_name: str) -> Iterator[str]:
+        is_package = module_name in files and files[module_name].name == "__init__.py"
+        for node, _ in iter_imports(source):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield from reach(alias.name, None)
+                continue
+            base = from_module(module_name, is_package, node)
+            if base is None:
+                continue
+            for alias in node.names:
+                yield from reach(base, alias.name)
+
+    roots = [name for name in files if name.endswith(".__main__")]
+    reached = set(roots)
+    queue = [module for name in roots for module in imported(tree(name), name)]
+    for entry_dir in ENTRY_DIRS:
+        for path in sorted(entry_dir.rglob("*.py")):
+            if "__pycache__" not in path.parts:
+                source = ast.parse(path.read_text(encoding="utf-8"))
+                queue.extend(imported(source, ""))
+    while queue:
+        module = queue.pop()
+        if module not in reached:
+            reached.add(module)
+            queue.extend(imported(tree(module), module))
+    return reached
+
+
+def check_reachability() -> List[str]:
+    """Unreached modules not on ``PUBLIC_LEAVES``, and stale entries."""
+    reached = reached_modules()
+    errors = []
+    modules = set()
+    for path in package_files():
+        if path.name == "__init__.py":
+            continue
+        name = module_name_of(path)
+        modules.add(name)
+        if name not in reached and name not in PUBLIC_LEAVES:
+            errors.append(
+                f"{path.relative_to(PACKAGE)}: unreached module {name}: no "
+                f"entry point imports it — delete it, or add it to "
+                f"PUBLIC_LEAVES with the reason it stays"
+            )
+    for name, reason in sorted(PUBLIC_LEAVES.items()):
+        if name not in modules:
+            errors.append(
+                f"PUBLIC_LEAVES: stale entry {name}: no such module — remove it"
+            )
+        elif name in reached:
+            errors.append(
+                f"PUBLIC_LEAVES: stale entry {name}: an entry point reaches "
+                f"it — remove it"
+            )
+        elif not reason.strip():
+            errors.append(f"PUBLIC_LEAVES: entry {name} states no reason")
+    return errors
+
+
 def check_file(path: Path, used: Optional[Set[object]] = None) -> List[str]:
     """Layering and thread-local violations in one file; adds each
     allowance it uses (a ``LAZY_ALLOWED`` pair or a
     ``THREAD_LOCAL_ALLOWED`` path) to ``used``."""
     rel = path.relative_to(PACKAGE)
-    parts = list(rel.parts)
-    is_package = parts[-1] == "__init__.py"
-    if is_package:
-        parts = parts[:-1]
-    else:
-        parts[-1] = parts[-1][: -len(".py")]
-    module_name = ".".join(["repro", *parts]) if parts else "repro"
-
+    module_name = module_name_of(path)
+    is_package = path.name == "__init__.py"
     if module_name == "repro":
         return []  # the facade re-exports from everywhere by design
-    group = parts[0]
+    group = module_group(module_name)
     rank = LAYERS.get(group)
     if rank is None:
         return [f"{rel}: unknown layer {group!r} — add it to LAYERS"]
@@ -217,13 +360,22 @@ def check_file(path: Path, used: Optional[Set[object]] = None) -> List[str]:
 
 
 def check_package() -> List[str]:
-    """Every violation under ``src/repro``, stale allowances included."""
+    """Every violation under ``src/repro``: upward imports, unreached
+    modules and stale allowances, ranks and leaves."""
     errors: List[str] = []
     used: Set[object] = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
+    for path in package_files():
         errors.extend(check_file(path, used))
+    groups = {
+        path.relative_to(PACKAGE).parts[0].removesuffix(".py")
+        for path in package_files()
+        if path.parent != PACKAGE or path.name != "__init__.py"
+    }
+    for group in sorted(set(LAYERS) - groups):
+        errors.append(
+            f"LAYERS: stale rank {group!r}: no such subpackage or module "
+            f"under src/repro — remove it"
+        )
     for importer, imported in sorted(LAZY_ALLOWED - used):
         errors.append(
             f"LAZY_ALLOWED: stale allowance {importer} -> {imported}: "
@@ -234,6 +386,7 @@ def check_package() -> List[str]:
             f"THREAD_LOCAL_ALLOWED: stale allowance {rel}: it uses no "
             f"threading.local — remove it"
         )
+    errors.extend(check_reachability())
     return errors
 
 
@@ -244,7 +397,10 @@ def main() -> int:
         for err in errors:
             print(f"  {err}", file=sys.stderr)
         return 1
-    print(f"layering OK ({len(LAYERS)} layers, no upward imports)")
+    print(
+        f"layering OK ({len(LAYERS)} layers, no upward imports, every module "
+        f"reached or one of {len(PUBLIC_LEAVES)} public leaves)"
+    )
     return 0
 
 
