@@ -66,10 +66,16 @@ def read_tns(source: PathLike) -> SparseSymmetricTensor:
                     f"line {lineno}: expected {order} indices + value, got {len(parts)} fields"
                 )
             try:
-                rows.append([int(p) - 1 for p in parts[:order]])
+                coords = [int(p) - 1 for p in parts[:order]]
                 value = float(parts[order])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad index or value") from exc
+            dim = header[1]
+            if not all(0 <= c < dim for c in coords):
+                raise ValueError(
+                    f"line {lineno}: index out of range [1, {dim}]"
+                )
+            rows.append(coords)
             if not np.isfinite(value):
                 raise ValueError(f"line {lineno}: value {value} is not finite")
             vals.append(value)

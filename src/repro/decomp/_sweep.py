@@ -11,7 +11,11 @@ algorithm-specific part:
   with their shared-memory shards) amortizes symbolic work down to
   iteration 1 only;
 * the checkpoint configuration (with a parallel run's shard map),
-  resume, the checkpoint cadence, and the save when a run is preempted;
+  resume (from ``checkpoint_dir`` or from an in-memory
+  :class:`~repro.runtime.checkpoint.CheckpointState`), the checkpoint
+  cadence, and preemption: a cancel or deadline trip carries the last
+  completed iteration's state as ``exc.checkpoint`` (and saves it when
+  the run has a ``checkpoint_dir``);
 * the numerical-health watchdog with its restore → reseed ladder;
 * the objective, the strike and convergence bookkeeping, and the
   ``<algorithm>.iteration`` span.
@@ -130,7 +134,7 @@ def sweep(
     ctx: Optional[ExecContext],
     checkpoint_dir: Optional[Union[str, Path]],
     checkpoint_every: int,
-    resume: bool,
+    resume: Union[bool, CheckpointState],
 ) -> DecompositionResult:
     """Iterate ``step`` from ``init`` (or a checkpoint) to convergence.
 
@@ -174,7 +178,9 @@ def sweep(
             seed = run_ctx.seed
         with run_ctx.scope():
             restored: Optional[CheckpointState] = None
-            if checkpoint_dir is not None and resume:
+            if isinstance(resume, CheckpointState):
+                restored = resume
+            elif checkpoint_dir is not None and resume:
                 restored = load_checkpoint(checkpoint_dir, ctx=run_ctx)
             if restored is not None:
                 restored.check_config(config)
@@ -297,10 +303,11 @@ def sweep(
                             )
                     if converged:
                         break
-            except (RunCancelledError, DeadlineExceededError):
-                # Preemption mid-iteration: persist the last completed
-                # iteration so the run resumes bit-for-bit, then let the
-                # trip propagate to the caller.
+            except (RunCancelledError, DeadlineExceededError) as trip:
+                # Preemption mid-iteration: hand the last completed
+                # iteration to the caller on the trip (and persist it) so
+                # the run resumes bit-for-bit, then let the trip propagate.
+                trip.checkpoint = last_snapshot
                 if checkpoint_dir is not None and last_snapshot is not None:
                     save_checkpoint(checkpoint_dir, last_snapshot, ctx=run_ctx)
                 raise

@@ -9,11 +9,14 @@ is :mod:`repro.decomp._sweep`. Two SVD paths:
   full ``I × R^{N-1}`` unfolding and run dense SVD. The expansion is
   budget-accounted; this is the step that makes HOOI go OOM on large
   datasets in Figure 7 (e.g. 62 K × 10 M ≈ 4.6 TB for walmart-trips).
-* ``svd_method="gram"`` — our extension (ablation 5 in DESIGN.md): the left
-  singular vectors are the top eigenvectors of
-  ``Y_(1) Y_(1)ᵀ = Y_p(1) M Y_p(1)ᵀ`` (Property 3), an ``I × I`` problem
-  that never expands ``Y``. Mathematically identical update; removes the
-  memory wall at ``O(I² S_{N-1,R})`` extra flops.
+* ``svd_method="compact"`` — our extension (ablation 5 in DESIGN.md): by
+  Property 3, ``Y_(1) Y_(1)ᵀ = Y_p(1) diag(p) Y_p(1)ᵀ``, so ``Y_(1)`` and
+  the ``I × S_{N-1,R}`` operand ``Y_p(1) diag(√p)`` have the same left
+  singular vectors and singular values. A thin SVD of that operand gives
+  the same update without ever expanding ``Y``.
+
+Both paths fix each singular vector's sign the same way (its
+largest-magnitude entry positive), so their factors agree to rounding.
 """
 
 from __future__ import annotations
@@ -28,16 +31,26 @@ import scipy.linalg
 from ..baselines.css_ttmc import css_s3ttmc
 from ..core.s3ttmc import SymmetricInput
 from ..formats.partial_sym import PartiallySymmetricTensor
+from ..runtime.checkpoint import CheckpointState
 from ..runtime.context import ExecContext, resolve_context
 from ..runtime.timer import PhaseTimer
 from ..symmetry.expansion import compact_from_full
 from ._sweep import Sweep, sweep
 from .result import DecompositionResult
 
-__all__ = ["hooi", "HOOI_KERNELS"]
+__all__ = ["hooi", "HOOI_KERNELS", "HOOI_SVD_METHODS"]
 
 #: Algorithm families ``hooi(kernel=...)`` accepts.
 HOOI_KERNELS = ("symprop", "css")
+
+
+def _sign_fixed(u: np.ndarray, rank: int) -> np.ndarray:
+    """The first ``rank`` columns of ``u``, each flipped so that its
+    largest-magnitude entry is positive."""
+    factor = u[:, :rank].copy()
+    peaks = factor[np.argmax(np.abs(factor), axis=0), np.arange(rank)]
+    factor *= np.where(peaks < 0, -1.0, 1.0)
+    return factor
 
 
 def _leading_left_singular_vectors_expand(
@@ -49,28 +62,36 @@ def _leading_left_singular_vectors_expand(
         u, _s, _vt = scipy.linalg.svd(full, full_matrices=False)
     finally:
         ctx.release_bytes(full.nbytes, "PartiallySymmetricTensor.full_unfolding")
-    return u[:, :rank].copy()
+    return _sign_fixed(u, rank)
 
 
-def _leading_left_singular_vectors_gram(
+def _leading_left_singular_vectors_compact(
     y: PartiallySymmetricTensor, rank: int, ctx: Optional[ExecContext] = None
 ) -> np.ndarray:
     ctx = resolve_context(ctx)
-    dim = y.nrows
-    ctx.request_bytes(dim * dim * 8, "HOOI Gram matrix")
+    rows, cols = y.data.shape
+    thin = min(rows, cols)
+    # The operand and the thin SVD's U and Vᵀ.
+    nbytes = (rows * cols + rows * thin + thin * cols) * 8
+    ctx.request_bytes(nbytes, "HOOI compact SVD")
     try:
-        gram = y.weighted_unfolding() @ y.data.T
-        _vals, vecs = scipy.linalg.eigh(gram, subset_by_index=[dim - rank, dim - 1])
+        operand = y.data * np.sqrt(y.multiplicities())
+        u, _s, _vt = scipy.linalg.svd(
+            operand, full_matrices=False, overwrite_a=True
+        )
+        return _sign_fixed(u, rank)
     finally:
-        ctx.release_bytes(dim * dim * 8, "HOOI Gram matrix")
-    return vecs[:, ::-1].copy()
+        ctx.release_bytes(nbytes, "HOOI compact SVD")
 
 
 #: ``svd_method`` → the leading-left-singular-vector routine it runs.
 _SVD_METHODS = {
     "expand": _leading_left_singular_vectors_expand,
-    "gram": _leading_left_singular_vectors_gram,
+    "compact": _leading_left_singular_vectors_compact,
 }
+
+#: ``svd_method`` values ``hooi`` accepts.
+HOOI_SVD_METHODS = tuple(_SVD_METHODS)
 
 
 def _step(run: Sweep, factor: np.ndarray, _a, *, kernel: str, svd_method: str):
@@ -89,7 +110,7 @@ def _step(run: Sweep, factor: np.ndarray, _a, *, kernel: str, svd_method: str):
             )
         with run.timer.phase("svd"):
             u, _s, _vt = scipy.linalg.svd(y_full, full_matrices=False)
-            factor = u[:, : run.rank].copy()
+            factor = _sign_fixed(u, run.rank)
         with run.timer.phase("core"):
             core_data = compact_from_full(
                 factor.T @ y_full, run.ucoo.order - 1, run.rank, check_symmetry=False
@@ -118,7 +139,7 @@ def hooi(
     ctx: Optional[ExecContext] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: int = 1,
-    resume: bool = False,
+    resume: Union[bool, CheckpointState] = False,
 ) -> DecompositionResult:
     """Higher-Order Orthogonal Iteration for sparse symmetric tensors.
 
@@ -138,7 +159,8 @@ def hooi(
         intermediates — the baseline HOOI-CSS of Table II; the SVD input is
         identical either way).
     svd_method:
-        ``"expand"`` (faithful) or ``"gram"`` (extension; see module doc).
+        ``"expand"`` (faithful) or ``"compact"`` (extension; see module
+        doc). Ignored by ``kernel="css"``, which holds the full ``Y_(1)``.
     memoize, nz_batch_size:
         Forwarded to the S³TTMc kernel.
     timer:
@@ -163,20 +185,23 @@ def hooi(
         fingerprint — is written atomically every ``checkpoint_every``
         iterations (and always on convergence or the final iteration).
         ``resume=True`` continues a killed run **bit-for-bit** from the
-        latest checkpoint; a checkpoint from a different run
-        configuration or tensor is rejected with ``ValueError``. Phase
-        timers and kernel statistics restart from zero on resume (they
-        are observability, not algorithm state).
+        latest checkpoint in ``checkpoint_dir``; ``resume=state`` does the
+        same from an in-memory
+        :class:`~repro.runtime.checkpoint.CheckpointState` (the
+        ``checkpoint`` a preempted run's trip carries). A checkpoint from
+        a different run configuration or tensor is rejected with
+        ``ValueError``. Phase timers and kernel statistics restart from
+        zero on resume (they are observability, not algorithm state).
 
     Runs are guarded by the run-level health machinery on ``ctx``
     (:mod:`repro.runtime.health`): cancellation and ``deadline_seconds``
     are checked between iterations (and between chunks inside the
-    parallel backends); on a trip the last completed iteration is
-    checkpointed first (when ``checkpoint_dir`` is set) so the run
-    resumes bit-for-bit. A divergence/stall watchdog restores from the
-    last healthy snapshot or reseeds when the objective goes non-finite
-    or worsens for ``FallbackPolicy.max_unhealthy_iters`` consecutive
-    iterations, raising
+    parallel backends); the trip carries the last completed iteration
+    as ``exc.checkpoint`` (saved first when ``checkpoint_dir`` is set),
+    so the run resumes bit-for-bit. A divergence/stall watchdog restores
+    from the last healthy snapshot or reseeds when the objective goes
+    non-finite or worsens for ``FallbackPolicy.max_unhealthy_iters``
+    consecutive iterations, raising
     :class:`~repro.runtime.health.NumericalHealthError` once
     ``max_health_recoveries`` is exhausted.
     """

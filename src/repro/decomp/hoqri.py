@@ -24,6 +24,7 @@ import numpy as np
 from ..baselines.hoqri_nary import nary_hoqri_step
 from ..core.s3ttmc import SymmetricInput
 from ..core.s3ttmc_tc import times_core
+from ..runtime.checkpoint import CheckpointState
 from ..runtime.context import ExecContext
 from ..runtime.timer import PhaseTimer
 from ..symmetry.expansion import compact_from_full
@@ -82,7 +83,7 @@ def hoqri(
     ctx: Optional[ExecContext] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: int = 1,
-    resume: bool = False,
+    resume: Union[bool, CheckpointState] = False,
 ) -> DecompositionResult:
     """Higher-Order QR Iteration for sparse symmetric tensors.
 
@@ -93,7 +94,8 @@ def hoqri(
     (requires ``kernel="symprop"``); each worker owns a disjoint tensor
     shard and the checkpoint records the shard map.
     ``checkpoint_dir`` / ``checkpoint_every`` / ``resume`` persist and
-    continue runs exactly as in :func:`~repro.decomp.hooi.hooi`; the
+    continue runs exactly as in :func:`~repro.decomp.hooi.hooi` (``resume``
+    also takes a preempted run's in-memory ``exc.checkpoint``); the
     checkpoint additionally carries HOQRI's pre-QR update matrix ``A``,
     so a resumed run re-enters the iteration at the QR step bit-for-bit.
     Deadlines, cancellation, and the numerical-health watchdog behave

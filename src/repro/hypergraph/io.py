@@ -44,12 +44,14 @@ def read_hyperedges(source: PathLike, n_nodes: int | None = None) -> Hypergraph:
     """Read a hyperedge list written by :func:`write_hyperedges`.
 
     ``n_nodes`` overrides the header (or infers ``max id + 1`` when both
-    are absent). A malformed line raises ``ValueError`` naming it.
+    are absent). A malformed line, or a node id outside that range,
+    raises ``ValueError`` naming it.
     """
     handle, owned = _open(source, "r")
     try:
         edges = []
         weights = []
+        linenos = []
         header_nodes = None
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
@@ -75,9 +77,15 @@ def read_hyperedges(source: PathLike, n_nodes: int | None = None) -> Hypergraph:
                 raise ValueError(f"line {lineno}: empty hyperedge")
             edges.append(tuple(ids))
             weights.append(weight)
+            linenos.append(lineno)
         total = n_nodes if n_nodes is not None else header_nodes
         if total is None:
             total = 1 + max((max(e) for e in edges), default=-1)
+        for edge, lineno in zip(edges, linenos):
+            if not all(0 <= v < total for v in edge):
+                raise ValueError(
+                    f"line {lineno}: node id out of range [1, {total}]"
+                )
         return Hypergraph(total, edges, weights)
     finally:
         if owned:

@@ -17,9 +17,10 @@ multi-tenant service can admit it — and preempt or evict it safely:
   between chunks in every backend, between HOOI/HOQRI iterations, and
   inside the process-backend supervisor wait loop; it raises
   :class:`RunCancelledError` / :class:`DeadlineExceededError` at the
-  next checkpoint-safe boundary. When the run has a ``checkpoint_dir``
-  the decomposition drivers persist the last completed iteration before
-  re-raising, so a preempted run resumes bit-for-bit.
+  next checkpoint-safe boundary. The decomposition drivers attach the
+  last completed iteration to the trip (``exc.checkpoint``), and also
+  persist it when the run has a ``checkpoint_dir``, so a preempted run
+  resumes bit-for-bit (``resume=exc.checkpoint``).
 * :class:`HealthMonitor` — a divergence/stall watchdog for the
   decomposition loop. Each iteration reports its objective; non-finite
   or worsening values accumulate *strikes*, and after
@@ -67,7 +68,15 @@ class HealthError(RuntimeError):
     degradation cannot fix a cancelled, expired or diverging run, so
     these propagate straight through
     :func:`repro.parallel.executor.parallel_s3ttmc`'s degradation path.
+
+    ``checkpoint`` is set on a cancel or deadline trip out of a
+    decomposition: the sweep's
+    :class:`~repro.runtime.checkpoint.CheckpointState` of its last
+    completed iteration (``None`` when none completed), which the
+    drivers accept as ``resume=``.
     """
+
+    checkpoint: Any = None
 
 
 class RunCancelledError(HealthError):

@@ -3,7 +3,7 @@
 The multi-tenant job runtime over everything below it: submit
 :class:`JobSpec`\\ s, get typed admission decisions before any
 allocation, content-addressed cache hits for duplicate work, per-job
-budget/deadline/cancel/trace isolation, and checkpointed
+budget/deadline/cancel isolation, and bit-for-bit
 preemption/resume — in-process via :class:`DecompositionService`, or
 over a socket via ``python -m repro.serve`` and :class:`ServeClient`.
 See ``docs/serve.md``.

@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memory quota for tenants without an explicit --quota",
     )
     parser.add_argument("--cache-capacity", type=int, default=128)
-    parser.add_argument("--spool-dir", default=None)
     return parser
 
 
@@ -159,7 +158,6 @@ async def amain(argv=None) -> int:
         quotas=dict(args.quota),
         default_quota=TenantQuota(memory_bytes=args.default_quota_bytes),
         cache_capacity=args.cache_capacity,
-        spool_dir=args.spool_dir,
     )
     await service.start()
     daemon = _Daemon(service)

@@ -43,7 +43,8 @@ def predict_job_peak_bytes(
       per-batch lattice intermediates);
     * ``hooi`` with ``svd_method="expand"`` additionally pays the
       ``hooi-svd`` expansion — the full ``Y_(1)`` unfolding — which is
-      the memory wall this admission gate exists to refuse;
+      the memory wall this admission gate exists to refuse (the served
+      default, ``"compact"``, never expands);
     * parallel executions add each worker's resident footprint (one
       owned shard plus its row-block per worker).
 

@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..core.engine import KERNELS
-from ..decomp.hooi import HOOI_KERNELS
+from ..decomp.hooi import HOOI_KERNELS, HOOI_SVD_METHODS
 from ..decomp.hoqri import HOQRI_KERNELS
 from ..formats.ucoo import SparseSymmetricTensor
 
@@ -157,7 +157,7 @@ class JobSpec:
     tol: float = 1e-8
     init: str = "random"
     seed: Optional[int] = None
-    svd_method: str = "expand"  # hooi only
+    svd_method: str = "compact"  # hooi only
     deadline_seconds: Optional[float] = None
     use_cache: bool = True
 
@@ -195,6 +195,11 @@ class JobSpec:
                 )
             if self.max_iters is not None and int(self.max_iters) < 1:
                 raise InvalidJobError(f"{self.kind} jobs require max_iters >= 1")
+            if self.kind == "hooi" and self.svd_method not in HOOI_SVD_METHODS:
+                raise InvalidJobError(
+                    f"hooi jobs take svd_method in {HOOI_SVD_METHODS}, "
+                    f"got {self.svd_method!r}"
+                )
 
     @property
     def effective_rank(self) -> int:

@@ -9,40 +9,37 @@ across submissions instead of being rebuilt per call.
 
 Isolation is the per-job derived :class:`~repro.runtime.context.ExecContext`:
 every job runs under its **own** :class:`~repro.runtime.budget.MemoryBudget`
-(limit = tenant quota), its own :class:`~repro.obs.trace.TraceCollector`,
-its own cancel token (derived from a service root, so shutdown cascades),
-its own deadline, and its own shm run token — a tenant tripping any of
-those cannot disturb a sibling. Shared, deliberately: the
+(limit = tenant quota), its own cancel token (derived from a service
+root, so shutdown cascades), its own deadline, and its own shm run token
+— a tenant tripping any of those cannot disturb a sibling. Shared, deliberately: the
 :class:`~repro.runtime.context.PlanCache` and the content-addressed
 caches (:mod:`repro.serve.cache`), because plans and finished results
-are pure functions of tensor content.
+are pure functions of tensor content. Jobs run with no trace collector:
+nothing reads a job's spans, so none are recorded.
 
 Admission (:mod:`repro.serve.admission`) runs at ``submit`` time, before
-any allocation. Preemption reuses the checkpoint machinery: a preempted
-decomposition saves its sweep state, goes back to the queue, and resumes
-bit-for-bit — the same guarantee a killed run has.
+any allocation. Preemption reuses the sweep's checkpoint state without
+touching disk: the trip out of a preempted decomposition carries the
+state of its last completed iteration, the job goes back to the queue
+holding it, and resumes from it bit-for-bit.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..core.s3ttmc import s3ttmc
 from ..decomp import hooi, hoqri
-from ..obs.trace import TraceCollector
 from ..parallel import shm as _shm
 from ..parallel.backends import make_backend
 from ..parallel.executor import parallel_s3ttmc
 from ..runtime.budget import MemoryBudget
+from ..runtime.checkpoint import CheckpointState
 from ..runtime.context import ExecContext
 from ..runtime.health import CancelToken, RunCancelledError
 from .admission import check_admission
@@ -78,10 +75,9 @@ class JobRecord:
     result: Any = None
     error: Optional[BaseException] = None
     budget: Optional[MemoryBudget] = None
-    collector: Optional[TraceCollector] = None
     cancel: Optional[CancelToken] = None
     attempt_cancel: Optional[CancelToken] = None
-    checkpoint_dir: Optional[Path] = None
+    resume_state: Optional[CheckpointState] = None
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -147,9 +143,6 @@ class DecompositionService:
         quota applied to tenants not in it.
     cache_capacity:
         Bound on the finished-result LRU.
-    spool_dir:
-        Directory for per-job checkpoint spools (preemption/resume).
-        Created lazily (a temp dir by default) and removed on close.
     """
 
     def __init__(
@@ -161,7 +154,6 @@ class DecompositionService:
         quotas: Optional[Dict[str, TenantQuota]] = None,
         default_quota: Optional[TenantQuota] = None,
         cache_capacity: int = 128,
-        spool_dir: Optional[str] = None,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
@@ -182,8 +174,6 @@ class DecompositionService:
         self._seq = 0
         self._started = False
         self._closed = False
-        self._spool_dir = Path(spool_dir) if spool_dir else None
-        self._spool_is_temp = spool_dir is None
         self.counters: Dict[str, int] = {
             "submitted": 0,
             "completed": 0,
@@ -219,10 +209,9 @@ class DecompositionService:
 
         ``drain=True`` lets queued and running jobs finish first;
         ``drain=False`` cancels everything via the root cancel token.
-        Either way the pool backends are closed, the spool removed, and
-        hygiene counters (undrained budgets) finalized — the end-to-end
-        tests assert zero leaked segments and drained budgets after this
-        returns.
+        Either way the pool backends are closed and hygiene counters
+        (undrained budgets) finalized — the end-to-end tests assert zero
+        leaked segments and drained budgets after this returns.
         """
         if self._closed:
             return dict(self.counters)
@@ -242,8 +231,6 @@ class DecompositionService:
         for slot in self._slots:
             slot.close_backend()
         self._base_ctx.close()
-        if self._spool_dir is not None and self._spool_is_temp:
-            shutil.rmtree(self._spool_dir, ignore_errors=True)
         return dict(self.counters)
 
     def hygiene(self) -> Dict[str, int]:
@@ -368,9 +355,10 @@ class DecompositionService:
         return False
 
     def preempt(self, job_id: str) -> bool:
-        """Checkpoint-preempt a running decomposition; it requeues and
-        resumes bit-for-bit. Kernel jobs (no checkpoint state) are not
-        preemptible. ``False`` if the job is not running."""
+        """Preempt a running decomposition; it requeues holding its last
+        completed iteration and resumes from it bit-for-bit. Kernel jobs
+        (no iteration state) are not preemptible. ``False`` if the job is
+        not running."""
         record = self._record(job_id)
         if record.state != "running" or record.spec.kind == "s3ttmc":
             return False
@@ -387,9 +375,7 @@ class DecompositionService:
         if record.cache_key is not None:
             if self._inflight.get(record.cache_key) is record:
                 del self._inflight[record.cache_key]
-        if record.checkpoint_dir is not None:
-            shutil.rmtree(record.checkpoint_dir, ignore_errors=True)
-            record.checkpoint_dir = None
+        record.resume_state = None
         record.done.set()
         self._fulfill_followers(record)
 
@@ -411,17 +397,6 @@ class DecompositionService:
                 follower.cancel = self._root_cancel.derive()
                 self._queue.put_nowait(follower)
 
-    def _spool_for(self, record: JobRecord) -> Optional[Path]:
-        if record.spec.kind == "s3ttmc":
-            return None
-        if self._spool_dir is None:
-            self._spool_dir = Path(
-                tempfile.mkdtemp(prefix="repro-serve-spool-")
-            )
-        path = self._spool_dir / record.job_id
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
     async def _slot_loop(self, slot: _PoolSlot) -> None:
         while True:
             record = await self._queue.get()
@@ -437,17 +412,14 @@ class DecompositionService:
         record.started_at = record.started_at or time.time()
         # Fresh isolation per attempt, shared plans via the base context.
         record.budget = MemoryBudget(limit_bytes=record.quota.memory_bytes)
-        record.collector = TraceCollector()
         record.attempt_cancel = (record.cancel or self._root_cancel).derive()
         deadline = spec.deadline_seconds or record.quota.deadline_seconds
         ctx = self._base_ctx.derive(
             budget=record.budget,
-            collector=record.collector,
             seed=spec.seed,
             deadline_seconds=deadline,
             cancel=record.attempt_cancel,
         )
-        record.checkpoint_dir = record.checkpoint_dir or self._spool_for(record)
         backend = slot.ensure_backend(self.execution, self.n_workers)
         if backend is not None:
             ctx.adopt_backend(backend)
@@ -458,8 +430,10 @@ class DecompositionService:
                 record.preempt_requested = False
                 record.preemptions += 1
                 self.counters["preemptions"] += 1
+                if exc.checkpoint is not None:
+                    record.resume_state = exc.checkpoint
                 record.state = "queued"
-                self._queue.put_nowait(record)  # resumes from checkpoint
+                self._queue.put_nowait(record)  # resumes from resume_state
             else:
                 record.error = exc
                 self.counters["cancelled"] += 1
@@ -493,12 +467,8 @@ class DecompositionService:
             )
         driver = hooi if spec.kind == "hooi" else hoqri
         kwargs = spec.driver_kwargs()
-        if record.checkpoint_dir is not None:
-            kwargs.update(
-                checkpoint_dir=record.checkpoint_dir,
-                checkpoint_every=1,
-                resume=record.preemptions > 0,
-            )
+        if record.resume_state is not None:
+            kwargs["resume"] = record.resume_state
         return driver(spec.tensor, int(spec.rank), ctx=ctx, **kwargs)
 
     # -- introspection -----------------------------------------------------

@@ -17,6 +17,12 @@ of three modes:
     Error contracts: misuse (narrow ``out`` dtypes, unmapped row-map
     entries, stale plans) must fail loudly instead of corrupting output.
 
+One column checks a decomposition step rather than a kernel:
+``hooi-compact-vs-expand`` runs one HOOI iteration with each SVD path
+and compares the fits and, across every spectral gap of ``Y_(1)``, the
+subspaces the factors span (tied singular values leave the basis inside
+a tie arbitrary).
+
 Every result carries the workload spec string, so a failure prints as a
 single rerunnable ``python -m repro.verify --case … --check …`` line.
 """
@@ -35,6 +41,7 @@ from ..core.plan import build_plan
 from ..core.s3ttmc import s3ttmc
 from ..core.s3ttmc_tc import s3ttmc_tc
 from ..cp.mttkrp import symmetric_mttkrp
+from ..decomp.hooi import hooi
 from ..obs.trace import TraceCollector
 from ..parallel.distributed import exchange_from_trace, plan_sharded_exchange
 from ..parallel.executor import ParallelRunReport, parallel_s3ttmc
@@ -56,6 +63,10 @@ DENSE_LIMIT = 500_000
 
 #: Scale-relative tolerance for reordered-summation (allclose) checks.
 ALLCLOSE_RTOL = 1e-9
+
+#: Relative drop between consecutive singular values that counts as a
+#: spectral gap in ``hooi-compact-vs-expand``; smaller drops are ties.
+SPECTRAL_GAP_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,45 @@ def _dense_mttkrp(tensor, factor: np.ndarray) -> np.ndarray:
     subs = "abcdefgh"[: tensor.order]
     spec = subs + "," + ",".join(f"{s}r" for s in subs[1:])
     return np.einsum(spec + "->" + subs[0] + "r", dense, *([factor] * (tensor.order - 1)))
+
+
+def _hooi_compact_vs_expand(
+    gen: GeneratedWorkload, ctx: ExecContext
+) -> CheckResult:
+    """One HOOI iteration per SVD path from the same start: equal fits,
+    and equal projectors onto each leading subspace that ends at a gap."""
+    name = "hooi-compact-vs-expand"
+    x, spec = gen.tensor, gen.spec.spec
+    rank = min(gen.spec.rank, x.dim)
+    init = np.ascontiguousarray(gen.factor[:, :rank])
+    expand, compact = (
+        hooi(x, rank, max_iters=1, tol=0.0, init=init, svd_method=method, ctx=ctx)
+        for method in ("expand", "compact")
+    )
+    scale = max(1.0, expand.norm_x_squared)
+    problems = []
+    for field in ("core_norm_squared", "relative_error"):
+        got, ref = getattr(compact.trace, field), getattr(expand.trace, field)
+        dev = float(np.max(np.abs(np.subtract(got, ref))))
+        if dev > ALLCLOSE_RTOL * scale:
+            problems.append(f"{field} differs by {dev:.3e}")
+    full = s3ttmc(x, init, kernel="generic", ctx=ctx).to_full_unfolding()
+    sigma = np.zeros(rank + 1)
+    values = np.linalg.svd(full, compute_uv=False)[: rank + 1]
+    sigma[: values.size] = values
+    gaps = [
+        k
+        for k in range(1, rank + 1)
+        if sigma[k - 1] - sigma[k] > SPECTRAL_GAP_RTOL * max(sigma[0], 1e-300)
+    ]
+    for k in gaps:
+        pe = expand.factor[:, :k] @ expand.factor[:, :k].T
+        pc = compact.factor[:, :k] @ compact.factor[:, :k].T
+        dev = float(np.max(np.abs(pe - pc)))
+        if dev > 1e-8:
+            problems.append(f"rank-{k} projectors differ by {dev:.3e}")
+    detail = "; ".join(problems) or f"subspaces compared at ranks {gaps}"
+    return CheckResult(spec, name, "allclose", not problems, detail)
 
 
 def run_workload_checks(
@@ -549,6 +599,15 @@ def run_workload_checks(
                     ValueError,
                 )
             )
+
+    results.append(
+        _guarded(
+            spec,
+            "hooi-compact-vs-expand",
+            "allclose",
+            lambda: _hooi_compact_vs_expand(gen, ctx),
+        )
+    )
 
     # Parallel backends run owned shards: workers own disjoint tensor
     # shards and partials merge through the deterministic hierarchical

@@ -157,6 +157,12 @@ class TestIO:
         with pytest.raises(ValueError, match="line 2: bad index or value"):
             read_tns(io.StringIO(f"2 3 1\n{entry}\n"))
 
+    @pytest.mark.parametrize("entry", ["1 4 1.0", "0 2 1.0"])
+    def test_out_of_range_index_names_line(self, entry):
+        text = f"2 3 2\n1 2 1.0\n{entry}\n"
+        with pytest.raises(ValueError, match=r"line 3: index out of range \[1, 3\]"):
+            read_tns(io.StringIO(text))
+
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="claims"):
             read_tns(io.StringIO("2 3 2\n1 2 1.0\n"))

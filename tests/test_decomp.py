@@ -34,11 +34,23 @@ class TestHooi:
         assert 0.0 <= res.relative_error <= 1.0 + 1e-12
         assert res.trace.objective[-1] <= res.norm_x_squared + 1e-9
 
-    def test_gram_svd_matches_expand(self, tensor4, rng):
+    def test_compact_svd_matches_expand(self, tensor4, rng):
         u0 = random_init(12, 3, rng)
         a = hooi(tensor4, 3, max_iters=5, init=u0)
-        b = hooi(tensor4, 3, max_iters=5, init=u0, svd_method="gram")
+        b = hooi(tensor4, 3, max_iters=5, init=u0, svd_method="compact")
         assert np.allclose(a.trace.objective, b.trace.objective, atol=1e-6)
+        # Both paths fix the singular vectors' signs the same way.
+        assert np.allclose(a.factor, b.factor, atol=1e-8)
+
+    @pytest.mark.parametrize("svd_method", ["expand", "compact"])
+    def test_singular_vector_signs_fixed(self, tensor4, svd_method):
+        res = hooi(tensor4, 3, max_iters=3, seed=0, svd_method=svd_method)
+        peaks = res.factor[np.argmax(np.abs(res.factor), axis=0), np.arange(3)]
+        assert (peaks > 0).all()
+
+    def test_removed_gram_svd_fails_loudly(self, tensor4):
+        with pytest.raises(ValueError, match="unknown svd_method 'gram'"):
+            hooi(tensor4, 2, svd_method="gram")
 
     def test_css_kernel_matches_symprop(self, tensor4, rng):
         u0 = random_init(12, 3, rng)

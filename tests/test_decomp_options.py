@@ -16,13 +16,13 @@ def tensor():
 
 
 @pytest.mark.parametrize("kernel", ["symprop", "css"])
-@pytest.mark.parametrize("svd_method", ["expand", "gram"])
+@pytest.mark.parametrize("svd_method", ["expand", "compact"])
 @pytest.mark.parametrize("memoize", ["global", "nonzero"])
 class TestHooiOptionMatrix:
     def test_trajectory_invariant(self, tensor, kernel, svd_method, memoize):
         """All option combinations compute the same mathematical iteration."""
-        if kernel == "css" and svd_method == "gram":
-            pytest.skip("gram path applies to the symprop kernel only")
+        if kernel == "css" and svd_method == "compact":
+            pytest.skip("compact path applies to the symprop kernel only")
         from repro.decomp import random_init
 
         u0 = random_init(tensor.dim, 3, np.random.default_rng(5))

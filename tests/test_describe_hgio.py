@@ -41,6 +41,19 @@ class TestHypergraphIO:
         back = read_hyperedges(io.StringIO("1 2\n"), n_nodes=10)
         assert back.n_nodes == 10
 
+    @pytest.mark.parametrize(
+        "text, n_nodes, line",
+        [
+            ("# nodes: 2\n1 5\n", None, 2),
+            ("# nodes: 3\n1 2\n\n0 3\n", None, 4),
+            ("1 2\n2 4\n", 3, 2),
+        ],
+        ids=["past-header", "zero-id", "past-override"],
+    )
+    def test_out_of_range_id_names_line(self, text, n_nodes, line):
+        with pytest.raises(ValueError, match=rf"line {line}: node id out of range"):
+            read_hyperedges(io.StringIO(text), n_nodes=n_nodes)
+
     def test_bad_id_rejected(self):
         with pytest.raises(ValueError, match="bad node id"):
             read_hyperedges(io.StringIO("1 x\n"))

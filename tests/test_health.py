@@ -314,6 +314,60 @@ class TestDecompResilience:
         self._assert_resumes_bitwise(algorithm, x, tmp_path)
 
     @pytest.mark.parametrize("algorithm", [hooi, hoqri])
+    def test_trip_carries_state_and_resumes_bitwise(self, algorithm, rng, tmp_path):
+        """A trip hands the last completed iteration to the caller in
+        memory — the same state the trip path saves to disk — and
+        ``resume=exc.checkpoint`` continues bit-for-bit."""
+        x = make_random_tensor(3, 60, 6000, rng)
+        per_iter = self._per_iteration_seconds(algorithm, x, 6)
+        tok = CancelToken()
+        ctx = ExecContext(cancel=tok)
+        timer = threading.Timer(2.5 * per_iter, tok.cancel, args=("evicted",))
+        timer.start()
+        try:
+            with pytest.raises(RunCancelledError) as excinfo:
+                algorithm(
+                    x, 6, max_iters=100_000, tol=0.0, seed=3, ctx=ctx,
+                    checkpoint_dir=tmp_path, checkpoint_every=10**9,
+                )
+        finally:
+            timer.cancel()
+            ctx.close()
+        state = excinfo.value.checkpoint
+        saved = load_checkpoint(tmp_path)
+        assert state is not None and saved is not None
+        assert state.iteration == saved.iteration
+        assert np.array_equal(state.factor, saved.factor)
+        assert np.array_equal(state.core_data, saved.core_data)
+        n = state.iteration + 1 + 2
+        resumed = algorithm(x, 6, max_iters=n, tol=0.0, seed=3, resume=state)
+        straight = algorithm(x, 6, max_iters=n, tol=0.0, seed=3)
+        assert np.array_equal(resumed.factor, straight.factor)
+        assert np.array_equal(resumed.core.data, straight.core.data)
+        assert resumed.trace.objective == straight.trace.objective
+
+    def test_trip_before_any_iteration_carries_no_state(self, rng):
+        x = make_random_tensor(3, 20, 200, rng)
+        tok = CancelToken()
+        tok.cancel("evicted")
+        ctx = ExecContext(cancel=tok)
+        try:
+            with pytest.raises(RunCancelledError) as excinfo:
+                hooi(x, 3, max_iters=5, seed=3, ctx=ctx)
+        finally:
+            ctx.close()
+        assert excinfo.value.checkpoint is None
+
+    def test_in_memory_resume_checks_config(self, rng, tmp_path):
+        x = make_random_tensor(3, 20, 200, rng)
+        hooi(x, 3, max_iters=2, seed=3, checkpoint_dir=tmp_path)
+        state = load_checkpoint(tmp_path)
+        with pytest.raises(ValueError, match="checkpoint config mismatch"):
+            hoqri(x, 3, max_iters=4, seed=3, resume=state)
+        with pytest.raises(ValueError, match="checkpoint config mismatch"):
+            hooi(x, 2, max_iters=4, seed=3, resume=state)
+
+    @pytest.mark.parametrize("algorithm", [hooi, hoqri])
     def test_deadline_checkpoints_before_raising(self, algorithm, rng, tmp_path):
         x = make_random_tensor(3, 60, 6000, rng)
         per_iter = self._per_iteration_seconds(algorithm, x, 6)

@@ -78,12 +78,13 @@ class TestEndToEndPipelines:
         assert res.stats.kernel_flops <= 4 * per_iter_bound
         assert res.stats.kernel_flops > 0
 
-    def test_hooi_oom_then_gram_rescue(self):
-        """The faithful SVD OOMs; the Gram extension completes (ablation 5)."""
+    def test_hooi_oom_then_compact_rescue(self):
+        """The faithful SVD OOMs; the compact extension completes (ablation 5)."""
         x = random_sparse_symmetric(6, 200, 300, seed=10)
         rank = 8
-        # full Y: 200 * 8^5 * 8 = 52 MB > 16 MB budget; Gram: 200^2 * 8 tiny,
-        # and the compact kernel (batched) stays well under the limit.
+        # full Y: 200 * 8^5 * 8 = 52 MB > 16 MB budget; the compact SVD
+        # operand is 200 * S_{5,8} * 8 = 1.3 MB, and the compact kernel
+        # (batched) stays well under the limit.
         with ExecContext(budget=MemoryBudget(limit_bytes=16 * 2**20)):
             with pytest.raises(MemoryLimitError):
                 hooi(
@@ -96,7 +97,7 @@ class TestEndToEndPipelines:
                 )
         with ExecContext(budget=MemoryBudget(limit_bytes=16 * 2**20)):
             res = hooi(
-                x, rank, max_iters=2, tol=0.0, seed=0, svd_method="gram",
+                x, rank, max_iters=2, tol=0.0, seed=0, svd_method="compact",
                 nz_batch_size=64,
             )
         assert res.iterations == 2

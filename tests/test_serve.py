@@ -109,6 +109,30 @@ class TestJobSpec:
         assert stats["counters"]["submitted"] == 0
         assert stats["states"] == {}
 
+    def test_svd_method_checked_at_submit(self, rng):
+        # An unknown method used to be admitted and fail only once
+        # running, with a bare ValueError from the driver.
+        x = make_random_tensor(3, 8, 30, rng)
+        assert hooi_spec(x, 2).driver_kwargs()["svd_method"] == "compact"
+        for method in ("expand", "compact"):
+            hooi_spec(x, 2, svd_method=method).validate()
+        # Only hooi reads svd_method.
+        JobSpec(kind="hoqri", tensor=x, rank=2, svd_method="power").validate()
+        bad = [hooi_spec(x, 2, svd_method=m) for m in ("power", "gram")]
+        # The wire decodes to the same spec, so the daemon refuses it too.
+        bad.append(spec_from_wire(spec_to_wire(bad[0])))
+
+        async def main():
+            async with DecompositionService() as svc:
+                for spec in bad:
+                    with pytest.raises(InvalidJobError, match="svd_method"):
+                        await svc.submit(spec)
+                return svc.stats()
+
+        stats = run(main())
+        assert stats["counters"]["submitted"] == 0
+        assert stats["states"] == {}
+
     def test_determinism_classification(self, rng):
         x = make_random_tensor(3, 8, 30, rng)
         assert JobSpec(kind="s3ttmc", tensor=x, factor=np.ones((8, 2))).deterministic()
@@ -166,14 +190,15 @@ class TestContentFingerprint:
 class TestSubmitResult:
     def test_hooi_bitwise_equal_to_direct(self, rng):
         x = make_random_tensor(3, 12, 80, rng)
+        spec = hooi_spec(x, 3, seed=7)
 
         async def main():
             async with DecompositionService() as svc:
-                job = await svc.submit(hooi_spec(x, 3, seed=7))
+                job = await svc.submit(spec)
                 return await svc.result(job)
 
         got = run(main())
-        want = hooi(x, 3, seed=7, max_iters=5)
+        want = hooi(x, 3, **spec.driver_kwargs())
         assert np.array_equal(got.factor, want.factor)
         assert got.relative_error == want.relative_error
 
@@ -237,6 +262,8 @@ class TestSubmitResult:
             a.order, a.dim, a.indices.copy(), a.values * 2.0 + 0.5
         )
 
+        kwargs = hooi_spec(a, 3, seed=7).driver_kwargs()
+
         async def main():
             async with DecompositionService() as svc:
                 ja = await svc.submit(hooi_spec(a, 3, seed=7))
@@ -247,8 +274,8 @@ class TestSubmitResult:
         ra, rb, b_hit = run(main())
         assert not b_hit
         assert not np.array_equal(ra.factor, rb.factor)
-        assert np.array_equal(ra.factor, hooi(a, 3, seed=7, max_iters=5).factor)
-        assert np.array_equal(rb.factor, hooi(b, 3, seed=7, max_iters=5).factor)
+        assert np.array_equal(ra.factor, hooi(a, 3, **kwargs).factor)
+        assert np.array_equal(rb.factor, hooi(b, 3, **kwargs).factor)
 
     def test_quota_rejection_is_typed_and_pre_allocation(self, rng):
         x = make_random_tensor(3, 20, 300, rng)
@@ -314,9 +341,10 @@ class TestJobControl:
 
     def test_deadline_trips_one_job_spares_sibling(self, rng):
         """A tenant tripping its deadline must not disturb a sibling job
-        running concurrently in the same service (own budget, own trace,
+        running concurrently in the same service (own budget, own deadline,
         own cancel token)."""
         x = make_random_tensor(3, 16, 150, rng)
+        healthy_spec = hooi_spec(x, 2, seed=4, max_iters=4, use_cache=False)
 
         async def main():
             async with DecompositionService(pool_size=2) as svc:
@@ -330,9 +358,7 @@ class TestJobControl:
                         deadline_seconds=0.05, use_cache=False,
                     )
                 )
-                healthy = await svc.submit(
-                    hooi_spec(x, 2, seed=4, max_iters=4, use_cache=False)
-                )
+                healthy = await svc.submit(healthy_spec)
                 with pytest.raises(DeadlineExceededError):
                     await svc.result(doomed)
                 result = await svc.result(healthy)
@@ -342,17 +368,17 @@ class TestJobControl:
         assert doomed.state == "failed"
         assert doomed.error_type == "DeadlineExceededError"
         assert healthy.state == "done" and healthy.error_type is None
-        assert np.array_equal(result.factor, hooi(x, 2, seed=4, max_iters=4).factor)
+        want = hooi(x, 2, **healthy_spec.driver_kwargs())
+        assert np.array_equal(result.factor, want.factor)
         assert stats["counters"]["budgets_undrained"] == 0
 
     def test_preempt_resumes_bitwise(self, rng):
         x = make_random_tensor(3, 20, 250, rng)
+        spec = hooi_spec(x, 4, seed=3, max_iters=40, tol=0.0, use_cache=False)
 
         async def main():
             async with DecompositionService(pool_size=1) as svc:
-                job = await svc.submit(
-                    hooi_spec(x, 4, seed=3, max_iters=40, tol=0.0, use_cache=False)
-                )
+                job = await svc.submit(spec)
                 # Wait for it to start, then checkpoint-preempt it once.
                 while svc.status(job).state == "queued":
                     await asyncio.sleep(0.005)
@@ -361,11 +387,48 @@ class TestJobControl:
                 return preempted, svc.status(job), result
 
         preempted, status, result = run(main())
-        want = hooi(x, 4, seed=3, max_iters=40, tol=0.0)
+        want = hooi(x, 4, **spec.driver_kwargs())
         assert np.array_equal(result.factor, want.factor)
         if preempted:  # raced completion is legal but should be rare
             assert status.preemptions >= 1
         assert status.state == "done"
+
+    def test_preempt_resumes_in_memory(self, rng, monkeypatch, tmp_path):
+        """A preempted, resumed job writes no checkpoint and creates no
+        spool directory: its sweep state stays in memory."""
+        import tempfile
+
+        import repro.decomp._sweep as sweep_module
+
+        saves = []
+        monkeypatch.setattr(
+            sweep_module, "save_checkpoint", lambda *a, **k: saves.append(a)
+        )
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        # About a second of iterations: the preemption lands mid-run.
+        x = make_random_tensor(3, 60, 6000, rng)
+        spec = hooi_spec(x, 6, seed=3, max_iters=300, tol=0.0, use_cache=False)
+
+        async def main():
+            async with DecompositionService(pool_size=1) as svc:
+                job = await svc.submit(spec)
+                while svc.status(job).state == "queued":
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(0.1)  # let some iterations complete
+                preempted = svc.preempt(job)
+                result = await svc.result(job)
+                return preempted, svc.status(job), result
+
+        preempted, status, result = run(main())
+        assert preempted and status.preemptions == 1
+        assert status.state == "done"
+        want = hooi(x, 6, **spec.driver_kwargs())
+        assert np.array_equal(result.factor, want.factor)
+        assert result.trace.objective == want.trace.objective
+        assert saves == []
+        assert result.timer.counts.get("checkpoint", 0) == 0
+        assert list(tmp_path.glob("repro-serve-spool-*")) == []
+        assert list(tmp_path.rglob("*checkpoint*")) == []
 
     def test_kernel_jobs_not_preemptible(self, rng):
         x = make_random_tensor(3, 12, 80, rng)
@@ -378,6 +441,20 @@ class TestJobControl:
                 return svc.preempt(job)
 
         assert run(main()) is False
+
+
+class TestRemovedOptions:
+    def test_spool_dir_fails_loudly(self, tmp_path):
+        with pytest.raises(TypeError, match="spool_dir"):
+            DecompositionService(spool_dir=str(tmp_path))
+
+    def test_spool_dir_flag_fails_loudly(self, capsys):
+        from repro.serve.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--spool-dir", "spool"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --spool-dir" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +530,8 @@ class TestEndToEnd:
 
         # Bitwise equality against direct driver calls.
         direct = [
-            hooi(x1, 3, seed=7, max_iters=5),
-            hooi(x3, 3, seed=2, max_iters=5),
+            hooi(x1, 3, **specs[0].driver_kwargs()),
+            hooi(x3, 3, **specs[1].driver_kwargs()),
             hoqri(x2, 2, seed=5, max_iters=5),
             hoqri(x1, 2, seed=9, max_iters=5),
             s3ttmc(x1, u1),
@@ -532,15 +609,19 @@ class TestDaemon:
             spec = hooi_spec(x, 3, seed=7)
             submitted = client.submit(spec)
             reply = client.result(submitted["job_id"])
-            want = hooi(x, 3, seed=7, max_iters=5)
+            want = hooi(x, 3, **spec.driver_kwargs())
             assert np.array_equal(
                 np.asarray(reply["result"]["factor"]), want.factor
             )
 
+            from repro.serve.client import RemoteServeError
+
             dup = client.submit(hooi_spec(x, 3, seed=7))
             assert dup["state"] == "done" and dup["cache_hit"]
 
-            from repro.serve.client import RemoteServeError
+            with pytest.raises(RemoteServeError) as excinfo:
+                client.submit(hooi_spec(x, 3, seed=7, svd_method="power"))
+            assert excinfo.value.error == "InvalidJobError"
 
             with pytest.raises(RemoteServeError) as excinfo:
                 client.submit(hooi_spec(x, 3, seed=1, tenant="smallco"))

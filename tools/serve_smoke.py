@@ -6,7 +6,11 @@ the wire protocol:
 
 * ping;
 * submit a seeded HOOI job and a bitwise-identical duplicate — the
-  duplicate must come back ``done`` with ``cache_hit=True``;
+  job's factor must equal a local ``hooi(..., svd_method="compact")``
+  (the served default) bit for bit, and the duplicate must come back
+  ``done`` with ``cache_hit=True``;
+* submit the same job with an explicit ``svd_method="expand"`` — it
+  must run and reach the compact job's fit;
 * submit the same workload as an over-quota tenant — the daemon must
   refuse it with a typed ``QuotaExceededError`` *before* running
   anything (``stats`` still shows zero submissions for that tenant);
@@ -35,6 +39,7 @@ if str(SRC) not in sys.path:
 
 import numpy as np  # noqa: E402
 
+from repro.decomp import hooi  # noqa: E402
 from repro.formats.ucoo import SparseSymmetricTensor  # noqa: E402
 from repro.serve import JobSpec  # noqa: E402
 from repro.serve.client import RemoteServeError, connect_from_banner  # noqa: E402
@@ -98,7 +103,14 @@ def main() -> int:
         result = client.result(first["job_id"])
         factor = np.asarray(result["result"]["factor"])
         assert factor.shape == (8, 4), f"bad factor shape {factor.shape}"
-        print(f"serve_smoke: job {first['job_id']} done, factor {factor.shape}")
+        local = hooi(tensor, 4, seed=7, max_iters=5, svd_method="compact")
+        assert np.array_equal(factor, local.factor), (
+            "served default factor differs from a local compact hooi"
+        )
+        print(
+            f"serve_smoke: job {first['job_id']} done, factor {factor.shape}, "
+            "bitwise equal to a local compact hooi"
+        )
 
         dup = client.submit(spec)
         assert dup["state"] == "done" and dup["cache_hit"], (
@@ -109,6 +121,24 @@ def main() -> int:
         )
         assert np.array_equal(dup_factor, factor), "cached factor differs"
         print("serve_smoke: duplicate served from cache, factors identical")
+
+        expand = client.submit(
+            JobSpec(
+                kind="hooi",
+                tensor=tensor,
+                rank=4,
+                seed=7,
+                max_iters=5,
+                svd_method="expand",
+            )
+        )
+        reply = client.result(expand["job_id"])
+        assert not reply["status"]["cache_hit"], "expand job aliased compact"
+        error = reply["result"]["relative_error"]
+        assert abs(error - result["result"]["relative_error"]) < 1e-8, (
+            f"expand relative error {error} differs from compact"
+        )
+        print(f"serve_smoke: explicit expand job {expand['job_id']} done")
 
         try:
             client.submit(
@@ -126,10 +156,10 @@ def main() -> int:
             raise AssertionError("over-quota submit was not rejected")
         stats = client.stats()
         counters = stats["counters"]
-        # Only the two default-tenant submissions were admitted; the
+        # Only the three default-tenant submissions were admitted; the
         # over-quota one was rejected at admission and never ran.
         assert counters["rejected"] >= 1, counters
-        assert counters["submitted"] == 2, counters
+        assert counters["submitted"] == 3, counters
         print("serve_smoke: over-quota tenant rejected typed, nothing ran")
 
         reply = client.shutdown()
