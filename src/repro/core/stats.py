@@ -82,10 +82,6 @@ class KernelStats:
         """Lattice + scatter flops (the ``C^SP`` / ``C^CSS`` quantity)."""
         return sum(self.level_flops.values()) + self.scatter_flops
 
-    @property
-    def total_flops(self) -> int:
-        return self.kernel_flops + self.extra_flops
-
     def merge(self, other: "KernelStats") -> None:
         for level, flops in other.level_flops.items():
             self.level_flops[level] = self.level_flops.get(level, 0) + flops

@@ -160,7 +160,8 @@ def hooi(
         identical either way).
     svd_method:
         ``"expand"`` (faithful) or ``"compact"`` (extension; see module
-        doc). Ignored by ``kernel="css"``, which holds the full ``Y_(1)``.
+        doc). ``kernel="css"`` holds the full ``Y_(1)`` and always runs
+        its SVD, so it runs and records ``"expand"`` for either value.
     memoize, nz_batch_size:
         Forwarded to the S³TTMc kernel.
     timer:
@@ -209,6 +210,8 @@ def hooi(
         raise ValueError(f"unknown kernel {kernel!r}")
     if svd_method not in _SVD_METHODS:
         raise ValueError(f"unknown svd_method {svd_method!r}")
+    if kernel == "css":
+        svd_method = "expand"
     return sweep(
         partial(_step, kernel=kernel, svd_method=svd_method),
         tensor,

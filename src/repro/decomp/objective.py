@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..formats.partial_sym import PartiallySymmetricTensor
-from ..formats.ucoo import SparseSymmetricTensor
 
 __all__ = ["tucker_objective", "relative_error", "fit"]
 
@@ -34,7 +33,3 @@ def fit(norm_x_squared: float, core: PartiallySymmetricTensor) -> float:
     """``1 − relative_error`` — the conventional Tucker fit score."""
     return 1.0 - relative_error(norm_x_squared, core)
 
-
-def input_norm_squared(tensor: SparseSymmetricTensor) -> float:
-    """``‖X‖²`` of the sparse symmetric input (computed once per run)."""
-    return tensor.norm_squared()

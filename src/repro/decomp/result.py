@@ -45,10 +45,6 @@ class ConvergenceTrace:
         return len(self.objective)
 
     @property
-    def final_objective(self) -> Optional[float]:
-        return self.objective[-1] if self.objective else None
-
-    @property
     def final_error(self) -> Optional[float]:
         return self.relative_error[-1] if self.relative_error else None
 

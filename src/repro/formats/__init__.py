@@ -6,7 +6,6 @@ from .csf import CSFTensor
 from .css import CSSTensor
 from .dense import frobenius_norm, refold, ttm, ttmc_all_but_one, unfold
 from .dense_sym import DenseSymmetricTensor
-from .hicoo import HiCOOTensor
 from .partial_sym import PartiallySymmetricTensor
 from .ucoo import SparseSymmetricTensor
 
@@ -17,7 +16,6 @@ __all__ = [
     "CSFTensor",
     "CSSTensor",
     "DenseSymmetricTensor",
-    "HiCOOTensor",
     "PartiallySymmetricTensor",
     "SparseSymmetricTensor",
     "unfold",

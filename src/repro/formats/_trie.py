@@ -47,10 +47,6 @@ class PrefixTrie:
         """Number of trie nodes per level (prefix-compression statistic)."""
         return [int(v.shape[0]) for v in self.values]
 
-    @property
-    def total_nodes(self) -> int:
-        return sum(self.node_counts)
-
     def storage_bytes(self, index_itemsize: int = 8) -> int:
         """Bytes of index structure (values + pointers), excluding leaf data."""
         total = 0

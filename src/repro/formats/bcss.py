@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..symmetry.combinatorics import dense_size, sym_storage_size
+from ..symmetry.combinatorics import sym_storage_size
 from ..symmetry.iou import enumerate_iou, rank_iou_array
 from ..symmetry.tables import dim_grid
 
@@ -109,16 +109,6 @@ class BlockedSymmetricTensor:
     @property
     def stored_entries(self) -> int:
         return self.bricks.size
-
-    def storage_ratio_vs_compact(self) -> float:
-        """BCSS entries / entrywise-compact entries (≥ 1; grows with order)."""
-        compact = sym_storage_size(self.order, self.dim)
-        return self.stored_entries / compact if compact else float("inf")
-
-    def storage_ratio_vs_full(self) -> float:
-        """BCSS entries / full entries (≤ ~1 for small blocks)."""
-        full = dense_size(self.order, self.dim)
-        return self.stored_entries / full if full else float("inf")
 
     def __repr__(self) -> str:
         return (

@@ -71,17 +71,6 @@ class CSSTensor:
         """Trie nodes per level — the prefix-sharing statistic."""
         return self.trie.node_counts
 
-    def prefix_sharing_ratio(self) -> float:
-        """How much prefix compression saves vs. flat UCOO indices.
-
-        Ratio of total UCOO index entries (``unnz * order``) to trie nodes;
-        1.0 means no sharing at all.
-        """
-        nodes = self.trie.total_nodes
-        if nodes == 0:
-            return 1.0
-        return (self.unnz * self.order) / nodes
-
     @property
     def nbytes(self) -> int:
         """Index-structure bytes plus values."""

@@ -9,8 +9,6 @@ permutations of each row.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..runtime.context import current_context
@@ -130,36 +128,6 @@ class SparseSymmetricTensor:
         exp_idx, exp_val, _ = expand_iou(self.indices, self.values)
         out[tuple(exp_idx.T)] = exp_val
         return out
-
-    def permute_values(self, rng: np.random.Generator) -> "SparseSymmetricTensor":
-        """Same sparsity pattern, freshly randomized values (for sweeps)."""
-        return SparseSymmetricTensor(
-            self.order,
-            self.dim,
-            self.indices.copy(),
-            rng.random(self.unnz),
-            assume_canonical=True,
-        )
-
-    # -- element access -------------------------------------------------------
-    def value_at(self, index: Sequence[int]) -> float:
-        """Value at an arbitrary (unsorted) coordinate, 0.0 if absent."""
-        key = np.sort(np.asarray(index, dtype=np.int64))
-        if key.shape != (self.order,):
-            raise IndexError(f"expected {self.order} indices")
-        # Binary search in the lex-sorted IOU rows.
-        lo, hi = 0, self.unnz
-        target = tuple(key)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            row = tuple(self.indices[mid])
-            if row < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < self.unnz and tuple(self.indices[lo]) == target:
-            return float(self.values[lo])
-        return 0.0
 
     @property
     def nbytes(self) -> int:

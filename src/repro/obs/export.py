@@ -102,8 +102,6 @@ class TraceRecords:
     events: List[dict] = field(default_factory=list)
     metrics: List[Dict[str, float]] = field(default_factory=list)
 
-    def span_children(self, span_id: Optional[int]) -> List[dict]:
-        return [s for s in self.spans if s.get("parent") == span_id]
 
 
 def read_trace(path: Union[str, Path]) -> TraceRecords:
@@ -192,8 +190,6 @@ class TraceSummary:
     budget_peak: Optional[float] = None
     total_seconds: float = 0.0
 
-    def phase_seconds(self) -> Dict[str, float]:
-        return {name: r.seconds for name, r in self.phases.items()}
 
 
 def summarize(records: Union[TraceRecords, TraceCollector]) -> TraceSummary:

@@ -182,15 +182,6 @@ class SamplingProfiler:
         end = self.stopped_at if self.stopped_at is not None else self._clock()
         return max(0.0, end - self.started_at)
 
-    def seconds_for(self, key: Tuple[str, ...]) -> float:
-        """Estimated wall seconds attributed to one folded stack."""
-        with self._lock:
-            count = self.samples.get(key, 0)
-            total = self.n_samples
-        if not count or not total:
-            return 0.0
-        return self.wall_seconds * count / total
-
     def folded(self) -> str:
         """Collapsed-stack text: one ``thread;span;... count`` per line.
 

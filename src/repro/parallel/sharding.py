@@ -126,9 +126,6 @@ class TensorShard:
         """Resident tensor bytes a worker owning this shard must hold."""
         return int(self.indices.nbytes + self.values.nbytes)
 
-    def row_block_bytes(self, cols: int) -> int:
-        """Bytes of the shard's private ``(n_rows, cols)`` output block."""
-        return self.n_rows * int(cols) * 8
 
 
 def shards_for_ranges(

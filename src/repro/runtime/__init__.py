@@ -37,8 +37,7 @@ from .health import (
     NumericalHealthError,
     RunCancelledError,
 )
-from .profile import HotSpot, ProfileReport, profile_call
-from .timer import PhaseTimer, Stopwatch
+from .timer import PhaseTimer
 
 __all__ = [
     "ExecContext",
@@ -72,8 +71,4 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "PhaseTimer",
-    "profile_call",
-    "ProfileReport",
-    "HotSpot",
-    "Stopwatch",
 ]

@@ -12,7 +12,7 @@ owning
 * the **plan cache** (chunk plans and partitions, weakly keyed by tensor
   — no longer attributes stapled onto tensor objects), and
 * the **RNG seed** (deterministic replay: seed + budget + backend travel
-  together and serialize via :meth:`ExecContext.to_dict`).
+  together).
 
 ``ctx.budget`` and ``ctx.collector`` are the only budget and collector a
 run accounts and traces into; ``None`` means none. The only ambient
@@ -49,7 +49,7 @@ import time
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
 import numpy as np
 
@@ -570,65 +570,6 @@ class ExecContext:
         if deadline_seconds is None:
             child._deadline_at = self._deadline_at
         return child
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable run configuration (deterministic replay)."""
-        from dataclasses import asdict
-
-        fallback = None
-        if self.fallback is not None:
-            fallback = asdict(self.fallback)
-            fallback["degrade"] = list(fallback["degrade"])
-        return {
-            "execution": self.execution,
-            "n_workers": self.n_workers,
-            "seed": self.seed,
-            "budget_limit_bytes": (
-                self.budget.limit_bytes if self.budget is not None else None
-            ),
-            "traced": self.collector is not None,
-            "fallback": fallback,
-            "deadline_seconds": self.deadline_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: Dict[str, Any]) -> "ExecContext":
-        """Rebuild a context from :meth:`to_dict` output.
-
-        The budget is recreated fresh (zero ``in_use``); ``traced`` spawns
-        a new empty collector. Specs written while ``reduction`` and
-        ``sharding`` were options still load when they name the owned
-        layout (``"blocked"`` / ``"owned"``); any other value raises
-        ``ValueError`` instead of silently running a different layout.
-        """
-        from ..obs.trace import TraceCollector
-
-        reduction = spec.get("reduction", "blocked")
-        if reduction != "blocked":
-            raise ValueError(
-                f"reduction={reduction!r} is not supported: the tree "
-                "reduction was removed and parallel runs always merge owned "
-                "shards' compact row-blocks"
-            )
-        limit = spec.get("budget_limit_bytes")
-        fallback_spec = spec.get("fallback")
-        fallback = None
-        if fallback_spec is not None:
-            fallback_spec = dict(fallback_spec)
-            fallback_spec["degrade"] = tuple(fallback_spec.get("degrade", ()))
-            fallback = FallbackPolicy(**fallback_spec)
-        return cls(
-            budget=MemoryBudget(limit_bytes=limit) if limit is not None else None,
-            collector=TraceCollector() if spec.get("traced") else None,
-            execution=spec.get("execution", "serial"),
-            n_workers=spec.get("n_workers"),
-            sharding=spec.get("sharding", "owned"),
-            seed=spec.get("seed"),
-            fallback=fallback,
-            deadline_seconds=spec.get("deadline_seconds"),
-        )
 
     # -- activation --------------------------------------------------------
 

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, Optional
 
 from ..obs import trace as _trace
 
-__all__ = ["PhaseTimer", "Stopwatch"]
+__all__ = ["PhaseTimer"]
 
 
 @dataclass
@@ -88,19 +88,3 @@ class PhaseTimer:
         for name, c in other.counts.items():
             self.counts[name] = self.counts.get(name, 0) + c
 
-
-class Stopwatch:
-    """Minimal restartable stopwatch for harness timing loops."""
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None

@@ -37,6 +37,7 @@ __all__ = [
     "QuotaExceededError",
     "QueueFullError",
     "InvalidJobError",
+    "check_finite",
     "UnknownJobError",
     "ServiceClosedError",
 ]
@@ -94,6 +95,14 @@ class QueueFullError(AdmissionError):
 
 class InvalidJobError(ServeError, ValueError):
     """The spec is malformed (unknown kind, missing rank/factor, ...)."""
+
+
+def check_finite(name: str, array: np.ndarray) -> None:
+    """Raise :class:`InvalidJobError` naming ``name`` if ``array`` holds a
+    NaN or an infinity: a non-finite input poisons every output entry."""
+    bad = int(array.size - np.count_nonzero(np.isfinite(array)))
+    if bad:
+        raise InvalidJobError(f"{name} must be finite ({bad} NaN or inf entries)")
 
 
 class UnknownJobError(ServeError, KeyError):
@@ -176,6 +185,9 @@ class JobSpec:
                 "tensor must be a SparseSymmetricTensor, got "
                 f"{type(self.tensor).__name__}"
             )
+        check_finite("tensor values", self.tensor.values)
+        if self.factor is not None:
+            check_finite("factor", np.asarray(self.factor, dtype=np.float64))
         if self.kind == "s3ttmc":
             if self.factor is None:
                 raise InvalidJobError("s3ttmc jobs require a factor matrix")

@@ -16,7 +16,7 @@ from typing import Any, Dict
 import numpy as np
 
 from ..formats.ucoo import SparseSymmetricTensor
-from .jobs import JobSpec
+from .jobs import InvalidJobError, JobSpec, check_finite
 
 __all__ = ["spec_to_wire", "spec_from_wire", "result_to_wire"]
 
@@ -53,21 +53,41 @@ def spec_to_wire(spec: JobSpec) -> Dict[str, Any]:
 
 
 def spec_from_wire(payload: Dict[str, Any]) -> JobSpec:
-    """Decode a :func:`spec_to_wire` payload back into a :class:`JobSpec`."""
-    tensor_payload = payload["tensor"]
-    tensor = SparseSymmetricTensor(
-        int(tensor_payload["order"]),
-        int(tensor_payload["dim"]),
-        np.asarray(tensor_payload["indices"], dtype=np.int64),
-        np.asarray(tensor_payload["values"], dtype=np.float64),
-        assume_canonical=True,
-    )
+    """Decode a :func:`spec_to_wire` payload back into a :class:`JobSpec`.
+
+    The tensor goes through the in-process constructor's checks: rows are
+    canonicalized (a client may send them unsorted and in any order) and
+    duplicate coordinates are refused. A malformed payload — a missing
+    field, a wrong index width or type, an out-of-range index, a
+    duplicate row, a non-finite value or factor entry — raises
+    :class:`~repro.serve.jobs.InvalidJobError` naming what is wrong.
+    """
+    try:
+        tensor_payload = payload["tensor"]
+        indices = np.asarray(tensor_payload["indices"])
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got {indices.dtype}")
+        values = np.asarray(tensor_payload["values"], dtype=np.float64)
+        check_finite("tensor values", values)
+        tensor = SparseSymmetricTensor(
+            int(tensor_payload["order"]),
+            int(tensor_payload["dim"]),
+            indices,
+            values,
+        )
+        factor = payload.get("factor")
+        if factor is not None:
+            factor = np.asarray(factor, dtype=np.float64)
+            check_finite("factor", factor)
+    except InvalidJobError:
+        raise
+    except KeyError as exc:
+        raise InvalidJobError(f"spec payload misses field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidJobError(f"malformed spec payload: {exc}") from exc
     kwargs: Dict[str, Any] = {
         name: payload[name] for name in _SPEC_SCALARS if name in payload
     }
-    factor = payload.get("factor")
-    if factor is not None:
-        factor = np.asarray(factor, dtype=np.float64)
     return JobSpec(tensor=tensor, factor=factor, **kwargs)
 
 

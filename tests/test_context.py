@@ -170,22 +170,6 @@ class TestScopeAndLifecycle:
                 parent.derive(**{removed: None})
         parent.close()
 
-    def test_serialization_round_trip(self):
-        ctx = ExecContext(
-            budget=MemoryBudget(limit_bytes=12345),
-            collector=TraceCollector(),
-            execution="thread",
-            n_workers=3,
-            seed=11,
-        )
-        spec = ctx.to_dict()
-        clone = ExecContext.from_dict(spec)
-        assert clone.execution == "thread"
-        assert clone.n_workers == 3
-        assert clone.seed == 11
-        assert clone.budget.limit_bytes == 12345
-        assert clone.collector is not ctx.collector
-
     def test_seed_flows_to_drivers(self, rng):
         x = make_random_tensor(3, 8, 40, rng)
         a = hooi(x, 2, max_iters=1, ctx=ExecContext(seed=5))

@@ -19,10 +19,10 @@ def tensor():
 @pytest.mark.parametrize("svd_method", ["expand", "compact"])
 @pytest.mark.parametrize("memoize", ["global", "nonzero"])
 class TestHooiOptionMatrix:
-    def test_trajectory_invariant(self, tensor, kernel, svd_method, memoize):
+    def test_trajectory_invariant(
+        self, tensor, kernel, svd_method, memoize, tmp_path
+    ):
         """All option combinations compute the same mathematical iteration."""
-        if kernel == "css" and svd_method == "compact":
-            pytest.skip("compact path applies to the symprop kernel only")
         from repro.decomp import random_init
 
         u0 = random_init(tensor.dim, 3, np.random.default_rng(5))
@@ -40,6 +40,24 @@ class TestHooiOptionMatrix:
         assert np.allclose(
             reference.trace.objective, variant.trace.objective, rtol=1e-8
         )
+        if kernel != "css" or svd_method != "compact":
+            return
+        # CSS always runs the SVD of the full Y_(1): compact is expand,
+        # under the same label and the same checkpoint configuration.
+        run = dict(init=u0.copy(), tol=0.0, kernel="css", memoize=memoize)
+        expand = hooi(tensor, 3, max_iters=3, svd_method="expand", **run)
+        assert np.array_equal(variant.factor, expand.factor)
+        assert variant.trace.objective == expand.trace.objective
+        assert variant.algorithm == expand.algorithm == "hooi[css,expand]"
+        for first, then in (("compact", "expand"), ("expand", "compact")):
+            ckpt = tmp_path / first
+            hooi(tensor, 3, max_iters=2, svd_method=first, checkpoint_dir=ckpt, **run)
+            resumed = hooi(
+                tensor, 3, max_iters=3, svd_method=then,
+                checkpoint_dir=ckpt, resume=True, **run,
+            )
+            assert np.array_equal(resumed.factor, expand.factor)
+            assert resumed.trace.objective == expand.trace.objective
 
 
 class TestSharedOptionBehaviours:

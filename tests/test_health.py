@@ -119,13 +119,6 @@ class TestContextDeadline:
         assert tightened.deadline_seconds == 5.0
         assert tightened._deadline_at != fresh._deadline_at
 
-    def test_dict_roundtrip_carries_deadline(self):
-        ctx = ExecContext(deadline_seconds=12.5)
-        spec = ctx.to_dict()
-        assert spec["deadline_seconds"] == 12.5
-        clone = ExecContext.from_dict(spec)
-        assert clone.deadline_seconds == 12.5
-
     def test_trip_event_emitted_once(self):
         from repro.obs.trace import TraceCollector
 

@@ -71,7 +71,7 @@ class TestSamplingProfiler:
             assert prof.n_samples == 4
             assert prof.idle_samples == 1
 
-    def test_seconds_for_uses_wall_clock_share(self):
+    def test_wall_seconds_spans_start_to_stop(self):
         clock = FakeClock(10.0)
         feed = iter([{"main": ["x"]}, {"main": ["x"]}, {"main": ["y"]}, {}])
         prof = SamplingProfiler(0.001, clock=clock, stacks=lambda: next(feed))
@@ -81,9 +81,6 @@ class TestSamplingProfiler:
         clock.t = 14.0
         prof.stopped_at = clock()
         assert prof.wall_seconds == pytest.approx(4.0)
-        assert prof.seconds_for(("main", "x")) == pytest.approx(2.0)
-        assert prof.seconds_for(("main", "y")) == pytest.approx(1.0)
-        assert prof.seconds_for(("main", "zzz")) == 0.0
 
     def test_start_stop_idempotent_and_flushes(self, tmp_path):
         out = tmp_path / "prof.folded"

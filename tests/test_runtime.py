@@ -7,7 +7,7 @@ import pytest
 
 from repro.runtime import ExecContext, current_context
 from repro.runtime.budget import MemoryBudget, MemoryLimitError
-from repro.runtime.timer import PhaseTimer, Stopwatch
+from repro.runtime.timer import PhaseTimer
 
 
 class TestBudget:
@@ -167,13 +167,6 @@ class TestTimer:
         a.add("ghost", 0.5)
         assert a.counts["ghost"] == 1
 
-    def test_stopwatch(self):
-        watch = Stopwatch()
-        with watch:
-            time.sleep(0.005)
-        with watch:
-            time.sleep(0.005)
-        assert watch.elapsed >= 0.01
 
 
 class TestBudgetExceptionsPropagate:

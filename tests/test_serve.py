@@ -148,6 +148,35 @@ class TestJobSpec:
         assert back.tenant == "acme"
         assert content_fingerprint(back.tensor) == content_fingerprint(x)
 
+    def test_wire_canonicalizes_unsorted_rows(self):
+        # A client may send valid rows unsorted and in any order; the
+        # decoded tensor, and so the s3ttmc, must be the canonical one.
+        x = repro.random_sparse_symmetric(order=4, dim=30, unnz=300, seed=0)
+        u = np.random.default_rng(1).random((30, 3))
+        payload = spec_to_wire(JobSpec(kind="s3ttmc", tensor=x, factor=u))
+        rng = np.random.default_rng(2)
+        perm = rng.permutation(x.unnz)
+        payload["tensor"]["indices"] = [
+            rng.permutation(row).tolist() for row in x.indices[perm]
+        ]
+        payload["tensor"]["values"] = x.values[perm].tolist()
+        back = spec_from_wire(payload)
+        assert np.array_equal(back.tensor.indices, x.indices)
+        assert np.array_equal(back.tensor.values, x.values)
+        assert np.array_equal(s3ttmc(back.tensor, u).data, s3ttmc(x, u).data)
+
+    def test_nonfinite_inputs_rejected(self, rng):
+        x = make_random_tensor(3, 8, 30, rng)
+        values = x.values.copy()
+        values[4] = np.nan
+        nan_x = repro.SparseSymmetricTensor(3, 8, x.indices, values)
+        with pytest.raises(InvalidJobError, match="tensor values must be finite"):
+            hooi_spec(nan_x, 2).validate()
+        factor = np.ones((8, 2))
+        factor[1, 1] = np.inf
+        with pytest.raises(InvalidJobError, match="factor must be finite"):
+            JobSpec(kind="s3ttmc", tensor=x, factor=factor).validate()
+
     def test_prediction_needs_no_allocation(self, rng):
         x = make_random_tensor(3, 16, 120, rng)
         predicted = predict_job_peak_bytes(hooi_spec(x, 3))
@@ -622,6 +651,15 @@ class TestDaemon:
             with pytest.raises(RemoteServeError) as excinfo:
                 client.submit(hooi_spec(x, 3, seed=7, svd_method="power"))
             assert excinfo.value.error == "InvalidJobError"
+
+            # A duplicate row refuses at decode, typed, before admission.
+            payload = spec_to_wire(hooi_spec(x, 3, seed=7))
+            payload["tensor"]["indices"].append(payload["tensor"]["indices"][0])
+            payload["tensor"]["values"].append(1.0)
+            with pytest.raises(RemoteServeError) as excinfo:
+                client.request({"op": "submit", "spec": payload})
+            assert excinfo.value.error == "InvalidJobError"
+            assert "duplicate" in str(excinfo.value)
 
             with pytest.raises(RemoteServeError) as excinfo:
                 client.submit(hooi_spec(x, 3, seed=1, tenant="smallco"))

@@ -371,20 +371,6 @@ class TestContextPlumbing:
             with pytest.raises(ValueError, match="broadcast"):
                 ExecContext(sharding=bad)
 
-    def test_serialization_roundtrip(self):
-        ctx = ExecContext(execution="process", n_workers=4, sharding="owned")
-        spec = ctx.to_dict()
-        assert "sharding" not in spec and "reduction" not in spec
-        assert ExecContext.from_dict(spec).to_dict() == spec
-        # Specs written while the options existed still load when they
-        # name what is now the only layout, and fail loudly otherwise.
-        legacy = {**spec, "reduction": "blocked", "sharding": "owned"}
-        assert ExecContext.from_dict(legacy).to_dict() == spec
-        with pytest.raises(ValueError, match="tree"):
-            ExecContext.from_dict({**spec, "reduction": "tree"})
-        with pytest.raises(ValueError, match="broadcast"):
-            ExecContext.from_dict({**spec, "sharding": "broadcast"})
-
     def test_derive_rejects_sharding(self):
         base = ExecContext(execution="thread", n_workers=2)
         for kwargs in ({"sharding": "owned"}, {"reduction": "blocked"}):

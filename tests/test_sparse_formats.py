@@ -33,11 +33,6 @@ class TestUCOO:
         x = SparseSymmetricTensor(2, 2, np.array([[0, 1]]), np.array([1.0]))
         assert x.density() == pytest.approx(2 / 4)
 
-    def test_value_at(self):
-        x = SparseSymmetricTensor(3, 6, np.array([[1, 3, 5]]), np.array([2.0]))
-        assert x.value_at((5, 1, 3)) == 2.0
-        assert x.value_at((5, 5, 5)) == 0.0
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             SparseSymmetricTensor(2, 3, np.array([[0, 3]]), np.array([1.0]))
@@ -59,10 +54,6 @@ class TestUCOO:
         assert coo.nnz == small_tensor.nnz
         assert np.allclose(coo.to_dense(), small_tensor.to_dense())
 
-    def test_permute_values_keeps_pattern(self, small_tensor, rng):
-        other = small_tensor.permute_values(rng)
-        assert np.array_equal(other.indices, small_tensor.indices)
-        assert not np.allclose(other.values, small_tensor.values)
 
 
 class TestCOO:
@@ -124,10 +115,6 @@ class TestCSS:
         assert css.order == small_tensor.order
         assert css.unnz == small_tensor.unnz
         assert np.array_equal(css.indices, small_tensor.indices)
-
-    def test_prefix_sharing_at_least_one(self, small_tensor):
-        css = CSSTensor.from_ucoo(small_tensor)
-        assert css.prefix_sharing_ratio() >= 1.0
 
     def test_from_arrays(self):
         css = CSSTensor.from_arrays(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import TTMcPlan, build_plan, get_plan
+from repro.formats.ucoo import SparseSymmetricTensor
 from repro.symmetry.combinatorics import sym_storage_size
 from repro.symmetry.iou import enumerate_iou
 from repro.symmetry.tables import clear_table_cache, get_tables, table_cache_info
@@ -75,7 +76,7 @@ class TestPlans:
         from repro.baselines.dense_ref import dense_s3ttmc_matrix
 
         x = make_random_tensor(4, 8, 30, rng)
-        y = x.permute_values(rng)
+        y = SparseSymmetricTensor(x.order, x.dim, x.indices, rng.random(x.unnz))
         plan = build_plan(x.indices)
         u = rng.random((8, 3))
         for t in (x, y):

@@ -55,7 +55,6 @@ LAYERS = {
     "perfmodel": 4,
     "hypergraph": 4,
     "core": 5,
-    "ops": 6,
     "cp": 6,
     "baselines": 6,
     "parallel": 6,
@@ -86,10 +85,6 @@ PUBLIC_LEAVES = {
     "the real hypergraph datasets that the stand-ins replace",
     "repro.apps.moments": "the moment-tensor application of the paper's "
     "introduction (ref [6])",
-    "repro.formats.hicoo": "deletion pending, ROADMAP item 8",
-    "repro.ops.algebra": "deletion pending, ROADMAP item 8",
-    "repro.ops.marginal": "deletion pending, ROADMAP item 8",
-    "repro.runtime.profile": "deletion pending, ROADMAP item 8",
 }
 
 #: Modules (relative to ``src/repro``) permitted to use ``threading.local``.

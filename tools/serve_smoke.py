@@ -9,6 +9,9 @@ the wire protocol:
   job's factor must equal a local ``hooi(..., svd_method="compact")``
   (the served default) bit for bit, and the duplicate must come back
   ``done`` with ``cache_hit=True``;
+* submit the same tensor with its rows shuffled and each row's indices
+  permuted — the daemon must canonicalize it, so the reply is a
+  ``cache_hit`` whose factor equals the canonical submission's;
 * submit the same job with an explicit ``svd_method="expand"`` — it
   must run and reach the compact job's fit;
 * submit the same workload as an over-quota tenant — the daemon must
@@ -43,6 +46,7 @@ from repro.decomp import hooi  # noqa: E402
 from repro.formats.ucoo import SparseSymmetricTensor  # noqa: E402
 from repro.serve import JobSpec  # noqa: E402
 from repro.serve.client import RemoteServeError, connect_from_banner  # noqa: E402
+from repro.serve.wire import spec_to_wire  # noqa: E402
 
 QUOTA_TENANT = "smallco"
 QUOTA_BYTES = 2048
@@ -53,6 +57,19 @@ def make_tensor(seed: int = 20250704) -> SparseSymmetricTensor:
     raw = rng.integers(0, 8, size=(60, 3))
     values = rng.uniform(0.1, 1.0, size=60)
     return SparseSymmetricTensor(3, 8, raw, values, combine="first")
+
+
+def shuffled_payload(spec: JobSpec, seed: int = 11) -> dict:
+    """``spec``'s wire payload with rows shuffled and permuted within."""
+    rng = np.random.default_rng(seed)
+    payload = spec_to_wire(spec)
+    indices = np.asarray(payload["tensor"]["indices"])
+    values = np.asarray(payload["tensor"]["values"])
+    order = rng.permutation(len(values))
+    rows = [rng.permutation(row).tolist() for row in indices[order]]
+    payload["tensor"]["indices"] = rows
+    payload["tensor"]["values"] = values[order].tolist()
+    return payload
 
 
 def boot_daemon() -> subprocess.Popen:
@@ -122,6 +139,16 @@ def main() -> int:
         assert np.array_equal(dup_factor, factor), "cached factor differs"
         print("serve_smoke: duplicate served from cache, factors identical")
 
+        shuffled = client.request({"op": "submit", "spec": shuffled_payload(spec)})
+        assert shuffled["state"] == "done" and shuffled["cache_hit"], (
+            f"unsorted copy not canonicalized onto the cached job: {shuffled}"
+        )
+        shuffled_factor = np.asarray(
+            client.result(shuffled["job_id"])["result"]["factor"]
+        )
+        assert np.array_equal(shuffled_factor, factor), "unsorted copy differs"
+        print("serve_smoke: unsorted rows canonicalized, served from cache")
+
         expand = client.submit(
             JobSpec(
                 kind="hooi",
@@ -156,10 +183,10 @@ def main() -> int:
             raise AssertionError("over-quota submit was not rejected")
         stats = client.stats()
         counters = stats["counters"]
-        # Only the three default-tenant submissions were admitted; the
+        # Only the four default-tenant submissions were admitted; the
         # over-quota one was rejected at admission and never ran.
         assert counters["rejected"] >= 1, counters
-        assert counters["submitted"] == 3, counters
+        assert counters["submitted"] == 4, counters
         print("serve_smoke: over-quota tenant rejected typed, nothing ran")
 
         reply = client.shutdown()
