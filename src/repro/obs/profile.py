@@ -15,10 +15,10 @@ Design constraints:
    microseconds. At the default 5 ms interval the profiled run pays well
    under 1 % (the CI ``perf-smoke`` job demonstrates <5 % on the tiny
    bench via the regression comparator).
-2. **Deterministic under test.** The clock and the stack source are
-   injectable, and :meth:`SamplingProfiler.sample_once` exposes a single
-   sampling step, so tests drive the profiler with a fake clock and
-   fabricated stacks and assert byte-identical folded output.
+2. **Deterministic under test.** The stack source is injectable, and
+   :meth:`SamplingProfiler.sample_once` exposes a single sampling step,
+   so tests drive the profiler with fabricated stacks and assert
+   byte-identical folded output.
 3. **Run ownership.** An :class:`~repro.runtime.context.ExecContext`
    constructed with ``profiler=`` starts it on activation and stops (and
    flushes) it in ``close()`` — profiler lifetime matches the run, like
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import warnings
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -73,8 +72,6 @@ class SamplingProfiler:
         Optional output file; :meth:`stop` appends the folded-stack text
         there (appending lets several measurements accumulate in one
         file — collapsed-stack consumers sum duplicate keys).
-    clock:
-        Injectable monotonic clock (tests use a fake).
     stacks:
         Injectable stack source returning ``{thread: [span names]}``
         (defaults to the live tracer registry).
@@ -89,14 +86,12 @@ class SamplingProfiler:
         interval: float = DEFAULT_INTERVAL,
         *,
         path: Union[str, Path, None] = None,
-        clock: Callable[[], float] = time.perf_counter,
         stacks: Callable[[], Dict[str, List[str]]] = snapshot_open_stacks,
     ) -> None:
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
         self.interval = float(interval)
         self.path = Path(path) if path is not None else None
-        self._clock = clock
         self._stacks = stacks
         self._lock = threading.Lock()
         self._stop_evt = threading.Event()
@@ -104,8 +99,6 @@ class SamplingProfiler:
         self.samples: Dict[Tuple[str, ...], int] = {}
         self.n_samples = 0
         self.idle_samples = 0
-        self.started_at: Optional[float] = None
-        self.stopped_at: Optional[float] = None
 
     # -- sampling ----------------------------------------------------------
 
@@ -137,7 +130,6 @@ class SamplingProfiler:
         if self.running:
             return self
         self._stop_evt.clear()
-        self.started_at = self._clock()
         self._thread = threading.Thread(
             target=self._run, name="repro-profiler", daemon=True
         )
@@ -154,7 +146,6 @@ class SamplingProfiler:
         if thread is not None:
             self._stop_evt.set()
             thread.join()
-            self.stopped_at = self._clock()
         if self.path is not None and thread is not None:
             try:
                 self.write(self.path)
@@ -173,14 +164,6 @@ class SamplingProfiler:
         self.stop()
 
     # -- output ------------------------------------------------------------
-
-    @property
-    def wall_seconds(self) -> float:
-        """Sampled wall-clock interval (0 until started)."""
-        if self.started_at is None:
-            return 0.0
-        end = self.stopped_at if self.stopped_at is not None else self._clock()
-        return max(0.0, end - self.started_at)
 
     def folded(self) -> str:
         """Collapsed-stack text: one ``thread;span;... count`` per line.

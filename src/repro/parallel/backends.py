@@ -133,12 +133,27 @@ __all__ = [
     "START_METHOD_ENV_VAR",
     "default_workers",
     "make_backend",
+    "mp_context",
 ]
 
-#: Environment override for the process backend's start method
+#: Environment override for the start method of every child process the
+#: library starts — process-backend workers and serve job processes
 #: (``fork`` / ``spawn`` / ``forkserver``); CI uses it to exercise the
 #: spawn path on platforms that default to fork.
 START_METHOD_ENV_VAR = "REPRO_START_METHOD"
+
+
+def mp_context(start_method: Optional[str] = None):
+    """The :mod:`multiprocessing` context child processes start under:
+    ``start_method``, else ``$REPRO_START_METHOD``, else ``fork`` where
+    the platform has it and ``spawn`` elsewhere."""
+    if start_method is None:
+        start_method = os.environ.get(START_METHOD_ENV_VAR) or None
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(start_method)
+
 
 #: Task failures the supervisor retries. A ``MemoryLimitError`` splits
 #: the task instead; any other error propagates.
@@ -811,12 +826,7 @@ class ProcessBackend(Backend):
         # namespaced under this token, so concurrent backends in one
         # parent can never collide on names or sweep each other.
         self._run_token = str(run_token) if run_token else os.urandom(4).hex()
-        if start_method is None:
-            start_method = os.environ.get(START_METHOD_ENV_VAR) or None
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = mp_context(start_method)
         self._workers: List[_WorkerHandle] = []
         self._tensor_gen = 0
         self._owned: Dict[str, object] = {}  # label -> SharedMemory

@@ -49,6 +49,10 @@ class MemoryLimitError(MemoryError):
             f"{in_use / 2**30:.3f} GiB in use of {limit / 2**30:.3f} GiB limit"
         )
 
+    def __reduce__(self):
+        args = (self.label, self.nbytes, self.limit, self.in_use)
+        return type(self), args, self.__dict__
+
 
 @dataclass
 class MemoryBudget:

@@ -138,6 +138,9 @@ class BackendUnhealthyError(RuntimeError):
         self.reason = reason
         super().__init__(f"backend {backend!r} unhealthy: {reason}")
 
+    def __reduce__(self):
+        return type(self), (self.backend, self.reason), self.__dict__
+
 
 # ---------------------------------------------------------------------------
 # Fault specification / injection

@@ -93,6 +93,9 @@ class RunCancelledError(HealthError):
             detail = f"{detail} (at {site})"
         super().__init__(f"run cancelled: {detail}")
 
+    def __reduce__(self):
+        return type(self), (self.reason, self.site), self.__dict__
+
 
 class DeadlineExceededError(HealthError):
     """The run outlived its ``deadline_seconds`` wall-clock budget."""
@@ -104,6 +107,9 @@ class DeadlineExceededError(HealthError):
         if site:
             detail = f"{detail} (at {site})"
         super().__init__(detail)
+
+    def __reduce__(self):
+        return type(self), (self.deadline_seconds, self.site), self.__dict__
 
 
 class NumericalHealthError(HealthError):
@@ -118,6 +124,9 @@ class NumericalHealthError(HealthError):
     def __init__(self, reason: str):
         self.reason = reason
         super().__init__(f"numerical health exhausted: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.reason,), self.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ model:
   :meth:`~repro.serve.jobs.JobSpec.deterministic`), so a cached answer
   is bit-identical to what rerunning the job would produce.
 
-Both are bounded LRU and thread-safe (the service's worker threads
-touch them from ``asyncio.to_thread``).
+Both are bounded LRU and thread-safe. The service keeps one of each on
+its event loop; every job process keeps its own interner, so a tensor's
+plans stay warm in the process that runs its jobs.
 """
 
 from __future__ import annotations
@@ -47,9 +48,13 @@ class TensorInterner:
         self.hits = 0
         self.misses = 0
 
-    def intern(self, tensor: SparseSymmetricTensor) -> Tuple[str, SparseSymmetricTensor]:
-        """Return ``(fingerprint, canonical tensor)`` for ``tensor``."""
-        fingerprint = content_fingerprint(tensor)
+    def intern(
+        self, tensor: SparseSymmetricTensor, fingerprint: Optional[str] = None
+    ) -> Tuple[str, SparseSymmetricTensor]:
+        """Return ``(fingerprint, canonical tensor)`` for ``tensor``;
+        ``fingerprint`` is its content fingerprint when already known."""
+        if fingerprint is None:
+            fingerprint = content_fingerprint(tensor)
         with self._lock:
             canonical = self._entries.get(fingerprint)
             if canonical is not None:

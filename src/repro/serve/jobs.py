@@ -80,6 +80,10 @@ class QuotaExceededError(AdmissionError):
             f"exceeds quota {self.limit_bytes} B"
         )
 
+    def __reduce__(self):
+        args = (self.tenant, self.predicted_bytes, self.limit_bytes)
+        return type(self), args, self.__dict__
+
 
 class QueueFullError(AdmissionError):
     """The tenant already has ``max_queued`` jobs waiting."""
@@ -91,6 +95,9 @@ class QueueFullError(AdmissionError):
         super().__init__(
             f"tenant {tenant!r}: {queued} jobs queued (limit {limit})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.tenant, self.queued, self.limit), self.__dict__
 
 
 class InvalidJobError(ServeError, ValueError):
@@ -111,6 +118,9 @@ class UnknownJobError(ServeError, KeyError):
     def __init__(self, job_id: str) -> None:
         self.job_id = job_id
         super().__init__(f"unknown job {job_id!r}")
+
+    def __reduce__(self):
+        return type(self), (self.job_id,), self.__dict__
 
 
 class ServiceClosedError(ServeError):

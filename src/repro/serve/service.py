@@ -2,46 +2,52 @@
 
 :class:`DecompositionService` is the front door ROADMAP item 1 asks for:
 callers submit :class:`~repro.serve.jobs.JobSpec`\\ s and get job ids;
-a fixed pool of scheduler slots executes them — each slot lending one
-persistent :mod:`repro.parallel` backend to job after job, so process
-workers (and their shipped operands and warmed plan caches) survive
-across submissions instead of being rebuilt per call.
+a fixed pool of scheduler slots executes them.
 
-Isolation is the per-job derived :class:`~repro.runtime.context.ExecContext`:
-every job runs under its **own** :class:`~repro.runtime.budget.MemoryBudget`
-(limit = tenant quota), its own cancel token (derived from a service
-root, so shutdown cascades), its own deadline, and its own shm run token
-— a tenant tripping any of those cannot disturb a sibling. Shared, deliberately: the
-:class:`~repro.runtime.context.PlanCache` and the content-addressed
-caches (:mod:`repro.serve.cache`), because plans and finished results
-are pure functions of tensor content. Jobs run with no trace collector:
-nothing reads a job's spans, so none are recorded.
+Two kinds of process share the work. The service's own process (the
+event loop) keeps everything that decides *what* runs: admission, the
+content-addressed result cache and tensor interner
+(:mod:`repro.serve.cache`), coalescing of identical in-flight jobs, the
+queue, and the cancel/preempt bookkeeping. Each slot owns one persistent
+job process (:mod:`repro.serve.slot`), started by :meth:`start`, that
+runs every attempt of every job the slot takes — so ``pool_size`` slots
+compute on ``pool_size`` cores. A ``thread`` or ``process`` service's
+backend lives in the job process and is lent to job after job there.
+
+Isolation is the per-job derived :class:`~repro.runtime.context.ExecContext`
+the job process builds: every job runs under its **own**
+:class:`~repro.runtime.budget.MemoryBudget` (limit = tenant quota), its
+own cancel token, its own deadline and its own shm run token — a tenant
+tripping any of those cannot disturb a sibling. Shared, deliberately,
+within each job process: its :class:`~repro.runtime.context.PlanCache`
+and interned tensors, because plans are pure functions of tensor
+content; memory for them therefore grows with ``pool_size``. Jobs run
+with no trace collector: nothing reads a job's spans, so none are
+recorded. A job process that dies fails only its running job, with a
+typed :class:`~repro.runtime.faults.BackendUnhealthyError`, and the slot
+starts a fresh one before its next job.
 
 Admission (:mod:`repro.serve.admission`) runs at ``submit`` time, before
-any allocation. Preemption reuses the sweep's checkpoint state without
-touching disk: the trip out of a preempted decomposition carries the
-state of its last completed iteration, the job goes back to the queue
-holding it, and resumes from it bit-for-bit.
+any allocation. Cancel and preempt reach a running job as a message its
+job process turns into a trip of the job's cancel token. Preemption
+reuses the sweep's checkpoint state without touching disk: the trip out
+of a preempted decomposition carries the state of its last completed
+iteration, the job goes back to the queue holding it, and resumes from
+it bit-for-bit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from ..core.s3ttmc import s3ttmc
-from ..decomp import hooi, hoqri
 from ..parallel import shm as _shm
-from ..parallel.backends import make_backend
-from ..parallel.executor import parallel_s3ttmc
-from ..runtime.budget import MemoryBudget
 from ..runtime.checkpoint import CheckpointState
-from ..runtime.context import ExecContext
-from ..runtime.health import CancelToken, RunCancelledError
+from ..runtime.health import RunCancelledError
 from .admission import check_admission
 from .cache import ResultCache, TensorInterner
 from .jobs import (
@@ -52,6 +58,7 @@ from .jobs import (
     TenantQuota,
     UnknownJobError,
 )
+from .slot import PoolSlot, SlotJob, SlotReply
 
 __all__ = ["DecompositionService", "JobRecord"]
 
@@ -74,9 +81,10 @@ class JobRecord:
     preempt_requested: bool = False
     result: Any = None
     error: Optional[BaseException] = None
-    budget: Optional[MemoryBudget] = None
-    cancel: Optional[CancelToken] = None
-    attempt_cancel: Optional[CancelToken] = None
+    #: Peak of the last attempt's budget, measured in the job process.
+    peak_bytes: int = 0
+    #: The slot running the job while ``state == "running"``.
+    slot: Optional[PoolSlot] = None
     resume_state: Optional[CheckpointState] = None
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
@@ -92,9 +100,7 @@ class JobRecord:
             state=self.state,
             cache_hit=self.cache_hit,
             predicted_peak_bytes=self.predicted_peak_bytes,
-            measured_peak_bytes=(
-                int(self.budget.peak) if self.budget is not None else 0
-            ),
+            measured_peak_bytes=self.peak_bytes,
             preemptions=self.preemptions,
             error_type=type(self.error).__name__ if self.error else None,
             error_message=str(self.error) if self.error else None,
@@ -102,27 +108,6 @@ class JobRecord:
             started_at=self.started_at,
             finished_at=self.finished_at,
         )
-
-
-class _PoolSlot:
-    """One scheduler slot owning (at most) one persistent backend."""
-
-    def __init__(self, slot_id: int) -> None:
-        self.slot_id = slot_id
-        self.backend = None
-        self.task: Optional[asyncio.Task] = None
-
-    def ensure_backend(self, execution: str, n_workers: Optional[int]):
-        if execution == "serial":
-            return None
-        if self.backend is None:
-            self.backend = make_backend(execution, n_workers)
-        return self.backend
-
-    def close_backend(self) -> None:
-        backend, self.backend = self.backend, None
-        if backend is not None:
-            backend.close()
 
 
 class DecompositionService:
@@ -136,8 +121,9 @@ class DecompositionService:
         the whole service keeps the result cache honest: all entries
         were produced by the same execution configuration.
     pool_size:
-        Number of concurrently running jobs (scheduler slots). Each
-        non-serial slot owns one persistent backend reused across jobs.
+        Number of concurrently running jobs (scheduler slots). Each slot
+        runs its jobs in one persistent job process; a non-serial slot's
+        backend lives there, reused across jobs.
     quotas, default_quota:
         Per-tenant :class:`~repro.serve.jobs.TenantQuota` map and the
         quota applied to tenants not in it.
@@ -165,11 +151,10 @@ class DecompositionService:
         self.default_quota = default_quota or TenantQuota()
         self.results = ResultCache(cache_capacity)
         self.interner = TensorInterner()
-        self._base_ctx = ExecContext(execution=execution, n_workers=n_workers)
-        self._root_cancel = CancelToken()
-        self._slots = [_PoolSlot(i) for i in range(pool_size)]
+        self._slots = [PoolSlot(i, execution, n_workers) for i in range(pool_size)]
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._records: Dict[str, JobRecord] = {}
+        self._queued: Counter = Counter()  # tenant -> records in "queued"
         self._inflight: Dict[tuple, JobRecord] = {}
         self._seq = 0
         self._started = False
@@ -189,9 +174,22 @@ class DecompositionService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> "DecompositionService":
+        """Start every slot's job process, then the slot loops.
+
+        The job processes start here, on the event-loop thread, before
+        any job runs: a fork from a busy process could clone a lock some
+        other thread holds.
+        """
         if self._started:
             return self
         self._started = True
+        if self.execution == "process":
+            # Start the resource tracker first so the job processes and
+            # their workers share it (as ProcessBackend's workers do).
+            with _shm.tracker_guard():
+                resource_tracker.ensure_running()
+        for slot in self._slots:
+            slot.start()
         for slot in self._slots:
             slot.task = asyncio.create_task(
                 self._slot_loop(slot), name=f"serve-slot-{slot.slot_id}"
@@ -208,36 +206,44 @@ class DecompositionService:
         """Stop the service; returns the final counters.
 
         ``drain=True`` lets queued and running jobs finish first;
-        ``drain=False`` cancels everything via the root cancel token.
-        Either way the pool backends are closed and hygiene counters
-        (undrained budgets) finalized — the end-to-end tests assert zero
-        leaked segments and drained budgets after this returns.
+        ``drain=False`` cancels queued jobs and interrupts running ones.
+        Either way every job process is stopped and joined (terminated
+        if it does not stop in time), its backend closed first, and the
+        hygiene counters (undrained budgets, live segments) finalized —
+        the end-to-end tests assert zero leaked segments and drained
+        budgets after this returns.
         """
         if self._closed:
             return dict(self.counters)
         self._closed = True
         if not drain:
-            self._root_cancel.cancel("service shutdown")
-            for record in self._records.values():
-                if record.state == "queued":
-                    self.counters["cancelled"] += 1
-                    self._finish(record, "cancelled")
+            for record in list(self._records.values()):
+                if record.state in ("queued", "running"):
+                    self.cancel(record.job_id, "service shutdown")
         if self._started:
+            # Wait for every job to end before the slots stop: a job
+            # preempted while draining re-queues and must still run.
+            await asyncio.gather(
+                *(r.done.wait() for r in self._records.values() if not r.done.is_set())
+            )
             for _ in self._slots:
                 self._queue.put_nowait(_SHUTDOWN)
             await asyncio.gather(
                 *(slot.task for slot in self._slots if slot.task is not None)
             )
-        for slot in self._slots:
-            slot.close_backend()
-        self._base_ctx.close()
+            await asyncio.gather(*(slot.stop() for slot in self._slots))
         return dict(self.counters)
 
     def hygiene(self) -> Dict[str, int]:
-        """Post-hoc cleanliness counters (shutdown assertions live here)."""
+        """Post-hoc cleanliness counters (shutdown assertions live here).
+
+        ``live_segments`` counts this process's segments plus those each
+        job process reported when it stopped.
+        """
         return {
             "budgets_undrained": self.counters["budgets_undrained"],
-            "live_segments": len(_shm.live_segments()),
+            "live_segments": len(_shm.live_segments())
+            + sum(slot.live_segments for slot in self._slots),
         }
 
     # -- submission --------------------------------------------------------
@@ -268,19 +274,15 @@ class DecompositionService:
                 execution=self.execution,
                 n_workers=self.n_workers,
             )
-            queued = sum(
-                1
-                for r in self._records.values()
-                if r.spec.tenant == spec.tenant and r.state == "queued"
-            )
+            queued = self._queued[spec.tenant]
             if queued >= quota.max_queued:
                 raise QueueFullError(spec.tenant, queued, quota.max_queued)
         except Exception:
             self.counters["rejected"] += 1
             raise
-        # Intern the tensor: duplicates collapse to one object, so plan
-        # memos, the shared PlanCache, and the process backend's
-        # shipped-tensor generation all hit warm.
+        # Intern the tensor: duplicates collapse to one object, and its
+        # fingerprint keys the result cache and the job processes' own
+        # interners.
         fingerprint, tensor = self.interner.intern(spec.tensor)
         spec.tensor = tensor
         cacheable = spec.use_cache and spec.deterministic()
@@ -296,6 +298,7 @@ class DecompositionService:
             predicted_peak_bytes=predicted,
         )
         self._records[record.job_id] = record
+        self._queued[spec.tenant] += 1
         self.counters["submitted"] += 1
 
         if cache_key is not None:
@@ -313,7 +316,6 @@ class DecompositionService:
                 self.counters["coalesced"] += 1
                 return record.job_id
             self._inflight[cache_key] = record
-        record.cancel = self._root_cancel.derive()
         self._queue.put_nowait(record)
         return record.job_id
 
@@ -347,10 +349,7 @@ class DecompositionService:
             return True
         if record.state == "running":
             record.preempt_requested = False
-            if record.cancel is not None:
-                record.cancel.cancel(reason)
-            if record.attempt_cancel is not None:
-                record.attempt_cancel.cancel(reason)
+            record.slot.interrupt(reason)
             return True
         return False
 
@@ -363,14 +362,22 @@ class DecompositionService:
         if record.state != "running" or record.spec.kind == "s3ttmc":
             return False
         record.preempt_requested = True
-        if record.attempt_cancel is not None:
-            record.attempt_cancel.cancel("preempted by service")
+        record.slot.interrupt("preempted by service")
         return True
 
     # -- execution ---------------------------------------------------------
 
-    def _finish(self, record: JobRecord, state: str) -> None:
+    def _set_state(self, record: JobRecord, state: str) -> None:
+        """Move ``record`` to ``state``, keeping the per-tenant queued
+        counts that admission reads."""
+        if record.state == "queued":
+            self._queued[record.spec.tenant] -= 1
+        if state == "queued":
+            self._queued[record.spec.tenant] += 1
         record.state = state
+
+    def _finish(self, record: JobRecord, state: str) -> None:
+        self._set_state(record, state)
         record.finished_at = time.time()
         if record.cache_key is not None:
             if self._inflight.get(record.cache_key) is record:
@@ -394,10 +401,9 @@ class DecompositionService:
                 # on its own (its spec was independently admitted).
                 if follower.cache_key is not None:
                     self._inflight.setdefault(follower.cache_key, follower)
-                follower.cancel = self._root_cancel.derive()
                 self._queue.put_nowait(follower)
 
-    async def _slot_loop(self, slot: _PoolSlot) -> None:
+    async def _slot_loop(self, slot: PoolSlot) -> None:
         while True:
             record = await self._queue.get()
             if record is _SHUTDOWN:
@@ -406,70 +412,46 @@ class DecompositionService:
                 continue
             await self._run_record(record, slot)
 
-    async def _run_record(self, record: JobRecord, slot: _PoolSlot) -> None:
+    async def _run_record(self, record: JobRecord, slot: PoolSlot) -> None:
         spec = record.spec
-        record.state = "running"
+        self._set_state(record, "running")
+        record.slot, slot.job_id = slot, record.job_id
         record.started_at = record.started_at or time.time()
-        # Fresh isolation per attempt, shared plans via the base context.
-        record.budget = MemoryBudget(limit_bytes=record.quota.memory_bytes)
-        record.attempt_cancel = (record.cancel or self._root_cancel).derive()
-        deadline = spec.deadline_seconds or record.quota.deadline_seconds
-        ctx = self._base_ctx.derive(
-            budget=record.budget,
-            seed=spec.seed,
-            deadline_seconds=deadline,
-            cancel=record.attempt_cancel,
+        job = SlotJob.of(
+            spec,
+            record.fingerprint,
+            memory_bytes=record.quota.memory_bytes,
+            deadline_seconds=spec.deadline_seconds or record.quota.deadline_seconds,
+            resume=record.resume_state,
         )
-        backend = slot.ensure_backend(self.execution, self.n_workers)
-        if backend is not None:
-            ctx.adopt_backend(backend)
         try:
-            result = await asyncio.to_thread(self._execute_sync, record, ctx)
-        except RunCancelledError as exc:
-            if record.preempt_requested:
-                record.preempt_requested = False
-                record.preemptions += 1
-                self.counters["preemptions"] += 1
-                if exc.checkpoint is not None:
-                    record.resume_state = exc.checkpoint
-                record.state = "queued"
-                self._queue.put_nowait(record)  # resumes from resume_state
-            else:
-                record.error = exc
-                self.counters["cancelled"] += 1
-                self._finish(record, "cancelled")
-        except BaseException as exc:
-            record.error = exc
-            self.counters["failed"] += 1
-            self._finish(record, "failed")
-        else:
-            record.result = result
+            reply = await slot.run(job)
+        except Exception as exc:  # the job process died, or the job did not ship
+            reply = SlotReply(False, exc, 0, False)
+        finally:
+            record.slot = slot.job_id = None
+        record.peak_bytes = reply.peak_bytes
+        if reply.undrained:
+            self.counters["budgets_undrained"] += 1
+        if reply.ok:
+            record.result = reply.value
             self.counters["completed"] += 1
             if record.cache_key is not None:
-                self.results.put(record.cache_key, result)
+                self.results.put(record.cache_key, reply.value)
             self._finish(record, "done")
-        finally:
-            # The backend belongs to the slot, not the job: detach it so
-            # nothing tears down a pool backend mid-service.
-            ctx.release_backend()
-            if record.budget is not None and record.budget.allocations:
-                self.counters["budgets_undrained"] += 1
-
-    def _execute_sync(self, record: JobRecord, ctx: ExecContext) -> Any:
-        """Run one job on the worker thread (the only non-loop code)."""
-        spec = record.spec
-        if spec.kind == "s3ttmc":
-            factor = np.ascontiguousarray(spec.factor, dtype=np.float64)
-            if ctx.execution == "serial":
-                return s3ttmc(spec.tensor, factor, ctx=ctx, **spec.driver_kwargs())
-            return parallel_s3ttmc(
-                spec.tensor, factor, ctx=ctx, **spec.driver_kwargs()
-            )
-        driver = hooi if spec.kind == "hooi" else hoqri
-        kwargs = spec.driver_kwargs()
-        if record.resume_state is not None:
-            kwargs["resume"] = record.resume_state
-        return driver(spec.tensor, int(spec.rank), ctx=ctx, **kwargs)
+        elif isinstance(reply.value, RunCancelledError) and record.preempt_requested:
+            record.preempt_requested = False
+            record.preemptions += 1
+            self.counters["preemptions"] += 1
+            if reply.value.checkpoint is not None:
+                record.resume_state = reply.value.checkpoint
+            self._set_state(record, "queued")
+            self._queue.put_nowait(record)  # resumes from resume_state
+        else:
+            record.error = reply.value
+            cancelled = isinstance(reply.value, RunCancelledError)
+            self.counters["cancelled" if cancelled else "failed"] += 1
+            self._finish(record, "cancelled" if cancelled else "failed")
 
     # -- introspection -----------------------------------------------------
 
@@ -492,6 +474,8 @@ class DecompositionService:
             },
             "pool": {
                 "size": len(self._slots),
+                "pids": [slot.pid for slot in self._slots],
+                "running": [slot.job_id for slot in self._slots],
                 "execution": self.execution,
                 "n_workers": self.n_workers,
             },

@@ -64,13 +64,16 @@ def spec_from_wire(payload: Dict[str, Any]) -> JobSpec:
     """
     try:
         tensor_payload = payload["tensor"]
+        order = int(tensor_payload["order"])
         indices = np.asarray(tensor_payload["indices"])
+        if indices.shape == (0,):  # JSON drops the width of zero rows
+            indices = indices.reshape(0, order)
         if indices.size and indices.dtype.kind not in "iu":
             raise ValueError(f"indices must be integers, got {indices.dtype}")
         values = np.asarray(tensor_payload["values"], dtype=np.float64)
         check_finite("tensor values", values)
         tensor = SparseSymmetricTensor(
-            int(tensor_payload["order"]),
+            order,
             int(tensor_payload["dim"]),
             indices,
             values,

@@ -6,6 +6,9 @@ the same top-edge order, node-aligned chunks) — so most assertions here
 are ``array_equal``, not ``allclose``.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -421,24 +424,33 @@ class TestProductionPaths:
         assert col.metrics.counter("parallel.runs.thread").value >= 2
         assert self._engines(col) == {"compiled"}
 
-    def test_served_s3ttmc_job(self, rng, monkeypatch):
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the spy reaches the job process only through fork",
+    )
+    def test_served_s3ttmc_job(self, rng, monkeypatch, tmp_path):
         import asyncio
         import importlib
 
+        from repro.parallel.backends import START_METHOD_ENV_VAR
         from repro.serve import DecompositionService, JobSpec
 
         # The package re-exports the function under the module's name.
         s3ttmc_module = importlib.import_module("repro.core.s3ttmc")
 
-        # Served jobs record no spans, so watch the engine call instead.
-        engines = []
+        # Served jobs record no spans and run in the slot's job process,
+        # so the spy (inherited by the forked job process) writes each
+        # engine call's kernel to a file this process reads back.
+        log = tmp_path / "engines.log"
         real = s3ttmc_module.lattice_ttmc
 
         def spy(*args, **kwargs):
-            engines.append(kwargs["kernel"])
+            with log.open("a") as fh:
+                fh.write(f"{kwargs['kernel']}\n")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(s3ttmc_module, "lattice_ttmc", spy)
+        monkeypatch.setenv(START_METHOD_ENV_VAR, "fork")
         t = make_random_tensor(4, 10, 40, rng)
         u = rng.standard_normal((10, 3))
 
@@ -446,9 +458,11 @@ class TestProductionPaths:
             async with DecompositionService() as svc:
                 job = await svc.submit(JobSpec(kind="s3ttmc", tensor=t, factor=u))
                 await svc.result(job)
+                return svc.stats()["pool"]["pids"]
 
-        asyncio.run(main())
-        assert engines == ["compiled"]
+        pids = asyncio.run(main())
+        assert os.getpid() not in pids
+        assert log.read_text().split() == ["compiled"]
 
 
 class TestSpecAndTables:

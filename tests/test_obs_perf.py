@@ -45,14 +45,6 @@ from repro.obs.trace import span
 from tests.conftest import make_random_tensor
 
 
-class FakeClock:
-    def __init__(self, t=0.0):
-        self.t = t
-
-    def __call__(self):
-        return self.t
-
-
 class TestSamplingProfiler:
     def test_folded_deterministic_under_fake_stacks(self):
         script = [
@@ -64,23 +56,12 @@ class TestSamplingProfiler:
         expected = "main;a;b 3\nw1;a;c 2"
         for order in (script, list(reversed(script))):
             feed = iter(order)
-            prof = SamplingProfiler(0.001, clock=FakeClock(), stacks=lambda: next(feed))
+            prof = SamplingProfiler(0.001, stacks=lambda: next(feed))
             for _ in order:
                 prof.sample_once()
             assert prof.folded() == expected
             assert prof.n_samples == 4
             assert prof.idle_samples == 1
-
-    def test_wall_seconds_spans_start_to_stop(self):
-        clock = FakeClock(10.0)
-        feed = iter([{"main": ["x"]}, {"main": ["x"]}, {"main": ["y"]}, {}])
-        prof = SamplingProfiler(0.001, clock=clock, stacks=lambda: next(feed))
-        prof.started_at = clock()
-        for _ in range(4):
-            prof.sample_once()
-        clock.t = 14.0
-        prof.stopped_at = clock()
-        assert prof.wall_seconds == pytest.approx(4.0)
 
     def test_start_stop_idempotent_and_flushes(self, tmp_path):
         out = tmp_path / "prof.folded"

@@ -64,6 +64,22 @@ def test_scrambled_rows_decode_to_the_canonical_tensor(case, seed):
     assert content_fingerprint(back) == content_fingerprint(tensor)
 
 
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_empty_tensor_round_trips(order):
+    # Zero rows encode as ``[]``, which carries no row width; the decoder
+    # must still accept the spec JobSpec.validate accepts in process.
+    empty = np.zeros((0, order), dtype=np.int64)
+    tensor = SparseSymmetricTensor(order, 4, empty, np.zeros(0))
+    spec = JobSpec(kind="s3ttmc", tensor=tensor, factor=np.ones((4, 2)))
+    spec.validate()
+    payload = spec_to_wire(spec)
+    assert payload["tensor"]["indices"] == []
+    back = spec_from_wire(payload)
+    back.validate()
+    assert back.tensor.indices.shape == (0, order)
+    assert content_fingerprint(back.tensor) == content_fingerprint(tensor)
+
+
 def _drop_tensor(payload, rng):
     del payload["tensor"]
 

@@ -4,7 +4,10 @@ regression), per-job isolation, cancel/preempt/resume, shutdown hygiene,
 and the ``python -m repro.serve`` daemon round-trip."""
 
 import asyncio
+import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,18 +20,30 @@ from repro.core import content_fingerprint, s3ttmc
 from repro.core.plan import pattern_fingerprint
 from repro.decomp import hooi, hoqri
 from repro.parallel import shm as _shm
-from repro.runtime.health import DeadlineExceededError, RunCancelledError
+from repro.runtime.budget import MemoryLimitError
+from repro.runtime.faults import BackendUnhealthyError, WorkerCrashError
+from repro.runtime.health import (
+    DeadlineExceededError,
+    HealthError,
+    NumericalHealthError,
+    RunCancelledError,
+)
 from repro.serve import (
+    AdmissionError,
     DecompositionService,
     InvalidJobError,
     JobSpec,
+    QueueFullError,
     QuotaExceededError,
+    ServeError,
+    ServiceClosedError,
     TenantQuota,
     UnknownJobError,
     predict_job_peak_bytes,
 )
 from repro.serve.client import connect_from_banner
 from repro.serve.wire import spec_from_wire, spec_to_wire
+from repro.verify.chaos import TYPED_FAILURES
 from tests.conftest import make_random_tensor
 
 
@@ -39,6 +54,42 @@ def run(coro):
 def hooi_spec(tensor, rank, **kw):
     kw.setdefault("max_iters", 5)
     return JobSpec(kind="hooi", tensor=tensor, rank=rank, **kw)
+
+
+# ---------------------------------------------------------------------------
+# Typed errors cross the job-process pipe
+# ---------------------------------------------------------------------------
+
+#: Constructor arguments of every error a served job can end with.
+ERROR_ARGS = {
+    DeadlineExceededError: (1.5, "s"),
+    RunCancelledError: ("stop", "s"),
+    NumericalHealthError: ("objective diverged",),
+    BackendUnhealthyError: ("process", "dead"),
+    MemoryLimitError: ("Y", 100, 50, 10),
+    WorkerCrashError: ("worker 1 exited",),
+    ServeError: ("serve failed",),
+    AdmissionError: ("refused",),
+    QuotaExceededError: ("acme", 4096, 2048),
+    QueueFullError: ("acme", 32, 32),
+    InvalidJobError: ("bad spec",),
+    UnknownJobError: ("job-000001",),
+    ServiceClosedError: ("service is closed",),
+}
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(set(TYPED_FAILURES) | set(ERROR_ARGS), key=lambda c: c.__name__)
+)
+def test_typed_errors_survive_pickling(cls):
+    exc = cls(*ERROR_ARGS[cls])
+    if isinstance(exc, HealthError):
+        exc.checkpoint = ("iteration", 3)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert back.args == exc.args
+    assert vars(back) == vars(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +510,31 @@ class TestJobControl:
         assert list(tmp_path.glob("repro-serve-spool-*")) == []
         assert list(tmp_path.rglob("*checkpoint*")) == []
 
+    def test_preempt_while_draining_still_finishes(self, rng):
+        """A job preempted after close() began draining re-queues behind
+        nothing: it resumes, finishes bitwise, and close() returns."""
+        x = make_random_tensor(3, 60, 6000, rng)
+        spec = hooi_spec(x, 6, seed=3, max_iters=300, tol=0.0, use_cache=False)
+
+        async def main():
+            svc = await DecompositionService(pool_size=1).start()
+            job = await svc.submit(spec)
+            while svc.status(job).state == "queued":
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.1)  # let some iterations complete
+            closing = asyncio.create_task(svc.close())
+            await asyncio.sleep(0)  # close() is now draining
+            preempted = svc.preempt(job)
+            await asyncio.wait_for(closing, 60)
+            result = await asyncio.wait_for(svc.result(job), 60)
+            return preempted, svc.status(job), result
+
+        preempted, status, result = run(main())
+        assert preempted and status.preemptions == 1
+        assert status.state == "done"
+        want = hooi(x, 6, **spec.driver_kwargs())
+        assert np.array_equal(result.factor, want.factor)
+
     def test_kernel_jobs_not_preemptible(self, rng):
         x = make_random_tensor(3, 12, 80, rng)
         u = rng.random((12, 3))
@@ -470,6 +546,149 @@ class TestJobControl:
                 return svc.preempt(job)
 
         assert run(main()) is False
+
+
+    def test_queued_count_follows_cancel(self, rng):
+        """A cancelled queued job frees its tenant's queue place: the next
+        submission is admitted and the one after it is refused."""
+        x = make_random_tensor(3, 16, 150, rng)
+
+        def long_job(seed):
+            return hooi_spec(x, 3, seed=seed, max_iters=5000, tol=0.0, use_cache=False)
+
+        async def main():
+            quota = TenantQuota(max_queued=2)
+            async with DecompositionService(pool_size=1, default_quota=quota) as svc:
+                running = await svc.submit(long_job(0))
+                while svc.status(running).state == "queued":
+                    await asyncio.sleep(0.01)
+                queued = [await svc.submit(long_job(s)) for s in (1, 2)]
+                with pytest.raises(QueueFullError):
+                    await svc.submit(long_job(3))
+                assert svc.cancel(queued[0])
+                await svc.submit(long_job(4))
+                with pytest.raises(QueueFullError) as excinfo:
+                    await svc.submit(long_job(5))
+                await svc.close(drain=False)
+                return excinfo.value, svc.stats()
+
+        refused, stats = run(main())
+        assert (refused.queued, refused.limit) == (2, 2)
+        assert stats["counters"]["rejected"] == 2
+        assert stats["counters"]["submitted"] == 4
+        assert stats["counters"]["cancelled"] == 4
+
+
+class TestJobProcesses:
+    """Each slot runs its jobs in one job process of its own."""
+
+    @staticmethod
+    def slot_children():
+        return [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("serve-slot-")
+        ]
+
+    def test_jobs_run_in_pool_size_processes(self, rng):
+        x = make_random_tensor(3, 12, 80, rng)
+        specs = [
+            JobSpec(kind="hoqri", tensor=x, rank=3, seed=s, max_iters=5)
+            for s in range(4)
+        ]
+
+        async def main():
+            async with DecompositionService(pool_size=2) as svc:
+                jobs = [await svc.submit(spec) for spec in specs]
+                results = [await svc.result(job) for job in jobs]
+                return results, svc.stats()["pool"]
+
+        results, pool = run(main())
+        pids = pool["pids"]
+        assert len(set(pids)) == pool["size"] == 2
+        assert os.getpid() not in pids and None not in pids
+        for spec, got in zip(specs, results):
+            want = hoqri(x, 3, **spec.driver_kwargs())
+            assert np.array_equal(got.factor, want.factor)
+
+    def test_killed_job_process_fails_only_its_job(self, rng):
+        x = make_random_tensor(3, 16, 150, rng)
+        doomed_spec = JobSpec(
+            kind="hoqri", tensor=x, rank=3, seed=0, max_iters=100000, tol=0.0,
+            use_cache=False,
+        )
+        y = make_random_tensor(3, 40, 2000, rng)
+        # Long enough (tens of ms) that both slots are seen busy at once.
+        specs = [
+            JobSpec(kind="hoqri", tensor=y, rank=4, seed=s, max_iters=60,
+                    tol=0.0, use_cache=False)
+            for s in (1, 2, 3)
+        ]
+
+        async def main():
+            async with DecompositionService(pool_size=2) as svc:
+                doomed = await svc.submit(doomed_spec)
+                while svc.status(doomed).state == "queued":
+                    await asyncio.sleep(0.005)
+                pool = svc.stats()["pool"]
+                slot = pool["running"].index(doomed)
+                killed = pool["pids"][slot]
+                sibling = await svc.submit(specs[0])
+                while svc.status(sibling).state == "queued":
+                    await asyncio.sleep(0.005)
+                os.kill(killed, signal.SIGKILL)
+                with pytest.raises(BackendUnhealthyError) as excinfo:
+                    await svc.result(doomed)
+                results = {sibling: await svc.result(sibling)}
+                # Both slots take one of the next two jobs; the killed
+                # slot's runs in a fresh process.
+                later = [await svc.submit(spec) for spec in specs[1:]]
+                ran_on_killed_slot = None
+                while ran_on_killed_slot is None and any(
+                    svc.status(job).state != "done" for job in later
+                ):
+                    ran_on_killed_slot = svc.stats()["pool"]["running"][slot]
+                    await asyncio.sleep(0.002)
+                for job in later:
+                    results[job] = await svc.result(job)
+                stats = svc.stats()
+                return (excinfo.value, slot, killed, results, later,
+                        ran_on_killed_slot, stats, svc.status(doomed))
+
+        (error, slot, killed, results, later, ran_on_killed_slot, stats,
+         doomed) = run(main())
+        assert doomed.state == "failed"
+        assert doomed.error_type == "BackendUnhealthyError"
+        assert error.backend == f"serve-slot-{slot}"
+        assert "exit code -9" in str(error)
+        assert ran_on_killed_slot in later
+        assert stats["pool"]["pids"][slot] not in (None, killed)
+        assert stats["counters"]["failed"] == 1
+        assert stats["counters"]["completed"] == 3
+        for spec, got in zip(specs, results.values()):
+            want = hoqri(y, 4, **spec.driver_kwargs())
+            assert np.array_equal(got.factor, want.factor)
+
+    @pytest.mark.parametrize("execution", ["serial", "process"])
+    def test_close_leaves_no_job_process(self, execution, rng):
+        x = make_random_tensor(3, 12, 80, rng)
+        u = rng.random((12, 3))
+
+        async def main():
+            svc = DecompositionService(execution=execution, n_workers=2)
+            async with svc:
+                job = await svc.submit(JobSpec(kind="s3ttmc", tensor=x, factor=u))
+                await svc.result(job)
+                pids = svc.stats()["pool"]["pids"]
+                assert len(self.slot_children()) == 2
+            return pids, svc.stats()
+
+        pids, stats = run(main())
+        assert self.slot_children() == []
+        assert stats["pool"]["pids"] == [None, None]
+        assert stats["hygiene"] == {"budgets_undrained": 0, "live_segments": 0}
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestRemovedOptions:

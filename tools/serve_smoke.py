@@ -19,8 +19,9 @@ the wire protocol:
   anything (``stats`` still shows zero submissions for that tenant);
 * fetch the completed result and check the factor shape and that the
   duplicate's factor is exactly equal;
-* ``shutdown`` and assert the exit code is 0 and the final hygiene
-  line reports ``budgets_undrained=0``.
+* ``shutdown`` and assert the exit code is 0, the final hygiene
+  line reports ``budgets_undrained=0``, and none of the daemon's slot
+  job processes (the pids ``stats`` reported) outlives it.
 
 Exit code 0 means every step passed. Run from the repo root:
 
@@ -94,6 +95,14 @@ def boot_daemon() -> subprocess.Popen:
         text=True,
         env=env,
     )
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def main() -> int:
@@ -188,6 +197,8 @@ def main() -> int:
         assert counters["rejected"] >= 1, counters
         assert counters["submitted"] == 4, counters
         print("serve_smoke: over-quota tenant rejected typed, nothing ran")
+        slot_pids = [pid for pid in stats["pool"]["pids"] if pid is not None]
+        assert len(slot_pids) == stats["pool"]["size"], stats["pool"]
 
         reply = client.shutdown()
         counters = reply["counters"]
@@ -199,7 +210,12 @@ def main() -> int:
         tail = "".join(output)
         assert returncode == 0, f"daemon exit code {returncode}:\n{tail}"
         assert "serve: shutdown clean (budgets_undrained=0" in tail, tail
-        print("serve_smoke: clean shutdown, budgets drained")
+        alive = [pid for pid in slot_pids if _alive(pid)]
+        assert not alive, f"slot job processes outlived the daemon: {alive}"
+        print(
+            f"serve_smoke: clean shutdown, budgets drained, "
+            f"{len(slot_pids)} slot processes gone"
+        )
         return 0
     finally:
         if proc.poll() is None:
