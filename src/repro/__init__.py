@@ -38,56 +38,39 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.serve` — the job service (``python -m repro.serve``)
 """
 
-from .core import KernelStats, s3ttmc, s3ttmc_tc
-from .data import (
-    DATASETS,
-    dataset_names,
-    load_dataset,
-    planted_lowrank,
-    random_sparse_symmetric,
-)
-from .decomp import DecompositionResult, hooi, hoqri
-from .formats import (
-    CSFTensor,
-    CSSTensor,
-    DenseSymmetricTensor,
-    PartiallySymmetricTensor,
-    SparseSymmetricTensor,
-)
-from .hypergraph import Hypergraph, adjacency_tensor
-from .apps import symmetric_apply
-from .cp import symmetric_cp_als, symmetric_mttkrp
-from .obs import TraceCollector
-from .runtime import ExecContext, MemoryBudget, MemoryLimitError, current_context
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "s3ttmc",
-    "s3ttmc_tc",
-    "KernelStats",
-    "hooi",
-    "hoqri",
-    "DecompositionResult",
-    "SparseSymmetricTensor",
-    "CSSTensor",
-    "CSFTensor",
-    "DenseSymmetricTensor",
-    "PartiallySymmetricTensor",
-    "Hypergraph",
-    "adjacency_tensor",
-    "random_sparse_symmetric",
-    "planted_lowrank",
-    "load_dataset",
-    "dataset_names",
-    "DATASETS",
-    "MemoryBudget",
-    "ExecContext",
-    "current_context",
-    "TraceCollector",
-    "symmetric_apply",
-    "symmetric_cp_als",
-    "symmetric_mttkrp",
-    "MemoryLimitError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".core": ("s3ttmc", "s3ttmc_tc", "KernelStats"),
+        ".decomp": ("hooi", "hoqri", "DecompositionResult"),
+        ".formats": (
+            "SparseSymmetricTensor",
+            "CSSTensor",
+            "CSFTensor",
+            "DenseSymmetricTensor",
+            "PartiallySymmetricTensor",
+        ),
+        ".hypergraph": ("Hypergraph", "adjacency_tensor"),
+        ".data": (
+            "random_sparse_symmetric",
+            "planted_lowrank",
+            "load_dataset",
+            "dataset_names",
+            "DATASETS",
+        ),
+        ".runtime": (
+            "MemoryBudget",
+            "ExecContext",
+            "current_context",
+            "MemoryLimitError",
+        ),
+        ".obs": ("TraceCollector",),
+        ".apps": ("symmetric_apply",),
+        ".cp": ("symmetric_cp_als", "symmetric_mttkrp"),
+    },
+)
+__all__.append("__version__")

@@ -6,27 +6,20 @@ introduction motivates: spectral methods via rank-1 kernel applies
 reconstruction.
 """
 
-from .centrality import degree_centrality, z_eigenvector_centrality
-from .eigen import ZEigenpair, sshopm
-from .moments import empirical_moment_tensor
-from .link_prediction import (
-    auc_score,
-    holdout_split,
-    link_prediction_auc,
-    score_candidates,
-)
-from .tensor_apply import rayleigh_quotient, symmetric_apply
+from .._lazy import lazy_exports
 
-__all__ = [
-    "symmetric_apply",
-    "rayleigh_quotient",
-    "sshopm",
-    "ZEigenpair",
-    "z_eigenvector_centrality",
-    "degree_centrality",
-    "empirical_moment_tensor",
-    "score_candidates",
-    "holdout_split",
-    "auc_score",
-    "link_prediction_auc",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".tensor_apply": ("symmetric_apply", "rayleigh_quotient"),
+        ".eigen": ("sshopm", "ZEigenpair"),
+        ".centrality": ("z_eigenvector_centrality", "degree_centrality"),
+        ".moments": ("empirical_moment_tensor",),
+        ".link_prediction": (
+            "score_candidates",
+            "holdout_split",
+            "auc_score",
+            "link_prediction_auc",
+        ),
+    },
+)

@@ -1,18 +1,18 @@
 """Baselines the paper compares against, implemented from scratch."""
 
-from .css_ttmc import css_s3ttmc, css_s3ttmc_tc
-from .dense_ref import dense_core, dense_s3ttmc, dense_s3ttmc_matrix, dense_s3ttmc_tc
-from .hoqri_nary import nary_ttmc_tc
-from .splatt import csf_ttmc, splatt_ttmc
+from .._lazy import lazy_exports
 
-__all__ = [
-    "css_s3ttmc",
-    "css_s3ttmc_tc",
-    "splatt_ttmc",
-    "csf_ttmc",
-    "nary_ttmc_tc",
-    "dense_s3ttmc",
-    "dense_s3ttmc_matrix",
-    "dense_s3ttmc_tc",
-    "dense_core",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".css_ttmc": ("css_s3ttmc", "css_s3ttmc_tc"),
+        ".splatt": ("splatt_ttmc", "csf_ttmc"),
+        ".hoqri_nary": ("nary_ttmc_tc",),
+        ".dense_ref": (
+            "dense_s3ttmc",
+            "dense_s3ttmc_matrix",
+            "dense_s3ttmc_tc",
+            "dense_core",
+        ),
+    },
+)

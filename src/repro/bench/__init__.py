@@ -1,26 +1,19 @@
 """Benchmark harness: guarded timing and figure-as-table reporting."""
 
-from .harness import (
-    DEFAULT_BUDGET_GB,
-    TRACE_ENV_VAR,
-    bench_repeats,
-    guarded_kernel_measurement,
-    maybe_trace,
-    preferred_batch,
-    timed_measurement,
-)
-from .records import Measurement, SeriesTable, format_seconds, geometric_mean
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUDGET_GB",
-    "TRACE_ENV_VAR",
-    "bench_repeats",
-    "maybe_trace",
-    "timed_measurement",
-    "guarded_kernel_measurement",
-    "preferred_batch",
-    "Measurement",
-    "SeriesTable",
-    "format_seconds",
-    "geometric_mean",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".harness": (
+            "DEFAULT_BUDGET_GB",
+            "TRACE_ENV_VAR",
+            "bench_repeats",
+            "maybe_trace",
+            "timed_measurement",
+            "guarded_kernel_measurement",
+            "preferred_batch",
+        ),
+        ".records": ("Measurement", "SeriesTable", "format_seconds", "geometric_mean"),
+    },
+)

@@ -41,13 +41,41 @@ from ._segment import stable_argsort
 __all__ = ["DegreeGroup", "LatticeLevel", "Lattice", "build_lattice", "unique_rows"]
 
 
+#: Columns whose values are all in ``[0, RANK_TABLE_MIN + a.size)`` are
+#: ranked through one lookup table over ``0..max``; others by sorting.
+RANK_TABLE_MIN = 1 << 16
+#: Largest mixed-radix key (``int64``).
+_KEY_MAX = (1 << 63) - 1
+
+
+def _byte_order(values: np.ndarray) -> np.ndarray:
+    """``values`` as unsigned integers ordered like their native bytes."""
+    return values.view(f">u{values.dtype.itemsize}").astype(np.uint64)
+
+
+def _column_ranks(a: np.ndarray):
+    """Per-column ranks of ``a``'s values in byte-lexicographic order, as
+    ``(rank_of, radix)``: ``rank_of(j)`` ranks column ``j`` in
+    ``[0, radix)``."""
+    lo, hi = int(a.min()), int(a.max())
+    if lo >= 0 and hi < RANK_TABLE_MIN + a.size:
+        values = np.arange(hi + 1, dtype=a.dtype)
+        table = np.empty(hi + 1, dtype=np.int64)
+        table[np.argsort(_byte_order(values))] = np.arange(hi + 1, dtype=np.int64)
+        return (lambda j: table[a[:, j]]), hi + 1
+    ranked = [np.unique(_byte_order(a[:, j]), return_inverse=True) for j in range(a.shape[1])]
+    return (lambda j: ranked[j][1].astype(np.int64)), a.shape[0]
+
+
 def unique_rows(a: np.ndarray):
     """Deduplicate rows of a 2-D integer array.
 
-    Returns ``(uniq, inverse)`` with ``uniq[inverse] == a`` row-wise. Uses a
-    contiguous byte view (one void element per row), which is considerably
-    faster than ``np.unique(axis=0)``; the resulting row order is
-    deterministic but byte-lexicographic, which no consumer relies on.
+    Returns ``(uniq, inverse)`` with ``uniq[inverse] == a`` row-wise, the
+    unique rows in byte-lexicographic order of their native bytes (the
+    order of a ``np.unique`` over one void element per row). Each column's
+    values are ranked in that order, the ranks are packed mixed-radix into
+    one ``int64`` key per row (re-densified whenever the next column would
+    overflow it) and the keys take one integer argsort.
     """
     if a.ndim != 2:
         raise ValueError("expected 2-D array")
@@ -56,9 +84,21 @@ def unique_rows(a: np.ndarray):
         empty_uniq = a[:1].copy() if (n and w == 0) else a.copy()
         return empty_uniq, np.zeros(n, dtype=np.int64)
     contig = np.ascontiguousarray(a)
-    view = contig.view(np.dtype((np.void, contig.dtype.itemsize * w))).ravel()
-    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
-    return contig[first], inverse.astype(np.int64)
+    rank_of, radix = _column_ranks(contig)
+    key, span = rank_of(0), radix
+    for j in range(1, w):
+        if span > _KEY_MAX // radix:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * radix + rank_of(j)
+        span *= radix
+    perm = stable_argsort(key)
+    ordered = key[perm]
+    first = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[perm] = np.cumsum(first) - 1
+    return contig[perm[first]], inverse
 
 
 @dataclass(frozen=True)

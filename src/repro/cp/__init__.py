@@ -6,13 +6,17 @@ top — the direction the paper's conclusion proposes for "other tensor
 decomposition methods".
 """
 
-from .als import SymmetricCPResult, cp_inner_product, rank_one_inner_products, symmetric_cp_als
-from .mttkrp import symmetric_mttkrp
+from .._lazy import lazy_exports
 
-__all__ = [
-    "symmetric_mttkrp",
-    "symmetric_cp_als",
-    "SymmetricCPResult",
-    "cp_inner_product",
-    "rank_one_inner_products",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".mttkrp": ("symmetric_mttkrp",),
+        ".als": (
+            "symmetric_cp_als",
+            "SymmetricCPResult",
+            "cp_inner_product",
+            "rank_one_inner_products",
+        ),
+    },
+)

@@ -1,17 +1,16 @@
 """Datasets: synthetic generators, Table III registry, tensor I/O."""
 
-from .datasets import DATASETS, DatasetSpec, dataset_names, load_dataset
-from .io import read_tns, write_tns
-from .synthetic import planted_lowrank, random_iou_pattern, random_sparse_symmetric
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DATASETS",
-    "DatasetSpec",
-    "dataset_names",
-    "load_dataset",
-    "random_sparse_symmetric",
-    "random_iou_pattern",
-    "planted_lowrank",
-    "read_tns",
-    "write_tns",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".datasets": ("DATASETS", "DatasetSpec", "dataset_names", "load_dataset"),
+        ".synthetic": (
+            "random_sparse_symmetric",
+            "random_iou_pattern",
+            "planted_lowrank",
+        ),
+        ".io": ("read_tns", "write_tns"),
+    },
+)

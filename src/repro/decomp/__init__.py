@@ -1,26 +1,16 @@
 """Sparse symmetric Tucker decomposition algorithms: HOOI and HOQRI."""
 
-from .hooi import hooi
-from .hoqri import hoqri
-from .hosvd import hosvd_init, initialize, random_init
-from .objective import fit, relative_error, tucker_objective
-from .reconstruct import reconstruct_at, reconstruct_dense, residual_norm
-from .restarts import best_of_restarts
-from .result import ConvergenceTrace, DecompositionResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "hooi",
-    "hoqri",
-    "hosvd_init",
-    "random_init",
-    "initialize",
-    "tucker_objective",
-    "relative_error",
-    "fit",
-    "best_of_restarts",
-    "reconstruct_dense",
-    "reconstruct_at",
-    "residual_norm",
-    "ConvergenceTrace",
-    "DecompositionResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".hooi": ("hooi",),
+        ".hoqri": ("hoqri",),
+        ".hosvd": ("hosvd_init", "random_init", "initialize"),
+        ".objective": ("tucker_objective", "relative_error", "fit"),
+        ".restarts": ("best_of_restarts",),
+        ".reconstruct": ("reconstruct_dense", "reconstruct_at", "residual_norm"),
+        ".result": ("ConvergenceTrace", "DecompositionResult"),
+    },
+)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from ..core.s3ttmc import SymmetricInput, _as_ucoo, s3ttmc
 from ..core.stats import KernelStats
 from ..formats.partial_sym import PartiallySymmetricTensor
 from ..formats.ucoo import SparseSymmetricTensor
-from ..parallel.backends import Backend, make_backend
 from ..runtime.checkpoint import (
     CheckpointState,
     load_checkpoint,
@@ -61,6 +60,9 @@ from .hosvd import initialize
 from .objective import relative_error
 from .restarts import reseed_seed
 from .result import ConvergenceTrace, DecompositionResult
+
+if TYPE_CHECKING:
+    from ..parallel.backends import Backend
 
 __all__ = ["Sweep", "Step", "sweep"]
 
@@ -368,6 +370,8 @@ def acquire_backend(ctx: ExecContext, kernel: str) -> Optional[Backend]:
     if ctx.execution == "serial":
         return None
     if ctx.backend is None:
+        from ..parallel.backends import make_backend
+
         ctx.adopt_backend(
             make_backend(ctx.execution, ctx.n_workers, run_token=ctx.run_token)
         )

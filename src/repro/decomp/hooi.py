@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from ..baselines.css_ttmc import css_s3ttmc
 from ..core.s3ttmc import SymmetricInput
@@ -53,13 +52,20 @@ def _sign_fixed(u: np.ndarray, rank: int) -> np.ndarray:
     return factor
 
 
+def _left_singular_vectors(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
+    """``U`` of the thin SVD of ``a`` (scipy loads on the first HOOI SVD)."""
+    import scipy.linalg
+
+    return scipy.linalg.svd(a, full_matrices=False, overwrite_a=overwrite_a)[0]
+
+
 def _leading_left_singular_vectors_expand(
     y: PartiallySymmetricTensor, rank: int, ctx: Optional[ExecContext] = None
 ) -> np.ndarray:
     ctx = resolve_context(ctx)
     full = y.to_full_unfolding()  # raises MemoryLimitError when too large
     try:
-        u, _s, _vt = scipy.linalg.svd(full, full_matrices=False)
+        u = _left_singular_vectors(full)
     finally:
         ctx.release_bytes(full.nbytes, "PartiallySymmetricTensor.full_unfolding")
     return _sign_fixed(u, rank)
@@ -76,9 +82,7 @@ def _leading_left_singular_vectors_compact(
     ctx.request_bytes(nbytes, "HOOI compact SVD")
     try:
         operand = y.data * np.sqrt(y.multiplicities())
-        u, _s, _vt = scipy.linalg.svd(
-            operand, full_matrices=False, overwrite_a=True
-        )
+        u = _left_singular_vectors(operand, overwrite_a=True)
         return _sign_fixed(u, rank)
     finally:
         ctx.release_bytes(nbytes, "HOOI compact SVD")
@@ -109,7 +113,7 @@ def _step(run: Sweep, factor: np.ndarray, _a, *, kernel: str, svd_method: str):
                 ctx=run.ctx,
             )
         with run.timer.phase("svd"):
-            u, _s, _vt = scipy.linalg.svd(y_full, full_matrices=False)
+            u = _left_singular_vectors(y_full)
             factor = _sign_fixed(u, run.rank)
         with run.timer.phase("core"):
             core_data = compact_from_full(

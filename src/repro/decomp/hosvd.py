@@ -13,8 +13,6 @@ falling back to random initialization.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from ..formats.ucoo import SparseSymmetricTensor
 from ..runtime.context import ExecContext, resolve_context
@@ -39,8 +37,10 @@ def random_init(
 
 def _sparse_unfolding(
     tensor: SparseSymmetricTensor, ctx: ExecContext | None = None
-) -> sp.csr_matrix:
+) -> "scipy.sparse.csr_matrix":
     """``X_(1)`` as a sparse matrix with deduplicated suffix columns."""
+    import scipy.sparse as sp
+
     ctx = resolve_context(ctx)
     dim = tensor.dim
     nnz = tensor.nnz
@@ -91,6 +91,8 @@ def hosvd_init(
     dim = tensor.dim
     x1 = _sparse_unfolding(tensor, ctx)
     if method == "gram":
+        import scipy.linalg
+
         ctx.request_bytes(dim * dim * 8, "HOSVD Gram matrix")
         try:
             gram = (x1 @ x1.T).toarray()

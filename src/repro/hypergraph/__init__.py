@@ -1,20 +1,14 @@
 """Hypergraph substrate: structure, adjacency tensors, clustering."""
 
-from .adjacency import adjacency_tensor, dummy_node_count
-from .clustering import cluster_factor, kmeans, normalized_mutual_information
-from .generators import planted_partition_hypergraph, uniform_random_hypergraph
-from .hypergraph import Hypergraph
-from .io import read_hyperedges, write_hyperedges
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Hypergraph",
-    "read_hyperedges",
-    "write_hyperedges",
-    "adjacency_tensor",
-    "dummy_node_count",
-    "planted_partition_hypergraph",
-    "uniform_random_hypergraph",
-    "kmeans",
-    "cluster_factor",
-    "normalized_mutual_information",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".hypergraph": ("Hypergraph",),
+        ".io": ("read_hyperedges", "write_hyperedges"),
+        ".adjacency": ("adjacency_tensor", "dummy_node_count"),
+        ".generators": ("planted_partition_hypergraph", "uniform_random_hypergraph"),
+        ".clustering": ("kmeans", "cluster_factor", "normalized_mutual_information"),
+    },
+)

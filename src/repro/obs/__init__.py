@@ -26,54 +26,33 @@ executor tags spans with worker/chunk ids, and the bench harness honours
 ``docs/observability.md``.
 """
 
-from .attrib import AttributionReport, attribute, render_attribution
-from .export import (
-    TraceRecords,
-    TraceSummary,
-    chrome_trace,
-    read_trace,
-    render_summary,
-    summarize,
-    write_chrome_trace,
-    write_trace,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import SamplingProfiler, profiler_from_env
-from .trace import (
-    Span,
-    TraceCollector,
-    TraceEvent,
-    current_span_id,
-    event,
-    open_span_depth,
-    snapshot_open_stacks,
-    span,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "TraceEvent",
-    "TraceCollector",
-    "current_span_id",
-    "open_span_depth",
-    "snapshot_open_stacks",
-    "event",
-    "span",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SamplingProfiler",
-    "profiler_from_env",
-    "AttributionReport",
-    "attribute",
-    "render_attribution",
-    "TraceRecords",
-    "TraceSummary",
-    "chrome_trace",
-    "read_trace",
-    "render_summary",
-    "summarize",
-    "write_chrome_trace",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".trace": (
+            "Span",
+            "TraceEvent",
+            "TraceCollector",
+            "current_span_id",
+            "open_span_depth",
+            "snapshot_open_stacks",
+            "event",
+            "span",
+        ),
+        ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        ".profile": ("SamplingProfiler", "profiler_from_env"),
+        ".attrib": ("AttributionReport", "attribute", "render_attribution"),
+        ".export": (
+            "TraceRecords",
+            "TraceSummary",
+            "chrome_trace",
+            "read_trace",
+            "render_summary",
+            "summarize",
+            "write_chrome_trace",
+            "write_trace",
+        ),
+    },
+)

@@ -1,89 +1,59 @@
 """Parallel execution substrate: partitioning, backends, scaling simulation."""
 
-from .backends import (
-    BACKENDS,
-    Backend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    default_workers,
-    make_backend,
-)
-from .distributed import (
-    CommunicationPlan,
-    ShardedExchangePlan,
-    exchange_from_trace,
-    plan_distribution,
-    plan_sharded_exchange,
-    simulate_distributed_time,
-    simulate_sharded_time,
-)
-from .executor import (
-    ChunkPlan,
-    ParallelJob,
-    ParallelRunReport,
-    chunk_row_block,
-    get_chunk_plans,
-    measure_chunk_costs,
-    parallel_s3ttmc,
-)
-from .partition import balanced_partition, block_partition, estimate_nonzero_costs
-from .sharding import (
-    TensorShard,
-    build_shards,
-    hierarchical_merge,
-    merge_schedule,
-    partition_ranges,
-    shard_resident_bytes,
-    shards_for_ranges,
-)
-from .simulate import (
-    GAMMA0,
-    WIDTH0,
-    ScalingCurve,
-    contention_factor,
-    lpt_makespan,
-    simulate_curve,
-    simulate_time,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "Backend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "default_workers",
-    "make_backend",
-    "CommunicationPlan",
-    "plan_distribution",
-    "simulate_distributed_time",
-    "ShardedExchangePlan",
-    "plan_sharded_exchange",
-    "simulate_sharded_time",
-    "exchange_from_trace",
-    "ChunkPlan",
-    "ParallelJob",
-    "parallel_s3ttmc",
-    "measure_chunk_costs",
-    "get_chunk_plans",
-    "chunk_row_block",
-    "ParallelRunReport",
-    "block_partition",
-    "balanced_partition",
-    "estimate_nonzero_costs",
-    "TensorShard",
-    "build_shards",
-    "shards_for_ranges",
-    "partition_ranges",
-    "hierarchical_merge",
-    "merge_schedule",
-    "shard_resident_bytes",
-    "lpt_makespan",
-    "contention_factor",
-    "simulate_time",
-    "simulate_curve",
-    "ScalingCurve",
-    "GAMMA0",
-    "WIDTH0",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".backends": (
+            "BACKENDS",
+            "Backend",
+            "SerialBackend",
+            "ThreadBackend",
+            "ProcessBackend",
+            "default_workers",
+            "make_backend",
+        ),
+        ".distributed": (
+            "CommunicationPlan",
+            "plan_distribution",
+            "simulate_distributed_time",
+            "ShardedExchangePlan",
+            "plan_sharded_exchange",
+            "simulate_sharded_time",
+            "exchange_from_trace",
+        ),
+        ".executor": (
+            "ChunkPlan",
+            "ParallelJob",
+            "parallel_s3ttmc",
+            "measure_chunk_costs",
+            "get_chunk_plans",
+            "chunk_row_block",
+            "ParallelRunReport",
+        ),
+        ".partition": (
+            "block_partition",
+            "balanced_partition",
+            "estimate_nonzero_costs",
+        ),
+        ".sharding": (
+            "TensorShard",
+            "build_shards",
+            "shards_for_ranges",
+            "partition_ranges",
+            "hierarchical_merge",
+            "merge_schedule",
+            "shard_resident_bytes",
+        ),
+        ".simulate": (
+            "lpt_makespan",
+            "contention_factor",
+            "simulate_time",
+            "simulate_curve",
+            "ScalingCurve",
+            "GAMMA0",
+            "WIDTH0",
+        ),
+    },
+)

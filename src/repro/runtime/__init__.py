@@ -1,74 +1,47 @@
 """Execution-environment substrate: contexts, budgets, faults, checkpoints."""
 
-from .budget import MemoryBudget, MemoryLimitError
-from .checkpoint import (
-    CheckpointState,
-    checkpoint_path,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .context import (
-    EXECUTIONS,
-    ExecContext,
-    PlanCache,
-    current_context,
-    resolve_context,
-    tensor_generation,
-)
-from .faults import (
-    DEFAULT_FALLBACK,
-    BackendUnhealthyError,
-    CorruptPartialError,
-    FallbackPolicy,
-    FaultInjector,
-    FaultSpec,
-    InjectedFault,
-    WorkerCrashError,
-    faults_from_env,
-    parse_fault_specs,
-    parse_policy_spec,
-    policy_from_env,
-)
-from .health import (
-    CancelToken,
-    DeadlineExceededError,
-    HealthError,
-    HealthMonitor,
-    NumericalHealthError,
-    RunCancelledError,
-)
-from .timer import PhaseTimer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExecContext",
-    "PlanCache",
-    "EXECUTIONS",
-    "current_context",
-    "resolve_context",
-    "tensor_generation",
-    "MemoryBudget",
-    "MemoryLimitError",
-    "FaultSpec",
-    "FaultInjector",
-    "FallbackPolicy",
-    "DEFAULT_FALLBACK",
-    "InjectedFault",
-    "WorkerCrashError",
-    "CorruptPartialError",
-    "BackendUnhealthyError",
-    "faults_from_env",
-    "parse_fault_specs",
-    "parse_policy_spec",
-    "policy_from_env",
-    "CancelToken",
-    "HealthError",
-    "HealthMonitor",
-    "RunCancelledError",
-    "DeadlineExceededError",
-    "NumericalHealthError",
-    "CheckpointState",
-    "checkpoint_path",
-    "save_checkpoint",
-    "load_checkpoint",
-    "PhaseTimer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".context": (
+            "ExecContext",
+            "PlanCache",
+            "EXECUTIONS",
+            "current_context",
+            "resolve_context",
+            "tensor_generation",
+        ),
+        ".budget": ("MemoryBudget", "MemoryLimitError"),
+        ".faults": (
+            "FaultSpec",
+            "FaultInjector",
+            "FallbackPolicy",
+            "DEFAULT_FALLBACK",
+            "InjectedFault",
+            "WorkerCrashError",
+            "CorruptPartialError",
+            "BackendUnhealthyError",
+            "faults_from_env",
+            "parse_fault_specs",
+            "parse_policy_spec",
+            "policy_from_env",
+        ),
+        ".health": (
+            "CancelToken",
+            "HealthError",
+            "HealthMonitor",
+            "RunCancelledError",
+            "DeadlineExceededError",
+            "NumericalHealthError",
+        ),
+        ".checkpoint": (
+            "CheckpointState",
+            "checkpoint_path",
+            "save_checkpoint",
+            "load_checkpoint",
+        ),
+        ".timer": ("PhaseTimer",),
+    },
+)

@@ -9,40 +9,27 @@ over a socket via ``python -m repro.serve`` and :class:`ServeClient`.
 See ``docs/serve.md``.
 """
 
-from .admission import check_admission, predict_job_peak_bytes
-from .cache import ResultCache, TensorInterner
-from .client import ServeClient
-from .jobs import (
-    JOB_KINDS,
-    AdmissionError,
-    InvalidJobError,
-    JobSpec,
-    JobStatus,
-    QueueFullError,
-    QuotaExceededError,
-    ServeError,
-    ServiceClosedError,
-    TenantQuota,
-    UnknownJobError,
-)
-from .service import DecompositionService
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JOB_KINDS",
-    "JobSpec",
-    "JobStatus",
-    "TenantQuota",
-    "ServeError",
-    "AdmissionError",
-    "QuotaExceededError",
-    "QueueFullError",
-    "InvalidJobError",
-    "UnknownJobError",
-    "ServiceClosedError",
-    "DecompositionService",
-    "ServeClient",
-    "ResultCache",
-    "TensorInterner",
-    "check_admission",
-    "predict_job_peak_bytes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".jobs": (
+            "JOB_KINDS",
+            "JobSpec",
+            "JobStatus",
+            "TenantQuota",
+            "ServeError",
+            "AdmissionError",
+            "QuotaExceededError",
+            "QueueFullError",
+            "InvalidJobError",
+            "UnknownJobError",
+            "ServiceClosedError",
+        ),
+        ".service": ("DecompositionService",),
+        ".client": ("ServeClient",),
+        ".cache": ("ResultCache", "TensorInterner"),
+        ".admission": ("check_admission", "predict_job_peak_bytes"),
+    },
+)

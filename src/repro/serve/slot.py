@@ -38,6 +38,7 @@ import pickle
 import queue
 import signal
 import threading
+import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -94,12 +95,18 @@ class SlotJob:
 @dataclass
 class SlotReply:
     """A finished attempt: the result or the exception it raised, and
-    what its :class:`~repro.runtime.budget.MemoryBudget` saw."""
+    what its :class:`~repro.runtime.budget.MemoryBudget` saw.
+
+    Pickling drops an exception's traceback, so a failed attempt also
+    carries the job process's formatted one; :meth:`PoolSlot.run` hands
+    it on as the exception's ``__cause__``.
+    """
 
     ok: bool
     value: Any
     peak_bytes: int
     undrained: bool
+    traceback: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +179,10 @@ class PoolSlot:
             raise BackendUnhealthyError(
                 self.name, f"job process died with exit code {code}"
             ) from None
+        if reply.traceback is not None:
+            reply.value.__cause__ = RuntimeError(
+                f"the job failed in {self.name}:\n{reply.traceback}"
+            )
         return reply
 
     def interrupt(self, reason: str) -> None:
@@ -326,15 +337,16 @@ def _run(job: SlotJob, base, interner, backend, cancel) -> SlotReply:
     )
     if backend is not None:
         ctx.adopt_backend(backend)
+    trace = None
     try:
         ok, value = True, _execute(spec, job.resume, ctx)
     except Exception as exc:
-        ok, value = False, _portable(exc)
+        ok, value, trace = False, _portable(exc), traceback.format_exc()
     finally:
         # The backend belongs to the job process, not the job: detach it
         # so nothing tears it down mid-service.
         ctx.release_backend()
-    return SlotReply(ok, value, int(budget.peak), bool(budget.allocations))
+    return SlotReply(ok, value, int(budget.peak), bool(budget.allocations), trace)
 
 
 def _execute(spec: JobSpec, resume: Optional[CheckpointState], ctx: ExecContext):

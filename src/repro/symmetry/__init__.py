@@ -5,60 +5,47 @@ layouts, rank/unrank bijections, multiset permutation expansion, and the
 expansion/multiplicity operators of Properties 2–3.
 """
 
-from .combinatorics import (
-    binomial,
-    dense_size,
-    multinomial,
-    permutation_count,
-    permutation_counts_array,
-    storage_compression_ratio,
-    sym_storage_size,
-)
-from .expansion import (
-    compact_from_full,
-    expand_compact,
-    expansion_matrix,
-    multiplicity_vector,
-)
-from .iou import (
-    enumerate_iou,
-    full_linear_index,
-    iou_layout,
-    is_iou,
-    rank_iou,
-    rank_iou_array,
-    unrank_iou,
-    unrank_iou_array,
-)
-from .permutations import canonicalize, count_expanded, distinct_permutations, expand_iou
-from .tables import IndexTables, clear_table_cache, get_tables, table_cache_info
+from .._lazy import lazy_exports
 
-__all__ = [
-    "binomial",
-    "multinomial",
-    "sym_storage_size",
-    "dense_size",
-    "permutation_count",
-    "permutation_counts_array",
-    "storage_compression_ratio",
-    "enumerate_iou",
-    "iou_layout",
-    "rank_iou",
-    "rank_iou_array",
-    "unrank_iou",
-    "unrank_iou_array",
-    "full_linear_index",
-    "is_iou",
-    "distinct_permutations",
-    "count_expanded",
-    "expand_iou",
-    "canonicalize",
-    "IndexTables",
-    "get_tables",
-    "clear_table_cache",
-    "table_cache_info",
-    "expansion_matrix",
-    "multiplicity_vector",
-    "expand_compact",
-    "compact_from_full",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".combinatorics": (
+            "binomial",
+            "multinomial",
+            "sym_storage_size",
+            "dense_size",
+            "permutation_count",
+            "permutation_counts_array",
+            "storage_compression_ratio",
+        ),
+        ".iou": (
+            "enumerate_iou",
+            "iou_layout",
+            "rank_iou",
+            "rank_iou_array",
+            "unrank_iou",
+            "unrank_iou_array",
+            "full_linear_index",
+            "is_iou",
+        ),
+        ".permutations": (
+            "distinct_permutations",
+            "count_expanded",
+            "expand_iou",
+            "canonicalize",
+        ),
+        ".tables": (
+            "IndexTables",
+            "get_tables",
+            "clear_table_cache",
+            "table_cache_info",
+        ),
+        ".expansion": (
+            "expansion_matrix",
+            "multiplicity_vector",
+            "expand_compact",
+            "compact_from_full",
+        ),
+    },
+)

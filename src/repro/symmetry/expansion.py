@@ -11,7 +11,6 @@ materializes ``M``, only the vector ``p`` (available from
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .combinatorics import dense_size
 from .tables import IndexTables, get_tables
@@ -24,12 +23,14 @@ __all__ = [
 ]
 
 
-def expansion_matrix(order: int, dim: int) -> sp.csr_matrix:
+def expansion_matrix(order: int, dim: int) -> "scipy.sparse.csr_matrix":
     """The sparse 0/1 expansion matrix ``E`` of shape ``(dim**order, S_{order,dim})``.
 
     Row ``j`` (a full row-major linear index) has a single 1 in the column of
     the IOU obtained by sorting ``j``'s tuple.
     """
+    import scipy.sparse as sp
+
     tables = get_tables(order, dim)
     locs = tables.expansion_locs()
     n_full = dense_size(order, dim)

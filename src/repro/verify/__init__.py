@@ -29,21 +29,14 @@ claim into an always-on subsystem:
 See ``docs/verification.md`` for the oracle matrix and tolerance policy.
 """
 
-from .generators import GeneratedWorkload, Workload, generate, workloads_for
-from .oracles import CheckResult, run_workload_checks
-from .invariants import check_budget_preflight, run_case_invariants
-from .runner import VerifyReport, run_case, run_suite
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CheckResult",
-    "GeneratedWorkload",
-    "VerifyReport",
-    "Workload",
-    "check_budget_preflight",
-    "generate",
-    "run_case",
-    "run_case_invariants",
-    "run_suite",
-    "run_workload_checks",
-    "workloads_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".oracles": ("CheckResult", "run_workload_checks"),
+        ".generators": ("GeneratedWorkload", "Workload", "generate", "workloads_for"),
+        ".runner": ("VerifyReport", "run_case", "run_suite"),
+        ".invariants": ("check_budget_preflight", "run_case_invariants"),
+    },
+)

@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.core import lattice
 from repro.core.lattice import build_lattice, unique_rows
 from repro.symmetry.combinatorics import binomial
+
+
+def void_view_unique_rows(a):
+    """The byte-wise dedup the ranked one replaced: ``np.unique`` over one
+    void element per row."""
+    n, w = a.shape
+    if n == 0 or w == 0:
+        return (a[:1].copy() if (n and w == 0) else a.copy()), np.zeros(n, dtype=np.int64)
+    contig = np.ascontiguousarray(a)
+    view = contig.view(np.dtype((np.void, contig.dtype.itemsize * w))).ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    return contig[first], inverse.astype(np.int64)
 
 
 class TestUniqueRows:
@@ -21,6 +34,75 @@ class TestUniqueRows:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             unique_rows(np.array([1, 2, 3]))
+
+
+class TestRankedDedupMatchesVoidView:
+    """The ranked-key dedup returns exactly what the void-view dedup does:
+    the same unique rows in the same (byte-lexicographic) order."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "high", [3, 255, 256, 300, 65_535, 65_536, 70_000, 1 << 40]
+    )
+    @pytest.mark.parametrize("rows", [0, 1, 40, 2_000])
+    def test_random_rows(self, width, high, rows):
+        rng = np.random.default_rng(high * 7 + width * 131 + rows)
+        a = rng.integers(0, high + 1, size=(rows, width), dtype=np.int64)
+        if rows > 1:
+            a[rows // 2 :] = a[: rows - rows // 2]  # duplicates
+            a[0, 0] = high
+        self._assert_same(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((5, 0), dtype=np.int64),
+            np.array([[-1, 2], [3, -70_000], [-1, 2], [0, 0]], dtype=np.int64),
+            np.array([[1, 256], [256, 1], [0, 65_536], [1, 256]], dtype=np.int32),
+        ],
+        ids=["width-0", "negative", "int32"],
+    )
+    def test_edge_inputs(self, a):
+        self._assert_same(a)
+
+    def test_overflowing_keys_redensify(self):
+        """Six columns of values near 2**40 overflow an int64 key at once."""
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 4, size=(3_000, 6), dtype=np.int64) * (1 << 40)
+        self._assert_same(a)
+
+    @staticmethod
+    def _assert_same(a):
+        uniq, inverse = unique_rows(a)
+        ref_uniq, ref_inverse = void_view_unique_rows(a)
+        assert uniq.dtype == ref_uniq.dtype and inverse.dtype == ref_inverse.dtype
+        assert np.array_equal(uniq, ref_uniq)
+        assert np.array_equal(inverse, ref_inverse)
+
+    @pytest.mark.parametrize("memoize", ["global", "nonzero"])
+    @pytest.mark.parametrize(
+        "order, dim, unnz", [(3, 300, 400), (4, 70_000, 300), (6, 8, 200)]
+    )
+    def test_lattice_identical(self, monkeypatch, memoize, order, dim, unnz):
+        rng = np.random.default_rng(order * dim + unnz)
+        idx = np.sort(rng.integers(0, dim, size=(unnz, order)), axis=1)
+        got = build_lattice(idx, memoize, keep_keys=True)
+        monkeypatch.setattr(lattice, "unique_rows", void_view_unique_rows)
+        ref = build_lattice(idx, memoize, keep_keys=True)
+        assert np.array_equal(got.leaf_values, ref.leaf_values)
+        for level in ref.levels:
+            g, r = got.levels[level], ref.levels[level]
+            assert g.n_nodes == r.n_nodes
+            assert np.array_equal(g.value, r.value)
+            assert np.array_equal(g.child, r.child)
+            assert (g.node is None) == (r.node is None)
+            assert r.node is None or np.array_equal(g.node, r.node)
+            assert [(x.degree, x.edge_offset) for x in g.groups] == [
+                (x.degree, x.edge_offset) for x in r.groups
+            ]
+            assert all(np.array_equal(x.nodes, y.nodes) for x, y in zip(g.groups, r.groups))
+        for level in ref.node_keys:
+            assert np.array_equal(got.node_keys[level], ref.node_keys[level])
 
 
 class TestLatticeStructure:

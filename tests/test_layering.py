@@ -123,6 +123,40 @@ def test_checker_rejects_orphan_module(tmp_path):
     assert chk.check_reachability() == []
 
 
+def test_checker_follows_lazy_reexport_tables(tmp_path):
+    """A name read through a package's lazy table reaches the module that
+    defines it and the helper resolving it; a module only the table names
+    stays unreached and fails."""
+    chk = _load_checker()
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "core").mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        '"""Facade."""\n'
+        "from ._lazy import lazy_exports\n"
+        '__getattr__, __dir__, __all__ = lazy_exports(__name__, {".core": ("f",)})\n'
+    )
+    (pkg / "_lazy.py").write_text("def lazy_exports(package, table):\n    pass\n")
+    (pkg / "core" / "__init__.py").write_text(
+        "from .._lazy import lazy_exports\n"
+        "__getattr__, __dir__, __all__ = lazy_exports(\n"
+        '    __name__, {".used": ("f",), ".orphan": ("g",)}\n'
+        ")\n"
+    )
+    (pkg / "core" / "used.py").write_text("def f():\n    return 1\n")
+    (pkg / "core" / "orphan.py").write_text("def g():\n    return 2\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text("from repro import f\n")
+    chk.PACKAGE = pkg
+    chk.ENTRY_DIRS = [tmp_path / "tools"]
+    chk.PUBLIC_LEAVES.clear()
+    assert chk.reached_modules() == {"repro._lazy", "repro.core.used"}
+    errors = chk.check_reachability()
+    assert len(errors) == 1
+    assert errors[0].startswith("core/orphan.py: unreached module repro.core.orphan")
+    (tmp_path / "tools" / "run.py").write_text("from repro.core import g\n")
+    assert chk.reached_modules() == {"repro._lazy", "repro.core.orphan"}
+
+
 def test_checker_rejects_orphan_in_the_real_package():
     """Dropping a real leaf's allowance makes the full check fail."""
     chk = _load_checker()

@@ -610,6 +610,30 @@ class TestJobProcesses:
             want = hoqri(x, 3, **spec.driver_kwargs())
             assert np.array_equal(got.factor, want.factor)
 
+    def test_failed_job_keeps_the_job_process_traceback(self):
+        """A job failing inside ``repro.decomp`` raises the error the
+        direct call raises, caused by the job process's traceback."""
+        x = repro.SparseSymmetricTensor(1, 5, np.array([[0], [2]]), np.array([1.0, 2.0]))
+        spec = JobSpec(kind="hoqri", tensor=x, rank=2, max_iters=2, seed=0)
+        with pytest.raises(ValueError) as direct:
+            hoqri(x, 2, **spec.driver_kwargs())
+
+        async def main():
+            async with DecompositionService(pool_size=1) as svc:
+                job = await svc.submit(spec)
+                with pytest.raises(ValueError) as served:
+                    await svc.result(job)
+                return served.value
+
+        error = run(main())
+        assert type(error) is ValueError and str(error) == str(direct.value)
+        cause = error.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "serve-slot-0" in str(cause)
+        frame = direct.traceback[-1]
+        assert f'{Path(frame.path).name}", line {frame.lineno + 1}, in {frame.name}' in str(cause)
+        assert "repro/decomp/" in str(cause).replace(os.sep, "/")
+
     def test_killed_job_process_fails_only_its_job(self, rng):
         x = make_random_tensor(3, 16, 150, rng)
         doomed_spec = JobSpec(
@@ -897,3 +921,4 @@ class TestDaemon:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()

@@ -22,11 +22,13 @@ open-span stacks. The same stale-entry rule applies.
 Every module must also be *reached*: it has to lie in the transitive
 import closure of the entry points — the files under ``benchmarks/``,
 ``examples/`` and ``tools/`` and every ``repro.*.__main__``. The closure
-follows ``from pkg import name`` to the module that defines ``name``, so
-a package ``__init__`` re-exporting a module does not reach it. A module
-outside the closure passes only if ``PUBLIC_LEAVES`` names it with a
-reason; an entry for a module that is reached or gone is stale and
-fails, as does a ``LAYERS`` rank for a subpackage that no longer exists.
+follows ``from pkg import name`` to the module that defines ``name`` —
+through the package's lazy re-export table (``repro._lazy``) or a
+``from .mod import name`` in its ``__init__`` — so a package re-exporting
+a module does not by itself reach it. A module outside the closure
+passes only if ``PUBLIC_LEAVES`` names it with a reason; an entry for a
+module that is reached or gone is stale and fails, as does a ``LAYERS``
+rank for a subpackage that no longer exists.
 
 Usage: ``python tools/check_layering.py`` (exit 1 on violations).
 """
@@ -48,6 +50,8 @@ ENTRY_DIRS = [REPO / "benchmarks", REPO / "examples", REPO / "tools"]
 #: Layer rank per top-level repro subpackage (or top-level module).
 #: Lower rank = lower layer. Equal ranks may import each other.
 LAYERS = {
+    # The lazy re-export helper every package ``__init__`` imports.
+    "_lazy": 0,
     "symmetry": 0,
     "obs": 1,
     "runtime": 2,
@@ -196,12 +200,48 @@ def package_files() -> Iterator[Path]:
             yield path
 
 
+def lazy_tables(
+    package: str, tree: ast.Module
+) -> Iterator[Tuple[str, Dict[str, str]]]:
+    """``(helper module, {name: defining module})`` of each lazy re-export
+    table in a package ``__init__``: a call ``helper(__name__, {".mod":
+    ("name", ...)})`` of a function the ``__init__`` imports by name."""
+    helpers = {
+        alias.asname or alias.name: from_module(package, True, node)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    for node in tree.body:
+        call = getattr(node, "value", None)
+        if not (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and helpers.get(call.func.id)
+            and len(call.args) == 2
+            and isinstance(call.args[1], ast.Dict)
+        ):
+            continue
+        table = {}
+        for key, names in zip(call.args[1].keys, call.args[1].values):
+            relative = ast.literal_eval(key)
+            stripped = relative.lstrip(".")
+            source = ast.ImportFrom(
+                module=stripped or None, names=[], level=len(relative) - len(stripped)
+            )
+            module = from_module(package, True, source)
+            for name in ast.literal_eval(names):
+                table[name] = module
+        yield helpers[call.func.id], table
+
+
 def reached_modules() -> Set[str]:
     """Modules in the import closure of the entry points.
 
     ``from P import name`` on a package ``P`` follows ``P.__init__``'s
     re-export of ``name`` to the module that defines it (or reaches the
     submodule ``P.name``); importing a package by itself reaches nothing.
+    A name in ``P``'s lazy table also reaches the helper that resolves it.
     """
     files = {module_name_of(path): path for path in package_files()}
     trees: Dict[str, ast.Module] = {}
@@ -210,6 +250,14 @@ def reached_modules() -> Set[str]:
         if name not in trees:
             trees[name] = ast.parse(files[name].read_text(encoding="utf-8"))
         return trees[name]
+
+    def lazy_reach(package: str, name: str) -> Optional[List[str]]:
+        """Modules ``from package import name`` reaches through the
+        package's lazy table, or ``None`` when the table lacks ``name``."""
+        for helper, table in lazy_tables(package, tree(package)):
+            if name in table:
+                return [*reach(helper, None), *reach(table[name], name)]
+        return None
 
     def reach(module: str, name: Optional[str]) -> Iterator[str]:
         """Modules that ``from module import name`` (or, with ``name``
@@ -221,6 +269,10 @@ def reached_modules() -> Set[str]:
             yield module
             return
         if name is None:
+            return
+        lazy = lazy_reach(module, name)
+        if lazy is not None:
+            yield from lazy
             return
         for node in tree(module).body:
             if not isinstance(node, ast.ImportFrom):
