@@ -10,8 +10,8 @@ published 32-thread endpoints (walmart-trips 27.6×, 7D 18.6×) and are
 held fixed here.
 
 On top of the simulated curves, a **measured** section runs the real
-execution backends (``repro.parallel.backends``) end to end — serial,
-thread, process — and records actual wall times. On a single-core host
+execution backends (``repro.parallel.backends``) end to end — serial
+and process — and records actual wall times. On a single-core host
 these validate correctness and overhead, not speedup; on a multi-core
 runner they show true scaling.
 
@@ -44,7 +44,7 @@ from repro.symmetry.combinatorics import sym_storage_size
 TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
 THREADS = [1, 2] if TINY else [1, 2, 4, 8, 16, 32]
 N_CHUNKS = 8 if TINY else 64
-MEASURED_BACKENDS = ("serial", "thread", "process")
+MEASURED_BACKENDS = ("serial", "process")
 
 
 def _scaling_rows(name, tensor, rank, table):

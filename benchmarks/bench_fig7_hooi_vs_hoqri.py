@@ -16,8 +16,8 @@ The ``HOOI-compact`` row is beyond the paper: HOOI with
 ``Y_p(1) diag(√p)`` (Property 3) instead of the expansion, so it has no
 SVD memory wall. The ``HOOI`` row pins the paper's ``svd_method="expand"``.
 
-``REPRO_FIG7_EXECUTION=thread|process`` routes every S³TTMc through the
-parallel backend (``ExecContext(execution=...)``); default ``serial``
+``REPRO_FIG7_EXECUTION=process`` routes every S³TTMc through the
+process backend (``ExecContext(execution=...)``); default ``serial``
 reproduces the single-core paper numbers.
 """
 

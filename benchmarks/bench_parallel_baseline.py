@@ -1,4 +1,4 @@
-"""Committed parallel-backend baseline: serial vs thread vs process.
+"""Committed parallel-backend baseline: serial vs process.
 
 Writes ``BENCH_parallel.json`` at the repository root — a small, tracked
 snapshot of what the execution backends cost on a known host, split into
@@ -52,7 +52,7 @@ from repro.parallel import (  # noqa: E402
 )
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 WARM_REPEATS = int(os.environ.get("REPRO_BASELINE_REPEATS", "3"))
 
 

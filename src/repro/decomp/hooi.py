@@ -173,12 +173,12 @@ def hooi(
     ctx:
         Optional :class:`~repro.runtime.context.ExecContext` governing
         the whole run: its budget, collector, execution, plan cache, and
-        default seed. ``execution="thread"`` / ``"process"`` (which
-        require ``kernel="symprop"``) route every S³TTMc through a
-        parallel backend (:mod:`repro.parallel.backends`) kept on the
-        context across iterations, so chunk plans — and, for the process
-        backend, the worker processes with their shared-memory shards —
-        are reused; each worker owns a disjoint
+        default seed. ``execution="process"`` (which requires
+        ``kernel="symprop"``) routes every S³TTMc through the process
+        backend (:mod:`repro.parallel.backends`) kept on the context
+        across iterations, so its worker processes, with their
+        shared-memory shards and chunk plans, are reused; each worker
+        owns a disjoint
         :class:`~repro.parallel.sharding.TensorShard`, and checkpoints
         record the shard map. ``None`` runs in the thread's active
         context (``with ctx:``), or else in an ephemeral child of the

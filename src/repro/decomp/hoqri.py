@@ -89,8 +89,8 @@ def hoqri(
 
     Parameters mirror :func:`repro.decomp.hooi.hooi`; ``kernel`` selects
     ``"symprop"`` (Algorithm 2) or ``"nary"`` (the original contraction).
-    A ``ctx`` with ``execution="thread"|"process"`` routes the S³TTMc
-    pass through the parallel backend, reused across all iterations
+    A ``ctx`` with ``execution="process"`` routes the S³TTMc pass
+    through the process backend, reused across all iterations
     (requires ``kernel="symprop"``); each worker owns a disjoint tensor
     shard and the checkpoint records the shard map.
     ``checkpoint_dir`` / ``checkpoint_every`` / ``resume`` persist and

@@ -17,7 +17,7 @@ the machine's demonstrated flop rate — the signal a developer needs to
 decide which ``(level, layout, backend)`` to specialize next.
 
 For parallel runs the report adds critical-path and worker-utilization
-rollups from ``parallel.s3ttmc`` spans: thread/serial backends nest
+rollups from ``parallel.s3ttmc`` spans: the serial backend nests
 worker-tagged ``parallel.chunk`` spans, the process backend reports
 slot-tagged ``parallel.chunk.done`` events (the worker-side seconds are
 in the event attrs — worker processes never ship spans).

@@ -9,7 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "BACKENDS",
             "Backend",
             "SerialBackend",
-            "ThreadBackend",
             "ProcessBackend",
             "default_workers",
             "make_backend",

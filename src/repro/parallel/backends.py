@@ -1,6 +1,6 @@
 """Pluggable execution backends for the parallel S³TTMc executor.
 
-Three backends share one contract — evaluate a
+Two backends share one contract — evaluate a
 :class:`~repro.parallel.executor.ParallelJob`'s owned shards (one
 disjoint non-zero range per worker, see :mod:`repro.parallel.sharding`)
 into compact row-block partials, and reduce those through the
@@ -9,12 +9,8 @@ one ``(I, S_{N-1,R})`` output:
 
 ``serial``
     Runs each shard's tasks in line on the calling thread. The bitwise
-    reference the other two are checked against, and the single-core
-    fallback of last resort.
-``thread``
-    Persistent :class:`~concurrent.futures.ThreadPoolExecutor`, one
-    task per shard in flight. NumPy's heavy vector ops release the GIL,
-    so gathers/segment-sums overlap on multi-core builds.
+    reference the process backend is checked against, and the fallback
+    of last resort.
 ``process``
     Persistent worker processes fed via ``multiprocessing`` pipes, each
     holding only its own shard in shared memory
@@ -25,7 +21,7 @@ one ``(I, S_{N-1,R})`` output:
 
 Chunk supervision
 -----------------
-One supervisor, :meth:`Backend.execute`, drives every backend. It keeps
+One supervisor, :meth:`Backend.execute`, drives both backends. It keeps
 one task queue per shard, runs at most one task per shard at a time,
 and applies the context's :class:`~repro.runtime.faults.FallbackPolicy`
 the same way whatever runs the task:
@@ -46,8 +42,8 @@ the same way whatever runs the task:
 
 Faults are armed only here, once per task attempt at the ``"chunk"``
 site. A backend supplies only a task runner — how one task runs:
-``serial`` in line, ``thread`` on its pool, ``process`` over the owner
-worker's pipe. Every partial, in-process or in a worker, comes from
+``serial`` in line, ``process`` over the owner worker's pipe. Every
+partial, in line or in a worker, comes from
 :func:`~repro.parallel.shm.compute_partial`, so only the ``crash`` and
 ``hang`` faults act differently per substrate.
 
@@ -60,10 +56,10 @@ respawned (re-ingesting their shard from the parent's canonical copy,
 plan caches rewarmed on demand), and their task retried. When a backend
 exhausts its retry/respawn budget it raises
 :class:`~repro.runtime.faults.BackendUnhealthyError`, which the executor
-turns into a degrade (process → thread → serial) per the policy.
+turns into a degrade (process → serial) per the policy.
 
 Run-level health rides on the context (:mod:`repro.runtime.health`):
-every supervisor round and every in-process task attempt calls
+every supervisor round and every in-line task attempt calls
 ``ctx.check_health()`` — cooperative cancellation and deadlines trip at
 task boundaries, and in-flight process workers are killed and the pool
 reset on the way out.
@@ -83,7 +79,7 @@ per-incident trace events, and the matching
 
 Backends are context managers; ``close()`` is idempotent. Create them
 directly, via :func:`make_backend`, or implicitly through
-``parallel_s3ttmc(..., backend="thread")`` /
+``parallel_s3ttmc(..., backend="process")`` /
 ``hooi(..., ctx=ExecContext(execution="process"))``.
 """
 
@@ -96,8 +92,6 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as _futures_wait
 from multiprocessing.connection import wait as _mp_wait
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
@@ -127,7 +121,6 @@ from .sharding import TensorShard, hierarchical_merge, shards_for_ranges
 __all__ = [
     "Backend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
     "START_METHOD_ENV_VAR",
@@ -271,7 +264,7 @@ class _Partial(NamedTuple):
     data: np.ndarray
     checksum: float
     #: Worker-side plan-cache hit and build seconds (process only; the
-    #: in-process runner's plans are counted by ``get_chunk_plans``).
+    #: serial backend's plans are counted by ``get_chunk_plans``).
     plan_hit: Optional[bool] = None
     build_seconds: float = 0.0
 
@@ -455,59 +448,49 @@ class Backend(ABC):
         self.close()
 
 
-class _InProcessRunner:
-    """Runs tasks in this process: in line, or on a thread pool.
+class SerialBackend(Backend):
+    """Run every task in line on the calling thread (reference backend).
 
-    Each task attempt is one ``parallel.chunk`` span. Nothing can
-    preempt an in-process task, so an injected hang is a stall here and
-    kill-based hang recovery is a process-backend capability.
+    All shard partials are staged until the deterministic pairwise merge
+    — the bitwise anchor the process backend is checked against — so
+    reduction memory is ``Σ_c rows_c·S``. ``n_workers`` is the shard
+    count; the shards run one after another. The backend is its own task
+    runner, and each task attempt is one ``parallel.chunk`` span.
+    Nothing can preempt an in-line task, so an injected hang is a stall
+    here and kill-based hang recovery is a process-backend capability.
     """
 
-    def __init__(
-        self,
-        name: str,
-        job: ParallelJob,
-        report: Optional[ParallelRunReport],
-        pool: Optional[ThreadPoolExecutor],
-    ) -> None:
-        self.name = name
-        self.job = job
-        self.report = report
-        self.pool = pool
-        self.plans = get_chunk_plans(
+    name = "serial"
+
+    def _runner(self, job, report) -> "SerialBackend":
+        self._job = job
+        self._report = report
+        self._plans = get_chunk_plans(
             job.tensor, job.ranges, job.memoize, report=report, ctx=job.ctx
         )
-        self.rows = [cp.rows for cp in self.plans]
-        self.parent_span = _trace.current_span_id()
-        self.futures: Dict[object, _Task] = {}
-        self.finished: List[Tuple[_Task, object]] = []
+        self.rows = [cp.rows for cp in self._plans]
+        self._finished: List[Tuple[_Task, object]] = []
+        return self
 
     def start(self, task: _Task, fault) -> None:
-        if self.pool is None:
-            self.finished.append((task, self._run(task, fault)))
-        else:
-            self.futures[self.pool.submit(self._run, task, fault)] = task
+        self._finished.append((task, self._run(task, fault)))
 
     def wait(self) -> List[Tuple[_Task, object]]:
-        if self.futures:
-            done, _ = _futures_wait(self.futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                self.finished.append((self.futures.pop(future), future.result()))
-        finished, self.finished = self.finished, []
+        finished, self._finished = self._finished, []
         return finished
 
     def abort(self) -> None:
-        # Let in-flight attempts finish before the run's buffers go.
-        _futures_wait(self.futures)
+        """Nothing runs between tasks, so nothing is in flight."""
+
+    def close(self) -> None:
+        self._job = self._report = self._plans = None
 
     def _run(self, task: _Task, fault):
-        job, ctx = self.job, self.job.ctx
+        job, ctx = self._job, self._job.ctx
         worker = threading.current_thread().name
-        # Activate the job's context on a pool thread so code without a
-        # ctx resolves to it, as on the submitting thread.
+        # Activate the job's context so code without a ctx resolves to it.
         with ctx.scope(), ctx.span(
             "parallel.chunk",
-            parent_id=self.parent_span,
             chunk=task.slot,
             shard=task.slot,
             nz_start=task.start,
@@ -523,7 +506,7 @@ class _InProcessRunner:
                 if kind == "hang":
                     time.sleep(fault[1])
                 cp = (
-                    self.plans[task.slot]
+                    self._plans[task.slot]
                     if task.depth == 0
                     else get_chunk_plans(
                         job.tensor, [(task.start, task.stop)], job.memoize, ctx=ctx
@@ -548,52 +531,8 @@ class _InProcessRunner:
                 return exc
             finally:
                 _fill_chunk_report(
-                    self.report, task.slot, time.perf_counter() - tick, worker
+                    self._report, task.slot, time.perf_counter() - tick, worker
                 )
-
-
-class SerialBackend(Backend):
-    """Run every task in line on the calling thread (reference backend).
-
-    All shard partials are staged until the deterministic pairwise merge
-    — the bitwise anchor the thread and process backends are checked
-    against — so reduction memory is ``Σ_c rows_c·S``.
-    """
-
-    name = "serial"
-
-    def __init__(self, n_workers: Optional[int] = None) -> None:
-        super().__init__(n_workers or 1)
-
-    def _runner(self, job, report) -> _InProcessRunner:
-        return _InProcessRunner(self.name, job, report, None)
-
-
-class ThreadBackend(Backend):
-    """Persistent thread pool, one task per shard in flight.
-
-    Shard partials are computed concurrently and merged by the
-    deterministic pairwise tree on the calling thread — bitwise-identical
-    to the serial backend regardless of which thread finished when.
-    """
-
-    name = "thread"
-
-    def __init__(self, n_workers: Optional[int] = None) -> None:
-        super().__init__(n_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _runner(self, job, report) -> _InProcessRunner:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="s3ttmc"
-            )
-        return _InProcessRunner(self.name, job, report, self._pool)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class _WorkerHandle:
@@ -808,8 +747,8 @@ class ProcessBackend(Backend):
     triggers a respawn — the shard re-ingested from the parent's
     segments, plan caches rewarmed on demand — and a retry of its task.
     Shard partials merge through the deterministic pairwise tree, so
-    recovered runs are bit-identical to clean ones and to the
-    serial/thread backends.
+    recovered runs are bit-identical to clean ones and to the serial
+    backend.
     """
 
     name = "process"
@@ -1090,7 +1029,6 @@ class ProcessBackend(Backend):
 
 BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -1101,11 +1039,11 @@ def make_backend(
     *,
     run_token: Optional[str] = None,
 ) -> Backend:
-    """Instantiate a backend by name (``serial`` / ``thread`` / ``process``).
+    """Instantiate a backend by name (``serial`` / ``process``).
 
     ``run_token`` namespaces the process backend's shared-memory
-    segments (usually the creating :class:`ExecContext`'s token);
-    serial/thread backends create no segments and ignore it.
+    segments (usually the creating :class:`ExecContext`'s token); the
+    serial backend creates no segments and ignores it.
     """
     try:
         cls = BACKENDS[name]

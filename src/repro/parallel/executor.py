@@ -19,10 +19,9 @@ story, Figure 6):
   ``parallel.plan_cache.hits`` / ``parallel.plan_cache.misses`` counters
   and per-chunk ``parallel.plan_build`` spans.
 * **Pluggable execution backends** (:mod:`repro.parallel.backends`):
-  ``"serial"`` (in-line loop), ``"thread"`` (persistent pool; NumPy
-  releases the GIL on the heavy vector ops) and ``"process"``
-  (persistent worker processes with shared-memory operands — true
-  multi-core execution in pure NumPy).
+  ``"serial"`` (in-line loop) and ``"process"`` (persistent worker
+  processes with shared-memory operands — true multi-core execution in
+  pure NumPy).
 * **Owned shards with compact row-blocks.** Each worker owns one
   chunk's non-zeros (:mod:`repro.parallel.sharding`) and accumulates
   into a *compact row-block*: a chunk touches only the output rows whose
@@ -102,12 +101,12 @@ class ParallelRunReport:
     ``nonfinite_partials`` (partials rejected by the finiteness
     sentinel), and
     ``fallbacks`` / ``fallback_chain`` (backend degradations, e.g.
-    ``["thread"]`` when a process run fell back to threads). ``backend``
+    ``["serial"]`` when a process run fell back to serial). ``backend``
     reports the backend that produced the returned result.
 
-    ``worker_busy`` maps each worker (thread name, or ``w<id>`` for
-    process workers) to its summed chunk seconds; from it derive
-    :meth:`busy_seconds`, :meth:`critical_path_seconds` and
+    ``worker_busy`` maps each worker (the calling thread's name, or
+    ``w<id>`` for process workers) to its summed chunk seconds; from it
+    derive :meth:`busy_seconds`, :meth:`critical_path_seconds` and
     :meth:`utilization` — the same rollup ``python -m repro.obs report``
     computes from a trace, available here without tracing.
     """
@@ -161,8 +160,8 @@ class ParallelJob:
     memoize: str
     cols: int
     tensor: object  # SparseSymmetricTensor — plan-cache anchor
-    #: The run's ExecContext: budget/collector travel with the job into
-    #: worker threads and (as a budget spec) processes.
+    #: The run's ExecContext: budget/collector travel with the job (into
+    #: worker processes as a budget spec).
     ctx: ExecContext
     #: Engine mode per chunk: ``"compiled"`` or ``"generic"`` (the spec
     #: ships to process workers, which compile locally and cache tables
@@ -276,7 +275,7 @@ def parallel_s3ttmc(
         ``n_workers``, then the backend's worker count when a live
         backend instance is used, else ``os.cpu_count()``.
     backend:
-        ``"serial"``, ``"thread"``, ``"process"`` or a live
+        ``"serial"``, ``"process"`` or a live
         :class:`~repro.parallel.backends.Backend` instance. ``None``
         (the default) consults the context: its adopted backend is
         reused; otherwise a backend matching ``ctx.execution`` is created
@@ -294,9 +293,9 @@ def parallel_s3ttmc(
         Optional :class:`ParallelRunReport` to fill.
     ctx:
         Optional :class:`~repro.runtime.context.ExecContext`. Its budget
-        and collector travel with the job to workers (threads enter the
-        context's scope; processes mirror the budget limit), and its plan
-        cache holds the chunk plans. ``None`` resolves to
+        and collector travel with the job (serial tasks run in the
+        context's scope; process workers mirror the budget limit), and
+        its plan cache holds the chunk plans. ``None`` resolves to
         :func:`~repro.runtime.context.current_context`.
     """
     from .backends import Backend, make_backend  # local: avoid import cycle
@@ -321,8 +320,7 @@ def parallel_s3ttmc(
         if ctx.backend is not None:
             backend = ctx.backend
         else:
-            name = ctx.execution if ctx.execution in ("thread", "process") else "thread"
-            backend = make_backend(name, n_workers, run_token=ctx.run_token)
+            backend = make_backend(ctx.execution, n_workers, run_token=ctx.run_token)
             if ctx is default_context():
                 owns_backend = True  # never pin a pool on the process default
             else:
@@ -377,7 +375,7 @@ def parallel_s3ttmc(
                 break
             except BackendUnhealthyError as exc:
                 # Degrade to the next-weaker backend in the policy chain
-                # (process → thread → serial by default). The replacement
+                # (process → serial by default). The replacement
                 # is adopted onto the context, so subsequent calls — e.g.
                 # the remaining iterations of a decomposition — keep
                 # using it instead of re-hitting the unhealthy backend.

@@ -110,10 +110,6 @@ class TensorShard:
     cost: float = 0.0
 
     @property
-    def n_nz(self) -> int:
-        return self.stop - self.start
-
-    @property
     def n_rows(self) -> int:
         return self.rows.shape[0]
 

@@ -25,7 +25,7 @@ which the worker *executes* but never decides: arming lives in the
 parent's chunk supervisor so fault plans replay deterministically. The
 worker applies ``crash`` and ``hang`` itself; every other kind is
 applied by :func:`compute_partial`, the helper that also produces the
-serial and thread backends' partials.
+serial backend's partials.
 
 Workers cache their chunk plans across calls keyed on
 ``(tensor generation, chunk range, memoize)`` — the process-side half of
@@ -443,7 +443,7 @@ def compute_partial(
     """Evaluate one chunk into the zeroed ``out``; return its checksum.
 
     The one producer of chunk partials, used in-process by the serial
-    and thread backends and in the workers by :func:`_run_chunk`.
+    backend and in the workers by :func:`_run_chunk`.
     ``fault`` is ``None`` or an armed fault's ``(kind, param)`` payload
     (see :mod:`repro.runtime.faults`). Every kind is applied here except
     the two whose effect depends on where the chunk runs, ``crash`` and

@@ -7,8 +7,8 @@ owning
   device; Section VI's 256 GB node as a first-class per-run limit),
 * the **trace collector and metrics registry** (``ctx.collector`` /
   ``ctx.metrics``),
-* the **execution backend** (``serial`` / ``thread`` / ``process``,
-  created lazily and kept alive until :meth:`ExecContext.close`),
+* the **execution backend** (``serial`` / ``process``, created lazily
+  and kept alive until :meth:`ExecContext.close`),
 * the **plan cache** (chunk plans and partitions, weakly keyed by tensor
   — no longer attributes stapled onto tensor objects), and
 * the **RNG seed** (deterministic replay: seed + budget + backend travel
@@ -31,7 +31,7 @@ Usage::
     ctx = ExecContext(
         budget=MemoryBudget(gigabytes=4),
         collector=TraceCollector(),
-        execution="thread",
+        execution="process",
         n_workers=8,
         seed=42,
     )
@@ -56,7 +56,7 @@ import numpy as np
 from ..obs import trace as _trace
 from ..obs.profile import SamplingProfiler
 from .budget import MemoryBudget
-from .faults import DEFAULT_FALLBACK, FallbackPolicy, FaultInjector
+from .faults import DEFAULT_FALLBACK, EXECUTIONS, FallbackPolicy, FaultInjector
 from .health import CancelToken, DeadlineExceededError, RunCancelledError
 
 __all__ = [
@@ -71,9 +71,6 @@ __all__ = [
     "resolve_context",
     "tensor_generation",
 ]
-
-#: Recognized execution strategies (see :mod:`repro.parallel.backends`).
-EXECUTIONS = ("serial", "thread", "process")
 
 
 def check_sharding(sharding: str) -> None:
@@ -231,8 +228,8 @@ class ExecContext:
         The run's :class:`~repro.obs.trace.TraceCollector`, or ``None``
         for no tracing.
     execution:
-        ``"serial"`` (plain kernel), ``"thread"`` or ``"process"``
-        (parallel backend, owned by this context once adopted).
+        ``"serial"`` (in line on the calling thread) or ``"process"``
+        (worker processes, owned by this context once adopted).
     n_workers:
         Worker count for parallel executions (``None`` = core count).
     sharding:
@@ -457,7 +454,7 @@ class ExecContext:
             )
         if self.execution == "serial":
             if self.n_workers is not None:
-                raise ValueError("n_workers requires execution='thread'|'process'")
+                raise ValueError("n_workers requires execution='process'")
             return
         if kernel != "symprop":
             raise ValueError(

@@ -19,8 +19,8 @@ module is the *policy* half of the fault-tolerance layer (the
 * :class:`FallbackPolicy` — how much resilience a run wants: per-chunk
   retry ceiling and backoff, worker respawn ceiling, per-chunk deadline
   (hang detection via heartbeats), OOM bisection depth, and the
-  degradation chain (``process → thread → serial``) taken when a
-  backend is declared unhealthy.
+  degradation chain (``process → serial``) taken when a backend is
+  declared unhealthy.
 * The failure taxonomy: :class:`InjectedFault` (test-only marker),
   :class:`WorkerCrashError` (a worker died or simulated dying),
   :class:`CorruptPartialError` (a partial failed checksum
@@ -42,7 +42,7 @@ Fault kinds
 -----------
 ``crash``
     Process worker: ``os._exit`` mid-job (pipe EOF at the parent).
-    Thread/serial: raise :class:`WorkerCrashError` from the chunk.
+    Serial: raise :class:`WorkerCrashError` from the chunk.
 ``hang``
     Sleep ``seconds`` with heartbeats suppressed — trips the
     supervisor's deadline when one is set.
@@ -112,8 +112,7 @@ class WorkerCrashError(RuntimeError):
     """A worker died (real pipe EOF / nonzero exit, or injected crash).
 
     Retryable: the supervisor respawns the worker (process backend) or
-    simply re-runs the chunk (thread/serial) up to the policy's retry
-    ceiling.
+    simply re-runs the chunk (serial) up to the policy's retry ceiling.
     """
 
 
@@ -218,7 +217,7 @@ class FaultInjector:
     chunk message — so occurrence counting has a single source of truth
     and a fault plan replays identically across runs.
 
-    Thread-safe: thread-backend workers arm concurrently.
+    Thread-safe: runs that share one injector may arm concurrently.
     """
 
     def __init__(
@@ -339,6 +338,10 @@ def faults_from_env() -> Optional[FaultInjector]:
 # Fallback / resilience policy
 # ---------------------------------------------------------------------------
 
+#: Recognized execution strategies, weakest first (see
+#: :mod:`repro.parallel.backends`); a degrade only moves down this order.
+EXECUTIONS = ("serial", "process")
+
 
 @dataclass(frozen=True)
 class FallbackPolicy:
@@ -370,8 +373,8 @@ class FallbackPolicy:
     degrade:
         Backend degradation chain tried, in order, when a backend is
         declared unhealthy. Only strictly weaker backends are taken
-        (``process → thread → serial``); an empty tuple disables
-        fallback.
+        (``process → serial``); an empty tuple disables fallback. An
+        unknown backend name raises ``ValueError``.
     verify_partials:
         Verify each chunk partial against its production-time checksum
         and recompute on mismatch (catches shm transport corruption).
@@ -401,11 +404,19 @@ class FallbackPolicy:
     chunk_timeout: Optional[float] = None
     heartbeat_interval: float = 0.5
     max_oom_splits: int = 8
-    degrade: Tuple[str, ...] = ("thread", "serial")
+    degrade: Tuple[str, ...] = ("serial",)
     verify_partials: bool = True
     check_finite: bool = True
     max_unhealthy_iters: int = 3
     max_health_recoveries: int = 2
+
+    def __post_init__(self) -> None:
+        unknown = [name for name in self.degrade if name not in EXECUTIONS]
+        if unknown:
+            raise ValueError(
+                f"unknown backend(s) {unknown} in degrade; expected names "
+                f"from {EXECUTIONS}"
+            )
 
     def backoff(self, retry: int) -> float:
         """Backoff delay before retry ``retry`` (1-based)."""
@@ -415,10 +426,13 @@ class FallbackPolicy:
 
     def degrade_to(self, backend_name: str) -> Optional[str]:
         """Next weaker backend to fall back to from ``backend_name``."""
-        strength = {"serial": 0, "thread": 1, "process": 2}
-        current = strength.get(backend_name, 99)
+        current = (
+            EXECUTIONS.index(backend_name)
+            if backend_name in EXECUTIONS
+            else len(EXECUTIONS)
+        )
         for name in self.degrade:
-            if strength.get(name, 99) < current:
+            if EXECUTIONS.index(name) < current:
                 return name
         return None
 
@@ -456,7 +470,7 @@ def parse_policy_spec(text: str) -> FallbackPolicy:
     ``degrade`` is a ``>``-separated backend chain (empty disables
     fallback). Example::
 
-        "max_retries=4,chunk_timeout=2.5,degrade=thread>serial"
+        "max_retries=4,chunk_timeout=2.5,degrade=serial"
         "check_finite=false,degrade="
     """
     overrides: Dict[str, Any] = {}

@@ -23,6 +23,7 @@ import json
 import sys
 from typing import Any, Dict, Optional
 
+from ..runtime.context import EXECUTIONS
 from .jobs import ServeError, TenantQuota
 from .service import DecompositionService
 from .wire import result_to_wire, spec_from_wire
@@ -45,9 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 = OS-assigned")
-    parser.add_argument(
-        "--execution", default="serial", choices=["serial", "thread", "process"]
-    )
+    parser.add_argument("--execution", default="serial", choices=EXECUTIONS)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--pool", type=int, default=2, help="scheduler slots")
     parser.add_argument(

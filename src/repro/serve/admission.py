@@ -66,7 +66,7 @@ def predict_job_peak_bytes(
             "hooi-svd", dim, order, rank, unnz, nz_batch=nz_batch
         ).total
         peak = max(peak, svd)
-    if execution in ("thread", "process") and (n_workers or 0) > 1:
+    if execution == "process" and (n_workers or 0) > 1:
         workers = int(n_workers)
         per_worker = worker_footprint(
             dim,

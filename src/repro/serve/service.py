@@ -11,8 +11,8 @@ content-addressed result cache and tensor interner
 queue, and the cancel/preempt bookkeeping. Each slot owns one persistent
 job process (:mod:`repro.serve.slot`), started by :meth:`start`, that
 runs every attempt of every job the slot takes — so ``pool_size`` slots
-compute on ``pool_size`` cores. A ``thread`` or ``process`` service's
-backend lives in the job process and is lent to job after job there.
+compute on ``pool_size`` cores. A ``process`` service's backend lives
+in the job process and is lent to job after job there.
 
 Isolation is the per-job derived :class:`~repro.runtime.context.ExecContext`
 the job process builds: every job runs under its **own**
@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional
 
 from ..parallel import shm as _shm
 from ..runtime.checkpoint import CheckpointState
+from ..runtime.context import EXECUTIONS
 from ..runtime.health import RunCancelledError
 from .admission import check_admission
 from .cache import ResultCache, TensorInterner
@@ -116,13 +117,14 @@ class DecompositionService:
     Parameters
     ----------
     execution, n_workers:
-        Execution mode every job runs under (``"serial"`` / ``"thread"``
-        / ``"process"``) and the worker count per backend. One mode for
+        Execution mode every job runs under (``"serial"`` or
+        ``"process"``; anything else raises ``ValueError`` before a job
+        process starts) and the worker count per backend. One mode for
         the whole service keeps the result cache honest: all entries
         were produced by the same execution configuration.
     pool_size:
         Number of concurrently running jobs (scheduler slots). Each slot
-        runs its jobs in one persistent job process; a non-serial slot's
+        runs its jobs in one persistent job process; a process slot's
         backend lives there, reused across jobs.
     quotas, default_quota:
         Per-tenant :class:`~repro.serve.jobs.TenantQuota` map and the
@@ -143,6 +145,10 @@ class DecompositionService:
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
+        if execution not in EXECUTIONS:
+            raise ValueError(
+                f"unknown execution {execution!r}; expected one of {EXECUTIONS}"
+            )
         if execution == "serial":
             n_workers = None
         self.execution = execution

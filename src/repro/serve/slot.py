@@ -21,8 +21,8 @@ decomposition's trip still carries its
 :class:`~repro.runtime.checkpoint.CheckpointState` back for a bit-for-bit
 resume. The job process interns tensors in its own
 :class:`~repro.serve.cache.TensorInterner` and keeps its own
-:class:`~repro.runtime.context.PlanCache` (and, for a ``thread`` or
-``process`` service, its own backend), all warm across the slot's jobs.
+:class:`~repro.runtime.context.PlanCache` (and, for a ``process``
+service, its own backend), all warm across the slot's jobs.
 
 A job process that dies fails only the job it was running, with a
 :class:`~repro.runtime.faults.BackendUnhealthyError` naming the slot and

@@ -99,7 +99,7 @@ class ChaosSchedule:
     seed: int
     workload: Workload
     target: str  # "s3ttmc" | "hooi"
-    execution: str  # "serial" | "thread" | "process"
+    execution: str  # "serial" | "process"
     n_workers: Optional[int]
     faults: Tuple[FaultSpec, ...]
     deadline_seconds: Optional[float]
@@ -137,8 +137,10 @@ def chaos_schedules(
         if include_process and i % 3 == 2:
             execution, n_workers = "process", 2
         else:
-            execution = "thread" if rng.random() < 0.6 else "serial"
-            n_workers = 2 if execution == "thread" else None
+            # This draw once chose between two in-process backends; it
+            # is kept so every seed keeps the rest of its schedule.
+            rng.random()
+            execution, n_workers = "serial", None
         faults = tuple(
             FaultSpec(
                 site="chunk",

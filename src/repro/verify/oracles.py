@@ -74,7 +74,7 @@ class CheckResult:
     """Outcome of one differential or contract check."""
 
     spec: str  # workload spec string (seed + config)
-    check: str  # e.g. "full-vs-compact", "sharded:thread:owned"
+    check: str  # e.g. "full-vs-compact", "sharded:process:owned"
     mode: str  # "bitwise" | "allclose" | "raises" | "invariant"
     ok: bool
     detail: str = ""
@@ -643,15 +643,6 @@ def run_workload_checks(
                     spec, "sharded:serial:owned", "allclose", base, canonical
                 )
             )
-            out.append(
-                _compare(
-                    spec,
-                    "sharded:thread:owned",
-                    "bitwise",
-                    _parallel("thread"),
-                    base,
-                )
-            )
             if include_process:
                 out.append(
                     _compare(
@@ -670,15 +661,6 @@ def run_workload_checks(
                     "allclose",
                     base_c,
                     canonical,
-                )
-            )
-            out.append(
-                _compare(
-                    spec,
-                    "sharded:thread:owned:compiled",
-                    "bitwise",
-                    _parallel("thread", "compiled"),
-                    base_c,
                 )
             )
             if include_process:

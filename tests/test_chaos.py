@@ -33,7 +33,18 @@ class TestSchedules:
             if i % 3 == 2:
                 assert s.execution == "process" and s.n_workers == 2
             else:
-                assert s.execution in ("serial", "thread")
+                assert s.execution == "serial" and s.n_workers is None
+
+    def test_seeds_keep_their_chaos(self):
+        # Schedules drew a backend choice before their faults; the draw
+        # stays, so every seed keeps the chaos it had (counts taken when
+        # the draw still picked between two in-process backends).
+        scheds = chaos_schedules(50, base_seed=0)
+        assert sum(1 for s in scheds if s.faults) == 36
+        assert sum(len(s.faults) for s in scheds) == 55
+        assert sum(1 for s in scheds if s.target == "hooi") == 15
+        assert sum(1 for s in scheds if s.deadline_seconds is not None) == 9
+        assert sum(1 for s in scheds if s.cancel_after is not None) == 8
 
     def test_spec_line_names_the_chaos(self):
         scheds = chaos_schedules(40, base_seed=0)

@@ -35,6 +35,7 @@ from repro.formats import SparseSymmetricTensor
 from repro.obs.attrib import attribute
 from repro.obs.export import summarize
 from repro.obs.trace import TraceCollector
+from repro.parallel.executor import parallel_s3ttmc
 from repro.runtime.budget import MemoryBudget, MemoryLimitError
 from repro.runtime.context import ExecContext
 from repro.symmetry.combinatorics import sym_storage_size
@@ -416,12 +417,12 @@ class TestProductionPaths:
         hoqri(t, 3, max_iters=2, seed=0, ctx=ExecContext(collector=col))
         assert self._engines(col) == {"compiled"}
 
-    def test_hooi_thread_backend(self, rng):
+    def test_sharded_serial_backend(self, rng):
         t = make_random_tensor(4, 10, 40, rng)
         col = TraceCollector()
-        with ExecContext(execution="thread", n_workers=2, collector=col) as ctx:
-            hooi(t, 3, max_iters=2, seed=0, ctx=ctx)
-        assert col.metrics.counter("parallel.runs.thread").value >= 2
+        u = rng.standard_normal((t.dim, 3))
+        parallel_s3ttmc(t, u, 2, ctx=ExecContext(collector=col))
+        assert col.metrics.counter("parallel.runs.serial").value == 1
         assert self._engines(col) == {"compiled"}
 
     @pytest.mark.skipif(

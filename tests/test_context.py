@@ -47,17 +47,17 @@ class TestValidation:
     def test_n_workers_requires_parallel(self):
         ctx = ExecContext(execution="serial", n_workers=4)
         with pytest.raises(
-            ValueError, match=r"n_workers requires execution='thread'\|'process'"
+            ValueError, match=r"n_workers requires execution='process'"
         ):
             ctx.validate()
 
     def test_parallel_requires_symprop_kernel(self):
-        ctx = ExecContext(execution="thread")
+        ctx = ExecContext(execution="process")
         with pytest.raises(ValueError, match="requires kernel='symprop'"):
             ctx.validate(kernel="css")
 
     def test_parallel_rejects_full_intermediates(self):
-        ctx = ExecContext(execution="thread")
+        ctx = ExecContext(execution="process")
         with pytest.raises(ValueError, match="requires intermediate='compact'"):
             ctx.validate(kernel="symprop", intermediate="full")
 
@@ -67,7 +67,7 @@ class TestValidation:
     def test_hooi_rejects_parallel_css(self, rng):
         x = make_random_tensor(3, 8, 30, rng)
         with pytest.raises(ValueError, match="requires kernel='symprop'"):
-            hooi(x, 2, kernel="css", ctx=ExecContext(execution="thread"), max_iters=1)
+            hooi(x, 2, kernel="css", ctx=ExecContext(execution="process"), max_iters=1)
 
     def test_hooi_rejects_ctx_execution_conflict(self, rng):
         # The execution keyword that could contradict ctx is gone: the
@@ -75,7 +75,7 @@ class TestValidation:
         x = make_random_tensor(3, 8, 30, rng)
         ctx = ExecContext(execution="serial")
         with pytest.raises(TypeError, match="execution"):
-            hooi(x, 2, ctx=ctx, execution="thread", max_iters=1)
+            hooi(x, 2, ctx=ctx, execution="process", max_iters=1)
 
 
 class TestAmbientDefault:
@@ -129,7 +129,7 @@ class TestScopeAndLifecycle:
         assert ctx.collector.find("s3ttmc")
 
     def test_enter_exit_closes_owned_backend(self):
-        ctx = ExecContext(execution="thread")
+        ctx = ExecContext(execution="process")
         backend = _DummyBackend()
         with ctx:
             ctx.adopt_backend(backend)
@@ -155,7 +155,7 @@ class TestScopeAndLifecycle:
         budget = MemoryBudget(gigabytes=1)
         parent = ExecContext(
             budget=budget, collector=TraceCollector(), seed=3,
-            execution="thread", n_workers=2,
+            execution="process", n_workers=2,
         )
         parent.adopt_backend(_DummyBackend())
         child = parent.derive()
@@ -163,7 +163,7 @@ class TestScopeAndLifecycle:
         assert child.collector is parent.collector
         assert child.plans is parent.plans
         assert child.seed == 3
-        assert child.execution == "thread" and child.n_workers == 2
+        assert child.execution == "process" and child.n_workers == 2
         assert child.backend is None
         for removed in ("execution", "n_workers"):
             with pytest.raises(TypeError, match=removed):

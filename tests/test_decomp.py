@@ -139,7 +139,7 @@ class TestRunValidation:
     ):
         # A typed error before the context acquires a backend, not an
         # AssertionError after initialization.
-        ctx = ExecContext(execution="thread", n_workers=2)
+        ctx = ExecContext(execution="process", n_workers=2)
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             algorithm(tensor4, 2, max_iters=max_iters, seed=0, ctx=ctx)
         assert ctx.backend is None

@@ -51,7 +51,7 @@ class TestFaultSpec:
 
     def test_match_filters(self):
         spec = FaultSpec(site="chunk", kind="crash", match={"slot": 2})
-        assert spec.matches({"slot": 2, "backend": "thread"})
+        assert spec.matches({"slot": 2, "backend": "serial"})
         assert not spec.matches({"slot": 1})
         assert not spec.matches({})  # missing attributes never match
 
@@ -135,12 +135,12 @@ class TestParsePolicySpec:
         from repro.runtime.faults import parse_policy_spec
 
         pol = parse_policy_spec(
-            "max_retries=1,chunk_timeout=5,check_finite=off,degrade=thread>serial"
+            "max_retries=1,chunk_timeout=5,check_finite=off,degrade=process>serial"
         )
         assert pol.max_retries == 1
         assert pol.chunk_timeout == 5.0
         assert pol.check_finite is False
-        assert pol.degrade == ("thread", "serial")
+        assert pol.degrade == ("process", "serial")
 
     def test_chunk_timeout_none_and_empty_degrade(self):
         from repro.runtime.faults import parse_policy_spec
@@ -184,7 +184,7 @@ class TestFaultInjector:
             [FaultSpec(site="chunk", kind="crash", match={"backend": "process"})]
         )
         assert inj.arm("other", backend="process") is None
-        assert inj.arm("chunk", backend="thread") is None
+        assert inj.arm("chunk", backend="serial") is None
         assert inj.arm("chunk", backend="process") is not None
 
     def test_probability_deterministic_per_seed(self):
@@ -225,14 +225,21 @@ class TestFallbackPolicy:
 
     def test_degrade_chain(self):
         p = FallbackPolicy()
-        assert p.degrade_to("process") == "thread"
-        assert p.degrade_to("thread") == "serial"
+        assert p.degrade_to("process") == "serial"
         assert p.degrade_to("serial") is None
 
     def test_degrade_only_weaker(self):
         p = FallbackPolicy(degrade=("process", "serial"))
-        assert p.degrade_to("thread") == "serial"  # never "upgrades"
+        assert p.degrade_to("serial") is None  # never "upgrades"
         assert p.degrade_to("process") == "serial"
+
+    def test_unknown_degrade_backend_rejected(self):
+        from repro.runtime.faults import parse_policy_spec
+
+        with pytest.raises(ValueError, match=r"'thrad'.*'serial', 'process'"):
+            parse_policy_spec("degrade=thrad>serial")
+        with pytest.raises(ValueError, match="degrade"):
+            FallbackPolicy(degrade=("gpu",))
 
     def test_empty_chain_disables(self):
         assert FallbackPolicy(degrade=()).degrade_to("process") is None
@@ -261,7 +268,7 @@ class TestRecoveryEquivalence:
         got = parallel_s3ttmc(x, u, 2, backend=backend, ctx=ctx, report=report)
         return clean, got.unfolding, report, ctx.faults
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("kind", BITWISE_KINDS)
     def test_bitwise_recovery(self, backend, kind):
         clean, got, report, injector = self._run(
@@ -275,7 +282,7 @@ class TestRecoveryEquivalence:
         if backend == "process" and kind == "crash":
             assert report.respawns == 1
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_oom_bisection_recovery(self, backend):
         clean, got, report, injector = self._run(
             backend, [FaultSpec(site="chunk", kind="oom")]
@@ -297,16 +304,15 @@ class TestRecoveryEquivalence:
         ]
         runs = {
             backend: self._run(backend, specs)
-            for backend in ("serial", "thread", "process")
+            for backend in ("serial", "process")
         }
         clean, serial, serial_report, _ = runs["serial"]
         assert serial_report.oom_splits == 4
         assert np.allclose(serial, clean, atol=1e-12)
-        for backend in ("thread", "process"):
-            _, got, report, injector = runs[backend]
-            assert injector.n_fired == 4
-            assert report.oom_splits == serial_report.oom_splits, backend
-            assert np.array_equal(got, serial), backend
+        _, got, report, injector = runs["process"]
+        assert injector.n_fired == 4
+        assert report.oom_splits == serial_report.oom_splits
+        assert np.array_equal(got, serial)
 
     def test_process_hang_detected_and_respawned(self):
         clean, got, report, injector = self._run(
@@ -318,7 +324,7 @@ class TestRecoveryEquivalence:
         assert report.respawns == 1  # hung worker was killed and replaced
         assert report.retries == 1
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_inprocess_hang_is_a_stall_not_a_failure(self, backend):
         # Without a supervising process boundary a hang is just a sleep;
         # the chunk still completes and nothing is retried.
@@ -372,7 +378,7 @@ class TestRecoveryEquivalence:
             fallback=FAST,
             collector=TraceCollector(),
         )
-        parallel_s3ttmc(x, u, 2, backend="thread", ctx=ctx)
+        parallel_s3ttmc(x, u, 2, backend="serial", ctx=ctx)
         col = ctx.collector
         assert _counter(col, "parallel.retries") == 1
         assert _counter(col, "parallel.oom_splits") == 1
@@ -381,12 +387,12 @@ class TestRecoveryEquivalence:
 
 
 class TestBackendFallback:
-    def test_process_degrades_to_thread(self):
+    def test_process_degrades_to_serial(self):
         rng = np.random.default_rng(5)
         x = make_random_tensor(4, 10, 60, rng)
         u = rng.random((10, 3))
-        clean = parallel_s3ttmc(x, u, 2, backend="thread").unfolding
-        # Every process-backend attempt crashes; thread attempts are clean.
+        clean = parallel_s3ttmc(x, u, 2, backend="serial").unfolding
+        # Every process-backend attempt crashes; serial attempts are clean.
         ctx = ExecContext(
             faults=FaultInjector(
                 [
@@ -405,14 +411,14 @@ class TestBackendFallback:
         got = parallel_s3ttmc(x, u, 2, backend="process", ctx=ctx, report=report)
         col = ctx.collector
         assert report.fallbacks == 1
-        assert report.fallback_chain == ["thread"]
-        assert report.backend == "thread"
+        assert report.fallback_chain == ["serial"]
+        assert report.backend == "serial"
         assert np.array_equal(got.unfolding, clean)
         assert _counter(col, "parallel.fallbacks") == 1
         fallback_events = [e for e in col.events if e.name == "parallel.fallback"]
         assert len(fallback_events) == 1
         assert fallback_events[0].attrs["from_backend"] == "process"
-        assert fallback_events[0].attrs["to_backend"] == "thread"
+        assert fallback_events[0].attrs["to_backend"] == "serial"
 
     def test_degrade_sticks_on_context_backend(self):
         """After a degrade, the context's adopted backend is the weaker one,
@@ -439,10 +445,10 @@ class TestBackendFallback:
         try:
             parallel_s3ttmc(x, u, ctx=ctx)
             assert ctx.backend is not None
-            assert ctx.backend.name == "thread"
+            assert ctx.backend.name == "serial"
             report = ParallelRunReport()
             parallel_s3ttmc(x, u, ctx=ctx, report=report)
-            assert report.backend == "thread"
+            assert report.backend == "serial"
             assert report.fallbacks == 0  # no second degrade needed
         finally:
             ctx.close()
@@ -479,7 +485,7 @@ class TestDecompositionUnderFaults:
         x = make_random_tensor(4, 12, 50, rng)
         base = hooi(x, 3, max_iters=3, tol=0.0, seed=5)
         ctx = ExecContext(
-            execution="thread",
+            execution="process",
             n_workers=2,
             faults=FaultInjector(
                 [
@@ -493,7 +499,7 @@ class TestDecompositionUnderFaults:
             got = hooi(x, 3, max_iters=3, tol=0.0, seed=5, ctx=ctx)
         finally:
             ctx.close()
-        with ExecContext(execution="thread", n_workers=2) as clean_ctx:
+        with ExecContext(execution="process", n_workers=2) as clean_ctx:
             clean_parallel = hooi(x, 3, max_iters=3, tol=0.0, seed=5, ctx=clean_ctx)
         assert ctx.faults.n_fired == 2
         # Recovery is bitwise against the same-backend clean run.

@@ -191,7 +191,7 @@ class TestHealthMonitor:
 
 
 class TestBackendHealth:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_precancelled_token_raises(self, backend, rng):
         x = make_random_tensor(3, 8, 30, rng)
         tok = CancelToken()
@@ -200,7 +200,7 @@ class TestBackendHealth:
             with pytest.raises(RunCancelledError, match="never started"):
                 parallel_s3ttmc(x, rng.random((8, 3)), ctx=ctx, backend=backend)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_expired_deadline_raises(self, backend, rng):
         x = make_random_tensor(3, 8, 30, rng)
         ctx = ExecContext(n_workers=2, deadline_seconds=0.001)
@@ -209,7 +209,7 @@ class TestBackendHealth:
             with pytest.raises(DeadlineExceededError):
                 parallel_s3ttmc(x, rng.random((8, 3)), ctx=ctx, backend=backend)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_nan_partial_retried_bitwise(self, backend, rng):
         """The finiteness sentinel catches a poisoned partial; the retry
         reproduces the clean run bit-for-bit."""
@@ -385,7 +385,7 @@ class TestDecompResilience:
         )
         inj = FaultInjector([FaultSpec(site="chunk", kind="nan")])
         ctx = ExecContext(
-            execution="thread", n_workers=2, fallback=pol, faults=inj,
+            execution="process", n_workers=2, fallback=pol, faults=inj,
             collector=col,
         )
         with ctx:
@@ -404,7 +404,7 @@ class TestDecompResilience:
         )
         inj = FaultInjector([FaultSpec(site="chunk", kind="nan")])
         ctx = ExecContext(
-            execution="thread", n_workers=2, fallback=pol, faults=inj
+            execution="process", n_workers=2, fallback=pol, faults=inj
         )
         with ctx:
             with pytest.raises(NumericalHealthError, match="no iteration"):
@@ -421,7 +421,7 @@ class TestDecompResilience:
             [FaultSpec(site="chunk", kind="nan", times=10**6)]
         )
         ctx = ExecContext(
-            execution="thread", n_workers=2, fallback=pol, faults=inj
+            execution="process", n_workers=2, fallback=pol, faults=inj
         )
         with ctx:
             with pytest.raises(NumericalHealthError):

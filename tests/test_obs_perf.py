@@ -380,7 +380,7 @@ class TestAttribution:
                 "parent": None,
                 "seconds": 2.0,
                 "thread": "MainThread",
-                "attrs": {"backend": "thread", "n_workers": 2},
+                "attrs": {"backend": "serial", "n_workers": 2},
             },
             {
                 "name": "parallel.chunk",
@@ -423,10 +423,10 @@ class TestAttribution:
         ]
         report = attribute(TraceRecords(spans=spans, events=events))
         rollups = {r.backend: r for r in report.parallel}
-        thread = rollups["thread"]
-        assert thread.busy == {"t0": 1.5, "t1": 0.5}
-        assert thread.critical_path_seconds == pytest.approx(1.5)
-        assert thread.utilization == pytest.approx(2.0 / (2 * 2.0))
+        serial = rollups["serial"]
+        assert serial.busy == {"t0": 1.5, "t1": 0.5}
+        assert serial.critical_path_seconds == pytest.approx(1.5)
+        assert serial.utilization == pytest.approx(2.0 / (2 * 2.0))
         proc = rollups["process"]
         assert proc.busy == {"w0": 2.0, "w1": 1.0}
         assert proc.critical_path_seconds == pytest.approx(2.0)
@@ -448,15 +448,20 @@ class TestAttribution:
         from repro.runtime.context import ExecContext
 
         tensor = make_random_tensor(4, 16, 120, rng)
-        with ExecContext(
-            budget=MemoryBudget(),
-            collector=TraceCollector(),
-            execution="thread",
-            n_workers=2,
-        ) as ctx:
-            hooi(tensor, rank=3, max_iters=2, ctx=ctx, seed=0)
-            trace = tmp_path / "hooi.jsonl"
-            write_trace(ctx.collector, trace)
+        collector = TraceCollector()
+        # Process workers ship no spans: the per-level rows come from the
+        # serial run's lattice spans, the parallel rollup from the
+        # process run's.
+        for execution, n_workers in (("serial", None), ("process", 2)):
+            with ExecContext(
+                budget=MemoryBudget(),
+                collector=collector,
+                execution=execution,
+                n_workers=n_workers,
+            ) as ctx:
+                hooi(tensor, rank=3, max_iters=2, ctx=ctx, seed=0)
+        trace = tmp_path / "hooi.jsonl"
+        write_trace(collector, trace)
         assert obs_main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "per-level predicted vs measured" in out
@@ -595,13 +600,13 @@ class TestGaugeAddAndBudgetWiring:
 
 
 class TestWorkerBusyReport:
-    def test_thread_backend_fills_worker_busy(self, rng):
+    def test_serial_backend_fills_worker_busy(self, rng):
         from repro.parallel import ParallelRunReport, parallel_s3ttmc
 
         x = make_random_tensor(3, 14, 90, rng)
         u = rng.random((14, 4))
         report = ParallelRunReport()
-        parallel_s3ttmc(x, u, n_workers=2, backend="thread", report=report)
+        parallel_s3ttmc(x, u, n_workers=2, backend="serial", report=report)
         assert report.worker_busy
         assert report.busy_seconds() == pytest.approx(sum(report.chunk_seconds))
         assert report.critical_path_seconds() == pytest.approx(

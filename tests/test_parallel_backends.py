@@ -57,13 +57,14 @@ class TestBackendCorrectness:
             with pytest.raises(TypeError, match="reduction"):
                 parallel_s3ttmc(x, rng.random((8, 2)), 2, reduction=reduction)
 
-    @pytest.mark.parametrize("execution", ["thread", "process"])
+    @pytest.mark.parametrize("execution", ["serial", "process"])
     def test_unknown_kernel_rejected_before_any_work(self, execution, rng):
         # A bad engine name is the caller's error: it must not spawn
         # workers, retry chunks or degrade the backend on its way out.
         x = make_random_tensor(3, 8, 20, rng)
         col = TraceCollector()
-        ctx = ExecContext(execution=execution, n_workers=2, collector=col)
+        workers = 2 if execution == "process" else None
+        ctx = ExecContext(execution=execution, n_workers=workers, collector=col)
         try:
             with pytest.raises(ValueError, match="bogus"):
                 parallel_s3ttmc(x, rng.random((8, 2)), ctx=ctx, kernel="bogus")
@@ -78,7 +79,7 @@ class TestBackendCorrectness:
         x = make_random_tensor(4, 10, 40, rng)
         u1 = rng.random((10, 3))
         u2 = rng.random((10, 3))
-        with make_backend("thread", 2) as backend:
+        with make_backend("serial", 2) as backend:
             y1 = parallel_s3ttmc(x, u1, backend=backend).unfolding
             y2 = parallel_s3ttmc(x, u2, backend=backend).unfolding
         assert np.allclose(y1, s3ttmc(x, u1).unfolding, atol=1e-10)
@@ -114,15 +115,15 @@ class TestChunkPlanCache:
         col = TraceCollector()
         with ExecContext(collector=col):
             report = ParallelRunReport()
-            parallel_s3ttmc(x, u, 2, backend="thread", report=report)
+            parallel_s3ttmc(x, u, 2, backend="serial", report=report)
             n_chunks = len(report.ranges)
             assert _counter(col, "parallel.plan_cache.misses") == n_chunks
             warm = ParallelRunReport()
-            parallel_s3ttmc(x, u, 2, backend="thread", report=warm)
+            parallel_s3ttmc(x, u, 2, backend="serial", report=warm)
             assert _counter(col, "parallel.plan_cache.hits") == n_chunks
             assert warm.plan_cache_hits == n_chunks
             assert warm.plan_cache_misses == 0
-            assert _counter(col, "parallel.runs.thread") == 2
+            assert _counter(col, "parallel.runs.serial") == 2
             assert len(col.find("parallel.plan_build")) == n_chunks
 
     def test_chunk_row_block_roundtrip(self, rng):
@@ -197,7 +198,7 @@ class TestReportDefaults:
 
 
 class TestDecompositionWiring:
-    @pytest.mark.parametrize("execution", ["thread", "process"])
+    @pytest.mark.parametrize("execution", ["process"])
     def test_hooi_matches_serial(self, execution, rng):
         x = make_random_tensor(4, 12, 50, rng)
         base = hooi(x, 3, max_iters=3, seed=5)
@@ -209,28 +210,26 @@ class TestDecompositionWiring:
     def test_hoqri_matches_serial(self, rng):
         x = make_random_tensor(4, 12, 50, rng)
         base = hoqri(x, 3, max_iters=3, seed=5)
-        with ExecContext(execution="thread", n_workers=2) as ctx:
+        with ExecContext(execution="process", n_workers=2) as ctx:
             got = hoqri(x, 3, max_iters=3, seed=5, ctx=ctx)
         assert np.allclose(got.factor, base.factor, atol=1e-9)
 
     def test_warmed_cache_across_iterations(self, rng):
-        """5-iteration HOOI on the parallel backend builds each chunk's
+        """5-iteration HOOI on the process backend builds each chunk's
         lattice exactly once — iterations 2..5 pay zero symbolic cost."""
         x = make_random_tensor(4, 12, 50, rng)
         col = TraceCollector()
-        with ExecContext(execution="thread", n_workers=2, collector=col) as ctx:
+        with ExecContext(execution="process", n_workers=2, collector=col) as ctx:
             hooi(x, 3, max_iters=5, tol=0.0, seed=5, ctx=ctx)
-        runs = col.find("parallel.s3ttmc")
-        builds = col.find("parallel.plan_build")
-        assert len(runs) == 5
-        n_chunks = _counter(col, "parallel.plan_cache.misses")
-        assert len(builds) == n_chunks  # one build per chunk, ever
-        assert _counter(col, "parallel.plan_cache.hits") == 4 * n_chunks
+        assert len(col.find("parallel.s3ttmc")) == 5
+        # Workers report their plan-cache outcome with each partial.
+        assert _counter(col, "parallel.plan_cache.misses") == 2  # once per chunk
+        assert _counter(col, "parallel.plan_cache.hits") == 4 * 2
 
     def test_execution_requires_symprop(self, rng):
         x = make_random_tensor(3, 8, 20, rng)
         with pytest.raises(ValueError, match="symprop"):
-            hooi(x, 2, kernel="css", ctx=ExecContext(execution="thread"))
+            hooi(x, 2, kernel="css", ctx=ExecContext(execution="process"))
         with pytest.raises(ValueError, match="symprop"):
             hoqri(x, 2, kernel="nary", ctx=ExecContext(execution="process"))
 
@@ -246,7 +245,56 @@ class TestDecompositionWiring:
         with pytest.raises(ValueError, match="execution"):
             hooi(x, 2, ctx=ExecContext(execution="cluster"))
         with pytest.raises(TypeError, match="execution"):
-            hooi(x, 2, execution="thread")  # the removed driver keyword
+            hooi(x, 2, execution="process")  # the removed driver keyword
+
+
+def _removed_thread_spelling(case, rng):
+    """Run ``case``'s use of the removed ``thread`` execution mode."""
+    if case == "exec-context":
+        ExecContext(execution="thread").validate()
+    elif case == "make-backend":
+        make_backend("thread")
+    elif case == "parallel-s3ttmc":
+        x = make_random_tensor(3, 8, 20, rng)
+        parallel_s3ttmc(x, rng.random((8, 2)), 2, backend="thread")
+    elif case == "service":
+        from repro.serve import DecompositionService
+
+        DecompositionService(execution="thread")
+    elif case == "policy":
+        from repro.runtime.faults import parse_policy_spec
+
+        parse_policy_spec("degrade=thread>serial")
+    else:
+        from repro.serve.__main__ import build_parser
+
+        build_parser().parse_args(["--execution", "thread"])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "exec-context",
+        "make-backend",
+        "parallel-s3ttmc",
+        "service",
+        "policy",
+        "daemon",
+    ],
+)
+def test_removed_thread_mode_fails_loudly(case, rng, capsys):
+    # Every spelling of the deleted thread mode raises a typed error that
+    # names the two modes left.
+    expected = ValueError if case != "daemon" else SystemExit
+    with pytest.raises(expected) as excinfo:
+        _removed_thread_spelling(case, rng)
+    if case == "daemon":
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+    else:
+        message = str(excinfo.value)
+    assert "'thread'" in message
+    assert "'serial'" in message and "'process'" in message
 
 
 class TestShmRunTokens:

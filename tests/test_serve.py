@@ -716,6 +716,11 @@ class TestJobProcesses:
 
 
 class TestRemovedOptions:
+    def test_unknown_execution_rejected_before_any_job_process(self):
+        with pytest.raises(ValueError, match=r"'bogus'.*'serial', 'process'"):
+            DecompositionService(execution="bogus")
+        assert TestJobProcesses.slot_children() == []
+
     def test_spool_dir_fails_loudly(self, tmp_path):
         with pytest.raises(TypeError, match="spool_dir"):
             DecompositionService(spool_dir=str(tmp_path))

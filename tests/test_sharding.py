@@ -212,12 +212,6 @@ class TestOwnedShardingBackends:
         assert np.allclose(data, canonical, atol=1e-10)
         assert report.reduce_seconds > 0
 
-    def test_thread_bitwise_matches_serial_owned(self, workload):
-        tensor, factor = workload
-        base, _ = _owned(tensor, factor, "serial")
-        data, _ = _owned(tensor, factor, "thread")
-        assert np.array_equal(data, base)
-
     def test_process_bitwise_matches_serial_owned(self, workload):
         tensor, factor = workload
         base, _ = _owned(tensor, factor, "serial")
@@ -228,8 +222,8 @@ class TestOwnedShardingBackends:
     def test_compiled_kernel_owned(self, workload):
         tensor, factor = workload
         base, _ = _owned(tensor, factor, "serial", kernel="compiled")
-        thread, _ = _owned(tensor, factor, "thread", kernel="compiled")
-        assert np.array_equal(thread, base)
+        process, _ = _owned(tensor, factor, "process", kernel="compiled")
+        assert np.array_equal(process, base)
         canonical = s3ttmc(tensor, factor).data
         assert np.allclose(base, canonical, atol=1e-10)
 
@@ -358,12 +352,12 @@ class TestShardLossRecovery:
 class TestContextPlumbing:
     def test_context_carries_sharding(self, workload):
         tensor, factor = workload
-        ctx = ExecContext(execution="thread", n_workers=4, sharding="owned")
+        ctx = ExecContext(sharding="owned")
         base, _ = _owned(tensor, factor, "serial")
         report = ParallelRunReport()
-        data = parallel_s3ttmc(tensor, factor, report=report, ctx=ctx).data
+        data = parallel_s3ttmc(tensor, factor, 4, report=report, ctx=ctx).data
         ctx.close()
-        assert report.backend == "thread"
+        assert report.backend == "serial"
         assert np.array_equal(data, base)
 
     def test_validate_rejects_bad_sharding(self):
@@ -372,7 +366,7 @@ class TestContextPlumbing:
                 ExecContext(sharding=bad)
 
     def test_derive_rejects_sharding(self):
-        base = ExecContext(execution="thread", n_workers=2)
+        base = ExecContext(execution="process", n_workers=2)
         for kwargs in ({"sharding": "owned"}, {"reduction": "blocked"}):
             (name,) = kwargs
             with pytest.raises(TypeError, match=name):
@@ -383,21 +377,21 @@ class TestDecompositionWiring:
     def test_hooi_owned_matches_serial(self, workload):
         tensor, _ = workload
         serial = hooi(tensor, 3, max_iters=3, seed=7)
-        with ExecContext(execution="thread", n_workers=3) as ctx:
+        with ExecContext(execution="process", n_workers=3) as ctx:
             owned = hooi(tensor, 3, max_iters=3, seed=7, ctx=ctx)
         assert np.allclose(owned.factor, serial.factor, atol=1e-8)
 
     def test_hoqri_owned_matches_serial(self, workload):
         tensor, _ = workload
         serial = hoqri(tensor, 3, max_iters=3, seed=7)
-        with ExecContext(execution="thread", n_workers=3) as ctx:
+        with ExecContext(execution="process", n_workers=3) as ctx:
             owned = hoqri(tensor, 3, max_iters=3, seed=7, ctx=ctx)
         assert np.allclose(owned.factor, serial.factor, atol=1e-8)
 
     def test_sharding_conflicts_with_explicit_ctx(self, workload):
         # The drivers' sharding keyword is gone, with or without a ctx.
         tensor, _ = workload
-        ctx = ExecContext(execution="thread", n_workers=2)
+        ctx = ExecContext(execution="process", n_workers=2)
         with pytest.raises(TypeError, match="sharding"):
             hooi(tensor, 3, max_iters=1, ctx=ctx, sharding="owned")
         ctx.close()
@@ -406,7 +400,7 @@ class TestDecompositionWiring:
 
     def test_checkpoint_records_shard_map(self, workload, tmp_path):
         tensor, _ = workload
-        with ExecContext(execution="thread", n_workers=3) as ctx:
+        with ExecContext(execution="process", n_workers=3) as ctx:
             hooi(tensor, 3, max_iters=2, seed=7, ctx=ctx, checkpoint_dir=tmp_path)
         state = load_checkpoint(tmp_path)
         assert state.config["sharding"] == "owned"
@@ -414,12 +408,12 @@ class TestDecompositionWiring:
         assert ranges[0][0] == 0 and ranges[-1][1] == tensor.unnz
         # Resume under the same layout continues; a different layout is
         # rejected (the shard map is part of the run identity).
-        with ExecContext(execution="thread", n_workers=3) as ctx:
+        with ExecContext(execution="process", n_workers=3) as ctx:
             hooi(
                 tensor, 3, max_iters=4, seed=7, ctx=ctx,
                 checkpoint_dir=tmp_path, resume=True,
             )
-        with ExecContext(execution="thread", n_workers=2) as ctx:
+        with ExecContext(execution="process", n_workers=2) as ctx:
             with pytest.raises(ValueError, match="shard_ranges"):
                 hooi(
                     tensor, 3, max_iters=4, seed=7, ctx=ctx,
@@ -431,13 +425,13 @@ class TestDecompositionWiring:
         # shard map; resuming it must fail loudly on "sharding" rather
         # than continue under a different summation order.
         tensor, _ = workload
-        with ExecContext(execution="thread", n_workers=3) as ctx:
+        with ExecContext(execution="process", n_workers=3) as ctx:
             hooi(tensor, 3, max_iters=2, seed=7, ctx=ctx, checkpoint_dir=tmp_path)
         state = load_checkpoint(tmp_path)
         del state.config["sharding"]
         del state.config["shard_ranges"]
         save_checkpoint(tmp_path, state)
-        with ExecContext(execution="thread", n_workers=3) as ctx:
+        with ExecContext(execution="process", n_workers=3) as ctx:
             with pytest.raises(ValueError, match="sharding"):
                 hooi(
                     tensor, 3, max_iters=4, seed=7, ctx=ctx,
