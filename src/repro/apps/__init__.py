@@ -11,9 +11,9 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".tensor_apply": ("symmetric_apply", "rayleigh_quotient"),
+        ".tensor_apply": ("symmetric_apply",),
         ".eigen": ("sshopm", "ZEigenpair"),
-        ".centrality": ("z_eigenvector_centrality", "degree_centrality"),
+        ".centrality": ("z_eigenvector_centrality",),
         ".moments": ("empirical_moment_tensor",),
         ".link_prediction": (
             "score_candidates",

@@ -3,8 +3,7 @@
 Z-eigenvector centrality (Benson's hypergraph generalization of
 eigenvector centrality): the positive vector with
 ``X c^{N-1} = λ c``, computed by a positivity-preserving power iteration
-on the adjacency tensor (rank-1 SymProp applies). Also provides plain
-degree centrality for comparison.
+on the adjacency tensor (rank-1 SymProp applies).
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ import numpy as np
 
 from ..core.plan import get_plan
 from ..core.s3ttmc import SymmetricInput, _as_ucoo
-from ..hypergraph.hypergraph import Hypergraph
 from .tensor_apply import symmetric_apply
 
-__all__ = ["z_eigenvector_centrality", "degree_centrality"]
+__all__ = ["z_eigenvector_centrality"]
 
 
 def z_eigenvector_centrality(
@@ -61,10 +59,3 @@ def z_eigenvector_centrality(
         if total > 0:
             c /= total
     return c
-
-
-def degree_centrality(hypergraph: Hypergraph) -> np.ndarray:
-    """Hyperedge-degree centrality, unit 1-norm."""
-    deg = hypergraph.degree().astype(np.float64)
-    total = deg.sum()
-    return deg / total if total else deg

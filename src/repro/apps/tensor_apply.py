@@ -17,7 +17,7 @@ import numpy as np
 from ..core.plan import TTMcPlan
 from ..core.s3ttmc import SymmetricInput, _as_ucoo, s3ttmc
 
-__all__ = ["symmetric_apply", "rayleigh_quotient"]
+__all__ = ["symmetric_apply"]
 
 
 def symmetric_apply(
@@ -37,9 +37,3 @@ def symmetric_apply(
         raise ValueError(f"vector must have length {ucoo.dim}")
     y = s3ttmc(ucoo, vector[:, None], plan=plan)
     return y.unfolding[:, 0].copy()
-
-
-def rayleigh_quotient(tensor: SymmetricInput, vector: np.ndarray) -> float:
-    """``X x^N = xᵀ (X x^{N-1})`` — the symmetric tensor Rayleigh quotient."""
-    vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-    return float(vector @ symmetric_apply(tensor, vector))

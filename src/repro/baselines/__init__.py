@@ -7,7 +7,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".css_ttmc": ("css_s3ttmc", "css_s3ttmc_tc"),
         ".splatt": ("splatt_ttmc", "csf_ttmc"),
-        ".hoqri_nary": ("nary_ttmc_tc",),
         ".dense_ref": (
             "dense_s3ttmc",
             "dense_s3ttmc_matrix",

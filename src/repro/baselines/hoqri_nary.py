@@ -1,8 +1,9 @@
 """Original HOQRI n-ary contraction baseline (Sun & Huang [14]).
 
-Computes the HOQRI update ``A = Y_(1) C_(1)ᵀ`` directly from the expanded
-non-zero set, one entry at a time, with *no* intermediate tensors and no
-memoization: for each expanded non-zero ``(i_1, …, i_N)`` with value ``x``,
+Computes one HOQRI iteration body directly from the expanded non-zero
+set, one entry at a time, with *no* intermediate tensors and no
+memoization: the full core ``C_(1)``, then the update ``A = Y_(1) C_(1)ᵀ``
+as, for each expanded non-zero ``(i_1, …, i_N)`` with value ``x``,
 
 ``A(i_1, :) += x · C_(1) · (U(i_2,:) ⊗ … ⊗ U(i_N,:))``.
 
@@ -19,84 +20,13 @@ import numpy as np
 
 from ..core._segment import scatter_add_rows
 from ..core.stats import KernelStats
-from ..formats.partial_sym import PartiallySymmetricTensor
 from ..formats.ucoo import SparseSymmetricTensor
 from ..runtime.context import ExecContext, resolve_context
 from ..symmetry.permutations import expand_iou
 
-__all__ = ["nary_ttmc_tc", "nary_hoqri_step"]
+__all__ = ["nary_hoqri_step"]
 
 _DEFAULT_CHUNK = 8192
-
-
-def nary_ttmc_tc(
-    tensor: SparseSymmetricTensor,
-    factor: np.ndarray,
-    core: PartiallySymmetricTensor,
-    *,
-    stats: Optional[KernelStats] = None,
-    chunk: int = _DEFAULT_CHUNK,
-    ctx: Optional[ExecContext] = None,
-) -> np.ndarray:
-    """``A ∈ R^{I×R}`` via per-non-zero n-ary contraction.
-
-    Parameters
-    ----------
-    tensor:
-        Sparse symmetric input.
-    factor:
-        ``U`` of shape ``(I, R)``.
-    core:
-        Core tensor in compact partially symmetric form; expanded to the
-        full ``C_(1) ∈ R^{R × R^{N-1}}`` internally (the original algorithm
-        stores the full core).
-    chunk:
-        Number of expanded non-zeros processed per vectorized block.
-    """
-    ctx = resolve_context(ctx)
-    factor = np.asarray(factor, dtype=np.float64)
-    order = tensor.order
-    rank = factor.shape[1]
-    if factor.shape[0] != tensor.dim:
-        raise ValueError(f"factor must be ({tensor.dim}, R)")
-    if core.sym_dim != rank or core.nrows != rank or core.sym_order != order - 1:
-        raise ValueError("core shape does not match tensor/factor")
-
-    with ctx.scope():
-        c1 = core.to_full_unfolding()  # (R, R^{N-1}); budget-accounted
-    exp_idx, exp_val, _ = expand_iou(tensor.indices, tensor.values)
-    ctx.request_bytes(exp_idx.nbytes + exp_val.nbytes, "n-ary expanded nonzeros")
-    nnz = exp_val.shape[0]
-
-    a = np.zeros((tensor.dim, rank), dtype=np.float64)
-    width = rank ** (order - 1)
-    try:
-        for start in range(0, nnz, max(1, chunk)):
-            stop = min(start + chunk, nnz)
-            block = exp_idx[start:stop]
-            vals = exp_val[start:stop]
-            n = block.shape[0]
-            # Kronecker chain over modes 2..N (row-major, mode 2 slowest).
-            w = factor[block[:, 1]]
-            ctx.request_bytes(n * width * 8, "n-ary kron chain")
-            try:
-                for t in range(2, order):
-                    w = (w[:, :, None] * factor[block[:, t]][:, None, :]).reshape(n, -1)
-                contrib = (w @ c1.T) * vals[:, None]
-                scatter_add_rows(a, block[:, 0], contrib)
-            finally:
-                ctx.release_bytes(n * width * 8, "n-ary kron chain")
-            if stats is not None:
-                # Kron chain: sum_{t=2..N-1} n * R^t multiplies.
-                for t in range(2, order):
-                    stats.level_flops[t] = stats.level_flops.get(t, 0) + n * rank**t
-                stats.add_gemm(n, rank, width)
-                stats.add_scatter(n, rank)
-    finally:
-        ctx.release_bytes(exp_idx.nbytes + exp_val.nbytes, "n-ary expanded nonzeros")
-    if stats is not None:
-        stats.output_bytes = a.nbytes
-    return a
 
 
 def nary_hoqri_step(

@@ -18,8 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "generate_kernel_source",
             "compiled_kernel",
             "get_kernel",
-            "kernel_cache_info",
-            "clear_kernel_cache",
         ),
         ".lattice": ("build_lattice", "Lattice", "LatticeLevel"),
         ".plan": ("TTMcPlan", "content_fingerprint", "build_plan", "get_plan"),
@@ -31,8 +29,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "generate_step_source",
             "STRATEGIES",
             "CODEGEN_VERSION",
-            "codegen_cache_info",
-            "clear_codegen_cache",
         ),
     },
 )

@@ -39,8 +39,6 @@ from ..symmetry.tables import get_tables
 
 __all__ = [
     "CODEGEN_VERSION",
-    "clear_codegen_cache",
-    "codegen_cache_info",
     "generate_step_source",
     "codegen_step",
     "mapping_step",
@@ -107,23 +105,6 @@ def _compiled_step(order: int) -> Callable:
         while len(_COMPILED) > _CACHE_CAP:
             _COMPILED.popitem(last=False)
         return fn
-
-
-def codegen_cache_info() -> dict:
-    """Size, cap and cached orders of the compiled-step LRU."""
-    with _LOCK:
-        return {
-            "size": len(_COMPILED),
-            "cap": _CACHE_CAP,
-            "orders": list(_COMPILED),
-            "version": CODEGEN_VERSION,
-        }
-
-
-def clear_codegen_cache() -> None:
-    """Drop every cached compiled step (tests, version bumps)."""
-    with _LOCK:
-        _COMPILED.clear()
 
 
 def codegen_step(u_row: np.ndarray, k_prev: np.ndarray, order: int, dim: int) -> np.ndarray:

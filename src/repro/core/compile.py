@@ -88,11 +88,9 @@ __all__ = [
     "KernelTables",
     "CompiledKernel",
     "build_tables",
-    "clear_kernel_cache",
     "compiled_kernel",
     "generate_kernel_source",
     "get_kernel",
-    "kernel_cache_info",
 ]
 
 #: Version of the v2 source generator. Bumping it invalidates every cached
@@ -676,22 +674,6 @@ def compiled_kernel(spec: KernelSpec) -> Callable:
         while len(_FN_CACHE) > _FN_CACHE_CAP:
             _FN_CACHE.popitem(last=False)
     return fn
-
-
-def kernel_cache_info() -> dict:
-    """Size/cap/contents of the compiled-function LRU (for tests/tools)."""
-    with _FN_LOCK:
-        return {
-            "size": len(_FN_CACHE),
-            "cap": _FN_CACHE_CAP,
-            "specs": list(_FN_CACHE),
-        }
-
-
-def clear_kernel_cache() -> None:
-    """Drop every cached compiled kernel (tests, version bumps)."""
-    with _FN_LOCK:
-        _FN_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

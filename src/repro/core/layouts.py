@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..symmetry.combinatorics import dense_size, sym_storage_size
+from ..symmetry.combinatorics import dense_size
 from ..symmetry.tables import get_tables
 
 __all__ = ["LevelLayout", "compact_layout", "full_layout", "layout_for"]
@@ -41,14 +41,6 @@ class LevelLayout:
     parent_loc: np.ndarray
     last_index: np.ndarray
     kind: str
-
-    @property
-    def parent_size(self) -> int:
-        if self.kind == "compact":
-            return sym_storage_size(self.level - 1, self.dim)
-        if self.kind == "cp":
-            return self.dim
-        return dense_size(self.level - 1, self.dim)
 
 
 def compact_layout(level: int, dim: int) -> LevelLayout:

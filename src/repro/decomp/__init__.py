@@ -9,8 +9,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".hoqri": ("hoqri",),
         ".hosvd": ("hosvd_init", "random_init", "initialize"),
         ".objective": ("tucker_objective", "relative_error", "fit"),
-        ".restarts": ("best_of_restarts",),
-        ".reconstruct": ("reconstruct_dense", "reconstruct_at", "residual_norm"),
+        ".reconstruct": ("reconstruct_dense", "reconstruct_at"),
         ".result": ("ConvergenceTrace", "DecompositionResult"),
     },
 )

@@ -17,11 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..formats.dense import ttm
-from ..formats.partial_sym import PartiallySymmetricTensor
 from ..runtime.context import current_context
 from .result import DecompositionResult
 
-__all__ = ["reconstruct_dense", "reconstruct_at", "residual_norm"]
+__all__ = ["reconstruct_dense", "reconstruct_at"]
 
 
 def reconstruct_dense(result: DecompositionResult) -> np.ndarray:
@@ -74,26 +73,3 @@ def reconstruct_at(
         # X̂(i) = U(i_1,:) · C_(1) · (⊗_{t≥2} U(i_t,:))
         out[start:stop] = np.einsum("nr,nr->n", factor[block[:, 0]], w @ c1.T)
     return out
-
-
-def residual_norm(
-    result: DecompositionResult, tensor, *, exact: bool = True
-) -> float:
-    """``‖X − X̂‖_F`` for a sparse symmetric input.
-
-    With orthonormal factors this equals ``sqrt(‖X‖² − ‖C‖²)`` only when
-    the core matches the factor (true for HOQRI results; HOOI's
-    Algorithm-3 core is mixed across the final SVD update); ``exact=True``
-    recomputes the residual from first principles:
-    ``‖X − X̂‖² = ‖X‖² − 2⟨X, X̂⟩ + ‖X̂‖²`` with the inner product evaluated
-    pointwise at the non-zeros plus the core norm (``‖X̂‖ = ‖C‖``).
-    """
-    norm_x_sq = tensor.norm_squared()
-    core_norm_sq = result.core.norm_squared()
-    if not exact:
-        return float(np.sqrt(max(norm_x_sq - core_norm_sq, 0.0)))
-    mult = tensor.multiplicities().astype(np.float64)
-    xhat_at_nz = reconstruct_at(result, tensor.indices)
-    inner = float(np.sum(mult * tensor.values * xhat_at_nz))
-    value = norm_x_sq - 2.0 * inner + core_norm_sq
-    return float(np.sqrt(max(value, 0.0)))

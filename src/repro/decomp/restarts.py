@@ -1,20 +1,18 @@
-"""Best-of-k random-restart protocol (paper footnote 5).
+"""Reseed seeds for health-driven re-initialization.
 
 For large tensors where HOSVD initialization is infeasible, the paper
-randomly initializes each algorithm 20 times with different seeds and
-keeps the run with the lowest reconstruction error. This helper implements
-that protocol for either algorithm.
+randomly initializes each algorithm 20 times with different seeds
+(footnote 5); restart ``k`` uses seed ``base + k``. A run the health
+watchdog re-initializes walks the same sequence.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from ..core.s3ttmc import SymmetricInput
 from ..runtime.context import ExecContext, resolve_context
-from .result import DecompositionResult
 
-__all__ = ["best_of_restarts", "reseed_seed"]
+__all__ = ["reseed_seed"]
 
 
 def reseed_seed(
@@ -28,9 +26,8 @@ def reseed_seed(
     When the numerical-health watchdog
     (:class:`repro.runtime.health.HealthMonitor`) decides a run must be
     re-initialized, the driver draws the replacement factor from this
-    seed. It mirrors the restart convention below — attempt ``k`` uses
-    ``base_seed + k`` — so a reseeded run walks the same seed sequence a
-    best-of-k protocol would, keeping recovery deterministic.
+    seed. Attempt ``k`` uses ``base_seed + k`` — the paper's restart
+    convention — so recovery stays deterministic.
 
     A seedless run (``base_seed=None`` and no context seed) derives its
     base from the context's ``run_token`` instead of collapsing to ``0``:
@@ -51,34 +48,3 @@ def reseed_seed(
             # per context.
             base_seed = int(rctx.run_token, 16)
     return int(base_seed) + int(attempt)
-
-
-def best_of_restarts(
-    algorithm: Callable[..., DecompositionResult],
-    tensor: SymmetricInput,
-    rank: int,
-    *,
-    n_restarts: int = 20,
-    base_seed: int = 0,
-    **kwargs,
-) -> DecompositionResult:
-    """Run ``algorithm`` with ``n_restarts`` random inits; keep the best.
-
-    ``algorithm`` is :func:`repro.decomp.hooi` or
-    :func:`repro.decomp.hoqri` (or anything with the same signature);
-    ``kwargs`` are forwarded (``init`` is forced to ``"random"``).
-    Restart ``k`` uses seed ``base_seed + k``. Ties keep the earliest run.
-    """
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
-    kwargs.pop("init", None)
-    kwargs.pop("seed", None)
-    best: DecompositionResult | None = None
-    for k in range(n_restarts):
-        result = algorithm(
-            tensor, rank, init="random", seed=base_seed + k, **kwargs
-        )
-        if best is None or result.relative_error < best.relative_error:
-            best = result
-    assert best is not None
-    return best

@@ -26,8 +26,8 @@ __all__ = ["CSSTensor"]
 class CSSTensor:
     """Tree-compressed sparse symmetric tensor.
 
-    Construct with :meth:`from_ucoo` (or directly from arrays, which routes
-    through :class:`SparseSymmetricTensor` canonicalization).
+    Construct from a canonical :class:`SparseSymmetricTensor` (or with
+    :meth:`from_ucoo`).
     """
 
     def __init__(self, ucoo: SparseSymmetricTensor):
@@ -37,12 +37,6 @@ class CSSTensor:
     @classmethod
     def from_ucoo(cls, ucoo: SparseSymmetricTensor) -> "CSSTensor":
         return cls(ucoo)
-
-    @classmethod
-    def from_arrays(
-        cls, order: int, dim: int, indices: np.ndarray, values: np.ndarray
-    ) -> "CSSTensor":
-        return cls(SparseSymmetricTensor(order, dim, indices, values))
 
     # -- delegation ----------------------------------------------------------
     @property

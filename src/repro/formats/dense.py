@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["unfold", "refold", "ttm", "ttmc_all_but_one", "frobenius_norm"]
+__all__ = ["unfold", "refold", "ttm", "ttmc_all_but_one"]
 
 
 def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
@@ -66,8 +66,3 @@ def ttmc_all_but_one(tensor: np.ndarray, matrix: np.ndarray, skip_mode: int = 0)
             continue
         result = ttm(result, matrix, mode)
     return result
-
-
-def frobenius_norm(tensor: np.ndarray) -> float:
-    """Frobenius norm (root of sum of squared entries)."""
-    return float(np.linalg.norm(np.asarray(tensor).ravel()))

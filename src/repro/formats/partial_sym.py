@@ -138,10 +138,6 @@ class PartiallySymmetricTensor:
     def nbytes(self) -> int:
         return self.data.nbytes
 
-    def full_unfolding_bytes(self) -> int:
-        """Closed-form size of the expanded unfolding (for OOM prediction)."""
-        return self.nrows * dense_size(self.sym_order, self.sym_dim) * 8
-
     def __repr__(self) -> str:
         return (
             f"PartiallySymmetricTensor(nrows={self.nrows}, sym_order={self.sym_order}, "

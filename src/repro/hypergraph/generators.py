@@ -15,7 +15,7 @@ import numpy as np
 
 from .hypergraph import Hypergraph
 
-__all__ = ["planted_partition_hypergraph", "uniform_random_hypergraph"]
+__all__ = ["planted_partition_hypergraph"]
 
 
 def _sample_cardinalities(
@@ -78,24 +78,3 @@ def planted_partition_hypergraph(
         k = min(card, pool.size)
         edges.append(tuple(rng.choice(pool, size=k, replace=False)))
     return Hypergraph(n_nodes, edges), labels
-
-
-def uniform_random_hypergraph(
-    n_nodes: int,
-    n_edges: int,
-    *,
-    min_cardinality: int = 2,
-    max_cardinality: int = 5,
-    cardinality_weights: Optional[Sequence[float]] = None,
-    seed: Optional[int] = None,
-) -> Hypergraph:
-    """Structure-free random hypergraph (for pure performance workloads)."""
-    rng = np.random.default_rng(seed)
-    cards = _sample_cardinalities(
-        n_edges, min_cardinality, max_cardinality, rng, cardinality_weights
-    )
-    edges = [
-        tuple(rng.choice(n_nodes, size=min(int(c), n_nodes), replace=False))
-        for c in cards
-    ]
-    return Hypergraph(n_nodes, edges)

@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "Span",
             "TraceEvent",
             "TraceCollector",
-            "current_span_id",
             "open_span_depth",
             "snapshot_open_stacks",
             "event",

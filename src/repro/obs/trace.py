@@ -19,10 +19,8 @@ Design constraints, in order:
    is one ``is None`` test and the return of a shared no-op singleton —
    no allocation, no clock read.
 3. **Thread-correct nesting.** The *open-span stack* is thread-local, so
-   concurrent workers never corrupt each other's parent chains.
-   Cross-thread parentage is explicit: the submitting thread captures
-   :func:`current_span_id` and passes it as ``parent_id`` (see
-   :mod:`repro.parallel.backends`).
+   concurrent threads never corrupt each other's parent chains; a span's
+   parent is the innermost span open on its own thread.
 
 Usage::
 
@@ -51,7 +49,6 @@ __all__ = [
     "begin_span",
     "finish_span",
     "event",
-    "current_span_id",
     "open_span_depth",
     "snapshot_open_stacks",
 ]
@@ -218,13 +215,6 @@ def snapshot_open_stacks() -> Dict[str, List[str]]:
     return out
 
 
-def current_span_id() -> Optional[int]:
-    """Id of the innermost open span on *this* thread (for explicit
-    cross-thread parenting), or ``None``."""
-    stack = _stack()
-    return stack[-1].span_id if stack else None
-
-
 def open_span_depth() -> int:
     """Number of spans still open on *this* thread's stack.
 
@@ -262,7 +252,6 @@ def begin_span(
     name: str,
     attrs: Optional[Dict[str, Any]] = None,
     *,
-    parent_id: Optional[int] = None,
     collector: Optional[TraceCollector] = None,
 ) -> Optional[Span]:
     """Open a span in ``collector`` imperatively; returns ``None`` when
@@ -275,13 +264,10 @@ def begin_span(
     if collector is None:
         return None
     stack = _stack()
-    parent = parent_id
-    if parent is None and stack:
-        parent = stack[-1].span_id
     s = Span(
         name=name,
         span_id=collector.allocate_id(),
-        parent_id=parent,
+        parent_id=stack[-1].span_id if stack else None,
         start=time.perf_counter(),
         thread=threading.current_thread().name,
         attrs=attrs if attrs is not None else {},
@@ -306,26 +292,18 @@ def finish_span(s: Span, end: Optional[float] = None) -> None:
 class _LiveSpan:
     """Context manager materializing one :class:`Span` into a collector."""
 
-    __slots__ = ("_collector", "_parent_id", "span", "_name", "_attrs")
+    __slots__ = ("_collector", "span", "_name", "_attrs")
 
     def __init__(
-        self,
-        collector: TraceCollector,
-        name: str,
-        parent_id: Optional[int],
-        attrs: Dict[str, Any],
+        self, collector: TraceCollector, name: str, attrs: Dict[str, Any]
     ) -> None:
         self._collector = collector
         self._name = name
-        self._parent_id = parent_id
         self._attrs = attrs
         self.span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        s = begin_span(
-            self._name, self._attrs, parent_id=self._parent_id,
-            collector=self._collector,
-        )
+        s = begin_span(self._name, self._attrs, collector=self._collector)
         assert s is not None  # a collector is set: begin_span never bails
         self.span = s
         return s
@@ -337,42 +315,27 @@ class _LiveSpan:
         return False
 
 
-def span(
-    name: str,
-    *,
-    parent_id: Optional[int] = None,
-    collector: Optional[TraceCollector] = None,
-    **attrs: Any,
-):
-    """Open a span in ``collector`` (a no-op when it is ``None``).
-
-    ``parent_id`` overrides the thread-local parent — pass the submitting
-    thread's :func:`current_span_id` when crossing into a worker thread.
-    """
+def span(name: str, *, collector: Optional[TraceCollector] = None, **attrs: Any):
+    """Open a span in ``collector`` (a no-op when it is ``None``), child
+    of this thread's innermost open span."""
     if collector is None:
         return _NULL_SPAN
-    return _LiveSpan(collector, name, parent_id, attrs)
+    return _LiveSpan(collector, name, attrs)
 
 
 def event(
-    name: str,
-    *,
-    parent_id: Optional[int] = None,
-    collector: Optional[TraceCollector] = None,
-    **attrs: Any,
+    name: str, *, collector: Optional[TraceCollector] = None, **attrs: Any
 ) -> None:
     """Record a point-in-time event in ``collector`` (a no-op when it is
     ``None``), parented like :func:`span`."""
     if collector is None:
         return
     stack = _stack()
-    if parent_id is None and stack:
-        parent_id = stack[-1].span_id
     collector.record_event(
         TraceEvent(
             name=name,
             timestamp=time.perf_counter(),
-            parent_id=parent_id,
+            parent_id=stack[-1].span_id if stack else None,
             thread=threading.current_thread().name,
             attrs=attrs,
         )

@@ -14,9 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "make_backend",
         ),
         ".distributed": (
-            "CommunicationPlan",
-            "plan_distribution",
-            "simulate_distributed_time",
             "ShardedExchangePlan",
             "plan_sharded_exchange",
             "simulate_sharded_time",

@@ -12,7 +12,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "total_sp",
             "total_cp",
             "kernel_flops_for_layout",
-            "level_reduction_ratio",
             "svd_cost",
             "qr_cost",
             "hoqri_nary_cost",

@@ -20,7 +20,6 @@ __all__ = [
     "total_sp",
     "total_cp",
     "kernel_flops_for_layout",
-    "level_reduction_ratio",
     "svd_cost",
     "qr_cost",
     "hoqri_nary_cost",
@@ -85,11 +84,6 @@ def kernel_flops_for_layout(
     if intermediate == "cp":
         return total_cp(order, rank, unnz)
     raise ValueError(f"unknown intermediate layout {intermediate!r}")
-
-
-def level_reduction_ratio(level: int, rank: int) -> float:
-    """``R^l / S_{l,R}`` — approaches ``l!`` as ``R → ∞`` (Section III-D)."""
-    return rank**level / sym_storage_size(level, rank)
 
 
 def svd_cost(dim: int, order: int, rank: int) -> int:

@@ -21,12 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DEFAULT_FALLBACK",
             "InjectedFault",
             "WorkerCrashError",
-            "CorruptPartialError",
             "BackendUnhealthyError",
-            "faults_from_env",
-            "parse_fault_specs",
-            "parse_policy_spec",
-            "policy_from_env",
         ),
         ".health": (
             "CancelToken",

@@ -194,16 +194,6 @@ class PlanCache:
         while len(self._compiled) > COMPILED_TABLE_CACHE_CAP:
             self._compiled.popitem(last=False)
 
-    @property
-    def n_compiled(self) -> int:
-        """Number of cached compiled-kernel table sets."""
-        return len(self._compiled)
-
-    @property
-    def n_tensors(self) -> int:
-        """Number of tensors with live cached state (either kind)."""
-        return len(set(self._chunk_plans) | set(self._partitions))
-
     def clear(self) -> None:
         """Drop all cached plans, partitions and compiled tables."""
         self._chunk_plans.clear()
@@ -370,15 +360,13 @@ class ExecContext:
         """Metrics registry of this run's collector, or ``None``."""
         return self.collector.metrics if self.collector is not None else None
 
-    def span(self, name: str, *, parent_id: Optional[int] = None, **attrs: Any):
+    def span(self, name: str, **attrs: Any):
         """Open a span routed into this run's collector (no-op if none)."""
-        return _trace.span(
-            name, parent_id=parent_id, collector=self.collector, **attrs
-        )
+        return _trace.span(name, collector=self.collector, **attrs)
 
-    def event(self, name: str, *, parent_id: Optional[int] = None, **attrs: Any):
+    def event(self, name: str, **attrs: Any):
         """Record a point event routed into this run's collector."""
-        _trace.event(name, parent_id=parent_id, collector=self.collector, **attrs)
+        _trace.event(name, collector=self.collector, **attrs)
 
     # -- RNG ---------------------------------------------------------------
 

@@ -22,10 +22,10 @@ module is the *policy* half of the fault-tolerance layer (the
   degradation chain (``process → serial``) taken when a backend is
   declared unhealthy.
 * The failure taxonomy: :class:`InjectedFault` (test-only marker),
-  :class:`WorkerCrashError` (a worker died or simulated dying),
-  :class:`CorruptPartialError` (a partial failed checksum
-  verification), and :class:`BackendUnhealthyError` (a backend
-  exhausted its retry/respawn budget and should be degraded).
+  :class:`WorkerCrashError` (a worker died or simulated dying) and
+  :class:`BackendUnhealthyError` (a backend exhausted its
+  retry/respawn budget and should be degraded). A partial that fails
+  checksum verification is retried in place, with no error type.
 
 Usage::
 
@@ -66,7 +66,6 @@ Fault kinds
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -76,27 +75,16 @@ import numpy as np
 __all__ = [
     "FAULT_KINDS",
     "BackendUnhealthyError",
-    "CorruptPartialError",
     "DEFAULT_FALLBACK",
     "FallbackPolicy",
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",
     "WorkerCrashError",
-    "faults_from_env",
-    "parse_fault_specs",
-    "parse_policy_spec",
-    "policy_from_env",
 ]
 
 #: Recognized fault kinds (see module docstring).
 FAULT_KINDS = ("crash", "hang", "oom", "corrupt", "error", "nan", "slow")
-
-#: Environment variable read by :func:`faults_from_env`.
-FAULTS_ENV_VAR = "REPRO_FAULTS"
-
-#: Environment variable read by :func:`policy_from_env`.
-POLICY_ENV_VAR = "REPRO_POLICY"
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +101,6 @@ class WorkerCrashError(RuntimeError):
 
     Retryable: the supervisor respawns the worker (process backend) or
     simply re-runs the chunk (serial) up to the policy's retry ceiling.
-    """
-
-
-class CorruptPartialError(RuntimeError):
-    """A chunk partial failed checksum verification.
-
-    Raised by the backends when the received partial's sum does not
-    match the checksum computed at production time — the partial is
-    discarded and the chunk recomputed.
     """
 
 
@@ -273,67 +252,6 @@ class FaultInjector:
             self._rng = np.random.default_rng(self.seed)
 
 
-def parse_fault_specs(text: str) -> List[FaultSpec]:
-    """Parse a compact fault-plan string into :class:`FaultSpec` list.
-
-    Grammar: semicolon-separated ``site:kind[:key=value,...]`` entries;
-    numeric values are coerced, anything else stays a string (and lands
-    in ``match``). Recognized keys: ``after``, ``times``,
-    ``probability``, ``seconds``, ``scale``; all others become match
-    filters. Example::
-
-        "chunk:crash;chunk:oom:after=2;chunk:hang:seconds=5,slot=1"
-    """
-    specs: List[FaultSpec] = []
-    for entry in text.split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
-        parts = entry.split(":")
-        if len(parts) < 2:
-            raise ValueError(f"fault entry {entry!r} must be site:kind[:opts]")
-        site, kind = parts[0].strip(), parts[1].strip()
-        kwargs: Dict[str, Any] = {}
-        match: Dict[str, Any] = {}
-        if len(parts) > 2:
-            for pair in ":".join(parts[2:]).split(","):
-                if not pair.strip():
-                    continue
-                if "=" not in pair:
-                    raise ValueError(f"fault option {pair!r} must be key=value")
-                key, value = (s.strip() for s in pair.split("=", 1))
-                coerced: Any
-                try:
-                    coerced = int(value)
-                except ValueError:
-                    try:
-                        coerced = float(value)
-                    except ValueError:
-                        coerced = value
-                if key in ("after", "times"):
-                    kwargs[key] = int(coerced)
-                elif key in ("probability", "seconds", "scale"):
-                    kwargs[key] = float(coerced)
-                else:
-                    match[key] = coerced
-        specs.append(FaultSpec(site=site, kind=kind, match=match, **kwargs))
-    return specs
-
-
-def faults_from_env() -> Optional[FaultInjector]:
-    """Injector built from ``REPRO_FAULTS``, or ``None`` when unset.
-
-    Lets the bench harness (and ad-hoc scripts) run any workload under a
-    fault plan without code changes::
-
-        REPRO_FAULTS="chunk:crash;chunk:oom:after=3" python -m repro.bench ...
-    """
-    text = os.environ.get(FAULTS_ENV_VAR, "").strip()
-    if not text:
-        return None
-    return FaultInjector(parse_fault_specs(text))
-
-
 # ---------------------------------------------------------------------------
 # Fallback / resilience policy
 # ---------------------------------------------------------------------------
@@ -443,90 +361,3 @@ class FallbackPolicy:
 
 #: Shared default policy (used when a context has no explicit one).
 DEFAULT_FALLBACK = FallbackPolicy()
-
-_POLICY_BOOL_FIELDS = ("verify_partials", "check_finite")
-_POLICY_INT_FIELDS = (
-    "max_retries",
-    "max_respawns",
-    "max_oom_splits",
-    "max_unhealthy_iters",
-    "max_health_recoveries",
-)
-_POLICY_FLOAT_FIELDS = (
-    "backoff_seconds",
-    "backoff_multiplier",
-    "heartbeat_interval",
-)
-
-
-def parse_policy_spec(text: str) -> FallbackPolicy:
-    """Parse a compact policy string into a :class:`FallbackPolicy`.
-
-    Grammar (mirroring :func:`parse_fault_specs`): comma-separated
-    ``key=value`` pairs over :data:`DEFAULT_FALLBACK`. Keys are the
-    policy field names; values are coerced per field — integers for the
-    ceilings, floats for the timings, ``chunk_timeout`` accepts a float
-    or ``none``, booleans accept ``1/0/true/false/yes/no/on/off``, and
-    ``degrade`` is a ``>``-separated backend chain (empty disables
-    fallback). Example::
-
-        "max_retries=4,chunk_timeout=2.5,degrade=serial"
-        "check_finite=false,degrade="
-    """
-    overrides: Dict[str, Any] = {}
-    for pair in text.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        if "=" not in pair:
-            raise ValueError(f"policy option {pair!r} must be key=value")
-        key, value = (s.strip() for s in pair.split("=", 1))
-        if key in _POLICY_INT_FIELDS:
-            overrides[key] = int(value)
-        elif key in _POLICY_FLOAT_FIELDS:
-            overrides[key] = float(value)
-        elif key in _POLICY_BOOL_FIELDS:
-            lowered = value.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                overrides[key] = True
-            elif lowered in ("0", "false", "no", "off"):
-                overrides[key] = False
-            else:
-                raise ValueError(
-                    f"policy option {key}={value!r} must be a boolean "
-                    f"(1/0/true/false/yes/no/on/off)"
-                )
-        elif key == "chunk_timeout":
-            overrides[key] = (
-                None if value.lower() in ("", "none") else float(value)
-            )
-        elif key == "degrade":
-            overrides[key] = tuple(
-                name.strip() for name in value.split(">") if name.strip()
-            )
-        else:
-            known = (
-                _POLICY_INT_FIELDS
-                + _POLICY_FLOAT_FIELDS
-                + _POLICY_BOOL_FIELDS
-                + ("chunk_timeout", "degrade")
-            )
-            raise ValueError(
-                f"unknown policy field {key!r}; expected one of "
-                f"{sorted(known)}"
-            )
-    return DEFAULT_FALLBACK.with_(**overrides)
-
-
-def policy_from_env() -> Optional[FallbackPolicy]:
-    """Policy built from ``REPRO_POLICY``, or ``None`` when unset.
-
-    Lets the bench harness and CI reshape a run's resilience without
-    code changes::
-
-        REPRO_POLICY="max_retries=4,chunk_timeout=2" python -m repro.bench ...
-    """
-    text = os.environ.get(POLICY_ENV_VAR, "").strip()
-    if not text:
-        return None
-    return parse_policy_spec(text)

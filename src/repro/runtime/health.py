@@ -42,7 +42,6 @@ Layering: this module sits in ``runtime`` (below ``parallel`` and
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Optional
 
 __all__ = [
@@ -184,11 +183,6 @@ class CancelToken:
     def derive(self) -> "CancelToken":
         """Child token: cancelled when this token is, or independently."""
         return CancelToken(parent=self)
-
-    def raise_if_cancelled(self, site: str = "") -> None:
-        """Raise :class:`RunCancelledError` if cancelled; else return."""
-        if self.cancelled:
-            raise RunCancelledError(self.reason, site)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "live"

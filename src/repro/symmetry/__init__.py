@@ -1,7 +1,7 @@
 """Symmetric-tensor combinatorics substrate.
 
 Everything in this package is exact integer/index machinery: compact IOU
-layouts, rank/unrank bijections, multiset permutation expansion, and the
+layouts, lex ranking, multiset permutation expansion, and the
 expansion/multiplicity operators of Properties 2–3.
 """
 
@@ -12,22 +12,16 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".combinatorics": (
             "binomial",
-            "multinomial",
             "sym_storage_size",
             "dense_size",
-            "permutation_count",
             "permutation_counts_array",
             "storage_compression_ratio",
         ),
         ".iou": (
             "enumerate_iou",
             "iou_layout",
-            "rank_iou",
             "rank_iou_array",
-            "unrank_iou",
-            "unrank_iou_array",
             "full_linear_index",
-            "is_iou",
         ),
         ".permutations": (
             "distinct_permutations",
@@ -38,8 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".tables": (
             "IndexTables",
             "get_tables",
-            "clear_table_cache",
-            "table_cache_info",
         ),
         ".expansion": (
             "expansion_matrix",

@@ -1,7 +1,7 @@
 """Combinatorial primitives for symmetric tensor storage and counting.
 
 This module provides exact integer combinatorics used throughout SymProp:
-binomial/multinomial coefficients, the compact symmetric storage size
+binomial coefficients, the compact symmetric storage size
 ``S_{N,I} = C(N+I-1, N)`` (Table I of the paper), and permutation counts of
 index multisets (the entries of the diagonal multiplicity matrix ``M`` of
 Property 3).
@@ -14,19 +14,14 @@ as Python ints when exactness matters.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "binomial",
-    "multinomial",
     "sym_storage_size",
     "dense_size",
-    "permutation_count",
     "permutation_counts_array",
-    "falling_factorial",
     "storage_compression_ratio",
 ]
 
@@ -36,23 +31,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def multinomial(counts: Iterable[int]) -> int:
-    """Exact multinomial coefficient ``(sum counts)! / prod(counts!)``.
-
-    ``counts`` are the value frequencies of an index multiset; the result is
-    the number of distinct orderings (permutations) of that multiset. This is
-    the quantity Section IV-C uses to build the multiplicity vector ``p``.
-    """
-    counts = list(counts)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"negative multiplicity in {counts!r}")
-    total = sum(counts)
-    result = math.factorial(total)
-    for c in counts:
-        result //= math.factorial(c)
-    return result
 
 
 def sym_storage_size(order: int, dim: int) -> int:
@@ -81,18 +59,10 @@ def dense_size(order: int, dim: int) -> int:
     return dim**order
 
 
-def permutation_count(index: Sequence[int]) -> int:
-    """Number of distinct orderings of the index tuple ``index``.
-
-    For an IOU index ``(i_1 <= ... <= i_N)`` with value frequencies
-    ``k_1..k_m`` this is the multinomial ``N! / (k_1! ... k_m!)`` — the
-    per-entry diagonal of ``M = EᵀE`` in Property 3.
-    """
-    return multinomial(Counter(index).values())
-
-
 def permutation_counts_array(indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`permutation_count` over rows of ``indices``.
+    """Distinct-ordering counts ``N! / (k_1! ... k_m!)`` of the rows of
+    ``indices``, where ``k_j`` are a row's value frequencies — the
+    diagonal of ``M = EᵀE`` in Property 3.
 
     Parameters
     ----------
@@ -124,16 +94,6 @@ def permutation_counts_array(indices: np.ndarray) -> np.ndarray:
     np.cumsum(runs_per_row[:-1], out=row_offsets[1:])
     denom = np.multiply.reduceat(factorials[lengths], row_offsets)
     return math.factorial(order) // denom
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """Exact falling factorial ``n (n-1) ... (n-k+1)``."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    result = 1
-    for t in range(k):
-        result *= n - t
-    return result
 
 
 def storage_compression_ratio(order: int, dim: int) -> float:

@@ -7,10 +7,9 @@ consecutively in lexicographical order. This module provides:
 * :func:`enumerate_iou` — all IOU tuples of a given order/dim in lex order,
   together with the *drop-last parent* location and *last index* arrays that
   drive the symmetric outer-product kernels (Algorithm 1);
-* :func:`rank_iou` / :func:`unrank_iou` — O(N)-per-tuple bijections between
-  IOU tuples and their lex positions (the "index mapping" the paper's
-  metaprogramming avoids; we need it for scattered access and as the
-  baseline of the index-iteration ablation);
+* :func:`rank_iou_array` — O(N)-per-tuple lex positions of IOU tuples
+  (the "index mapping" the paper's metaprogramming avoids; we need it for
+  scattered access and as the baseline of the index-iteration ablation);
 * :func:`full_linear_index` — row-major linearization of full (expanded)
   indices, matching the Kronecker-product flattening of Eq. (3).
 
@@ -29,12 +28,8 @@ from .combinatorics import sym_storage_size
 __all__ = [
     "enumerate_iou",
     "iou_layout",
-    "rank_iou",
     "rank_iou_array",
-    "unrank_iou",
-    "unrank_iou_array",
     "full_linear_index",
-    "is_iou",
 ]
 
 _INDEX_DTYPE = np.int64
@@ -117,12 +112,6 @@ def _rank_prefix_table(order: int, dim: int) -> np.ndarray:
     return table
 
 
-def rank_iou(index: Tuple[int, ...] | np.ndarray, dim: int) -> int:
-    """Lex position of one non-decreasing tuple in the IOU enumeration."""
-    arr = np.asarray(index, dtype=_INDEX_DTYPE).reshape(1, -1)
-    return int(rank_iou_array(arr, dim)[0])
-
-
 def rank_iou_array(indices: np.ndarray, dim: int) -> np.ndarray:
     """Vectorized lex ranks of non-decreasing tuples.
 
@@ -160,40 +149,6 @@ def rank_iou_array(indices: np.ndarray, dim: int) -> np.ndarray:
     return ranks
 
 
-def unrank_iou(rank: int, order: int, dim: int) -> np.ndarray:
-    """Inverse of :func:`rank_iou` for a single position."""
-    return unrank_iou_array(np.array([rank], dtype=_INDEX_DTYPE), order, dim)[0]
-
-
-def unrank_iou_array(ranks: np.ndarray, order: int, dim: int) -> np.ndarray:
-    """Vectorized inverse ranking: positions → IOU tuples.
-
-    Returns an ``(n, order)`` int64 array.
-    """
-    ranks = np.asarray(ranks, dtype=_INDEX_DTYPE)
-    if ranks.ndim != 1:
-        raise ValueError("ranks must be 1-D")
-    total = sym_storage_size(order, dim)
-    if ranks.size and (ranks.min() < 0 or ranks.max() >= total):
-        raise ValueError("rank out of range")
-    table = _rank_prefix_table(order, dim)
-    n = ranks.shape[0]
-    out = np.zeros((n, order), dtype=_INDEX_DTYPE)
-    remaining = ranks.copy()
-    lower = np.zeros(n, dtype=_INDEX_DTYPE)
-    for t in range(order):
-        # Find largest v with table[t, v] - table[t, lower] <= remaining.
-        target = remaining + table[t, lower]
-        v = np.searchsorted(table[t], target, side="right") - 1
-        # searchsorted can land past duplicate plateau values at the tail
-        # (zero remaining counts when remaining order is 0); clamp.
-        v = np.minimum(v, dim - 1)
-        out[:, t] = v
-        remaining = target - table[t, v]
-        lower = v
-    return out
-
-
 def full_linear_index(indices: np.ndarray, dim: int) -> np.ndarray:
     """Row-major linearization of full index tuples.
 
@@ -209,13 +164,3 @@ def full_linear_index(indices: np.ndarray, dim: int) -> np.ndarray:
     for t in range(order):
         out = out * dim + indices[:, t]
     return out
-
-
-def is_iou(indices: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows that are non-decreasing (index-ordered unique)."""
-    indices = np.asarray(indices)
-    if indices.ndim != 2:
-        raise ValueError("expected (n, order) array")
-    if indices.shape[1] <= 1:
-        return np.ones(indices.shape[0], dtype=bool)
-    return np.all(indices[:, 1:] >= indices[:, :-1], axis=1)

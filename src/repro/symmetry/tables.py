@@ -20,7 +20,7 @@ import numpy as np
 from .combinatorics import permutation_counts_array, sym_storage_size
 from .iou import full_linear_index, iou_layout
 
-__all__ = ["IndexTables", "get_tables", "clear_table_cache", "table_cache_info"]
+__all__ = ["IndexTables", "get_tables"]
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,3 @@ def get_tables(order: int, dim: int) -> IndexTables:
         )
         _CACHE[key] = tables
         return tables
-
-
-def clear_table_cache() -> None:
-    """Drop all cached tables (used by memory-sensitive benchmarks)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-
-
-def table_cache_info() -> Dict[Tuple[int, int], int]:
-    """Cached layouts and their sizes, for diagnostics."""
-    with _CACHE_LOCK:
-        return {key: tables.size for key, tables in _CACHE.items()}

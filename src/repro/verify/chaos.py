@@ -152,6 +152,11 @@ def chaos_schedules(
             )
             for _ in range(int(rng.integers(0, 3)))
         )
+        if target == "hooi" and execution == "serial":
+            # Serial HOOI has no chunk site, so its chunk faults would
+            # never fire. They are still drawn so the seed keeps the rest
+            # of its schedule.
+            faults = ()
         deadline = (
             float(rng.uniform(0.15, 0.5)) if rng.random() < 0.3 else None
         )

@@ -6,10 +6,8 @@ import pytest
 from repro import hoqri, random_sparse_symmetric
 from repro.apps import (
     auc_score,
-    degree_centrality,
     holdout_split,
     link_prediction_auc,
-    rayleigh_quotient,
     sshopm,
     symmetric_apply,
     z_eigenvector_centrality,
@@ -32,12 +30,6 @@ class TestSymmetricApply:
         v = rng.standard_normal(6)
         expected = np.einsum("ijkl,j,k,l->i", x.to_dense(), v, v, v)
         assert np.allclose(symmetric_apply(x, v), expected, atol=1e-10)
-
-    def test_rayleigh_quotient(self, rng):
-        x = make_random_tensor(3, 7, 20, rng)
-        v = rng.standard_normal(7)
-        expected = np.einsum("ijk,i,j,k->", x.to_dense(), v, v, v)
-        assert rayleigh_quotient(x, v) == pytest.approx(expected, rel=1e-10)
 
     def test_length_validation(self, rng):
         x = make_random_tensor(3, 7, 20, rng)
@@ -109,12 +101,6 @@ class TestCentrality:
         x = SparseSymmetricTensor(3, 4, np.array([[0, 1, 2]]), np.array([-1.0]))
         with pytest.raises(ValueError):
             z_eigenvector_centrality(x)
-
-    def test_degree_centrality(self):
-        hg = Hypergraph(3, [(0, 1), (0, 2)])
-        c = degree_centrality(hg)
-        assert c[0] == pytest.approx(0.5)
-        assert c.sum() == pytest.approx(1.0)
 
 
 class TestLinkPrediction:

@@ -8,7 +8,6 @@ from repro.baselines import (
     css_s3ttmc_tc,
     dense_s3ttmc_matrix,
     dense_s3ttmc_tc,
-    nary_ttmc_tc,
     splatt_ttmc,
 )
 from repro.baselines.hoqri_nary import nary_hoqri_step
@@ -36,13 +35,6 @@ class TestKernelFamilyAgreement:
         sp = s3ttmc(x, u).to_full_unfolding()
         css = css_s3ttmc(x, u)
         assert np.allclose(sp, css, atol=1e-10)
-
-    def test_nary_matches_dense(self, order, dim, rank, n, rng):
-        x = make_random_tensor(order, dim, n, rng)
-        u = rng.random((dim, rank))
-        core = s3ttmc_tc(x, u).core
-        a = nary_ttmc_tc(x, u, core, chunk=13)
-        assert np.allclose(a, dense_s3ttmc_tc(x, u), atol=1e-8)
 
 
 class TestSplattDetails:
@@ -83,10 +75,3 @@ class TestNaryHoqriStep:
         res = s3ttmc_tc(x, u)
         assert np.allclose(a_nary, res.a, atol=1e-8)
         assert np.allclose(c1, res.core.to_full_unfolding(), atol=1e-9)
-
-    def test_core_shape_validation(self, rng):
-        x = make_random_tensor(3, 6, 10, rng)
-        u = rng.random((6, 3))
-        bad_core = s3ttmc_tc(x, rng.random((6, 2))).core
-        with pytest.raises(ValueError):
-            nary_ttmc_tc(x, u, bad_core)

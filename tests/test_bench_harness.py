@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import guarded_kernel_measurement, preferred_batch, timed_measurement
 from repro.bench.records import Measurement, SeriesTable, format_seconds, geometric_mean
 
 
@@ -63,55 +62,6 @@ class TestSeriesTable:
         table.set("order", "L6", 6)
         table.set("unnz", "L6", 5000)
         assert "5000" in table.render()
-
-
-class TestTimedMeasurement:
-    def test_times_callable(self):
-        m = timed_measurement(lambda: sum(range(1000)), repeats=2, budget_gb=1.0)
-        assert m.ok and m.seconds >= 0
-
-    def test_oom_reported(self):
-        from repro.runtime import current_context
-
-        m = timed_measurement(
-            lambda: current_context().request_bytes(10**12, "huge"),
-            repeats=1,
-            budget_gb=0.001,
-        )
-        assert m.oom
-
-    def test_guarded_preflight_oom(self):
-        """Hopeless configurations are rejected without running."""
-        calls = []
-        m = guarded_kernel_measurement(
-            "splatt",
-            lambda: calls.append(1),
-            dim=400,
-            order=12,
-            rank=4,
-            unnz=10_000,
-            budget_gb=1.0,
-        )
-        assert m.oom
-        assert not calls
-
-    def test_guarded_runs_when_fits(self):
-        m = guarded_kernel_measurement(
-            "symprop",
-            lambda: None,
-            dim=50,
-            order=3,
-            rank=2,
-            unnz=100,
-            repeats=1,
-            budget_gb=1.0,
-        )
-        assert m.ok
-
-    def test_preferred_batch(self):
-        assert preferred_batch("splatt", 8, 4, 2**30) is None
-        batch = preferred_batch("css", 10, 5, 4 * 2**30)
-        assert batch is not None and batch >= 1
 
 
 class TestMaybeTrace:

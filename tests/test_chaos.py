@@ -38,13 +38,26 @@ class TestSchedules:
     def test_seeds_keep_their_chaos(self):
         # Schedules drew a backend choice before their faults; the draw
         # stays, so every seed keeps the chaos it had (counts taken when
-        # the draw still picked between two in-process backends).
+        # the draw still picked between two in-process backends). Serial
+        # HOOI schedules still draw faults but carry none: 11 of the 36
+        # schedules that drew faults (17 of the 55 faults) are serial HOOI.
         scheds = chaos_schedules(50, base_seed=0)
-        assert sum(1 for s in scheds if s.faults) == 36
-        assert sum(len(s.faults) for s in scheds) == 55
+        assert sum(1 for s in scheds if s.faults) == 25
+        assert sum(len(s.faults) for s in scheds) == 38
         assert sum(1 for s in scheds if s.target == "hooi") == 15
         assert sum(1 for s in scheds if s.deadline_seconds is not None) == 9
         assert sum(1 for s in scheds if s.cancel_after is not None) == 8
+
+    @pytest.mark.parametrize("include_process", [False, True])
+    def test_serial_hooi_carries_no_faults(self, include_process):
+        # Serial HOOI has no chunk site: faults drawn for it never fire.
+        scheds = chaos_schedules(50, base_seed=0, include_process=include_process)
+        assert not [
+            s.seed
+            for s in scheds
+            if s.faults and s.target == "hooi" and s.execution == "serial"
+        ]
+        assert any(s.faults and s.target == "hooi" for s in scheds) == include_process
 
     def test_spec_line_names_the_chaos(self):
         scheds = chaos_schedules(40, base_seed=0)

@@ -8,9 +8,6 @@ import pytest
 from repro.symmetry.combinatorics import (
     binomial,
     dense_size,
-    falling_factorial,
-    multinomial,
-    permutation_count,
     permutation_counts_array,
     storage_compression_ratio,
     sym_storage_size,
@@ -30,23 +27,6 @@ class TestBinomial:
 
     def test_symmetry_identity(self):
         assert binomial(10, 3) == binomial(10, 7)
-
-
-class TestMultinomial:
-    def test_basic(self):
-        assert multinomial([1, 1, 1]) == 6
-        assert multinomial([2, 1]) == 3
-        assert multinomial([3]) == 1
-        assert multinomial([]) == 1
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            multinomial([2, -1])
-
-    def test_sums_to_power(self):
-        # Sum of multinomials over all compositions of 3 into 2 parts = 2^3.
-        total = sum(multinomial([k, 3 - k]) for k in range(4))
-        assert total == 8
 
 
 class TestStorageSize:
@@ -90,12 +70,6 @@ class TestCompressionRatio:
 
 
 class TestPermutationCounts:
-    def test_scalar(self):
-        assert permutation_count((1, 3, 5)) == 6
-        assert permutation_count((1, 1, 3)) == 3
-        assert permutation_count((2, 2, 2)) == 1
-        assert permutation_count((0,)) == 1
-
     def test_array_matches_scalar(self):
         rows = np.array([[1, 3, 5], [1, 1, 3], [2, 2, 2], [0, 1, 1]])
         counts = permutation_counts_array(rows)
@@ -115,14 +89,3 @@ class TestPermutationCounts:
     def test_large_order(self):
         row = np.arange(12).reshape(1, -1)
         assert permutation_counts_array(row)[0] == math.factorial(12)
-
-
-class TestFallingFactorial:
-    def test_values(self):
-        assert falling_factorial(5, 3) == 60
-        assert falling_factorial(5, 0) == 1
-        assert falling_factorial(3, 5) == 0  # passes through zero
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            falling_factorial(3, -1)

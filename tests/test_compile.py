@@ -12,17 +12,16 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import compile as compile_mod
 from repro.core.compile import (
     CHUNK_BYTES,
     DEFAULT_CHUNK_EDGES,
     KERNEL_VERSION,
     KernelSpec,
     build_tables,
-    clear_kernel_cache,
     compiled_kernel,
     generate_kernel_source,
     get_kernel,
-    kernel_cache_info,
 )
 from repro.core.engine import lattice_ttmc
 from repro.core.lattice import build_lattice
@@ -156,7 +155,7 @@ class TestOutAndRowMap:
 
 class TestCaching:
     def test_function_cache_identity_and_tags(self):
-        clear_kernel_cache()
+        compile_mod._FN_CACHE.clear()
         spec = KernelSpec(order=3, rank=4)
         fn = compiled_kernel(spec)
         assert compiled_kernel(spec) is fn
@@ -164,21 +163,18 @@ class TestCaching:
         assert fn.__codegen_version__ == KERNEL_VERSION
         assert fn.__source__ == generate_kernel_source(spec)
         assert spec.function_name in fn.__source__
-        info = kernel_cache_info()
-        assert info["size"] == 1 and spec in info["specs"]
+        assert list(compile_mod._FN_CACHE) == [spec]
 
     def test_function_cache_evicts_past_cap(self):
-        clear_kernel_cache()
-        cap = kernel_cache_info()["cap"]
+        compile_mod._FN_CACHE.clear()
+        cap = compile_mod._FN_CACHE_CAP
         specs = [KernelSpec(order=2, rank=r) for r in range(1, cap + 2)]
         for spec in specs:
             compiled_kernel(spec)
-        info = kernel_cache_info()
-        assert info["size"] == cap
-        assert specs[0] not in info["specs"]  # oldest evicted
-        assert specs[-1] in info["specs"]
-        clear_kernel_cache()
-        assert kernel_cache_info()["size"] == 0
+        assert len(compile_mod._FN_CACHE) == cap
+        assert specs[0] not in compile_mod._FN_CACHE  # oldest evicted
+        assert specs[-1] in compile_mod._FN_CACHE
+        compile_mod._FN_CACHE.clear()
 
     def test_distinct_specs_distinct_functions(self):
         a = compiled_kernel(KernelSpec(order=3, rank=4))
@@ -212,7 +208,7 @@ class TestCaching:
         plan = build_plan(t.indices, "global", None)
         legacy = dataclasses.replace(plan, unnz=-1, fingerprint=-1)
         get_kernel(legacy, 3, "compact", None, ctx)
-        assert ctx.plans.n_compiled == 0
+        assert not ctx.plans._compiled
 
 
 class TestBudget:

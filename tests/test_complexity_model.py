@@ -16,7 +16,6 @@ from repro.core import KernelStats, s3ttmc
 from repro.perfmodel.complexity import (
     c_css,
     c_sp,
-    level_reduction_ratio,
     table2_complexities,
     total_css,
     total_sp,
@@ -85,18 +84,6 @@ class TestModelProperties:
         for order in range(3, 10):
             for rank in range(1, 8):
                 assert total_sp(order, rank, 100) <= total_css(order, rank, 100)
-
-    def test_reduction_ratio_limits(self):
-        # R^l/S_{l,R} -> l! as R -> inf (Section III-D)
-        import math
-
-        assert level_reduction_ratio(3, 10_000) == pytest.approx(6.0, rel=1e-2)
-        # R = 2 case: 2^l / (l+1)
-        for level in range(2, 8):
-            assert level_reduction_ratio(level, 2) == pytest.approx(
-                2**level / (level + 1)
-            )
-        del math
 
     def test_table2_ordering_high_order(self):
         """For high order / large dim, HOQRI-SymProp is cheapest (Table II)."""

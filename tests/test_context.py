@@ -189,16 +189,16 @@ class TestPlanCache:
         u = rng.random((10, 3))
         ctx = ExecContext()
         parallel_s3ttmc(x, u, 2, backend="serial", ctx=ctx)
-        assert ctx.plans.n_tensors == 1
+        assert set(ctx.plans._chunk_plans) | set(ctx.plans._partitions) == {x}
         assert ctx.plans is not current_context().plans
 
     def test_plan_cache_clear(self, rng):
         x = make_random_tensor(3, 8, 30, rng)
         cache = PlanCache()
         cache.chunk_plans(x)["probe"] = object()
-        assert cache.n_tensors == 1
+        assert list(cache._chunk_plans) == [x]
         cache.clear()
-        assert cache.n_tensors == 0
+        assert not cache._chunk_plans
 
 
 class TestBudgetPropagation:

@@ -10,14 +10,13 @@ from repro.data.io import read_tns, tns_roundtrip, write_tns
 from repro.data.synthetic import planted_lowrank, random_iou_pattern, random_sparse_symmetric
 from repro.formats import SparseSymmetricTensor
 from repro.symmetry.combinatorics import sym_storage_size
-from repro.symmetry.iou import is_iou
 
 
 class TestRandomPattern:
     def test_count_and_uniqueness(self, rng):
         idx = random_iou_pattern(4, 10, 100, rng)
         assert idx.shape == (100, 4)
-        assert np.all(is_iou(idx))
+        assert np.all(idx[:, 1:] >= idx[:, :-1])  # rows are IOU
         assert np.unique(idx, axis=0).shape[0] == 100
 
     def test_lex_sorted(self, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.formats.dense import frobenius_norm, refold, ttm, ttmc_all_but_one, unfold
+from repro.formats.dense import refold, ttm, ttmc_all_but_one, unfold
 from repro.formats.dense_sym import DenseSymmetricTensor
 from repro.symmetry.combinatorics import sym_storage_size
 
@@ -53,10 +53,6 @@ class TestTTM:
         assert y.shape == (3, 2, 2, 2)
         ref = np.einsum("ijkl,jb,kc,ld->ibcd", t, u, u, u)
         assert np.allclose(y, ref)
-
-    def test_frobenius(self, rng):
-        t = rng.random((3, 3))
-        assert frobenius_norm(t) == pytest.approx(np.linalg.norm(t))
 
 
 class TestDenseSymmetric:

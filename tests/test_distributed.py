@@ -4,150 +4,12 @@ import numpy as np
 import pytest
 
 from repro.data import random_sparse_symmetric
-from repro.parallel import (
-    CommunicationPlan,
-    measure_chunk_costs,
-    plan_distribution,
-    simulate_distributed_time,
-)
-from repro.symmetry.combinatorics import sym_storage_size
+from repro.parallel import measure_chunk_costs
 
 
 @pytest.fixture(scope="module")
 def tensor():
     return random_sparse_symmetric(4, 60, 400, seed=0)
-
-
-class TestPlanDistribution:
-    def test_single_process_no_communication(self, tensor):
-        plan = plan_distribution(tensor, 1, rank=3)
-        assert plan.total_factor_volume == 0
-        assert plan.total_output_volume == 0
-        assert plan.imbalance() == pytest.approx(1.0)
-
-    def test_ranges_cover_all_nonzeros(self, tensor):
-        plan = plan_distribution(tensor, 4, rank=3)
-        covered = sum(b - a for a, b in plan.ranges)
-        assert covered == tensor.unnz
-
-    def test_owned_rows_partition_dim(self, tensor):
-        plan = plan_distribution(tensor, 4, rank=3)
-        all_rows = np.concatenate(plan.owned_rows)
-        assert np.array_equal(np.sort(all_rows), np.arange(tensor.dim))
-
-    def test_volume_grows_then_saturates(self, tensor):
-        """More processes → more foreign rows, bounded by touched rows."""
-        v2 = plan_distribution(tensor, 2, rank=3).total_factor_volume
-        v8 = plan_distribution(tensor, 8, rank=3).total_factor_volume
-        assert v8 >= v2
-        # bound: each process can't receive more rows than exist
-        plan8 = plan_distribution(tensor, 8, rank=3)
-        assert plan8.max_recv() <= tensor.dim
-
-    def test_exact_volume_small_case(self):
-        from repro.formats import SparseSymmetricTensor
-
-        # 2 procs, rows 0-1 owned by p0, rows 2-3 by p1.
-        x = SparseSymmetricTensor(
-            2, 4, np.array([[0, 1], [2, 3]]), np.array([1.0, 1.0])
-        )
-        plan = plan_distribution(x, 2, rank=2)
-        # Balanced ranges put one non-zero per process; nonzero (0,1) on p0
-        # touches only owned rows, (2,3) on p1 likewise -> no communication.
-        assert plan.total_factor_volume == 0
-
-    def test_custom_row_owner(self, tensor):
-        owner = np.zeros(tensor.dim, dtype=np.int64)  # p0 owns everything
-        plan = plan_distribution(tensor, 2, rank=3, row_owner=owner)
-        # p0 receives nothing; p1 receives every row it touches.
-        assert plan.recv_factor_rows[0] == 0
-        assert plan.recv_factor_rows[1] > 0
-
-    def test_row_owner_validation(self, tensor):
-        with pytest.raises(ValueError):
-            plan_distribution(tensor, 2, rank=3, row_owner=np.zeros(3, dtype=int))
-        bad = np.full(tensor.dim, 5, dtype=np.int64)
-        with pytest.raises(ValueError):
-            plan_distribution(tensor, 2, rank=3, row_owner=bad)
-
-    def test_invalid_procs(self, tensor):
-        with pytest.raises(ValueError):
-            plan_distribution(tensor, 0, rank=3)
-
-
-class TestSimulatedTime:
-    def test_compute_dominates_with_fast_network(self, tensor):
-        plan = plan_distribution(tensor, 4, rank=3)
-        fast = simulate_distributed_time(
-            plan, 4, 3, bandwidth_bytes=1e12, latency_seconds=0.0
-        )
-        slow = simulate_distributed_time(
-            plan, 4, 3, bandwidth_bytes=1e5, latency_seconds=0.0
-        )
-        assert slow > fast
-
-    def test_more_procs_less_compute_time(self, tensor):
-        t1 = simulate_distributed_time(
-            plan_distribution(tensor, 1, rank=3), 4, 3, latency_seconds=0.0,
-            bandwidth_bytes=1e15,
-        )
-        t8 = simulate_distributed_time(
-            plan_distribution(tensor, 8, rank=3), 4, 3, latency_seconds=0.0,
-            bandwidth_bytes=1e15,
-        )
-        assert t8 < t1
-
-    def test_latency_term(self, tensor):
-        plan = plan_distribution(tensor, 4, rank=3)
-        base = simulate_distributed_time(plan, 4, 3, latency_seconds=0.0)
-        with_lat = simulate_distributed_time(plan, 4, 3, latency_seconds=1.0)
-        assert with_lat >= base + 2 * 3  # 2 phases x (p-1) messages
-
-    def test_closed_form_fixture(self):
-        # Hand-built plan: every term of T = work/flop + 2·α·msgs +
-        # (factor + output bytes)/β is known exactly.
-        order, rank = 4, 3
-        plan = CommunicationPlan(
-            n_procs=2,
-            ranges=[(0, 5), (5, 12)],
-            owned_rows=[np.arange(3), np.arange(3, 6)],
-            recv_factor_rows=[3, 5],
-            send_output_rows=[3, 5],
-            local_work=[100.0, 200.0],
-        )
-        flop_rate, bandwidth, latency = 1e6, 1e6, 1e-3
-        expected = (
-            200.0 / flop_rate
-            + 2 * latency * 1  # p - 1 messages per phase
-            + (5 * rank * 8 + 5 * sym_storage_size(order - 1, rank) * 8)
-            / bandwidth
-        )
-        got = simulate_distributed_time(
-            plan,
-            order,
-            rank,
-            flop_rate=flop_rate,
-            bandwidth_bytes=bandwidth,
-            latency_seconds=latency,
-        )
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_messages_override(self):
-        plan = CommunicationPlan(
-            n_procs=4,
-            ranges=[(0, 1)] * 4,
-            owned_rows=[np.arange(1)] * 4,
-            recv_factor_rows=[0] * 4,
-            send_output_rows=[0] * 4,
-            local_work=[1.0] * 4,
-        )
-        base = simulate_distributed_time(
-            plan, 3, 2, latency_seconds=1.0, messages_per_phase=0
-        )
-        more = simulate_distributed_time(
-            plan, 3, 2, latency_seconds=1.0, messages_per_phase=5
-        )
-        assert more == pytest.approx(base + 2 * 5)
 
 
 class TestMeasureChunkCosts:

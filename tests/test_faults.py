@@ -21,8 +21,6 @@ from repro.runtime.faults import (
     FallbackPolicy,
     FaultInjector,
     FaultSpec,
-    faults_from_env,
-    parse_fault_specs,
 )
 from tests.conftest import make_random_tensor
 
@@ -64,112 +62,12 @@ class TestFaultSpec:
             "corrupt",
             0.5,
         )
-
-
-class TestParseFaultSpecs:
-    def test_grammar(self):
-        specs = parse_fault_specs(
-            "chunk:crash;chunk:oom:after=2;chunk:hang:seconds=5,slot=1"
+        assert FaultSpec(site="chunk", kind="slow", seconds=0.2).payload() == (
+            "slow",
+            0.2,
         )
-        assert [s.kind for s in specs] == ["crash", "oom", "hang"]
-        assert specs[1].after == 2
-        assert specs[2].seconds == 5.0
-        assert specs[2].match == {"slot": 1}
-
-    def test_empty_entries_skipped(self):
-        assert parse_fault_specs(";;chunk:crash;") == [
-            FaultSpec(site="chunk", kind="crash")
-        ]
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            parse_fault_specs("chunk")
-        with pytest.raises(ValueError):
-            parse_fault_specs("chunk:crash:notakv")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            parse_fault_specs("chunk:meteor")
-
-    def test_malformed_attrs_rejected(self):
-        # A bare word where key=value is required.
-        with pytest.raises(ValueError, match="must be key=value"):
-            parse_fault_specs("chunk:crash:after")
-        # Typed options must coerce: 'after' takes an int.
-        with pytest.raises(ValueError):
-            parse_fault_specs("chunk:crash:after=soon")
-        # Constructor-level validation still applies to parsed values.
-        with pytest.raises(ValueError):
-            parse_fault_specs("chunk:crash:times=0")
-        with pytest.raises(ValueError):
-            parse_fault_specs("chunk:crash:probability=2")
-
-    def test_duplicate_sites_all_kept(self):
-        # Repeating a site is not an error: each entry is its own spec,
-        # and the injector checks them in order (first match fires).
-        specs = parse_fault_specs("chunk:crash;chunk:crash:after=1")
-        assert len(specs) == 2
-        assert [s.after for s in specs] == [0, 1]
-
-    def test_duplicate_option_last_wins(self):
-        (spec,) = parse_fault_specs("chunk:hang:seconds=1,seconds=2")
-        assert spec.seconds == 2.0
-
-    def test_nan_and_slow_kinds_parse(self):
-        specs = parse_fault_specs("chunk:nan;chunk:slow:seconds=0.2")
-        assert [s.kind for s in specs] == ["nan", "slow"]
-        assert specs[1].payload() == ("slow", 0.2)
-        assert specs[0].payload() == ("nan", specs[0].scale)
-
-    def test_faults_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert faults_from_env() is None
-        monkeypatch.setenv("REPRO_FAULTS", "chunk:crash;chunk:oom:after=1")
-        inj = faults_from_env()
-        assert inj is not None
-        assert [s.kind for s in inj.specs] == ["crash", "oom"]
-
-
-class TestParsePolicySpec:
-    def test_grammar(self):
-        from repro.runtime.faults import parse_policy_spec
-
-        pol = parse_policy_spec(
-            "max_retries=1,chunk_timeout=5,check_finite=off,degrade=process>serial"
-        )
-        assert pol.max_retries == 1
-        assert pol.chunk_timeout == 5.0
-        assert pol.check_finite is False
-        assert pol.degrade == ("process", "serial")
-
-    def test_chunk_timeout_none_and_empty_degrade(self):
-        from repro.runtime.faults import parse_policy_spec
-
-        pol = parse_policy_spec("chunk_timeout=none,degrade=")
-        assert pol.chunk_timeout is None
-        assert pol.degrade == ()
-
-    def test_errors(self):
-        from repro.runtime.faults import parse_policy_spec
-
-        with pytest.raises(ValueError, match="key=value"):
-            parse_policy_spec("max_retries")
-        with pytest.raises(ValueError, match="unknown policy field"):
-            parse_policy_spec("max_turbo=1")
-        with pytest.raises(ValueError, match="boolean"):
-            parse_policy_spec("check_finite=maybe")
-
-    def test_policy_from_env(self, monkeypatch):
-        from repro.runtime.faults import policy_from_env
-
-        monkeypatch.delenv("REPRO_POLICY", raising=False)
-        assert policy_from_env() is None
-        monkeypatch.setenv("REPRO_POLICY", "max_unhealthy_iters=5")
-        pol = policy_from_env()
-        assert pol is not None
-        assert pol.max_unhealthy_iters == 5
-        # Unspecified fields keep their defaults.
-        assert pol.verify_partials is FallbackPolicy().verify_partials
+        nan = FaultSpec(site="chunk", kind="nan")
+        assert nan.payload() == ("nan", nan.scale)
 
 
 class TestFaultInjector:
@@ -234,10 +132,8 @@ class TestFallbackPolicy:
         assert p.degrade_to("process") == "serial"
 
     def test_unknown_degrade_backend_rejected(self):
-        from repro.runtime.faults import parse_policy_spec
-
         with pytest.raises(ValueError, match=r"'thrad'.*'serial', 'process'"):
-            parse_policy_spec("degrade=thrad>serial")
+            FallbackPolicy(degrade=("thrad", "serial"))
         with pytest.raises(ValueError, match="degrade"):
             FallbackPolicy(degrade=("gpu",))
 

@@ -68,13 +68,6 @@ class TestCancelToken:
         assert child.cancelled
         assert not parent.cancelled
 
-    def test_raise_if_cancelled(self):
-        tok = CancelToken()
-        tok.raise_if_cancelled()  # no-op while live
-        tok.cancel("stop")
-        with pytest.raises(RunCancelledError, match="stop"):
-            tok.raise_if_cancelled("unit-test")
-
 
 class TestContextDeadline:
     def test_nonpositive_deadline_rejected(self):

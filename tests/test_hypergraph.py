@@ -11,9 +11,7 @@ from repro.hypergraph import (
     kmeans,
     normalized_mutual_information,
     planted_partition_hypergraph,
-    uniform_random_hypergraph,
 )
-from repro.symmetry.iou import is_iou
 
 
 class TestHypergraph:
@@ -56,7 +54,7 @@ class TestAdjacency:
         assert dummy_node_count(hg, 3) == 1
         assert t.dim == 5
         assert t.unnz == 2
-        assert np.all(is_iou(t.indices))
+        assert np.all(t.indices[:, 1:] >= t.indices[:, :-1])  # rows are IOU
 
     def test_padding_uses_distinct_dummies(self):
         hg = Hypergraph(3, [(0,)])
@@ -99,11 +97,6 @@ class TestGenerators:
         cards = hg.cardinalities()
         assert cards.min() >= 2  # duplicate node collapse can shrink by one
         assert cards.max() <= 5
-
-    def test_uniform_random(self):
-        hg = uniform_random_hypergraph(30, 50, seed=2)
-        assert hg.n_nodes == 30
-        assert hg.n_edges > 25
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

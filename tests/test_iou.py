@@ -10,11 +10,7 @@ from repro.symmetry.iou import (
     enumerate_iou,
     full_linear_index,
     iou_layout,
-    is_iou,
-    rank_iou,
     rank_iou_array,
-    unrank_iou,
-    unrank_iou_array,
 )
 
 
@@ -75,18 +71,6 @@ class TestRanking:
         ranks = rank_iou_array(rows, dim)
         assert np.array_equal(ranks, np.arange(rows.shape[0]))
 
-    @pytest.mark.parametrize("order,dim", [(2, 5), (3, 4), (4, 4)])
-    def test_unrank_roundtrip(self, order, dim):
-        n = sym_storage_size(order, dim)
-        rows = unrank_iou_array(np.arange(n), order, dim)
-        assert np.array_equal(rows, enumerate_iou(order, dim))
-
-    def test_scalar_wrappers(self):
-        # Lex enumeration for order 3, dim 3: (0,0,0),(0,0,1),(0,0,2),(0,1,1),...
-        assert rank_iou((0, 0, 0), 3) == 0
-        assert rank_iou((0, 1, 1), 3) == 3
-        assert tuple(unrank_iou(3, 3, 3)) == (0, 1, 1)
-
     def test_rank_rejects_decreasing(self):
         with pytest.raises(ValueError):
             rank_iou_array(np.array([[2, 1]]), 4)
@@ -95,13 +79,8 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_iou_array(np.array([[0, 4]]), 4)
 
-    def test_unrank_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            unrank_iou_array(np.array([100]), 2, 3)
-
     def test_empty_inputs(self):
         assert rank_iou_array(np.zeros((0, 3), dtype=int), 4).shape == (0,)
-        assert unrank_iou_array(np.zeros(0, dtype=int), 3, 4).shape == (0, 3)
 
 
 class TestFullLinearIndex:
@@ -115,12 +94,3 @@ class TestFullLinearIndex:
         idx = rng.integers(0, 5, size=(20, 4))
         expected = np.ravel_multi_index(tuple(idx.T), (5,) * 4)
         assert np.array_equal(full_linear_index(idx, 5), expected)
-
-
-class TestIsIou:
-    def test_masks(self):
-        rows = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1]])
-        assert is_iou(rows).tolist() == [True, False, True]
-
-    def test_single_column(self):
-        assert is_iou(np.array([[3], [1]])).tolist() == [True, True]

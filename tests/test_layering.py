@@ -188,3 +188,106 @@ def test_checker_rejects_public_leaf_without_reason():
     assert chk.check_package() == [
         "PUBLIC_LEAVES: entry repro.data.io states no reason"
     ]
+
+
+def _name_package(tmp_path, chk, module_src, tool_src, init_src=""):
+    """A one-module package ``repro.core.mod`` and one tool importing it."""
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "core").mkdir(parents=True)
+    (pkg / "__init__.py").write_text('"""Facade."""\n')
+    (pkg / "_lazy.py").write_text("def lazy_exports(package, table):\n    pass\n")
+    (pkg / "core" / "__init__.py").write_text(init_src)
+    (pkg / "core" / "mod.py").write_text(module_src)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(tool_src)
+    chk.PACKAGE = pkg
+    chk.ENTRY_DIRS = [tmp_path / "tools"]
+    chk.PUBLIC_LEAVES.clear()
+    chk.PUBLIC_NAMES.clear()
+
+
+_TWO_DEFS = "def used():\n    return 1\n\n\ndef planted():\n    return planted\n"
+
+
+def test_checker_rejects_unreferenced_name(tmp_path):
+    """A top-level function of a reached module that nothing in the
+    closure names fails; its own body's reference does not count."""
+    chk = _load_checker()
+    _name_package(tmp_path, chk, _TWO_DEFS, "from repro.core.mod import used\n")
+    errors = chk.check_names()
+    assert len(errors) == 1
+    assert errors[0].startswith(
+        "core/mod.py:5: unreached name repro.core.mod.planted"
+    )
+    chk.PUBLIC_NAMES["repro.core.mod.planted"] = "kept for a stated reason"
+    assert chk.check_names() == []
+
+
+def test_checker_rejects_name_only_reexported(tmp_path):
+    """``__all__`` and the package's lazy table are strings, not uses."""
+    chk = _load_checker()
+    _name_package(
+        tmp_path,
+        chk,
+        '__all__ = ["used", "planted"]\n\n\n' + _TWO_DEFS,
+        "from repro.core import used\n",
+        init_src=(
+            "from .._lazy import lazy_exports\n"
+            "__getattr__, __dir__, __all__ = lazy_exports(\n"
+            '    __name__, {".mod": ("used", "planted")}\n'
+            ")\n"
+        ),
+    )
+    assert chk.reached_modules() == {"repro._lazy", "repro.core.mod"}
+    errors = chk.check_names()
+    assert len(errors) == 1
+    assert "unreached name repro.core.mod.planted" in errors[0]
+
+
+def test_checker_accepts_name_an_entry_point_uses(tmp_path):
+    chk = _load_checker()
+    _name_package(
+        tmp_path,
+        chk,
+        _TWO_DEFS,
+        "from repro.core import mod\n\nmod.used()\nmod.planted()\n",
+    )
+    assert chk.check_names() == []
+
+
+def test_checker_rejects_unreferenced_name_in_the_real_package():
+    """Dropping a real name's allowance makes the full check fail."""
+    chk = _load_checker()
+    del chk.PUBLIC_NAMES["repro.decomp.reconstruct.reconstruct_dense"]
+    errors = chk.check_package()
+    assert len(errors) == 1
+    assert "unreached name repro.decomp.reconstruct.reconstruct_dense" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "name, why",
+    [
+        ("repro.core.s3ttmc.s3ttmc", "the entry-point closure references it"),
+        (
+            "repro.core.s3ttmc.missing",
+            "no such top-level function or class in a reached module",
+        ),
+    ],
+)
+def test_checker_rejects_stale_public_name(name, why, capsys):
+    chk = _load_checker()
+    chk.PUBLIC_NAMES[name] = "no longer true"
+    assert chk.check_package() == [
+        f"PUBLIC_NAMES: stale entry {name}: {why} — remove it"
+    ]
+    assert chk.main() == 1
+    assert f"stale entry {name}" in capsys.readouterr().err
+
+
+def test_checker_rejects_public_name_without_reason():
+    chk = _load_checker()
+    chk.PUBLIC_NAMES["repro.decomp.reconstruct.reconstruct_dense"] = " "
+    assert chk.check_package() == [
+        "PUBLIC_NAMES: entry repro.decomp.reconstruct.reconstruct_dense "
+        "states no reason"
+    ]

@@ -11,7 +11,7 @@ from repro.core.codegen import (
     table_step,
 )
 from repro.core.layouts import compact_layout, full_layout, layout_for
-from repro.symmetry.combinatorics import dense_size, sym_storage_size
+from repro.symmetry.combinatorics import sym_storage_size
 from repro.symmetry.tables import get_tables
 
 
@@ -22,14 +22,12 @@ class TestLayouts:
         assert layout.size == tables.size
         assert np.array_equal(layout.parent_loc, tables.parent_loc)
         assert np.array_equal(layout.last_index, tables.last_index)
-        assert layout.parent_size == sym_storage_size(2, 4)
 
     def test_full_layout_arithmetic(self):
         layout = full_layout(2, 3)
         assert layout.size == 9
         assert layout.parent_loc.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
         assert layout.last_index.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2]
-        assert layout.parent_size == dense_size(1, 3)
 
     def test_dispatch(self):
         assert layout_for("compact", 2, 3).kind == "compact"
@@ -85,31 +83,25 @@ class TestStepStrategies:
         # CPython rejects > 20 statically nested blocks, so real orders
         # can't overflow the default cap of 32 — shrink the cap instead.
         from repro.core import codegen
-        from repro.core.codegen import (
-            _compiled_step,
-            clear_codegen_cache,
-            codegen_cache_info,
-        )
+        from repro.core.codegen import _compiled_step
 
-        monkeypatch.setattr(codegen, "_CACHE_CAP", 4)
-        clear_codegen_cache()
-        cap = codegen_cache_info()["cap"]
-        assert cap == 4
+        cap = 4
+        monkeypatch.setattr(codegen, "_CACHE_CAP", cap)
+        codegen._COMPILED.clear()
         # Fill past the cap: oldest orders must be evicted, newest kept.
         for order in range(2, 2 + cap + 3):
             _compiled_step(order)
-        info = codegen_cache_info()
-        assert info["size"] == cap
-        assert 2 not in info["orders"]
-        assert 2 + cap + 2 in info["orders"]
+        orders = list(codegen._COMPILED)
+        assert len(orders) == cap
+        assert 2 not in orders
+        assert 2 + cap + 2 in orders
         # A hit refreshes recency: touch the oldest survivor, add one
         # more order, and the survivor must still be cached.
-        oldest = info["orders"][0]
+        oldest = orders[0]
         _compiled_step(oldest)
         _compiled_step(2 + cap + 3)
-        assert oldest in codegen_cache_info()["orders"]
-        clear_codegen_cache()
-        assert codegen_cache_info()["size"] == 0
+        assert oldest in codegen._COMPILED
+        codegen._COMPILED.clear()
 
     def test_codegen_callables_version_tagged(self):
         from repro.core.codegen import CODEGEN_VERSION, _compiled_step

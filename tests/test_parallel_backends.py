@@ -23,7 +23,6 @@ from repro.parallel import (
     make_backend,
     parallel_s3ttmc,
 )
-from repro.parallel.partition import assign_chunks
 from repro.runtime import ExecContext
 from tests.conftest import make_random_tensor
 
@@ -169,22 +168,6 @@ class TestProcessBackend:
             assert report.elapsed > 0
 
 
-class TestAssignChunks:
-    def test_lpt_balances(self):
-        assignment = assign_chunks([5.0, 4.0, 3.0, 3.0, 2.0, 1.0], 2)
-        loads = [sum([5.0, 4.0, 3.0, 3.0, 2.0, 1.0][i] for i in w) for w in assignment]
-        assert abs(loads[0] - loads[1]) <= 2.0
-        assert sorted(i for w in assignment for i in w) == list(range(6))
-
-    def test_one_chunk_per_worker(self):
-        assignment = assign_chunks([1.0, 1.0, 1.0], 3)
-        assert sorted(map(tuple, assignment)) == [(0,), (1,), (2,)]
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            assign_chunks([1.0], 0)
-
-
 class TestReportDefaults:
     def test_all_fields_default(self):
         report = ParallelRunReport()
@@ -262,9 +245,9 @@ def _removed_thread_spelling(case, rng):
 
         DecompositionService(execution="thread")
     elif case == "policy":
-        from repro.runtime.faults import parse_policy_spec
+        from repro.runtime.faults import FallbackPolicy
 
-        parse_policy_spec("degrade=thread>serial")
+        FallbackPolicy(degrade=("thread", "serial"))
     else:
         from repro.serve.__main__ import build_parser
 

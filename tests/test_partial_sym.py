@@ -45,10 +45,6 @@ class TestExpansion:
         full = ps.to_full_unfolding()
         assert ps.norm_squared() == pytest.approx((full**2).sum())
 
-    def test_full_unfolding_bytes(self):
-        ps = PartiallySymmetricTensor(10, 3, 4)
-        assert ps.full_unfolding_bytes() == 10 * 64 * 8
-
 
 class TestMode1TTM:
     def test_property2_layout_preserved(self, rng):

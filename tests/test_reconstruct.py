@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import hoqri, random_sparse_symmetric
-from repro.decomp import reconstruct_at, reconstruct_dense, residual_norm
+from repro.decomp import reconstruct_at, reconstruct_dense
 
 
 @pytest.fixture(scope="module")
@@ -51,19 +51,7 @@ class TestReconstruct:
 
 
 class TestResidualNorm:
-    def test_exact_matches_dense(self, decomposed):
-        x, res = decomposed
-        expected = np.linalg.norm(x.to_dense() - reconstruct_dense(res))
-        assert residual_norm(res, x) == pytest.approx(expected, abs=1e-8)
-
-    def test_fast_path_consistent_for_hoqri(self, decomposed):
-        x, res = decomposed
-        assert residual_norm(res, x, exact=False) == pytest.approx(
-            residual_norm(res, x, exact=True), abs=1e-6
-        )
-
     def test_relative_error_consistency(self, decomposed):
         x, res = decomposed
-        assert residual_norm(res, x) / x.norm() == pytest.approx(
-            res.relative_error, abs=1e-8
-        )
+        residual = np.linalg.norm(x.to_dense() - reconstruct_dense(res))
+        assert residual / x.norm() == pytest.approx(res.relative_error, abs=1e-8)

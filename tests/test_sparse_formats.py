@@ -55,7 +55,6 @@ class TestUCOO:
         assert np.allclose(coo.to_dense(), small_tensor.to_dense())
 
 
-
 class TestCOO:
     def test_duplicate_rejected(self):
         idx = np.array([[0, 1], [0, 1]])
@@ -116,18 +115,11 @@ class TestCSS:
         assert css.unnz == small_tensor.unnz
         assert np.array_equal(css.indices, small_tensor.indices)
 
-    def test_from_arrays(self):
-        css = CSSTensor.from_arrays(
-            2, 4, np.array([[1, 0], [3, 2]]), np.array([1.0, 2.0])
-        )
-        assert css.indices.tolist() == [[0, 1], [2, 3]]
-
     def test_node_counts_shared_prefixes(self):
-        css = CSSTensor.from_arrays(
-            3,
-            5,
-            np.array([[0, 1, 2], [0, 1, 3], [0, 2, 4]]),
-            np.ones(3),
+        css = CSSTensor.from_ucoo(
+            SparseSymmetricTensor(
+                3, 5, np.array([[0, 1, 2], [0, 1, 3], [0, 2, 4]]), np.ones(3)
+            )
         )
         assert css.node_counts == [1, 2, 3]
 

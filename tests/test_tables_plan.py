@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.plan import TTMcPlan, build_plan, get_plan
 from repro.formats.ucoo import SparseSymmetricTensor
+from repro.symmetry import tables as tables_mod
 from repro.symmetry.combinatorics import sym_storage_size
 from repro.symmetry.iou import enumerate_iou
-from repro.symmetry.tables import clear_table_cache, get_tables, table_cache_info
+from repro.symmetry.tables import get_tables
 from tests.conftest import make_random_tensor
 
 
@@ -24,12 +25,11 @@ class TestIndexTables:
         assert a is b
 
     def test_cache_info_and_clear(self):
-        clear_table_cache()
-        get_tables(2, 5)
-        info = table_cache_info()
-        assert info[(2, 5)] == sym_storage_size(2, 5)
-        clear_table_cache()
-        assert table_cache_info() == {}
+        # The cache is keyed by (order, dim) and refills after a clear.
+        tables_mod._CACHE.clear()
+        tables = get_tables(2, 5)
+        assert tables_mod._CACHE == {(2, 5): tables}
+        assert tables.size == sym_storage_size(2, 5)
 
     def test_parent_loc_consistent_with_enumeration(self):
         tables = get_tables(4, 3)

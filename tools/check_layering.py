@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail on upward imports between repro's layers, and on modules nothing runs.
+"""Fail on upward imports between repro's layers, and on code nothing runs.
 
 The package is layered (see ``docs/architecture.md``): combinatorics at
 the bottom, observability and the runtime (context/budget) as carried
@@ -29,6 +29,16 @@ a module does not by itself reach it. A module outside the closure
 passes only if ``PUBLIC_LEAVES`` names it with a reason; an entry for a
 module that is reached or gone is stale and fails, as does a ``LAYERS``
 rank for a subpackage that no longer exists.
+
+Every top-level function and class of a reached module must be reached
+too: some file of the closure or an entry point must name it — an
+``ast.Name``, an attribute, or a ``from M import name`` (package
+``__init__`` re-exports do not count). Strings never count, so a name
+only ``__all__``, a lazy table or a docstring mentions is unreached, and
+so is one only its own body refers to. A name that fails passes only if
+``PUBLIC_NAMES`` lists it with the reason it stays; stale and reasonless
+entries fail as for ``PUBLIC_LEAVES``. Methods are out of scope: without
+types, ``x.name`` cannot be tied to one class.
 
 Usage: ``python tools/check_layering.py`` (exit 1 on violations).
 """
@@ -89,6 +99,25 @@ PUBLIC_LEAVES = {
     "the real hypergraph datasets that the stand-ins replace",
     "repro.apps.moments": "the moment-tensor application of the paper's "
     "introduction (ref [6])",
+}
+
+#: Top-level functions and classes of reached modules that nothing in the
+#: entry-point closure names but that stay on purpose, with the reason: the
+#: test that uses each as the reference for production code.
+PUBLIC_NAMES = {
+    "repro.symmetry.expansion.expansion_matrix": "the explicit E of "
+    "Property 2: tests/test_expansion.py::TestExpandCompact::"
+    "test_matches_sparse_matrix checks expand_compact against it, and "
+    "tests/test_properties.py::TestPropertyTwoThree::"
+    "test_m_diagonal_multinomial checks permutation_counts_array against "
+    "the diagonal of EᵀE",
+    "repro.symmetry.expansion.multiplicity_vector": "the distinct-orderings "
+    "vector p the kernels read from IndexTables: tests/test_expansion.py::"
+    "TestExpansionMatrix::test_property3_m_is_diagonal_multiplicity pins it "
+    "to the diagonal of EᵀE",
+    "repro.decomp.reconstruct.reconstruct_dense": "dense reference for the "
+    "pointwise reconstruct_at that link prediction uses: tests/"
+    "test_reconstruct.py::TestReconstruct::test_pointwise_matches_dense",
 }
 
 #: Modules (relative to ``src/repro``) permitted to use ``threading.local``.
@@ -184,6 +213,10 @@ def iter_imports(
     return iter(visitor.found)
 
 
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def module_name_of(path: Path) -> str:
     """Dotted name of a file under ``PACKAGE`` (a package's ``__init__``
     is the package)."""
@@ -198,6 +231,14 @@ def package_files() -> Iterator[Path]:
     for path in sorted(PACKAGE.rglob("*.py")):
         if "__pycache__" not in path.parts:
             yield path
+
+
+def entry_files() -> Iterator[Path]:
+    """Every file under ``ENTRY_DIRS``, in a stable order."""
+    for entry_dir in ENTRY_DIRS:
+        for path in sorted(entry_dir.rglob("*.py")):
+            if "__pycache__" not in path.parts:
+                yield path
 
 
 def lazy_tables(
@@ -248,7 +289,7 @@ def reached_modules() -> Set[str]:
 
     def tree(name: str) -> ast.Module:
         if name not in trees:
-            trees[name] = ast.parse(files[name].read_text(encoding="utf-8"))
+            trees[name] = parse(files[name])
         return trees[name]
 
     def lazy_reach(package: str, name: str) -> Optional[List[str]]:
@@ -305,11 +346,8 @@ def reached_modules() -> Set[str]:
     roots = [name for name in files if name.endswith(".__main__")]
     reached = set(roots)
     queue = [module for name in roots for module in imported(tree(name), name)]
-    for entry_dir in ENTRY_DIRS:
-        for path in sorted(entry_dir.rglob("*.py")):
-            if "__pycache__" not in path.parts:
-                source = ast.parse(path.read_text(encoding="utf-8"))
-                queue.extend(imported(source, ""))
+    for path in entry_files():
+        queue.extend(imported(parse(path), ""))
     while queue:
         module = queue.pop()
         if module not in reached:
@@ -349,6 +387,87 @@ def check_reachability() -> List[str]:
     return errors
 
 
+def top_level_defs(tree: ast.Module) -> Dict[str, ast.stmt]:
+    """The top-level functions and classes of ``tree`` by name."""
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def referenced_names(tree: ast.Module, imports: bool = True) -> Set[str]:
+    """Names ``tree`` refers to: each ``ast.Name``, attribute and (with
+    ``imports``) ``from M import name``. A top-level def's references to
+    its own name (recursion, a classmethod building its class) do not
+    count; strings — ``__all__``, lazy tables, docstrings — never do."""
+    names: Set[str] = set()
+    for stmt in tree.body:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and imports:
+                found.update(alias.name for alias in node.names)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.discard(stmt.name)
+        names |= found
+    return names
+
+
+def check_names() -> List[str]:
+    """Top-level functions and classes of reached modules that no file in
+    the entry-point closure references, unless ``PUBLIC_NAMES`` lists
+    them; and stale ``PUBLIC_NAMES`` entries."""
+    files = {module_name_of(path): path for path in package_files()}
+    modules = sorted(reached_modules())
+    trees = {name: parse(files[name]) for name in modules}
+    referenced: Set[str] = set()
+    for tree in trees.values():
+        referenced |= referenced_names(tree)
+    # A package's ``__init__`` runs whenever one of its modules does, but
+    # its re-exports are not uses.
+    packages = {
+        ".".join(name.split(".")[:depth])
+        for name in modules
+        for depth in range(1, name.count(".") + 1)
+    }
+    for package in packages:
+        referenced |= referenced_names(parse(files[package]), imports=False)
+    for path in entry_files():
+        referenced |= referenced_names(parse(path))
+    errors = []
+    defined = set()
+    for module, tree in trees.items():
+        for name, node in top_level_defs(tree).items():
+            qualified = f"{module}.{name}"
+            defined.add(qualified)
+            if name in referenced:
+                if qualified in PUBLIC_NAMES:
+                    errors.append(
+                        f"PUBLIC_NAMES: stale entry {qualified}: the "
+                        f"entry-point closure references it — remove it"
+                    )
+            elif qualified not in PUBLIC_NAMES:
+                errors.append(
+                    f"{files[module].relative_to(PACKAGE)}:{node.lineno}: "
+                    f"unreached name {qualified}: nothing in the entry-point "
+                    f"closure references it — delete it, or add it to "
+                    f"PUBLIC_NAMES with the reason it stays"
+                )
+    for qualified, reason in sorted(PUBLIC_NAMES.items()):
+        if qualified not in defined:
+            errors.append(
+                f"PUBLIC_NAMES: stale entry {qualified}: no such top-level "
+                f"function or class in a reached module — remove it"
+            )
+        elif not reason.strip():
+            errors.append(f"PUBLIC_NAMES: entry {qualified} states no reason")
+    return errors
+
+
 def check_file(path: Path, used: Optional[Set[object]] = None) -> List[str]:
     """Layering and thread-local violations in one file; adds each
     allowance it uses (a ``LAZY_ALLOWED`` pair or a
@@ -363,7 +482,7 @@ def check_file(path: Path, used: Optional[Set[object]] = None) -> List[str]:
     if rank is None:
         return [f"{rel}: unknown layer {group!r} — add it to LAYERS"]
 
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = parse(path)
     errors = []
     line = uses_thread_local(tree)
     if line is not None:
@@ -408,7 +527,7 @@ def check_file(path: Path, used: Optional[Set[object]] = None) -> List[str]:
 
 def check_package() -> List[str]:
     """Every violation under ``src/repro``: upward imports, unreached
-    modules and stale allowances, ranks and leaves."""
+    modules and names, and stale allowances, ranks, leaves and names."""
     errors: List[str] = []
     used: Set[object] = set()
     for path in package_files():
@@ -434,6 +553,7 @@ def check_package() -> List[str]:
             f"threading.local — remove it"
         )
     errors.extend(check_reachability())
+    errors.extend(check_names())
     return errors
 
 
@@ -446,7 +566,8 @@ def main() -> int:
         return 1
     print(
         f"layering OK ({len(LAYERS)} layers, no upward imports, every module "
-        f"reached or one of {len(PUBLIC_LEAVES)} public leaves)"
+        f"reached or one of {len(PUBLIC_LEAVES)} public leaves, every "
+        f"top-level name reached or one of {len(PUBLIC_NAMES)} public names)"
     )
     return 0
 
