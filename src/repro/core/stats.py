@@ -61,8 +61,8 @@ class KernelStats:
         self.level_flops[level] = self.level_flops.get(level, 0) + flops
         self.level_nodes[level] = self.level_nodes.get(level, 0) + nodes
         self.level_edges[level] = self.level_edges.get(level, 0) + edges
-        # Peak single-level K footprint, matching merge()'s max semantics —
-        # levels are materialized one at a time, so their bytes never sum.
+        # Peak single-level K footprint: levels are materialized one at a
+        # time, so their bytes never sum.
         self.intermediate_bytes = max(self.intermediate_bytes, nodes * entry_size * 8)
 
     def add_scatter(self, edges: int, entry_size: int) -> None:
@@ -81,16 +81,3 @@ class KernelStats:
     def kernel_flops(self) -> int:
         """Lattice + scatter flops (the ``C^SP`` / ``C^CSS`` quantity)."""
         return sum(self.level_flops.values()) + self.scatter_flops
-
-    def merge(self, other: "KernelStats") -> None:
-        for level, flops in other.level_flops.items():
-            self.level_flops[level] = self.level_flops.get(level, 0) + flops
-        for level, n in other.level_nodes.items():
-            self.level_nodes[level] = self.level_nodes.get(level, 0) + n
-        for level, e in other.level_edges.items():
-            self.level_edges[level] = self.level_edges.get(level, 0) + e
-        self.scatter_flops += other.scatter_flops
-        self.extra_flops += other.extra_flops
-        self.intermediate_bytes = max(self.intermediate_bytes, other.intermediate_bytes)
-        self.output_bytes = max(self.output_bytes, other.output_bytes)
-        self.batches += other.batches

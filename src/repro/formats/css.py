@@ -24,19 +24,12 @@ __all__ = ["CSSTensor"]
 
 
 class CSSTensor:
-    """Tree-compressed sparse symmetric tensor.
-
-    Construct from a canonical :class:`SparseSymmetricTensor` (or with
-    :meth:`from_ucoo`).
-    """
+    """Tree-compressed sparse symmetric tensor, built from a canonical
+    :class:`SparseSymmetricTensor`."""
 
     def __init__(self, ucoo: SparseSymmetricTensor):
         self.ucoo = ucoo
         self.trie: PrefixTrie = build_trie(ucoo.indices)
-
-    @classmethod
-    def from_ucoo(cls, ucoo: SparseSymmetricTensor) -> "CSSTensor":
-        return cls(ucoo)
 
     # -- delegation ----------------------------------------------------------
     @property

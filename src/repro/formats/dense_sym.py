@@ -54,7 +54,11 @@ class DenseSymmetricTensor:
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_full(cls, full: np.ndarray, *, check_symmetry: bool = True) -> "DenseSymmetricTensor":
-        """Compact a full symmetric ndarray (all extents equal)."""
+        """Compact a full symmetric ndarray (all extents equal).
+
+        With :meth:`to_full`, the tests' bridge between the IOU storage
+        and the full array (``tests/test_dense_formats.py``).
+        """
         full = np.asarray(full, dtype=np.float64)
         order = full.ndim
         dim = full.shape[0] if order else 0
@@ -72,7 +76,10 @@ class DenseSymmetricTensor:
 
     # -- conversions -------------------------------------------------------
     def to_full(self) -> np.ndarray:
-        """Expand to the full ``(dim,)*order`` ndarray (accounted allocation)."""
+        """Expand to the full ``(dim,)*order`` ndarray (accounted allocation).
+
+        Kept as the dense reference of ``tests/test_dense_formats.py``.
+        """
         current_context().request_bytes(
             dense_size(self.order, self.dim) * 8, "DenseSymmetricTensor.full"
         )

@@ -70,9 +70,6 @@ class Span:
     def seconds(self) -> float:
         return max(0.0, self.end - self.start)
 
-    def set_attr(self, key: str, value: Any) -> None:
-        self.attrs[key] = value
-
 
 @dataclass
 class TraceEvent:
@@ -161,6 +158,11 @@ class TraceCollector:
         return [s for s in self.spans if s.parent_id == span_id]
 
     def find(self, name: str) -> List[Span]:
+        """The recorded spans called ``name``.
+
+        Kept for the tests that read traces by span name, among them
+        ``tests/test_context.py`` and ``tests/test_obs.py``.
+        """
         return [s for s in self.spans if s.name == name]
 
 
@@ -236,9 +238,6 @@ class _NullSpan:
 
     def __exit__(self, *exc) -> bool:
         return False
-
-    def set_attr(self, key: str, value: Any) -> None:
-        pass
 
     @property
     def attrs(self) -> Dict[str, Any]:

@@ -86,7 +86,6 @@ directly, via :func:`make_backend`, or implicitly through
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import threading
 import time
@@ -108,6 +107,7 @@ from ..runtime.faults import (
 )
 from ..runtime.health import NumericalHealthError
 from . import shm as _shm
+from .child import STOP_TIMEOUT_S, Child
 from .executor import (
     ParallelJob,
     ParallelRunReport,
@@ -123,30 +123,9 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "BACKENDS",
-    "START_METHOD_ENV_VAR",
     "default_workers",
     "make_backend",
-    "mp_context",
 ]
-
-#: Environment override for the start method of every child process the
-#: library starts — process-backend workers and serve job processes
-#: (``fork`` / ``spawn`` / ``forkserver``); CI uses it to exercise the
-#: spawn path on platforms that default to fork.
-START_METHOD_ENV_VAR = "REPRO_START_METHOD"
-
-
-def mp_context(start_method: Optional[str] = None):
-    """The :mod:`multiprocessing` context child processes start under:
-    ``start_method``, else ``$REPRO_START_METHOD``, else ``fork`` where
-    the platform has it and ``spawn`` elsewhere."""
-    if start_method is None:
-        start_method = os.environ.get(START_METHOD_ENV_VAR) or None
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
-
 
 #: Task failures the supervisor retries. A ``MemoryLimitError`` splits
 #: the task instead; any other error propagates.
@@ -535,23 +514,14 @@ class SerialBackend(Backend):
                 )
 
 
-class _WorkerHandle:
-    """Parent-side record of one worker process."""
+class _WorkerHandle(Child):
+    """One worker process and the parent's record of its task."""
 
-    __slots__ = (
-        "worker_id",
-        "proc",
-        "conn",
-        "task",
-        "task_id",
-        "last_heard",
-        "result_name",
-    )
-
-    def __init__(self, worker_id: int, proc, conn) -> None:
+    def __init__(self, worker_id: int, run_token: str) -> None:
+        super().__init__(
+            _shm.worker_main, (worker_id, run_token), f"s3ttmc-worker-{worker_id}"
+        )
         self.worker_id = worker_id
-        self.proc = proc
-        self.conn = conn
         self.task: Optional[_Task] = None
         self.task_id = -1
         self.last_heard = 0.0
@@ -617,7 +587,7 @@ class _ProcessRunner:
                     fault, self.policy.heartbeat_interval, self.job.kernel,
                 )
             )
-        except (OSError, BrokenPipeError, ValueError):
+        except (OSError, ValueError):
             self.finished.append(self._lose(handle, "shard owner died while idle"))
 
     def wait(self) -> List[Tuple[_Task, object]]:
@@ -706,7 +676,8 @@ class _ProcessRunner:
         task = handle.task
         self._release(handle)
         backend = self.backend
-        backend._retire_worker(handle)
+        code = backend._retire_worker(handle)
+        reason = f"{reason}, exit code {code}"
         if self.respawns >= self.policy.max_respawns:
             # Nobody else holds this shard: the run cannot finish.
             raise BackendUnhealthyError(
@@ -720,9 +691,8 @@ class _ProcessRunner:
             "parallel.worker_respawns", "respawns",
             worker=handle.worker_id, reason=reason,
         )
-        fresh = backend._spawn_one(handle.worker_id)
-        backend._workers.append(fresh)
-        backend._send_state(fresh)  # re-ingests the worker's shard
+        # The fresh owner re-ingests the lost worker's shard.
+        backend._send_state(backend._spawn_one(handle.worker_id))
         _note_incident(
             self.ctx, self.report, "parallel.shard_reingest",
             "parallel.shard_reingests", "shard_reingests",
@@ -757,7 +727,6 @@ class ProcessBackend(Backend):
         self,
         n_workers: Optional[int] = None,
         *,
-        start_method: Optional[str] = None,
         run_token: Optional[str] = None,
     ) -> None:
         super().__init__(n_workers)
@@ -765,7 +734,6 @@ class ProcessBackend(Backend):
         # namespaced under this token, so concurrent backends in one
         # parent can never collide on names or sweep each other.
         self._run_token = str(run_token) if run_token else os.urandom(4).hex()
-        self._ctx = mp_context(start_method)
         self._workers: List[_WorkerHandle] = []
         self._tensor_gen = 0
         self._owned: Dict[str, object] = {}  # label -> SharedMemory
@@ -784,42 +752,14 @@ class ProcessBackend(Backend):
 
     # -- worker lifecycle --------------------------------------------------
     def _spawn_one(self, worker_id: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_shm.worker_main,
-            args=(child_conn, worker_id, self._run_token),
-            name=f"s3ttmc-worker-{worker_id}",
-            daemon=True,
-        )
-        # Under a fork start method, forking while a sibling thread is
-        # mid segment-create/attach would clone a held resource-tracker
-        # lock into the child, deadlocking its first attach. Holding the
-        # tracker guard across the fork makes spawn and segment traffic
-        # mutually exclusive (see shm.tracker_guard).
-        with _shm.tracker_guard():
-            proc.start()
-        child_conn.close()
-        return _WorkerHandle(worker_id, proc, parent_conn)
+        handle = _WorkerHandle(worker_id, self._run_token)
+        self._workers.append(handle)
+        return handle
 
     def _ensure_workers(self) -> None:
-        if self._workers:
-            return
-        # Start the resource tracker *before* the workers so every worker
-        # shares it: fork children inherit it and spawn children are
-        # handed its descriptor. With one shared tracker, register and
-        # unregister pairs from creators and attachers deduplicate and
-        # segment cleanup is exact (no spurious "leaked shared_memory"
-        # warnings from per-worker trackers).
-        try:  # pragma: no cover - tracker internals vary across versions
-            from multiprocessing import resource_tracker
-
-            with _shm.tracker_guard():
-                resource_tracker.ensure_running()
-        except Exception:
-            pass
-        self._workers = [
-            self._spawn_one(worker_id) for worker_id in range(self.n_workers)
-        ]
+        if not self._workers:
+            for worker_id in range(self.n_workers):
+                self._spawn_one(worker_id)
 
     def _send_state(self, handle: _WorkerHandle) -> None:
         """Bring a (re)spawned worker up to the current operand state.
@@ -842,47 +782,43 @@ class ProcessBackend(Backend):
                 continue
             try:
                 handle.conn.send(msg)
-            except (OSError, BrokenPipeError, ValueError):
+            except (OSError, ValueError):
                 # A worker died while idle; replace it. _send_state runs
                 # after the caller updated the pending state, so the
                 # replacement receives `msg`'s content too.
                 self._retire_worker(handle)
-                fresh = self._spawn_one(handle.worker_id)
-                self._workers.append(fresh)
-                self._send_state(fresh)
+                self._send_state(self._spawn_one(handle.worker_id))
 
-    def _retire_worker(self, handle: _WorkerHandle) -> None:
-        """Kill a worker, remove it from the pool and reclaim what it held."""
+    def _retire_worker(self, handle: _WorkerHandle, grace=0.0) -> Optional[int]:
+        """Stop a worker (at once by default: it is dead or wedged), remove
+        it from the pool and reclaim what it held; returns its exit code."""
         if handle in self._workers:
             self._workers.remove(handle)
-        if handle.proc.is_alive():
-            handle.proc.terminate()
-        handle.proc.join(timeout=5)
-        if handle.proc.is_alive():  # pragma: no cover - stuck worker
-            handle.proc.kill()
-            handle.proc.join(timeout=5)
+        code = handle.stop(grace)
+        # A result segment announced just before it died may be unread
+        # (poll raises OSError once close() closed the pipe).
         try:
-            handle.conn.close()
-        except Exception:
+            while handle.conn.poll():
+                msg = handle.conn.recv()
+                if msg[0] in ("result", "chunk_done"):
+                    self._note_result_announce(handle, msg[2])
+        except (EOFError, OSError):
             pass
+        handle.close()
         if handle.result_name:
             # The worker owned its result segment; it died without
             # unlinking, so the parent must — this is the shm-leak fix
             # for abnormal worker exit.
-            old = self._attached_results.pop(handle.result_name, None)
-            if old is not None:
-                try:
-                    old.close()
-                except Exception:
-                    pass
+            self._detach_result(handle.result_name)
             _shm.unlink_segment_by_name(handle.result_name)
             handle.result_name = ""
+        return code
 
-    def _reset_workers(self) -> None:
-        """Hard-stop the pool (fatal-error path); next execute rebuilds."""
+    def _reset_workers(self, grace: float = 0.0) -> None:
+        """Stop the pool (at once by default: the fatal-error path); the
+        next execute rebuilds it."""
         for handle in list(self._workers):
-            self._retire_worker(handle)
-        self._workers = []
+            self._retire_worker(handle, grace)
         self._factor_view = None
         self._factor_spec = None
         self._drop_shards()
@@ -951,35 +887,12 @@ class ProcessBackend(Backend):
 
     def close(self) -> None:
         for handle in self._workers:
-            try:
-                handle.conn.send(("close",))
-            except (OSError, BrokenPipeError, ValueError):
-                pass
-        for handle in self._workers:
-            handle.proc.join(timeout=5)
-            if handle.proc.is_alive():  # pragma: no cover - stuck worker
-                handle.proc.terminate()
-                handle.proc.join(timeout=5)
-            try:
-                handle.conn.close()
-            except Exception:
-                pass
-            if handle.result_name:
-                # Normally the worker unlinks its own buffer on close;
-                # sweep here in case it was terminated.
-                _shm.unlink_segment_by_name(handle.result_name)
-        self._workers = []
-        for shm in self._attached_results.values():
-            try:
-                shm.close()
-            except Exception:
-                pass
-        self._attached_results = {}
+            handle.close()  # EOF: the worker tears down and exits
+        self._reset_workers(STOP_TIMEOUT_S)
+        for name in list(self._attached_results):
+            self._detach_result(name)
         for label in list(self._owned):
             _shm.close_and_unlink(self._owned.pop(label))
-        self._factor_view = None
-        self._factor_spec = None
-        self._drop_shards()
         # Per-run sweep: reclaim anything in this backend's namespace the
         # explicit teardown above missed (crash paths). Never touches a
         # concurrent backend's segments.
@@ -1007,13 +920,16 @@ class ProcessBackend(Backend):
         buffer) makes the previous attachment stale; drop it here.
         """
         if handle.result_name and handle.result_name != name:
-            old = self._attached_results.pop(handle.result_name, None)
-            if old is not None:
-                try:
-                    old.close()
-                except Exception:
-                    pass
+            self._detach_result(handle.result_name)
         handle.result_name = name
+
+    def _detach_result(self, name: str) -> None:
+        shm = self._attached_results.pop(name, None)
+        if shm is not None:
+            try:
+                shm.close()
+            except Exception:
+                pass
 
     def _attach_result(
         self, handle: _WorkerHandle, name: str, n_rows: int, cols: int

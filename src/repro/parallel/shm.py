@@ -34,9 +34,9 @@ decomposition pay zero symbolic cost on every core. A respawned worker
 starts with an empty cache and rewarms it on demand (visible as plan
 cache misses).
 
-All processes share one resource tracker — the parent's, inherited
-under fork and handed over under spawn — so attaching a segment leaves
-its tracker registration alone (see :func:`attach_shared_array`).
+All processes share the parent's resource tracker (see
+:mod:`repro.parallel.child`), so attaching a segment leaves its tracker
+registration alone (see :func:`attach_shared_array`).
 
 Segment hygiene: every segment created in a process is recorded in a
 module registry and swept at interpreter exit, so even abnormal
@@ -104,8 +104,8 @@ def tracker_guard() -> threading.RLock:
     then deadlocks at its first segment attach — observed with two
     process backends driven from concurrent threads (the serve pool, or
     any multi-tenant caller). Every tracker-touching path in this module
-    runs under this lock, and :class:`~repro.parallel.backends.ProcessBackend`
-    holds it across ``Process.start()``, so a fork can never overlap a
+    runs under this lock, and :class:`~repro.parallel.child.Child` holds
+    it across ``Process.start()``, so a fork can never overlap a
     registration. The same ordering covers :data:`_REGISTRY_LOCK`: it is
     only ever taken under this lock, so a fork cannot clone it held
     either. Fork children inherit the parent's instance in an arbitrary
@@ -282,11 +282,10 @@ def attach_shared_array(
     """Map an existing segment; the attachment never owns the segment.
 
     The attach registers the name with the resource tracker, and that is
-    left alone: the process backend's workers share the parent's tracker
-    (fork children inherit it, spawn children are handed its
-    descriptor), where registration is set-deduplicated. Unregistering
-    here would cancel the *creator's* registration, and the creator's
-    later unlink would then fail inside the tracker.
+    left alone: every child shares the parent's tracker, where
+    registration is set-deduplicated. Unregistering here would cancel
+    the *creator's* registration, and its later unlink would then fail
+    inside the tracker.
     """
     with tracker_guard():
         shm = SharedMemory(name=spec.name)
@@ -589,7 +588,8 @@ def _run_chunk(
 
 
 def worker_main(conn: Connection, worker_id: int, run_token: str = "") -> None:
-    """Persistent worker loop; one per process, fed over a duplex pipe.
+    """Persistent worker loop of a :class:`~repro.parallel.child.Child`
+    (so the child prologue has run), fed over its duplex pipe.
 
     Messages (tuples, first element is the op):
 
@@ -615,20 +615,12 @@ def worker_main(conn: Connection, worker_id: int, run_token: str = "") -> None:
         ``("chunk_oom", task_id, label, nbytes, limit, in_use)`` when the
         mirrored budget refuses an allocation, or ``("chunk_error",
         task_id, text)`` on any other failure.
-    ``("close",)``
+    EOF on the pipe (the parent closed its end, or died)
         Tear down segments and exit.
 
     Replies are serialized through one lock shared with the heartbeat
     thread, so beats never interleave mid-message.
     """
-    from ..runtime.context import reset_thread_runtime_state
-
-    # A fork start method clones the parent's thread-local runtime state
-    # (active ExecContext and open-span stacks) into this process. None of
-    # it belongs to the worker — accounting against a forked copy of the
-    # parent's budget would be silently invisible — so drop it and run
-    # against this process's default context.
-    reset_thread_runtime_state()
     state = _WorkerState(run_token)
     send_lock = threading.Lock()
     heartbeat = _Heartbeat(conn, send_lock)
@@ -700,9 +692,6 @@ def worker_main(conn: Connection, worker_id: int, run_token: str = "") -> None:
                         reply(("chunk_done", task_id, *result))
                     finally:
                         heartbeat.end_task()
-                elif op == "close":
-                    reply(("closed",))
-                    break
                 else:  # pragma: no cover - protocol misuse
                     reply(("error", f"unknown op {op!r}"))
             except Exception as exc:  # surface worker failures to the parent
@@ -717,7 +706,3 @@ def worker_main(conn: Connection, worker_id: int, run_token: str = "") -> None:
     finally:
         heartbeat.close()
         state.teardown()
-        try:
-            conn.close()
-        except Exception:
-            pass

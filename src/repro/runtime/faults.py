@@ -67,7 +67,7 @@ Fault kinds
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -243,14 +243,6 @@ class FaultInjector:
         """Total faults fired so far."""
         return len(self.fired)
 
-    def reset(self) -> None:
-        """Forget all occurrence/fired state (fresh replay, same seed)."""
-        with self._lock:
-            self._seen.clear()
-            self._fired_count.clear()
-            self.fired.clear()
-            self._rng = np.random.default_rng(self.seed)
-
 
 # ---------------------------------------------------------------------------
 # Fallback / resilience policy
@@ -353,10 +345,6 @@ class FallbackPolicy:
             if EXECUTIONS.index(name) < current:
                 return name
         return None
-
-    def with_(self, **overrides: Any) -> "FallbackPolicy":
-        """Copy with the given fields replaced (frozen-dataclass helper)."""
-        return replace(self, **overrides)
 
 
 #: Shared default policy (used when a context has no explicit one).

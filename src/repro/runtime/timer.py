@@ -75,16 +75,3 @@ class PhaseTimer:
             return {name: 0.0 for name in self.totals}
         return {name: 100.0 * t / total for name, t in self.totals.items()}
 
-    def merge(self, other: "PhaseTimer") -> None:
-        """Fold ``other``'s totals *and* counts into this timer.
-
-        Totals and counts merge independently: a phase present in
-        ``other.totals`` but absent from ``other.counts`` (external
-        ``totals`` mutation) contributes time but no entries, instead of
-        the phantom ``+1`` the old implementation invented.
-        """
-        for name, t in other.totals.items():
-            self.totals[name] = self.totals.get(name, 0.0) + t
-        for name, c in other.counts.items():
-            self.counts[name] = self.counts.get(name, 0) + c
-

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker
 from typing import Any, Dict, List, Optional
 
 from ..parallel import shm as _shm
@@ -64,6 +63,10 @@ from .slot import PoolSlot, SlotJob, SlotReply
 __all__ = ["DecompositionService", "JobRecord"]
 
 _SHUTDOWN = object()  # slot-loop sentinel
+
+#: Finished jobs whose records (status, result, error) the service keeps;
+#: past it the oldest finished record is dropped and its id is unknown.
+MAX_FINISHED_RECORDS = 1024
 
 
 @dataclass
@@ -160,6 +163,8 @@ class DecompositionService:
         self._slots = [PoolSlot(i, execution, n_workers) for i in range(pool_size)]
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._records: Dict[str, JobRecord] = {}
+        self._finished: "deque[str]" = deque()  # finished ids, oldest first
+        self._states: Counter = Counter()  # state -> jobs in it
         self._queued: Counter = Counter()  # tenant -> records in "queued"
         self._inflight: Dict[tuple, JobRecord] = {}
         self._seq = 0
@@ -189,11 +194,6 @@ class DecompositionService:
         if self._started:
             return self
         self._started = True
-        if self.execution == "process":
-            # Start the resource tracker first so the job processes and
-            # their workers share it (as ProcessBackend's workers do).
-            with _shm.tracker_guard():
-                resource_tracker.ensure_running()
         for slot in self._slots:
             slot.start()
         for slot in self._slots:
@@ -304,6 +304,7 @@ class DecompositionService:
             predicted_peak_bytes=predicted,
         )
         self._records[record.job_id] = record
+        self._states["queued"] += 1
         self._queued[spec.tenant] += 1
         self.counters["submitted"] += 1
 
@@ -374,8 +375,11 @@ class DecompositionService:
     # -- execution ---------------------------------------------------------
 
     def _set_state(self, record: JobRecord, state: str) -> None:
-        """Move ``record`` to ``state``, keeping the per-tenant queued
-        counts that admission reads."""
+        """Move ``record`` to ``state``, keeping the per-state counts
+        :meth:`stats` reports and the per-tenant queued counts that
+        admission reads."""
+        self._states[record.state] -= 1
+        self._states[state] += 1
         if record.state == "queued":
             self._queued[record.spec.tenant] -= 1
         if state == "queued":
@@ -390,6 +394,9 @@ class DecompositionService:
                 del self._inflight[record.cache_key]
         record.resume_state = None
         record.done.set()
+        self._finished.append(record.job_id)
+        while len(self._finished) > MAX_FINISHED_RECORDS:
+            del self._records[self._finished.popleft()]
         self._fulfill_followers(record)
 
     def _fulfill_followers(self, record: JobRecord) -> None:
@@ -462,12 +469,10 @@ class DecompositionService:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        states: Dict[str, int] = {}
-        for record in self._records.values():
-            states[record.state] = states.get(record.state, 0) + 1
+        """Counters, jobs per state (evicted ones too), caches, pool, hygiene."""
         return {
             "counters": dict(self.counters),
-            "states": states,
+            "states": {state: n for state, n in self._states.items() if n},
             "result_cache": {
                 "size": len(self.results),
                 "hits": self.results.hits,

@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import multiprocessing.util
 import pickle
 import queue
-import signal
 import threading
 import traceback
 from dataclasses import dataclass
@@ -48,21 +46,18 @@ from ..core.s3ttmc import s3ttmc
 from ..decomp import hooi, hoqri
 from ..formats.ucoo import SparseSymmetricTensor
 from ..parallel import shm as _shm
-from ..parallel.backends import make_backend, mp_context
+from ..parallel.backends import make_backend
+from ..parallel.child import STOP_TIMEOUT_S, Child
 from ..parallel.executor import parallel_s3ttmc
 from ..runtime.budget import MemoryBudget
 from ..runtime.checkpoint import CheckpointState
-from ..runtime.context import ExecContext, reset_thread_runtime_state
+from ..runtime.context import ExecContext
 from ..runtime.faults import BackendUnhealthyError
 from ..runtime.health import CancelToken
 from .cache import TensorInterner
 from .jobs import JobSpec
 
 __all__ = ["PoolSlot", "SlotJob", "SlotReply", "slot_main"]
-
-#: Seconds :meth:`PoolSlot.stop` waits for each step of a job process's
-#: shutdown before escalating (stop → terminate → kill).
-STOP_TIMEOUT_S = 5.0
 
 
 @dataclass
@@ -124,8 +119,7 @@ class PoolSlot:
         self.task: Optional[asyncio.Task] = None
         #: Id of the job the slot is running, else ``None``.
         self.job_id: Optional[str] = None
-        self.proc = None
-        self.conn = None
+        self.child: Optional[Child] = None
         self.seq = 0
         #: Live shared-memory segments the job process reported at stop.
         self.live_segments = 0
@@ -137,42 +131,25 @@ class PoolSlot:
     @property
     def pid(self) -> Optional[int]:
         """The job process's pid while it runs, else ``None``."""
-        proc = self.proc
-        return proc.pid if proc is not None and proc.is_alive() else None
+        child = self.child
+        return child.pid if child is not None and child.alive else None
 
     def start(self) -> None:
-        """Start the job process (on the event-loop thread).
-
-        Non-daemonic: a ``process`` service's backend starts worker
-        processes of its own from it. The fork holds the tracker guard
-        so it cannot clone a held resource-tracker lock (see
-        :func:`repro.parallel.shm.tracker_guard`).
-        """
-        ctx = mp_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(
-            target=slot_main,
-            args=(child_conn, self.execution, self.n_workers),
-            name=self.name,
+        """Start the job process (on the event-loop thread)."""
+        self.child = Child(
+            slot_main, (self.execution, self.n_workers), self.name,
+            segments=self.execution == "process",
         )
-        with _shm.tracker_guard():
-            proc.start()
-        child_conn.close()
-        self.proc, self.conn = proc, parent_conn
-        # An unclosed service must not hang interpreter exit, which joins
-        # non-daemonic children: closing our end first makes the job
-        # process read EOF and exit.
-        multiprocessing.util.Finalize(self, parent_conn.close, exitpriority=10)
 
     async def run(self, job: SlotJob) -> SlotReply:
         """Run one attempt in the job process and return its reply."""
-        if self.proc is None or not self.proc.is_alive():
-            if self.proc is not None:
+        if self.child is None or not self.child.alive:
+            if self.child is not None:
                 self._reap()  # died while idle: nothing was lost
             self.start()
         self.seq += 1
         try:
-            self.conn.send(("job", self.seq, job))
+            self.child.conn.send(("job", self.seq, job))
             _kind, _seq, reply = await self._receive()
         except (EOFError, OSError):
             code = self._reap()
@@ -188,45 +165,40 @@ class PoolSlot:
     def interrupt(self, reason: str) -> None:
         """Trip the running job's cancel token in the job process."""
         try:
-            self.conn.send(("cancel", self.seq, reason))
+            self.child.conn.send(("cancel", self.seq, reason))
         except (AttributeError, OSError):
             pass  # no process, or it died: run() reports that
 
     async def stop(self) -> None:
-        """Stop the job process: ask, then terminate, then kill."""
-        proc, conn = self.proc, self.conn
-        if proc is None:
+        """Ask the job process to stop and give it :data:`STOP_TIMEOUT_S`
+        to reply and exit; then :meth:`Child.stop` ends it."""
+        child = self.child
+        if child is None:
             return
         try:
-            conn.send(("stop",))
+            child.conn.send(("stop",))
             _kind, self.live_segments = await asyncio.wait_for(
                 self._receive(), STOP_TIMEOUT_S
             )
+            await asyncio.wait_for(_readable(child.sentinel), STOP_TIMEOUT_S)
         except (EOFError, OSError, asyncio.TimeoutError):
             pass
-        try:
-            await asyncio.wait_for(_readable(proc.sentinel), STOP_TIMEOUT_S)
-        except asyncio.TimeoutError:
-            proc.terminate()
-        self._reap()
+        self._reap(grace=0)  # the wait above was the grace
 
     async def _receive(self):
-        while not self.conn.poll():
-            if not self.proc.is_alive():
+        child = self.child
+        while not child.conn.poll():
+            if not child.alive:
                 raise EOFError
-            await _readable(self.conn.fileno(), self.proc.sentinel)
-        return self.conn.recv()
+            await _readable(child.conn.fileno(), child.sentinel)
+        return child.conn.recv()
 
-    def _reap(self) -> Optional[int]:
-        """Join the (exiting) job process, killing it if it lingers."""
-        proc, conn = self.proc, self.conn
-        self.proc = self.conn = None
-        proc.join(STOP_TIMEOUT_S)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        conn.close()
-        return proc.exitcode
+    def _reap(self, grace: float = STOP_TIMEOUT_S) -> Optional[int]:
+        """Stop the (exiting) job process; returns its exit code."""
+        child, self.child = self.child, None
+        code = child.stop(grace)
+        child.close()
+        return code
 
 
 async def _readable(*fds: int) -> None:
@@ -253,11 +225,8 @@ async def _readable(*fds: int) -> None:
 
 
 def slot_main(conn, execution: str, n_workers: Optional[int]) -> None:
-    """Entry point of a job process: run jobs until told to stop."""
-    reset_thread_runtime_state()
-    # The service owns shutdown: a terminal's Ctrl-C reaches the whole
-    # process group, and must not kill a job mid-run.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    """Entry point of a job process (a :class:`~repro.parallel.child.Child`,
+    so the child prologue has run): run jobs until told to stop."""
     inbox: "queue.SimpleQueue" = queue.SimpleQueue()
     tokens: Dict[int, CancelToken] = {}
     lock = threading.Lock()

@@ -429,7 +429,7 @@ class TestProductionPaths:
         import asyncio
         import importlib
 
-        from repro.parallel.backends import START_METHOD_ENV_VAR
+        from repro.parallel.child import START_METHOD_ENV_VAR
         from repro.serve import DecompositionService, JobSpec
 
         # The package re-exports the function under the module's name.

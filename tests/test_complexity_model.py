@@ -110,8 +110,8 @@ class TestKernelStatsAccounting:
         assert stats.intermediate_bytes == 50 * 56 * 8  # peak level only
 
     def test_intermediate_bytes_matches_merge_semantics(self):
-        """add_level on one stats object must equal merge of per-level
-        stats objects (merge already took the max)."""
+        """add_level on one stats object keeps the largest level's bytes:
+        the max over per-level stats objects, not their sum."""
         combined = KernelStats()
         parts = []
         for level, nodes, size in [(2, 30, 6), (3, 80, 20), (4, 5, 70)]:
@@ -119,10 +119,7 @@ class TestKernelStatsAccounting:
             part = KernelStats()
             part.add_level(level, nodes, 2 * nodes, size)
             parts.append(part)
-        merged = KernelStats()
-        for part in parts:
-            merged.merge(part)
-        assert merged.intermediate_bytes == combined.intermediate_bytes
+        assert combined.intermediate_bytes == max(p.intermediate_bytes for p in parts)
 
     def test_kernel_peak_footprint_bounded_by_model(self, rng):
         """End-to-end: the recorded peak is one level's array, so it is no

@@ -80,7 +80,7 @@ class TestSharedOptionBehaviours:
 
         u0 = random_init(tensor.dim, 2, np.random.default_rng(3))
         a = algo(tensor, 2, max_iters=3, tol=0.0, init=u0.copy())
-        b = algo(CSSTensor.from_ucoo(tensor), 2, max_iters=3, tol=0.0, init=u0.copy())
+        b = algo(CSSTensor(tensor), 2, max_iters=3, tol=0.0, init=u0.copy())
         assert np.allclose(a.trace.objective, b.trace.objective)
 
     @pytest.mark.parametrize("algo", [hooi, hoqri])

@@ -40,7 +40,7 @@ class TestEndToEndPipelines:
 
     def test_css_format_pipeline(self, rng):
         x = random_sparse_symmetric(4, 25, 150, seed=6)
-        css = CSSTensor.from_ucoo(x)
+        css = CSSTensor(x)
         res = hoqri(css, 3, max_iters=5, seed=0)
         res2 = hoqri(x, 3, max_iters=5, seed=0)
         assert np.allclose(res.trace.objective, res2.trace.objective)

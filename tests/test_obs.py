@@ -36,7 +36,7 @@ class TestTracer:
         b = span("else")
         assert a is b  # shared null span: no allocation when disabled
         with a as s:
-            s.set_attr("ignored", True)
+            s.attrs["ignored"] = True
         assert s.attrs == {}
 
     def test_collector_records_span(self):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import s3ttmc
 from repro.parallel import shm as _shm
+from repro.parallel.child import START_METHOD_ENV_VAR
 from repro.decomp import hooi, hoqri
 from repro.obs.trace import TraceCollector
 from repro.parallel import (
@@ -366,6 +367,24 @@ class TestShmRunTokens:
         assert set(_shm._LIVE_SEGMENTS) == before
 
 
+def run_script(script: str, timeout=120, **env_overrides: str):
+    """Run ``script`` in a fresh interpreter that imports ``repro`` and
+    ``tests`` from this checkout; returns the ``CompletedProcess``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), str(REPO), env.get("PYTHONPATH")) if p
+    )
+    env.update(env_overrides)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 class TestSpawnResourceTracker:
     def test_spawn_workers_leave_tracker_silent(self):
         """Spawn workers share the parent's resource tracker, so a worker
@@ -373,7 +392,7 @@ class TestSpawnResourceTracker:
         unlink would then fail inside the tracker, which prints a
         ``KeyError`` traceback to the run's stderr. The tracker is its
         own process, so only a fresh interpreter's stderr shows it."""
-        script = textwrap.dedent(
+        proc = run_script(
             """
             import numpy as np
             from repro.parallel import parallel_s3ttmc
@@ -382,22 +401,105 @@ class TestSpawnResourceTracker:
 
             rng = np.random.default_rng(0)
             x = make_random_tensor(4, 10, 60, rng)
-            with ProcessBackend(2, start_method="spawn") as backend:
+            with ProcessBackend(2) as backend:
                 for _ in range(3):
                     parallel_s3ttmc(x, rng.random((10, 3)), backend=backend)
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(REPO / "src"), str(REPO), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            cwd=REPO,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
+            """,
+            **{START_METHOD_ENV_VAR: "spawn"},
         )
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
+
+
+class TestChildProcesses:
+    """The lifecycle every child process shares (repro.parallel.child)."""
+
+    def test_sigint_leaves_idle_workers_alive(self):
+        """A terminal's Ctrl-C reaches every process of the group; an
+        idle worker must neither die of it nor print a traceback."""
+        proc = run_script(
+            """
+            import multiprocessing, os, signal, time
+            import numpy as np
+            from repro.parallel import ParallelRunReport, parallel_s3ttmc
+            from repro.parallel.backends import ProcessBackend
+            from tests.conftest import make_random_tensor
+
+            rng = np.random.default_rng(0)
+            x = make_random_tensor(4, 10, 60, rng)
+            u = rng.random((10, 3))
+            with ProcessBackend(2) as backend:
+                parallel_s3ttmc(x, u, backend=backend)
+                workers = [
+                    p for p in multiprocessing.active_children()
+                    if p.name.startswith("s3ttmc-worker-")
+                ]
+                assert len(workers) == 2, workers
+                for p in workers:
+                    os.kill(p.pid, signal.SIGINT)
+                time.sleep(0.5)
+                assert all(p.is_alive() for p in workers), [p.exitcode for p in workers]
+                report = ParallelRunReport()
+                parallel_s3ttmc(x, u, backend=backend, report=report)
+                assert report.respawns == 0, report.respawns
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="lists /dev/shm")
+    def test_retired_worker_leaves_no_unread_result_segment(self, rng):
+        """A worker stopped after announcing a new result segment but
+        before the supervisor read the announcement (an abort on a run
+        deadline) must not leak that segment."""
+        x = make_random_tensor(4, 10, 60, rng)
+        with make_backend("process", 1) as backend:
+            parallel_s3ttmc(x, rng.random((10, 3)), backend=backend)
+            handle = backend._workers[0]
+            prefix = f"rp{backend._run_token}-{handle.pid:x}-"
+            # A chunk 1024 columns wide regrows the result segment, which
+            # the worker announces before the slow fault holds it.
+            handle.conn.send(
+                ("chunk", 99, 0, len(x.values), "global", 1024, None,
+                 ("slow", 30.0), 0.5, "compiled")
+            )
+            assert handle.conn.poll(10)
+            backend._retire_worker(handle)
+            left = [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
+            assert left == []
+
+    def test_unclosed_backend_and_service_exit_cleanly(self):
+        """An interpreter that exits without closing a process backend or
+        a process service closes their pipes: each child reads EOF, tears
+        itself down and is joined, so the exit is prompt, leaves no child
+        behind and leaks no segment."""
+        proc = run_script(
+            """
+            import asyncio, multiprocessing
+            import numpy as np
+            from repro.parallel import parallel_s3ttmc
+            from repro.parallel.backends import ProcessBackend
+            from repro.serve import DecompositionService
+            from tests.conftest import make_random_tensor
+
+            rng = np.random.default_rng(0)
+            x = make_random_tensor(4, 10, 60, rng)
+            backend = ProcessBackend(2)
+            parallel_s3ttmc(x, rng.random((10, 3)), backend=backend)
+            service = DecompositionService(execution="process", n_workers=2)
+            asyncio.run(service.start())
+            print(" ".join(
+                str(p.pid) for p in multiprocessing.active_children()
+                if p.name.startswith(("s3ttmc-worker-", "serve-slot-"))
+            ))
+            """,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 4
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert "leaked shared_memory" not in proc.stderr, proc.stderr

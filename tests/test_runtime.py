@@ -125,49 +125,6 @@ class TestTimer:
     def test_empty_breakdown(self):
         assert PhaseTimer().breakdown() == {}
 
-    def test_merge(self):
-        a, b = PhaseTimer(), PhaseTimer()
-        a.add("x", 1.0)
-        b.add("x", 2.0)
-        b.add("y", 1.0)
-        a.merge(b)
-        assert a.totals["x"] == pytest.approx(3.0)
-        assert a.totals["y"] == pytest.approx(1.0)
-        assert a.counts == {"x": 2, "y": 1}
-
-    def test_merge_of_merged_timers_preserves_counts(self):
-        """Regression: merging an already-merged timer must add its full
-        entry counts, not a phantom +1 per phase."""
-        workers = []
-        for _ in range(3):
-            w = PhaseTimer()
-            w.add("s3ttmc", 1.0)
-            w.add("s3ttmc", 1.0)
-            workers.append(w)
-        left = PhaseTimer()
-        left.merge(workers[0])
-        left.merge(workers[1])
-        right = PhaseTimer()
-        right.merge(workers[2])
-        total = PhaseTimer()
-        total.merge(left)
-        total.merge(right)
-        assert total.totals["s3ttmc"] == pytest.approx(6.0)
-        assert total.counts["s3ttmc"] == 6
-
-    def test_merge_totals_without_counts(self):
-        """External `totals` mutation (no matching count) merges as time
-        with zero entries instead of silently inventing one."""
-        a, b = PhaseTimer(), PhaseTimer()
-        b.totals["ghost"] = 2.5  # misuse: bypassed add()/phase()
-        a.merge(b)
-        assert a.totals["ghost"] == pytest.approx(2.5)
-        assert a.counts.get("ghost", 0) == 0
-        # and a well-formed phase on top still counts correctly
-        a.add("ghost", 0.5)
-        assert a.counts["ghost"] == 1
-
-
 
 class TestBudgetExceptionsPropagate:
     def test_phase_records_on_exception(self):

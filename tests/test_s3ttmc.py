@@ -31,7 +31,7 @@ class TestAgainstDense:
 
     def test_css_input(self, small_tensor, rng):
         u = rng.random((small_tensor.dim, 3))
-        css = CSSTensor.from_ucoo(small_tensor)
+        css = CSSTensor(small_tensor)
         a = s3ttmc(css, u).unfolding
         b = s3ttmc(small_tensor, u).unfolding
         assert np.allclose(a, b)
@@ -124,16 +124,6 @@ class TestStats:
         assert set(stats.level_flops) == {2, 3}
         assert stats.scatter_flops > 0
         assert stats.output_bytes == 6 * 10 * 8  # I x S_{3,3}
-
-    def test_stats_merge(self):
-        a, b = KernelStats(), KernelStats()
-        a.add_level(2, 10, 20, 6)
-        b.add_level(2, 5, 8, 6)
-        b.add_scatter(4, 6)
-        a.merge(b)
-        assert a.level_nodes[2] == 15
-        assert a.level_edges[2] == 28
-        assert a.scatter_flops == 48
 
 
 class TestRemovedOptions:

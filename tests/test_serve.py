@@ -383,6 +383,32 @@ class TestSubmitResult:
 
         run(main())
 
+    def test_finished_records_are_bounded(self, rng, monkeypatch):
+        """Past ``MAX_FINISHED_RECORDS`` the oldest finished record is
+        evicted; per-state counts still cover every job."""
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "MAX_FINISHED_RECORDS", 2)
+        x = make_random_tensor(3, 10, 40, rng)
+        spec = JobSpec(kind="s3ttmc", tensor=x, factor=rng.random((10, 2)))
+
+        async def main():
+            async with DecompositionService(pool_size=1) as svc:
+                jobs = [await svc.submit(spec)]
+                await svc.result(jobs[0])
+                # Cache hits: each finishes inside submit.
+                jobs += [await svc.submit(spec) for _ in range(3)]
+                for job in jobs[:2]:
+                    with pytest.raises(UnknownJobError):
+                        svc.status(job)
+                kept = [svc.status(job).state for job in jobs[2:]]
+                return kept, svc.stats()
+
+        kept, stats = run(main())
+        assert kept == ["done", "done"]
+        assert stats["states"] == {"done": 4}
+        assert stats["counters"]["cache_hits"] == 3
+
 
 # ---------------------------------------------------------------------------
 # Cancel / deadline / preempt
@@ -691,6 +717,34 @@ class TestJobProcesses:
         for spec, got in zip(specs, results.values()):
             want = hoqri(y, 4, **spec.driver_kwargs())
             assert np.array_equal(got.factor, want.factor)
+
+    def test_sigint_leaves_job_processes_alive(self, rng, capfd):
+        """A terminal's Ctrl-C reaches every process of the group; the
+        service owns shutdown, so its idle job processes live on."""
+        x = make_random_tensor(3, 12, 80, rng)
+
+        async def main():
+            async with DecompositionService(pool_size=2) as svc:
+                first = await svc.submit(
+                    JobSpec(kind="s3ttmc", tensor=x, factor=rng.random((12, 3)))
+                )
+                await svc.result(first)
+                pids = svc.stats()["pool"]["pids"]
+                for pid in pids:
+                    os.kill(pid, signal.SIGINT)
+                await asyncio.sleep(0.5)
+                alive = svc.stats()["pool"]["pids"]
+                again = await svc.submit(
+                    JobSpec(kind="s3ttmc", tensor=x, factor=rng.random((12, 3)))
+                )
+                await svc.result(again)
+                return pids, alive, svc.stats()
+
+        pids, alive, stats = run(main())
+        assert alive == pids and None not in pids
+        assert stats["pool"]["pids"] == pids
+        assert stats["counters"]["failed"] == 0
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("execution", ["serial", "process"])
     def test_close_leaves_no_job_process(self, execution, rng):

@@ -110,13 +110,13 @@ class TestTrie:
 
 class TestCSS:
     def test_delegation(self, small_tensor):
-        css = CSSTensor.from_ucoo(small_tensor)
+        css = CSSTensor(small_tensor)
         assert css.order == small_tensor.order
         assert css.unnz == small_tensor.unnz
         assert np.array_equal(css.indices, small_tensor.indices)
 
     def test_node_counts_shared_prefixes(self):
-        css = CSSTensor.from_ucoo(
+        css = CSSTensor(
             SparseSymmetricTensor(
                 3, 5, np.array([[0, 1, 2], [0, 1, 3], [0, 2, 4]]), np.ones(3)
             )
